@@ -32,12 +32,10 @@ import numpy as np
 
 from . import verify
 from .errors import (ConfigError, ConstantsError, FlowDivergenceError,
-                     GridMismatchError, MetricDegeneracyError, WarpflowError)
+                     GridMismatchError, MetricDegeneracyError)
 from .flow import FlowConfig, FlowState, conserved_measure_check, \
     monotonicity_report, run_coupled, run_decoupled
-from .functionals import F_lambda
-from .grids import GridSpec, ScalarField, SymTensorField, \
-    filter_array
+from .grids import GridSpec, ScalarField, SymTensorField, filter_array
 from .recipes import high_mode_scalar, sine_scalar
 from .verify import FieldSpec
 from .warped import (WarpedConstants, c1_residual, c2_residual,
@@ -129,57 +127,73 @@ def _get(cfg, section, key, default=None):
     return default
 
 
-def _ints(text: str) -> list[int]:
+def _parsed(cfg, section, key, default, convert, what):
+    """``[section] key`` through ``convert``, or ``default`` when absent;
+    a value ``convert`` rejects is a ConfigError."""
+    raw = _get(cfg, section, key)
+    if raw is None:
+        return default
     try:
-        return [int(tok) for tok in text.split()]
-    except ValueError as exc:
-        raise ConfigError(f"expected whitespace-separated ints: {text!r}") \
+        return convert(raw)
+    except (ValueError, KeyError) as exc:
+        raise ConfigError(f"{section}.{key} must be {what}, got {raw!r}") \
             from exc
 
 
-def _floats(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split()]
-    except ValueError as exc:
-        raise ConfigError(f"expected whitespace-separated floats: {text!r}") \
-            from exc
+def _some(kind, raw: str) -> list:
+    values = [kind(tok) for tok in raw.split()]
+    if not values:
+        raise ValueError("empty list")
+    return values
 
 
 def _float(cfg, section, key, default):
-    raw = _get(cfg, section, key)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key} must be a float, got {raw!r}") \
-            from exc
+    return _parsed(cfg, section, key, default, float, "a float")
 
 
 def _int(cfg, section, key, default):
-    raw = _get(cfg, section, key)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key} must be an int, got {raw!r}") \
-            from exc
+    return _parsed(cfg, section, key, default, int, "an int")
 
 
-def _constants_from_config(cfg) -> tuple[WarpedConstants, str]:
+def _bool(cfg, section, key, default):
+    return _parsed(cfg, section, key, default,
+                   lambda raw: cfg.BOOLEAN_STATES[raw.lower()], "a boolean")
+
+
+def _ints(cfg, section, key, default):
+    return _parsed(cfg, section, key, default, lambda raw: _some(int, raw),
+                   "one or more whitespace-separated ints")
+
+
+def _floats(cfg, section, key, default):
+    return _parsed(cfg, section, key, default, lambda raw: _some(float, raw),
+                   "one or more whitespace-separated floats")
+
+
+def _dims(cfg) -> tuple[int, int]:
     m = _int(cfg, "constants", "m", None)
     n = _int(cfg, "constants", "n", None)
     if m is None or n is None:
         raise ConfigError("[constants] requires m and n")
+    return m, n
+
+
+def _lambda_root(m: int, n: int, lam: float, root: int) -> WarpedConstants:
+    """Solution number ``root`` of the fixed-coupling family at ``lam``."""
+    sols = lambda_to_constants(m, n, lam)
+    if root not in range(len(sols)):
+        raise ConfigError(f"constants.root {root} out of range "
+                          f"(found {len(sols)} solutions)")
+    return sols[root]
+
+
+def _constants_from_config(cfg) -> tuple[WarpedConstants, str]:
+    m, n = _dims(cfg)
     lam_raw = _get(cfg, "constants", "lambda")
     if lam_raw is not None:
         root = _int(cfg, "constants", "root", 0)
-        sols = lambda_to_constants(m, n, float(lam_raw))
-        if root not in range(len(sols)):
-            raise ConfigError(f"constants.root {root} out of range "
-                              f"(found {len(sols)} solutions)")
-        return sols[root], f"lambda={lam_raw} root={root}"
+        lam = _float(cfg, "constants", "lambda", None)
+        return _lambda_root(m, n, lam, root), f"lambda={lam_raw} root={root}"
     branch = _get(cfg, "constants", "branch", "plus")
     if branch not in ("plus", "minus"):
         raise ConfigError(f"constants.branch must be plus or minus, "
@@ -188,48 +202,78 @@ def _constants_from_config(cfg) -> tuple[WarpedConstants, str]:
 
 
 def _f_modes(cfg) -> tuple[int, ...] | None:
-    raw = _get(cfg, "fields", "f_modes")
-    if raw is None:
+    modes = _ints(cfg, "fields", "f_modes", None)
+    if modes is None:
         return None
-    modes = _ints(raw)
-    if not modes or any(k < 1 for k in modes):
-        raise ConfigError(f"fields.f_modes must be positive ints: {raw!r}")
+    if any(k < 1 for k in modes):
+        raise ConfigError(f"fields.f_modes must be positive ints: {modes}")
     return tuple(modes)
 
 
+def _axis(cfg, key: str, dim: int) -> int | None:
+    axis = _int(cfg, "fields", key, None)
+    if axis is not None and axis not in range(dim):
+        raise ConfigError(f"fields.{key} must lie in 0..{dim - 1}, "
+                          f"got {axis}")
+    return axis
+
+
 def _field_spec(cfg, prefix: str, default_name: str,
-                default_amplitude: float) -> FieldSpec:
+                default_amplitude: float, dim: int) -> FieldSpec:
     name = _get(cfg, "fields", prefix, default_name)
     if name not in ("flat", "conformal-bump", "random-spd"):
         raise ConfigError(f"fields.{prefix} must be flat, conformal-bump "
                           f"or random-spd, got {name!r}")
-    axis_raw = _get(cfg, "fields", f"{prefix}_axis")
     return FieldSpec(
         name=name,
         amplitude=_float(cfg, "fields", f"{prefix}_amplitude",
                          default_amplitude),
         mode=_int(cfg, "fields", f"{prefix}_mode", 1),
-        axis=None if axis_raw is None else int(axis_raw),
+        axis=_axis(cfg, f"{prefix}_axis", dim),
     )
 
 
-def _levels_from_config(cfg, m: int, n: int):
-    m_counts = _ints(_get(cfg, "grid", "m_points", "16 32"))
-    n_counts = _ints(_get(cfg, "grid", "n_points",
-                          " ".join(["8"] * len(m_counts))))
+def _grid(points: tuple[int, ...], period: float) -> GridSpec:
+    """A grid from config values; its own validation becomes a ConfigError."""
+    try:
+        return GridSpec(points, (period,) * len(points))
+    except ValueError as exc:
+        raise ConfigError(f"[grid] {exc}") from exc
+
+
+def _order(cfg) -> int:
+    order = _int(cfg, "grid", "order", 2)
+    if order not in (2, 4):
+        raise ConfigError(f"grid.order must be 2 or 4, got {order}")
+    return order
+
+
+def _study_inputs(cfg, m: int, n: int, g_default: str):
+    """The ladder, every level's grids validated, and the keyword
+    arguments the three studies share."""
+    m_counts = _ints(cfg, "grid", "m_points", [16, 32])
+    n_counts = _ints(cfg, "grid", "n_points", [8] * len(m_counts))
     if len(m_counts) != len(n_counts):
         raise ConfigError("grid.m_points and grid.n_points must list the "
                           "same number of levels")
-    return tuple(((pm,) * m, (pn,) * n)
-                 for pm, pn in zip(m_counts, n_counts))
-
-
-def _needs_seed(*specs: FieldSpec) -> bool:
-    return any(s.name == "random-spd" for s in specs)
+    period_m = _float(cfg, "grid", "m_period", 2.0 * math.pi)
+    period_n = _float(cfg, "grid", "n_period", 2.0 * math.pi)
+    levels = tuple(((pm,) * m, (pn,) * n)
+                   for pm, pn in zip(m_counts, n_counts))
+    for points_m, points_n in levels:
+        _grid(points_m, period_m)
+        _grid(points_n, period_n)
+    return levels, dict(
+        period_m=period_m, period_n=period_n,
+        g_spec=_field_spec(cfg, "g", g_default, 0.2, m),
+        h_spec=_field_spec(cfg, "h", "flat", 0.1, n),
+        f_amplitude=_float(cfg, "fields", "f_amplitude", 0.2),
+        f_mode=_int(cfg, "fields", "f_mode", 1),
+        f_modes=_f_modes(cfg), order=_order(cfg))
 
 
 def _require_seed(args, *specs: FieldSpec) -> int | None:
-    if _needs_seed(*specs) and args.seed is None:
+    if args.seed is None and any(s.name == "random-spd" for s in specs):
         raise ConfigError("a random-spd recipe is in use: pass --seed")
     return args.seed
 
@@ -274,24 +318,14 @@ def cmd_constants(args) -> int:
 def cmd_verify_curvature(args) -> int:
     cfg = _load_config(args.config, "verify-curvature")
     constants, label = _constants_from_config(cfg)
-    g_spec = _field_spec(cfg, "g", "conformal-bump", 0.2)
-    h_spec = _field_spec(cfg, "h", "flat", 0.1)
-    seed = _require_seed(args, g_spec, h_spec)
-    levels = _levels_from_config(cfg, constants.m, constants.n)
+    levels, shared = _study_inputs(cfg, constants.m, constants.n,
+                                   "conformal-bump")
+    seed = _require_seed(args, shared["g_spec"], shared["h_spec"])
     min_order = _float(cfg, "tolerances", "min_order", 1.8)
     max_final = _float(cfg, "tolerances", "max_final_error", math.inf)
 
-    study = verify.CurvatureStudyConfig(
-        constants=constants, levels=levels,
-        period_m=_float(cfg, "grid", "m_period", 2.0 * math.pi),
-        period_n=_float(cfg, "grid", "n_period", 2.0 * math.pi),
-        g_spec=g_spec, h_spec=h_spec,
-        f_amplitude=_float(cfg, "fields", "f_amplitude", 0.2),
-        f_mode=_int(cfg, "fields", "f_mode", 1),
-        f_modes=_f_modes(cfg),
-        order=_int(cfg, "grid", "order", 2),
-        seed=seed)
-    rows = verify.curvature_study(study)
+    rows = verify.curvature_study(verify.CurvatureStudyConfig(
+        constants=constants, levels=levels, seed=seed, **shared))
 
     n_levels = len(levels)
     ok = True
@@ -324,30 +358,19 @@ def cmd_verify_curvature(args) -> int:
 
 def cmd_verify_identity(args) -> int:
     cfg = _load_config(args.config, "verify-identity")
-    g_spec = _field_spec(cfg, "g", "flat", 0.2)
-    h_spec = _field_spec(cfg, "h", "flat", 0.1)
-    seed = _require_seed(args, g_spec, h_spec)
-    normalize_n = cfg.getboolean("identity", "normalize_n", fallback=False)
+    m, n = _dims(cfg)
+    levels, shared = _study_inputs(cfg, m, n, "flat")
+    seed = _require_seed(args, shared["g_spec"], shared["h_spec"])
+    normalize_n = _bool(cfg, "identity", "normalize_n", False)
     min_order = _float(cfg, "tolerances", "min_order", 1.8)
     max_final = _float(cfg, "tolerances", "max_final_residual", math.inf)
-    lam_raw = _get(cfg, "identity", "lambdas")
-
-    m = _int(cfg, "constants", "m", None)
-    n = _int(cfg, "constants", "n", None)
-    if m is None or n is None:
-        raise ConfigError("[constants] requires m and n")
-    levels = _levels_from_config(cfg, m, n)
-    period_m = _float(cfg, "grid", "m_period", 2.0 * math.pi)
-    period_n = _float(cfg, "grid", "n_period", 2.0 * math.pi)
-    f_amp = _float(cfg, "fields", "f_amplitude", 0.2)
-    f_mode = _int(cfg, "fields", "f_mode", 1)
+    lams = _floats(cfg, "identity", "lambdas", None)
 
     runs: list[tuple[str, WarpedConstants]] = []
-    if lam_raw is not None:
+    if lams is not None:
         root = _int(cfg, "constants", "root", 0)
-        for lam in _floats(lam_raw):
-            sols = lambda_to_constants(m, n, lam)
-            runs.append((f"lambda={_fmt(lam)}", sols[min(root, len(sols) - 1)]))
+        for lam in lams:
+            runs.append((f"lambda={_fmt(lam)}", _lambda_root(m, n, lam, root)))
     else:
         constants, label = _constants_from_config(cfg)
         runs.append((label, constants))
@@ -355,11 +378,9 @@ def cmd_verify_identity(args) -> int:
     all_rows: list[list] = []
     ok = True
     for label, constants in runs:
-        rows = verify.identity_study(
-            constants, levels, period_m, period_n, g_spec, h_spec,
-            f_amp, f_mode, normalize_n=normalize_n,
-            order=_int(cfg, "grid", "order", 2), seed=seed,
-            f_modes=_f_modes(cfg))
+        rows = verify.identity_study(constants, levels,
+                                     normalize_n=normalize_n, seed=seed,
+                                     **shared)
         final = rows[-1]
         converged = abs(final.residual) <= _ABS_FLOOR
         order_ok = not math.isnan(final.order) and final.order >= min_order
@@ -396,35 +417,25 @@ def cmd_verify_variation(args) -> int:
     if args.seed is None:
         raise ConfigError("verify-variation draws random directions: "
                           "pass --seed")
-    g_spec = _field_spec(cfg, "g", "flat", 0.2)
-    h_spec = _field_spec(cfg, "h", "flat", 0.1)
-    m = _int(cfg, "constants", "m", None)
-    n = _int(cfg, "constants", "n", None)
-    if m is None or n is None:
-        raise ConfigError("[constants] requires m and n")
-    levels = _levels_from_config(cfg, m, n)
-    points_m, points_n = levels[0]
-    lam_raw = _get(cfg, "variation", "lambdas", "0.0")
+    m, n = _dims(cfg)
+    levels, shared = _study_inputs(cfg, m, n, "flat")
+    lams = _floats(cfg, "variation", "lambdas", [0.0])
     directions = _int(cfg, "variation", "directions", 20)
+    if directions < 1:
+        raise ConfigError(f"variation.directions must be >= 1, "
+                          f"got {directions}")
     eps = _float(cfg, "variation", "eps", 1e-4)
     amplitude = _float(cfg, "variation", "amplitude", 0.3)
     max_rel = _float(cfg, "tolerances", "max_rel_mismatch", 1e-4)
     root = _int(cfg, "constants", "root", 0)
+    solved = [_lambda_root(m, n, lam, root) for lam in lams]
 
     all_rows: list[list] = []
     ok = True
-    for lam in _floats(lam_raw):
-        sols = lambda_to_constants(m, n, lam)
-        constants = sols[min(root, len(sols) - 1)]
+    for lam, constants in zip(lams, solved):
         rows = verify.variation_study(
-            constants, points_m, points_n,
-            _float(cfg, "grid", "m_period", 2.0 * math.pi),
-            _float(cfg, "grid", "n_period", 2.0 * math.pi),
-            g_spec, h_spec,
-            _float(cfg, "fields", "f_amplitude", 0.2),
-            _int(cfg, "fields", "f_mode", 1),
-            directions, args.seed, amplitude, eps,
-            order=_int(cfg, "grid", "order", 2), f_modes=_f_modes(cfg))
+            constants, *levels[0], n_directions=directions, seed=args.seed,
+            direction_amplitude=amplitude, eps=eps, **shared)
         worst = max(r.rel_mismatch for r in rows)
         if worst <= max_rel:
             print(f"[PASS] variation lambda={_fmt(lam)}: worst relative "
@@ -449,26 +460,17 @@ def cmd_verify_variation(args) -> int:
 
 
 def _flow_initial(cfg, seed: int | None, filter_cutoff: float) -> FlowState:
-    points = tuple(_ints(_get(cfg, "grid", "points", "48")))
-    period = _float(cfg, "grid", "period", 2.0 * math.pi)
-    grid = GridSpec(points, (period,) * len(points))
-    g_spec = FieldSpec(
-        name=_get(cfg, "fields", "g", "flat"),
-        amplitude=_float(cfg, "fields", "g_amplitude", 0.1),
-        mode=_int(cfg, "fields", "g_mode", 1),
-        axis=None if _get(cfg, "fields", "g_axis") is None
-        else int(_get(cfg, "fields", "g_axis")))
+    grid = _grid(tuple(_ints(cfg, "grid", "points", [48])),
+                 _float(cfg, "grid", "period", 2.0 * math.pi))
     rng = np.random.default_rng(seed) if seed is not None else None
-    if g_spec.name == "random-spd" and rng is None:
-        raise ConfigError("a random-spd recipe is in use: pass --seed")
-    g = verify.build_metric(grid, g_spec, rng)
+    g = verify.build_metric(grid, _field_spec(cfg, "g", "flat", 0.1, grid.dim),
+                            rng)
     f = sine_scalar(grid, _float(cfg, "fields", "f_amplitude", 0.2),
                     _int(cfg, "fields", "f_mode", 1))
-    high = _get(cfg, "fields", "f_high_modes")
+    high = _ints(cfg, "fields", "f_high_modes", None)
     if high is not None:
         extra = high_mode_scalar(
-            grid, _float(cfg, "fields", "f_high_amplitude", 0.3),
-            tuple(_ints(high)))
+            grid, _float(cfg, "fields", "f_high_amplitude", 0.3), tuple(high))
         f = ScalarField(grid, f.values + extra.values)
     if filter_cutoff < 1.0:
         # a filtered run lives in the resolved subspace; project the

@@ -28,6 +28,8 @@ Discrete quirks worth knowing:
   arguments depend on position through the inverse metric.  The result is
   symmetrized and the discarded part is reported; a large value means the
   fields are under-resolved.
+* ``curvature_bundle`` is one pass: it unpacks and inverts the metric
+  once and contracts the scalar from the symmetrized Ricci matrix.
 * Contractions are accumulated axis by axis to keep peak memory near two
   Christoffel-sized arrays, which is what lets 4d product grids with a
   few million nodes fit in a small container.
@@ -67,12 +69,14 @@ class CurvatureBundle:
     metric, stamped with which pipeline produced them.
 
     ``source_tag`` is one of ``"generic_oracle"``, ``"closed_form_general"``,
-    ``"closed_form_ansatz"``.  ``ricci_asymmetry`` is the max-norm of the
+    ``"closed_form_ansatz"``.  The closed-form bundles carry no Christoffel
+    cube (``christoffel`` is None); ``warped.christoffel_closed_form``
+    builds it on its own.  ``ricci_asymmetry`` is the max-norm of the
     antisymmetric part discarded when symmetrizing (identically zero for
     the closed forms, which are symmetric by construction).
     """
 
-    christoffel: Christoffel3Field
+    christoffel: Christoffel3Field | None
     ricci: SymTensorField
     scalar: ScalarField
     source_tag: str
@@ -113,7 +117,14 @@ def inverse_metric(g: SymTensorField, mats: np.ndarray | None = None) -> np.ndar
 
 
 def christoffel(g: SymTensorField, order: int = 2) -> Christoffel3Field:
-    """Christoffel symbols of the second kind, Gamma^k_{ij}.
+    """Christoffel symbols of the second kind, Gamma^k_{ij}."""
+    mats = g.matrix()
+    return _christoffel(g.grid, mats, inverse_metric(g, mats), order)
+
+
+def _christoffel(grid: GridSpec, mats: np.ndarray, inv: np.ndarray,
+                 order: int) -> Christoffel3Field:
+    """Christoffel symbols from the unpacked metric and its inverse.
 
     Built one derivative axis at a time: with D_a = d/dx^a,
 
@@ -123,11 +134,7 @@ def christoffel(g: SymTensorField, order: int = 2) -> Christoffel3Field:
     so the stored array is symmetric to the bit and the symmetry check can
     be skipped.
     """
-    _require_metric(g)
-    grid = g.grid
     d = grid.dim
-    mats = g.matrix()
-    inv = inverse_metric(g, mats)
     out = np.zeros(grid.shape + (d, d, d))
     for a in range(d):
         da = diff_array(mats, grid, a, order)          # D_a g_{ij}
@@ -155,35 +162,42 @@ def _ricci_matrix(gamma: Christoffel3Field, order: int) -> np.ndarray:
     return ric
 
 
-def ricci(g: SymTensorField, order: int = 2,
-          gamma: Christoffel3Field | None = None,
-          return_asymmetry: bool = False):
-    """Ricci tensor of a metric field, symmetrized.
+def _symmetrized_ricci(gamma: Christoffel3Field,
+                       order: int) -> tuple[np.ndarray, float]:
+    """Ricci as a full symmetric matrix array, plus the max-norm of the
+    antisymmetric residue discarded to get there.
 
     Only the D_b Gamma^a_{ad} term of the coordinate formula breaks exact
     discrete symmetry (its integrand depends on position through g^-1), so
-    the antisymmetric residue is O(h^2) for resolved fields.  The residue
-    is measured before symmetrizing; if it exceeds
+    the residue is O(h^2) for resolved fields.  If it exceeds
 
         ASYMMETRY_WARN_FACTOR * h_max^2 * max(1, |Ric|_max)
 
     a warning flags likely under-resolution.
     """
-    if gamma is None:
-        gamma = christoffel(g, order)
+    grid = gamma.grid
     ric = _ricci_matrix(gamma, order)
-    asym = float(np.abs(ric - np.swapaxes(ric, -1, -2)).max())
-    field = SymTensorField.from_matrix(g.grid, ric, symmetrize=True)
-    h_max = max(g.grid.spacing)
-    scale = max(1.0, float(np.abs(field.values).max()))
+    ric_t = np.swapaxes(ric, -1, -2)
+    asym = float(np.abs(ric - ric_t).max())
+    sym = 0.5 * (ric + ric_t)
+    h_max = max(grid.spacing)
+    scale = max(1.0, float(np.abs(sym).max()))
     if asym > ASYMMETRY_WARN_FACTOR * h_max**2 * scale:
         warnings.warn(
             f"Ricci antisymmetric residue {asym:.3e} exceeds the O(h^2) "
             f"budget for spacing {h_max:.3e}; fields look under-resolved",
-            stacklevel=2)
-    if return_asymmetry:
-        return field, asym
-    return field
+            stacklevel=3)
+    return sym, asym
+
+
+def ricci(g: SymTensorField, order: int = 2,
+          gamma: Christoffel3Field | None = None) -> SymTensorField:
+    """Ricci tensor of a metric field, symmetrized; warns when the
+    discarded antisymmetric part says the fields are under-resolved."""
+    if gamma is None:
+        gamma = christoffel(g, order)
+    return SymTensorField.from_matrix(
+        g.grid, _symmetrized_ricci(gamma, order)[0], symmetrize=True)
 
 
 def scalar_curvature(g: SymTensorField, order: int = 2) -> ScalarField:
@@ -192,15 +206,18 @@ def scalar_curvature(g: SymTensorField, order: int = 2) -> ScalarField:
 
 
 def curvature_bundle(g: SymTensorField, order: int = 2) -> CurvatureBundle:
-    """Full curvature stack of one metric via the generic pipeline,
-    sharing intermediates between the three levels."""
-    gamma = christoffel(g, order)
-    ric, asym = ricci(g, order, gamma=gamma, return_asymmetry=True)
-    inv = inverse_metric(g)
-    scal = np.einsum("...bd,...bd->...", inv, ric.matrix())
+    """Full curvature stack of one metric via the generic pipeline.  The
+    metric is unpacked and inverted once; the symmetrized Ricci matrix
+    feeds the scalar directly and is packed once, for the bundle."""
+    mats = g.matrix()
+    inv = inverse_metric(g, mats)
+    gamma = _christoffel(g.grid, mats, inv, order)
+    del mats
+    ric, asym = _symmetrized_ricci(gamma, order)
+    scal = np.einsum("...bd,...bd->...", inv, ric)
     return CurvatureBundle(
         christoffel=gamma,
-        ricci=ric,
+        ricci=SymTensorField.from_matrix(g.grid, ric, symmetrize=True),
         scalar=ScalarField(g.grid, scal),
         source_tag="generic_oracle",
         ricci_asymmetry=asym)
@@ -229,7 +246,7 @@ def hessian(f: ScalarField, gamma: Christoffel3Field,
     df = gradient_components(f, order)
     out = np.empty(grid.shape + (d, d))
     for l in range(d):
-        dl = diff_array(f.values, grid, l, order)
+        dl = df[..., l]
         for j in range(d):
             out[..., j, l] = diff_array(dl, grid, j, order)
     out -= np.einsum("...kjl,...k->...jl", gamma.values, df)

@@ -35,16 +35,11 @@ __all__ = [
     "ScalarField",
     "SymTensorField",
     "Christoffel3Field",
-    "partial_derivative",
-    "second_derivative",
     "integrate",
-    "spectral_filter",
     "diff_array",
     "filter_array",
     "sym_pairs",
 ]
-
-FINITE_CHECK = True  # module-wide; disabled only in tight benchmark loops
 
 
 def sym_pairs(dim: int) -> list[tuple[int, int]]:
@@ -128,7 +123,7 @@ def _validated_values(grid: GridSpec, values, comp_shape: tuple[int, ...],
     want = grid.shape + comp_shape
     if arr.shape != want:
         raise ValueError(f"{what} values must have shape {want}, got {arr.shape}")
-    if FINITE_CHECK and not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} contains non-finite values")
     return arr
 
@@ -302,22 +297,6 @@ def diff_array(values: np.ndarray, grid: GridSpec, axis: int,
     raise ValueError(f"stencil order must be 2 or 4, got {order}")
 
 
-def partial_derivative(f: ScalarField, axis: int, order: int = 2) -> ScalarField:
-    """First partial derivative of a scalar field along a grid axis."""
-    return ScalarField(f.grid, diff_array(f.values, f.grid, axis, order))
-
-
-def second_derivative(f: ScalarField, axis_a: int, axis_b: int,
-                      order: int = 2) -> ScalarField:
-    """Second partial derivative as a composition of two first-derivative
-    stencils.  The composition (rather than a dedicated wide stencil) is a
-    package-wide choice: it is what makes summation by parts exact, at the
-    price of a wider effective stencil and a milder high-mode response.
-    """
-    d1 = diff_array(f.values, f.grid, axis_b, order)
-    return ScalarField(f.grid, diff_array(d1, f.grid, axis_a, order))
-
-
 def integrate(f: ScalarField, weight: ScalarField | None = None) -> float:
     """Trapezoid-rule integral of ``f`` (times ``weight`` if given).
 
@@ -355,8 +334,3 @@ def filter_array(values: np.ndarray, grid: GridSpec, cutoff: float) -> np.ndarra
         spec = spec * keep.reshape(shape)
     out = np.fft.ifftn(spec, axes=tuple(range(dim))).real
     return np.ascontiguousarray(out)
-
-
-def spectral_filter(f: ScalarField, cutoff: float) -> ScalarField:
-    """Low-pass filter a scalar field; see ``filter_array``."""
-    return ScalarField(f.grid, filter_array(f.values, f.grid, cutoff))

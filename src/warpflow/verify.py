@@ -21,10 +21,9 @@ import numpy as np
 
 from . import geometry, recipes
 from .errors import ConfigError
-from .flow import (FlowConfig, FlowState, conserved_measure_check,
-                   instantaneous_rate, run_coupled)
+from .flow import FlowConfig, FlowState, conserved_measure_check, run_coupled
 from .functionals import first_variation_check, theorem_identity_residual
-from .grids import GridSpec, ScalarField, sym_pairs
+from .grids import GridSpec, ScalarField, SymTensorField, integrate, sym_pairs
 from .warped import (ProductGeometry, WarpedConstants,
                      assemble_product_metric, christoffel_closed_form,
                      ricci_closed_ansatz, ricci_closed_general)
@@ -41,7 +40,6 @@ __all__ = [
     "identity_study",
     "variation_study",
     "drift_study",
-    "rate_study",
 ]
 
 
@@ -105,7 +103,6 @@ def build_product_geometry(constants: WarpedConstants,
     g = build_metric(grid_m, g_spec, rng)
     h = build_metric(grid_n, h_spec, rng)
     if normalize_n:
-        from .grids import SymTensorField, integrate
         vol = integrate(ScalarField.constant(grid_n, 1.0),
                         geometry.volume_density(h))
         h = SymTensorField(grid_n, vol ** (-2.0 / grid_n.dim) * h.values,
@@ -356,10 +353,3 @@ def drift_study(state0: FlowState, lam: float, integrator: str,
                              max_drift=conserved_measure_check(traj)))
     slope = loglog_slope([r.dt for r in rows], [r.max_drift for r in rows])
     return rows, slope
-
-
-def rate_study(state0: FlowState, lams: list[float], dt: float,
-               order: int = 2) -> list:
-    """Instantaneous dissipation-identity probe at one state for several
-    couplings; returns the RateCheck per lam."""
-    return [instantaneous_rate(state0, lam, dt, order) for lam in lams]

@@ -28,20 +28,22 @@ module implements
 
 Nothing here reuses the generic curvature contractions: the closed forms
 are separate arithmetic by design, so a comparison between the two
-pipelines is a real cross-check rather than a tautology.
+pipelines is a real cross-check rather than a tautology.  The generic
+pipeline runs on the factor grids only, once per geometry and stencil
+order (memoised on the frozen ``ProductGeometry``).  Only
+``christoffel_closed_form`` builds the product-grid Christoffel cube.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import geometry
 from .errors import ConstantsError
-from .grids import (Christoffel3Field, GridSpec, ScalarField, SymTensorField,
-                    diff_array)
+from .grids import Christoffel3Field, GridSpec, ScalarField, SymTensorField
 
 __all__ = [
     "WarpedConstants",
@@ -225,11 +227,12 @@ def lambda_to_constants(m: int, n: int, lam: float) -> list[WarpedConstants]:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProductGeometry:
     """All the data defining one warped product: the two factor grids,
     the factor metrics g (on M) and h (on N), the scalar f on M, and the
-    warping constants."""
+    warping constants.  Frozen, so the factor-grid pieces the closed
+    forms memoise on it per stencil order cannot go stale."""
 
     grid_m: GridSpec
     grid_n: GridSpec
@@ -237,6 +240,8 @@ class ProductGeometry:
     h: SymTensorField
     f: ScalarField
     constants: WarpedConstants
+    _memo: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
 
     def __post_init__(self):
         c = self.constants
@@ -291,32 +296,35 @@ def assemble_product_metric(pg: ProductGeometry) -> SymTensorField:
 
 
 @dataclass
-class _MPieces:
-    """Shared M-grid ingredients of the closed forms, computed once with
-    the generic pipeline on the small factor grid."""
+class _Pieces:
+    """Factor-grid ingredients of the closed forms at one stencil order,
+    computed with the generic pipeline on the small factor grids."""
 
-    gamma_m: Christoffel3Field
-    ricci_m: SymTensorField
-    scalar_m: ScalarField
+    m: geometry.CurvatureBundle     # curvature of g on the M grid
+    n: geometry.CurvatureBundle     # curvature of h on the N grid
     df: np.ndarray            # (..., m) first partials of f
     hess: np.ndarray          # (..., m, m) covariant Hessian of f
     lap: np.ndarray           # trace g^{jl} hess_{jl}
     grad_sq: np.ndarray       # g^{jl} df_j df_l
-    inv_g: np.ndarray
     df_raised: np.ndarray     # g^{kl} df_l
 
 
-def _m_pieces(pg: ProductGeometry, order: int) -> _MPieces:
-    bundle = geometry.curvature_bundle(pg.g, order)
-    inv = geometry.inverse_metric(pg.g)
-    df = geometry.gradient_components(pg.f, order)
-    hess = geometry.hessian(pg.f, bundle.christoffel, order).matrix()
-    lap = np.einsum("...jl,...jl->...", inv, hess)
-    grad_sq = np.einsum("...jl,...j,...l->...", inv, df, df)
-    df_raised = np.einsum("...kl,...l->...k", inv, df)
-    return _MPieces(gamma_m=bundle.christoffel, ricci_m=bundle.ricci,
-                    scalar_m=bundle.scalar, df=df, hess=hess, lap=lap,
-                    grad_sq=grad_sq, inv_g=inv, df_raised=df_raised)
+def _pieces(pg: ProductGeometry, order: int) -> _Pieces:
+    """The pieces of ``pg`` at ``order``: computed on first use, then
+    served from the geometry's memo.  The memo holds factor-grid arrays
+    only, and callers share them, so they must never be written."""
+    p = pg._memo.get(order)
+    if p is None:
+        bundle = geometry.curvature_bundle(pg.g, order)
+        inv = geometry.inverse_metric(pg.g)
+        df = geometry.gradient_components(pg.f, order)
+        hess = geometry.hessian(pg.f, bundle.christoffel, order).matrix()
+        p = pg._memo[order] = _Pieces(
+            m=bundle, n=geometry.curvature_bundle(pg.h, order), df=df,
+            hess=hess, lap=np.einsum("...jl,...jl->...", inv, hess),
+            grad_sq=np.einsum("...jl,...j,...l->...", inv, df, df),
+            df_raised=np.einsum("...kl,...l->...k", inv, df))
+    return p
 
 
 def christoffel_closed_form(pg: ProductGeometry,
@@ -336,11 +344,11 @@ def christoffel_closed_form(pg: ProductGeometry,
     m, n = c.m, c.n
     d = m + n
     grid = pg.product_grid
-    p = _m_pieces(pg, order)
+    p = _pieces(pg, order)
 
     # M-family on the M grid first.
     gmat = pg.g.matrix()
-    mm = p.gamma_m.values.copy()
+    mm = p.m.christoffel.values.copy()
     half_a = 0.5 * c.A
     for k in range(m):
         mm[..., k, :, k] -= half_a * p.df
@@ -363,13 +371,20 @@ def christoffel_closed_form(pg: ProductGeometry,
         out[..., m + gam, :m, m + gam] = _lift_m(pg, half_b_df)
         out[..., m + gam, m + gam, :m] = _lift_m(pg, half_b_df)
 
-    gamma_n = geometry.christoffel(pg.h, order)
-    out[..., m:, m:, m:] = _lift_n(pg, gamma_n.values)
+    out[..., m:, m:, m:] = _lift_n(pg, p.n.christoffel.values)
     return Christoffel3Field(grid, out, check_symmetry=False)
 
 
-def _closed_ricci_blocks(pg: ProductGeometry, p: _MPieces, order: int,
-                         hess_coeff: float, block_coeff: float,
+def _require_locus(c: WarpedConstants, what: str):
+    """Refuse off-locus constants for a formula only valid on the locus."""
+    r1 = abs(c1_residual(c.m, c.n, c.A, c.B))
+    if r1 > RESIDUAL_TOL:
+        raise ConstantsError(
+            f"{what} needs special-locus constants; residual {r1:.3e}")
+
+
+def _closed_ricci_blocks(pg: ProductGeometry, p: _Pieces, hess_coeff: float,
+                         block_coeff: float,
                          df_quadratic: float) -> SymTensorField:
     """Assemble both diagonal Ricci blocks of the warped metric from the
     pattern shared by the general and reduced forms:
@@ -387,18 +402,36 @@ def _closed_ricci_blocks(pg: ProductGeometry, p: _MPieces, order: int,
     grid = pg.product_grid
 
     bracket = p.lap - block_coeff * p.grad_sq
-    mm = p.ricci_m.matrix() + hess_coeff * p.hess
+    mm = p.m.ricci.matrix() + hess_coeff * p.hess
     mm += 0.5 * c.A * bracket[..., None, None] * pg.g.matrix()
     mm += df_quadratic * p.df[..., :, None] * p.df[..., None, :]
 
-    ric_n = geometry.ricci(pg.h, order)
     warp = 0.5 * c.B * np.exp((c.A - c.B) * pg.f.values) * bracket
 
     full = np.zeros(grid.shape + (d, d))
     full[..., :m, :m] = _lift_m(pg, mm)
-    full[..., m:, m:] = _lift_n(pg, ric_n.matrix()) \
+    full[..., m:, m:] = _lift_n(pg, p.n.ricci.matrix()) \
         + _lift_m(pg, warp)[..., None, None] * _lift_n(pg, pg.h.matrix())
     return SymTensorField.from_matrix(grid, full, symmetrize=True)
+
+
+def _closed_scalar(pg: ProductGeometry, p: _Pieces,
+                   reduced: bool) -> ScalarField:
+    """The scalar formula of ``closed_scalar_curvature``, locus unchecked."""
+    c = pg.constants
+    m, n, A, B = c.m, c.n, c.A, c.B
+    ea, eb = np.exp(A * pg.f.values), np.exp(B * pg.f.values)
+    if reduced:
+        m_part = ea * (p.m.scalar.values + (A + 2.0) * p.lap
+                       - (A + 1.0) * p.grad_sq)
+    else:
+        coeff = (4 * A * B * n - 2 * A * B * m * n + 3 * m * A * A
+                 - 2 * A * A - m * m * A * A - B * B * n - B * B * n * n)
+        m_part = ea * (p.m.scalar.values + (A * m + B * n - A) * p.lap
+                       + 0.25 * coeff * p.grad_sq)
+    scal = _lift_m(pg, m_part) \
+        + _lift_m(pg, eb) * _lift_n(pg, p.n.scalar.values)
+    return ScalarField(pg.product_grid, scal)
 
 
 def closed_scalar_curvature(pg: ProductGeometry, order: int = 2,
@@ -417,26 +450,9 @@ def closed_scalar_curvature(pg: ProductGeometry, order: int = 2,
 
         e^{Af} R^M + e^{Bf} R^N + e^{Af} ((A+2) lap f - (A+1) |grad f|^2)
     """
-    c = pg.constants
-    m, n, A, B = c.m, c.n, c.A, c.B
-    p = _m_pieces(pg, order)
-    scal_n = geometry.scalar_curvature(pg.h, order)
-    ea, eb = np.exp(A * pg.f.values), np.exp(B * pg.f.values)
     if reduced:
-        r1 = abs(c1_residual(m, n, A, B))
-        if r1 > RESIDUAL_TOL:
-            raise ConstantsError(
-                f"reduced scalar formula needs special-locus constants; "
-                f"residual {r1:.3e}")
-        m_part = ea * (p.scalar_m.values + (A + 2.0) * p.lap
-                       - (A + 1.0) * p.grad_sq)
-    else:
-        coeff = (4 * A * B * n - 2 * A * B * m * n + 3 * m * A * A
-                 - 2 * A * A - m * m * A * A - B * B * n - B * B * n * n)
-        m_part = ea * (p.scalar_m.values + (A * m + B * n - A) * p.lap
-                       + 0.25 * coeff * p.grad_sq)
-    scal = _lift_m(pg, m_part) + _lift_m(pg, eb) * _lift_n(pg, scal_n.values)
-    return ScalarField(pg.product_grid, scal)
+        _require_locus(pg.constants, "the reduced scalar formula")
+    return _closed_scalar(pg, _pieces(pg, order), reduced)
 
 
 def ricci_closed_general(pg: ProductGeometry,
@@ -450,20 +466,20 @@ def ricci_closed_general(pg: ProductGeometry,
         (1/4)(2ABn + (m-2)A^2 - B^2 n)   on df (x) df,
 
     and the scalar curvature is the independent pre-reduction expression
-    documented in ``closed_scalar_curvature``.
+    documented in ``closed_scalar_curvature``.  The bundle carries no
+    Christoffel cube; ``christoffel_closed_form`` builds that.
     """
     c = pg.constants
     m, n = c.m, c.n
     A, B = c.A, c.B
     c0 = 0.5 * (A * m + B * n) - A
     quad = 0.25 * c1_residual(m, n, A, B)
-    p = _m_pieces(pg, order)
-    ric = _closed_ricci_blocks(pg, p, order, hess_coeff=c0, block_coeff=c0,
-                               df_quadratic=quad)
+    p = _pieces(pg, order)
     return geometry.CurvatureBundle(
-        christoffel=christoffel_closed_form(pg, order),
-        ricci=ric,
-        scalar=closed_scalar_curvature(pg, order, reduced=False),
+        christoffel=None,
+        ricci=_closed_ricci_blocks(pg, p, hess_coeff=c0, block_coeff=c0,
+                                   df_quadratic=quad),
+        scalar=_closed_scalar(pg, p, reduced=False),
         source_tag="closed_form_general")
 
 
@@ -478,18 +494,14 @@ def ricci_closed_ansatz(pg: ProductGeometry,
                   + e^{Af} ((A+2) lap f - (A+1) |grad f|^2)
 
     Refuses off-locus constants: the reductions are algebraically false
-    there, so running them would be meaningless.
+    there, so running them would be meaningless.  The bundle carries no
+    Christoffel cube.
     """
-    c = pg.constants
-    r1 = abs(c1_residual(c.m, c.n, c.A, c.B))
-    if r1 > RESIDUAL_TOL:
-        raise ConstantsError(
-            f"reduced formulas need special-locus constants; residual {r1:.3e}")
-    p = _m_pieces(pg, order)
-    ric = _closed_ricci_blocks(pg, p, order, hess_coeff=1.0, block_coeff=1.0,
-                               df_quadratic=0.0)
+    _require_locus(pg.constants, "the reduced Ricci formula")
+    p = _pieces(pg, order)
     return geometry.CurvatureBundle(
-        christoffel=christoffel_closed_form(pg, order),
-        ricci=ric,
-        scalar=closed_scalar_curvature(pg, order, reduced=True),
+        christoffel=None,
+        ricci=_closed_ricci_blocks(pg, p, hess_coeff=1.0, block_coeff=1.0,
+                                   df_quadratic=0.0),
+        scalar=_closed_scalar(pg, p, reduced=True),
         source_tag="closed_form_ansatz")

@@ -100,6 +100,40 @@ def test_random_spd_requires_seed(tmp_path):
     assert main(["verify-curvature", "--config", str(cfg)]) == 2
 
 
+_DIMS = "[constants]\nm = 2\nn = 1\n"
+MALFORMED = [
+    ("verify-curvature", _DIMS + "lambda = abc\n"),
+    ("verify-curvature", _DIMS + "[fields]\ng_axis = x\n"),
+    ("verify-curvature", _DIMS + "[fields]\ng_axis = 2\n"),
+    ("verify-curvature", _DIMS + "[grid]\nm_points = 4 8\n"),
+    ("verify-curvature", _DIMS + "[grid]\nm_period = -1\n"),
+    ("verify-curvature", _DIMS + "[grid]\nm_points =\n"),
+    ("verify-curvature", _DIMS + "[grid]\norder = 3\n"),
+    ("verify-identity", _DIMS + "[identity]\nnormalize_n = maybe\n"),
+    ("verify-identity", _DIMS + "root = 5\n[identity]\nlambdas = 0.5\n"),
+    ("verify-identity", _DIMS + "root = -1\n[identity]\nlambdas = 0.5\n"),
+    ("verify-variation", _DIMS + "root = 5\n"),
+    ("verify-variation", _DIMS + "root = -1\n"),
+    ("verify-variation", _DIMS + "[variation]\ndirections = 0\n"),
+    ("verify-variation", _DIMS + "[variation]\nlambdas =\n"),
+    ("flow", "[grid]\npoints = 4\n"),
+    ("flow", "[fields]\ng = conformal-bump\ng_axis = 1\n"),
+]
+
+
+@pytest.mark.parametrize("command,text", MALFORMED)
+def test_malformed_config_exits_2_without_traceback(tmp_path, capfd,
+                                                     command, text):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    rc = main([command, "--config", str(cfg), "--seed", "1",
+               "--out", str(tmp_path / "out.csv")])
+    err = capfd.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 # ------------------------------------------------------- shipped configs
 
 def test_curvature_quick_config(tmp_path, capsys):

@@ -235,11 +235,15 @@ def test_decoupled_positivity_guard():
 # ------------------------------------------------------- dissipation ledger
 
 def test_instantaneous_rate_matches_dissipation():
-    state = initial_state(64)
-    for integ in ("rk4", "euler"):
-        rc = instantaneous_rate(state, 0.0, 1e-4, integrator=integ)
-        assert rc.dissipation > 0.0
-        assert abs(rc.ratio - 1.0) < 1e-3
+    two_mode = circle(96)
+    for state in (initial_state(64),
+                  FlowState.initial(recipes.flat_metric(two_mode),
+                                    recipes.mixed_sine_scalar(two_mode, 0.3,
+                                                              (1, 2)))):
+        for integ in ("rk4", "euler"):
+            rc = instantaneous_rate(state, 0.0, 1e-4, integrator=integ)
+            assert rc.dissipation > 0.0
+            assert abs(rc.ratio - 1.0) < 1e-3
 
 
 def test_rate_at_nonzero_coupling_needs_completed_covector():

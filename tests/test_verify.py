@@ -2,18 +2,19 @@
 ladders that the command line wraps."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from warpflow import geometry, recipes
+from warpflow import geometry, recipes, verify, warped
 from warpflow.errors import ConfigError
 from warpflow.flow import FlowState
 from warpflow.grids import GridSpec, ScalarField, integrate
 from warpflow.verify import (CurvatureStudyConfig, FieldSpec, build_metric,
                              build_product_geometry, curvature_study,
                              drift_study, identity_study, loglog_slope,
-                             measured_order, rate_study, variation_study)
+                             measured_order, variation_study)
 from warpflow.warped import lambda_to_constants, solve_perelman_constants
 
 TAU = 2.0 * math.pi
@@ -103,6 +104,35 @@ def test_curvature_study_family_roster_and_convergence():
             assert rs[1].order > 1.5
 
 
+def test_curvature_study_level_runs_each_stage_once(monkeypatch):
+    # one on-locus level: one closed Christoffel cube, three generic
+    # curvature stacks (the product oracle, g and h) and one computation
+    # of the factor-grid pieces shared by every closed form
+    calls = Counter()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    cube = counted("cube", warped.christoffel_closed_form)
+    monkeypatch.setattr(warped, "christoffel_closed_form", cube)
+    monkeypatch.setattr(verify, "christoffel_closed_form", cube)
+    monkeypatch.setattr(geometry, "curvature_bundle",
+                        counted("bundle", geometry.curvature_bundle))
+    monkeypatch.setattr(warped, "_Pieces",
+                        counted("pieces", getattr(warped, "_Pieces", None)),
+                        raising=False)
+    rows = curvature_study(CurvatureStudyConfig(
+        constants=solve_perelman_constants(2, 1),
+        levels=(((12, 12), (8,)),),
+        g_spec=FieldSpec("conformal-bump", 0.1, 1),
+        h_spec=FieldSpec("conformal-bump", 0.1, 1)))
+    assert {r.family for r in rows} == ON_LOCUS_FAMILIES
+    assert calls == {"cube": 1, "bundle": 3, "pieces": 1}
+
+
 def test_curvature_study_off_locus_drops_ansatz_rows():
     c = lambda_to_constants(2, 1, 0.5)[0]
     rows = curvature_study(CurvatureStudyConfig(
@@ -148,12 +178,3 @@ def test_drift_study_recovers_euler_order():
     assert [r.n_steps for r in rows] == [4, 8, 16]
     assert all(r.max_drift > 0 for r in rows)
     assert slope == pytest.approx(1.0, abs=0.15)
-
-
-def test_rate_study_smoke():
-    grid = GridSpec((96,), (TAU,))
-    state = FlowState.initial(recipes.flat_metric(grid),
-                              recipes.mixed_sine_scalar(grid, 0.3, (1, 2)))
-    checks = rate_study(state, [0.0], 1e-4)
-    assert len(checks) == 1
-    assert abs(checks[0].ratio - 1.0) < 1e-3

@@ -1,5 +1,6 @@
 """Constants algebra and warped-product closed forms."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -283,6 +284,21 @@ def test_ansatz_refuses_off_locus_constants():
         ricci_closed_ansatz(pg)
     with pytest.raises(ConstantsError):
         closed_scalar_curvature(pg, reduced=True)
+
+
+def test_product_geometry_is_frozen_and_memo_is_transparent():
+    c = solve_perelman_constants(2, 2)
+    pg = build((8, 8), (8, 8), c)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pg.f = recipes.sine_scalar(pg.grid_m, 0.3)
+    # same fields, so the same numbers whether or not the memo was filled
+    warm = ProductGeometry(pg.grid_m, pg.grid_n, pg.g, pg.h, pg.f,
+                           pg.constants)
+    christoffel_closed_form(warm)
+    fresh, reused = ricci_closed_general(pg), ricci_closed_general(warm)
+    assert fresh.christoffel is None and reused.christoffel is None
+    assert np.array_equal(fresh.ricci.values, reused.ricci.values)
+    assert np.array_equal(fresh.scalar.values, reused.scalar.values)
 
 
 def test_standalone_scalar_matches_bundle():
