@@ -18,7 +18,7 @@ from .geometry import (CurvatureBundle, christoffel, curvature_bundle,
                        laplace_beltrami, ricci, scalar_curvature,
                        volume_density)
 from .grids import (Christoffel3Field, GridSpec, ScalarField, SymTensorField,
-                    integrate, sym_pairs)
+                    integrate)
 from .warped import (ProductGeometry, WarpedConstants,
                      assemble_product_metric, c1_residual, c2_residual,
                      christoffel_closed_form, closed_scalar_curvature,
@@ -36,7 +36,7 @@ __all__ = [
     "StabilityWarning",
     # grids
     "GridSpec", "ScalarField", "SymTensorField", "Christoffel3Field",
-    "sym_pairs", "integrate",
+    "integrate",
     # geometry
     "CurvatureBundle", "inverse_metric", "christoffel", "ricci",
     "scalar_curvature", "curvature_bundle", "hessian", "volume_density",

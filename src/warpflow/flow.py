@@ -121,14 +121,12 @@ class FlowConfig:
 
 def _rhs_arrays(g: SymTensorField, f: ScalarField, lam: float,
                 order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand sides as raw arrays: dg = -2 S_lam packed, and
-    df = (1/2) tr_g dg, computed from the same tensor so the constraint
-    identity is exact by construction."""
-    s_lam = gradient_tensor(g, f, lam, order)
-    dg = -2.0 * s_lam.values
+    """Right-hand sides as raw arrays: dg = -2 S_lam as (..., d, d)
+    matrices, and df = (1/2) tr_g dg, computed from the same tensor so the
+    constraint identity is exact by construction."""
+    dg = -2.0 * gradient_tensor(g, f, lam, order).values
     inv = geometry.inverse_metric(g)
-    dg_full = SymTensorField(g.grid, dg).matrix()
-    df = 0.5 * np.einsum("...ij,...ij->...", inv, dg_full)
+    df = 0.5 * np.einsum("...ij,...ij->...", inv, dg)
     return dg, df
 
 
@@ -272,15 +270,20 @@ def run_decoupled(g0: SymTensorField, f_terminal: ScalarField,
     def ricci_rhs(g: SymTensorField) -> np.ndarray:
         return -2.0 * geometry.ricci(g, order).values
 
+    # One oracle pass per stored metric feeds both phases: its Ricci is
+    # the first stage of the step from it, its scalar the backward sweep.
     metrics = [g0]
+    scalars = []
     g = g0
     for k in range(n):
         t = k * dt
         try:
+            bundle = geometry.curvature_bundle(g, order)
+            scalars.append(bundle.scalar.values)
+            k1 = -2.0 * bundle.ricci.values
             if config.integrator == "euler":
-                gv = g.values + dt * ricci_rhs(g)
+                gv = g.values + dt * k1
             else:
-                k1 = ricci_rhs(g)
                 k2 = ricci_rhs(SymTensorField(grid, g.values + 0.5 * dt * k1,
                                               is_metric=True))
                 k3 = ricci_rhs(SymTensorField(grid, g.values + 0.5 * dt * k2,
@@ -295,8 +298,7 @@ def run_decoupled(g0: SymTensorField, f_terminal: ScalarField,
                 f"metric flow degenerated at t = {t + dt:.6g}: {exc}",
                 node=exc.node, eigenvalue=exc.eigenvalue, time=t + dt) from exc
         metrics.append(g)
-
-    scalars = [geometry.scalar_curvature(gk, order).values for gk in metrics]
+    scalars.append(geometry.scalar_curvature(g, order).values)
 
     u_by_index = {n: np.exp(-f_terminal.values)}
     u = u_by_index[n]

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import geometry
 from .errors import ConstantsError
-from .grids import ScalarField, SymTensorField, integrate, sym_pairs
+from .grids import ScalarField, SymTensorField, integrate
 from .warped import (ProductGeometry, assemble_product_metric,
                      closed_scalar_curvature)
 
@@ -167,10 +167,12 @@ def gradient_tensor(g: SymTensorField, f: ScalarField, lam: float,
     ric = geometry.ricci(g, order, gamma=gamma)
     hess = geometry.hessian(f, gamma, order)
     df = geometry.gradient_components(f, order)
-    vals = ric.values + hess.values
-    for s, (i, j) in enumerate(sym_pairs(g.grid.dim)):
-        vals[..., s] += lam * df[..., i] * df[..., j]
-    return SymTensorField(g.grid, vals)
+    # lam df_i df_j rounds differently as (lam df_i) df_j and as
+    # (lam df_j) df_i, so both triangles take the lower index first.
+    axes = np.arange(g.grid.dim)
+    lo, hi = np.minimum.outer(axes, axes), np.maximum.outer(axes, axes)
+    quad = (lam * df)[..., lo] * df[..., hi]
+    return SymTensorField(g.grid, ric.values + hess.values + quad)
 
 
 def first_variation_check(pg: ProductGeometry, dg: SymTensorField, lam: float,
@@ -217,8 +219,7 @@ def first_variation_check(pg: ProductGeometry, dg: SymTensorField, lam: float,
         raise ValueError("variation direction must live on the M grid")
 
     inv = geometry.inverse_metric(pg.g)
-    dg_mat = dg.matrix()
-    trace_half = 0.5 * np.einsum("...ij,...ij->...", inv, dg_mat)
+    trace_half = 0.5 * np.einsum("...ij,...ij->...", inv, dg.values)
 
     def doubled_action(t: float) -> float:
         g_t = SymTensorField(pg.grid_m, pg.g.values + t * dg.values,
@@ -232,16 +233,16 @@ def first_variation_check(pg: ProductGeometry, dg: SymTensorField, lam: float,
     numeric = (4.0 * d_half - d_full) / 3.0
     gap = abs(d_half - d_full)
 
-    s_lam = gradient_tensor(pg.g, pg.f, lam, order).matrix()
+    s_lam = gradient_tensor(pg.g, pg.f, lam, order).values
     if lam != 0.0:
         gamma = geometry.christoffel(pg.g, order)
         hess = geometry.hessian(pg.f, gamma, order)
-        lap = np.einsum("...ij,...ij->...", inv, hess.matrix())
+        lap = np.einsum("...ij,...ij->...", inv, hess.values)
         gn = geometry.grad_norm_sq(pg.f, pg.g, order)
         s_lam = s_lam + (lam * (lap - gn.values))[..., None, None] \
-            * pg.g.matrix()
+            * pg.g.values
     pairing = np.einsum("...ik,...jl,...ij,...kl->...",
-                        inv, inv, s_lam, dg_mat)
+                        inv, inv, s_lam, dg.values)
     closed = -2.0 * integrate(ScalarField(pg.grid_m, pairing),
                               _measure_weight(pg.g, pg.f))
     return VariationResult(numeric_derivative=numeric, closed_form=closed,
@@ -253,7 +254,7 @@ def dissipation_integral(g: SymTensorField, f: ScalarField, lam: float,
     """D = 2 int |Ric + hess f + lam df (x) df|^2 e^{-f} dmu >= 0, with
     the norm taken by contracting both index pairs with g (the only
     choice consistent with the first-variation pairing)."""
-    s_lam = gradient_tensor(g, f, lam, order).matrix()
+    s_lam = gradient_tensor(g, f, lam, order).values
     inv = geometry.inverse_metric(g)
     up = np.einsum("...ik,...jl,...kl->...ij", inv, inv, s_lam)
     norm_sq = np.einsum("...ij,...ij->...", up, s_lam)

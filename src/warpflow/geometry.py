@@ -28,8 +28,8 @@ Discrete quirks worth knowing:
   arguments depend on position through the inverse metric.  The result is
   symmetrized and the discarded part is reported; a large value means the
   fields are under-resolved.
-* ``curvature_bundle`` is one pass: it unpacks and inverts the metric
-  once and contracts the scalar from the symmetrized Ricci matrix.
+* ``curvature_bundle`` is one pass: it inverts the metric once and
+  contracts the scalar from the symmetrized Ricci matrix.
 * Contractions are accumulated axis by axis to keep peak memory near two
   Christoffel-sized arrays, which is what lets 4d product grids with a
   few million nodes fit in a small container.
@@ -43,8 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MetricDegeneracyError
-from .grids import (Christoffel3Field, GridSpec, ScalarField, SymTensorField,
-                    diff_array)
+from .grids import Christoffel3Field, ScalarField, SymTensorField, diff_array
 
 __all__ = [
     "CurvatureBundle",
@@ -89,7 +88,7 @@ def _require_metric(g: SymTensorField):
                          "is_metric=True")
 
 
-def inverse_metric(g: SymTensorField, mats: np.ndarray | None = None) -> np.ndarray:
+def inverse_metric(g: SymTensorField) -> np.ndarray:
     """Nodewise inverse of a metric, with a conditioning guard.
 
     Returns a full (..., d, d) array.  If the Frobenius condition estimate
@@ -98,8 +97,7 @@ def inverse_metric(g: SymTensorField, mats: np.ndarray | None = None) -> np.ndar
     node and its smallest eigenvalue.
     """
     _require_metric(g)
-    if mats is None:
-        mats = g.matrix()
+    mats = g.values
     inv = np.linalg.inv(mats)
     frob_g = np.sqrt(np.sum(mats * mats, axis=(-2, -1)))
     frob_i = np.sqrt(np.sum(inv * inv, axis=(-2, -1)))
@@ -118,13 +116,12 @@ def inverse_metric(g: SymTensorField, mats: np.ndarray | None = None) -> np.ndar
 
 def christoffel(g: SymTensorField, order: int = 2) -> Christoffel3Field:
     """Christoffel symbols of the second kind, Gamma^k_{ij}."""
-    mats = g.matrix()
-    return _christoffel(g.grid, mats, inverse_metric(g, mats), order)
+    return _christoffel(g, inverse_metric(g), order)
 
 
-def _christoffel(grid: GridSpec, mats: np.ndarray, inv: np.ndarray,
+def _christoffel(g: SymTensorField, inv: np.ndarray,
                  order: int) -> Christoffel3Field:
-    """Christoffel symbols from the unpacked metric and its inverse.
+    """Christoffel symbols from the metric and its inverse.
 
     Built one derivative axis at a time: with D_a = d/dx^a,
 
@@ -134,10 +131,11 @@ def _christoffel(grid: GridSpec, mats: np.ndarray, inv: np.ndarray,
     so the stored array is symmetric to the bit and the symmetry check can
     be skipped.
     """
+    grid = g.grid
     d = grid.dim
     out = np.zeros(grid.shape + (d, d, d))
     for a in range(d):
-        da = diff_array(mats, grid, a, order)          # D_a g_{ij}
+        da = diff_array(g.values, grid, a, order)      # D_a g_{ij}
         half_raised = 0.5 * np.matmul(inv, da)         # (1/2) g^{kl} D_a g_{lj}
         out[..., :, a, :] += half_raised               # D_i term at i = a
         out[..., :, :, a] += half_raised               # D_j term at j = a
@@ -163,8 +161,8 @@ def _ricci_matrix(gamma: Christoffel3Field, order: int) -> np.ndarray:
 
 
 def _symmetrized_ricci(gamma: Christoffel3Field,
-                       order: int) -> tuple[np.ndarray, float]:
-    """Ricci as a full symmetric matrix array, plus the max-norm of the
+                       order: int) -> tuple[SymTensorField, float]:
+    """Ricci as a symmetric field, plus the max-norm of the
     antisymmetric residue discarded to get there.
 
     Only the D_b Gamma^a_{ad} term of the coordinate formula breaks exact
@@ -176,18 +174,18 @@ def _symmetrized_ricci(gamma: Christoffel3Field,
     a warning flags likely under-resolution.
     """
     grid = gamma.grid
-    ric = _ricci_matrix(gamma, order)
-    ric_t = np.swapaxes(ric, -1, -2)
-    asym = float(np.abs(ric - ric_t).max())
-    sym = 0.5 * (ric + ric_t)
+    raw = _ricci_matrix(gamma, order)
+    asym = float(np.abs(raw - np.swapaxes(raw, -1, -2)).max())
+    ric = SymTensorField.from_matrix(grid, raw, symmetrize=True)
+    del raw
     h_max = max(grid.spacing)
-    scale = max(1.0, float(np.abs(sym).max()))
+    scale = max(1.0, float(np.abs(ric.values).max()))
     if asym > ASYMMETRY_WARN_FACTOR * h_max**2 * scale:
         warnings.warn(
             f"Ricci antisymmetric residue {asym:.3e} exceeds the O(h^2) "
             f"budget for spacing {h_max:.3e}; fields look under-resolved",
             stacklevel=3)
-    return sym, asym
+    return ric, asym
 
 
 def ricci(g: SymTensorField, order: int = 2,
@@ -196,8 +194,7 @@ def ricci(g: SymTensorField, order: int = 2,
     discarded antisymmetric part says the fields are under-resolved."""
     if gamma is None:
         gamma = christoffel(g, order)
-    return SymTensorField.from_matrix(
-        g.grid, _symmetrized_ricci(gamma, order)[0], symmetrize=True)
+    return _symmetrized_ricci(gamma, order)[0]
 
 
 def scalar_curvature(g: SymTensorField, order: int = 2) -> ScalarField:
@@ -207,17 +204,15 @@ def scalar_curvature(g: SymTensorField, order: int = 2) -> ScalarField:
 
 def curvature_bundle(g: SymTensorField, order: int = 2) -> CurvatureBundle:
     """Full curvature stack of one metric via the generic pipeline.  The
-    metric is unpacked and inverted once; the symmetrized Ricci matrix
-    feeds the scalar directly and is packed once, for the bundle."""
-    mats = g.matrix()
-    inv = inverse_metric(g, mats)
-    gamma = _christoffel(g.grid, mats, inv, order)
-    del mats
+    metric is inverted once, and the symmetrized Ricci matrix feeds both
+    the scalar and the bundle."""
+    inv = inverse_metric(g)
+    gamma = _christoffel(g, inv, order)
     ric, asym = _symmetrized_ricci(gamma, order)
-    scal = np.einsum("...bd,...bd->...", inv, ric)
+    scal = np.einsum("...bd,...bd->...", inv, ric.values)
     return CurvatureBundle(
         christoffel=gamma,
-        ricci=SymTensorField.from_matrix(g.grid, ric, symmetrize=True),
+        ricci=ric,
         scalar=ScalarField(g.grid, scal),
         source_tag="generic_oracle",
         ricci_asymmetry=asym)
@@ -256,7 +251,7 @@ def hessian(f: ScalarField, gamma: Christoffel3Field,
 def volume_density(g: SymTensorField) -> ScalarField:
     """Riemannian volume density sqrt(det g), nodewise."""
     _require_metric(g)
-    return ScalarField(g.grid, np.sqrt(np.linalg.det(g.matrix())))
+    return ScalarField(g.grid, np.sqrt(np.linalg.det(g.values)))
 
 
 def laplace_beltrami(f: ScalarField, g: SymTensorField,

@@ -16,15 +16,15 @@ Conventions, fixed once for the whole package:
   discrete integration-by-parts identity exact, see ``laplace_beltrami``
   in the geometry module.
 * Tensor fields store grid axes first and component axes last, so a metric
-  on a d-dimensional grid with shape ``shape`` is packed as
-  ``shape + (d*(d+1)//2,)`` (upper triangle, row-major pairs).
+  on a d-dimensional grid with shape ``shape`` is the full symmetric
+  matrix array ``shape + (d, d)``, symmetric to the bit and read-only.
 * All field values are float64 and finite; metrics are checked for
   positive definiteness node by node when flagged with ``is_metric``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -38,14 +38,7 @@ __all__ = [
     "integrate",
     "diff_array",
     "filter_array",
-    "sym_pairs",
 ]
-
-
-def sym_pairs(dim: int) -> list[tuple[int, int]]:
-    """Index pairs (i, j) with i <= j in packing order for symmetric
-    rank-2 tensors."""
-    return [(i, j) for i in range(dim) for j in range(i, dim)]
 
 
 @dataclass(frozen=True)
@@ -95,11 +88,6 @@ class GridSpec:
     @property
     def cell_volume(self) -> float:
         return float(np.prod(np.asarray(self.spacing, dtype=float)))
-
-    @property
-    def n_sym(self) -> int:
-        d = self.dim
-        return d * (d + 1) // 2
 
     def coordinates(self, axis: int) -> np.ndarray:
         """Node coordinates along one axis, shape (N_axis,)."""
@@ -154,75 +142,63 @@ class ScalarField:
 
 @dataclass(eq=False)
 class SymTensorField:
-    """A symmetric rank-2 tensor field, packed upper triangle.
+    """A symmetric rank-2 tensor field, stored as the full matrix array
+    ``grid.shape + (d, d)``.
 
-    Component order follows ``sym_pairs(dim)``.  With ``is_metric=True``
-    the constructor additionally verifies positive definiteness at every
-    node via a batched Cholesky factorization and reports the first
-    offending node and its smallest eigenvalue on failure.
+    The constructor rejects values that are not symmetric to near
+    roundoff (relative 1e-10) and stores their symmetric part
+    0.5 (A + A^T) in a new read-only array, so the stored matrices are
+    symmetric to the bit and cannot be written through ``values`` or
+    ``matrix()``.  With ``is_metric=True`` the constructor additionally
+    verifies positive definiteness at every node via a batched Cholesky
+    factorization and reports the first offending node and its smallest
+    eigenvalue on failure.
     """
 
     grid: GridSpec
     values: np.ndarray
     is_metric: bool = False
+    # Set only by from_matrix(..., symmetrize=True): project unchecked.
+    _symmetrize: InitVar[bool] = False
 
-    def __post_init__(self):
-        self.values = _validated_values(
-            self.grid, self.values, (self.grid.n_sym,), "symmetric tensor")
+    def __post_init__(self, _symmetrize: bool):
+        d = self.grid.dim
+        arr = _validated_values(self.grid, self.values, (d, d),
+                                "symmetric tensor")
+        if not _symmetrize:
+            _require_symmetric(arr)
+        sym = np.add(arr, np.swapaxes(arr, -1, -2), order="C")
+        sym *= 0.5
+        sym.flags.writeable = False
+        self.values = sym
         if self.is_metric:
-            _require_spd(self.grid, self.matrix())
+            _require_spd(self.grid, sym)
 
     @classmethod
     def from_matrix(cls, grid: GridSpec, mat, is_metric: bool = False,
                     symmetrize: bool = False) -> "SymTensorField":
-        """Pack a full (..., d, d) array.
-
-        Unless ``symmetrize`` is set the input must already be symmetric
-        to near roundoff; either way the symmetric part is what gets
-        packed, so the stored field is well defined.
-        """
-        d = grid.dim
-        arr = np.asarray(mat, dtype=float)
-        if arr.shape != grid.shape + (d, d):
-            raise ValueError(
-                f"expected shape {grid.shape + (d, d)}, got {arr.shape}")
-        if not symmetrize:
-            asym = float(np.abs(arr - np.swapaxes(arr, -1, -2)).max())
-            scale = max(1.0, float(np.abs(arr).max()))
-            if asym > 1e-10 * scale:
-                raise ValueError(
-                    f"matrix is not symmetric (max asymmetry {asym:.3e}); "
-                    "pass symmetrize=True to project")
-        packed = np.empty(grid.shape + (grid.n_sym,))
-        for s, (i, j) in enumerate(sym_pairs(d)):
-            if i == j:
-                packed[..., s] = arr[..., i, j]
-            else:
-                packed[..., s] = 0.5 * (arr[..., i, j] + arr[..., j, i])
-        return cls(grid, packed, is_metric=is_metric)
+        """The field of a full (..., d, d) array; with ``symmetrize`` set,
+        an asymmetric input is projected onto its symmetric part instead
+        of rejected."""
+        return cls(grid, mat, is_metric, symmetrize)
 
     def matrix(self) -> np.ndarray:
-        """Unpack to a full (..., d, d) symmetric array (a copy)."""
-        d = self.grid.dim
-        out = np.empty(self.grid.shape + (d, d))
-        for s, (i, j) in enumerate(sym_pairs(d)):
-            out[..., i, j] = self.values[..., s]
-            if i != j:
-                out[..., j, i] = self.values[..., s]
-        return out
+        """The stored (..., d, d) array itself: read-only, not a copy."""
+        return self.values
 
-    def component(self, i: int, j: int) -> np.ndarray:
-        """View of one component (i, j); order of indices is irrelevant."""
-        d = self.grid.dim
-        if not (0 <= i < d and 0 <= j < d):
-            raise ValueError(f"component ({i},{j}) out of range for dim {d}")
-        if i > j:
-            i, j = j, i
-        return self.values[..., sym_pairs(d).index((i, j))]
 
-    def copy(self) -> "SymTensorField":
-        return SymTensorField(self.grid, self.values.copy(),
-                              is_metric=self.is_metric)
+def _require_symmetric(arr: np.ndarray):
+    """Raise ValueError unless the (..., d, d) array is symmetric to
+    1e-10 relative, comparing one (i, j) pair at a time so no full-size
+    temporary is made."""
+    d = arr.shape[-1]
+    asym = max((float(np.abs(arr[..., i, j] - arr[..., j, i]).max())
+                for i in range(d) for j in range(i + 1, d)), default=0.0)
+    scale = max(1.0, float(arr.max()), -float(arr.min()))
+    if asym > 1e-10 * scale:
+        raise ValueError(
+            f"matrix is not symmetric (max asymmetry {asym:.3e}); "
+            "pass symmetrize=True to project")
 
 
 def _require_spd(grid: GridSpec, mats: np.ndarray):

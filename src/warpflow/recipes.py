@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import GridSpec, ScalarField, SymTensorField, sym_pairs
+from .grids import GridSpec, ScalarField, SymTensorField
 
 __all__ = [
     "flat_metric",
@@ -34,10 +34,7 @@ _PHASE_STEP = 0.7853981633974483  # pi/4, staggers the per-axis phases
 
 def flat_metric(grid: GridSpec) -> SymTensorField:
     """The identity metric."""
-    vals = np.zeros(grid.shape + (grid.n_sym,))
-    for s, (i, j) in enumerate(sym_pairs(grid.dim)):
-        if i == j:
-            vals[..., s] = 1.0
+    vals = np.broadcast_to(np.eye(grid.dim), grid.shape + (grid.dim,) * 2)
     return SymTensorField(grid, vals, is_metric=True)
 
 
@@ -66,11 +63,7 @@ def conformal_metric(grid: GridSpec, amplitude: float, mode: int = 1,
                      axis: int | None = None) -> SymTensorField:
     """Conformally flat metric e^{2u} delta with u from conformal_factor."""
     u = conformal_factor(grid, amplitude, mode, axis)
-    vals = np.zeros(grid.shape + (grid.n_sym,))
-    factor = np.exp(2.0 * u.values)
-    for s, (i, j) in enumerate(sym_pairs(grid.dim)):
-        if i == j:
-            vals[..., s] = factor
+    vals = np.exp(2.0 * u.values)[..., None, None] * np.eye(grid.dim)
     return SymTensorField(grid, vals, is_metric=True)
 
 
@@ -125,10 +118,12 @@ def random_sym_tensor(grid: GridSpec, rng: np.random.Generator,
                       amplitude: float = 1.0,
                       max_mode: int = 2) -> SymTensorField:
     """Random smooth symmetric tensor with components of size ~amplitude;
-    used for variation directions (not necessarily definite)."""
-    vals = np.empty(grid.shape + (grid.n_sym,))
-    for s in range(grid.n_sym):
-        vals[..., s] = amplitude * _random_band_limited(grid, rng, max_mode)
+    used for variation directions (not necessarily definite).  The
+    components are drawn in upper-triangle row-major order."""
+    vals = np.empty(grid.shape + (grid.dim,) * 2)
+    for i, j in zip(*np.triu_indices(grid.dim)):
+        vals[..., i, j] = vals[..., j, i] = \
+            amplitude * _random_band_limited(grid, rng, max_mode)
     return SymTensorField(grid, vals)
 
 
@@ -141,13 +136,12 @@ def random_spd_metric(grid: GridSpec, rng: np.random.Generator,
     """
     if not 0.0 < amplitude < 1.0:
         raise ValueError(f"amplitude must lie in (0, 1), got {amplitude}")
-    pert = random_sym_tensor(grid, rng, 1.0, max_mode)
-    mat = pert.matrix()
-    row_sums = np.abs(mat).sum(axis=-1).max()
-    mat *= amplitude / max(row_sums, 1e-30)
+    pert = random_sym_tensor(grid, rng, 1.0, max_mode).values
+    row_sums = np.abs(pert).sum(axis=-1).max()
+    mat = pert * (amplitude / max(row_sums, 1e-30))
     d = grid.dim
     mat[..., range(d), range(d)] += 1.0
-    return SymTensorField.from_matrix(grid, mat, is_metric=True)
+    return SymTensorField(grid, mat, is_metric=True)
 
 
 def high_mode_scalar(grid: GridSpec, amplitude: float,

@@ -23,7 +23,7 @@ from . import geometry, recipes
 from .errors import ConfigError
 from .flow import FlowConfig, FlowState, conserved_measure_check, run_coupled
 from .functionals import first_variation_check, theorem_identity_residual
-from .grids import GridSpec, ScalarField, SymTensorField, integrate, sym_pairs
+from .grids import GridSpec, ScalarField, SymTensorField, integrate
 from .warped import (ProductGeometry, WarpedConstants,
                      assemble_product_metric, christoffel_closed_form,
                      ricci_closed_ansatz, ricci_closed_general)
@@ -144,16 +144,15 @@ class ConvergenceRow:
     order: float  # vs previous level; NaN on the first
 
 
-def _block_indices(m: int, n: int):
-    pairs = sym_pairs(m + n)
-    mm = [s for s, (i, j) in enumerate(pairs) if i < m and j < m]
-    nn = [s for s, (i, j) in enumerate(pairs) if i >= m and j >= m]
-    mixed = [s for s, (i, j) in enumerate(pairs) if i < m <= j]
-    return mm, nn, mixed
-
-
 def _max_abs(arr: np.ndarray) -> float:
     return float(np.abs(arr).max()) if arr.size else 0.0
+
+
+def _max_diff(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b| through one temporary: the two Christoffel cubes plus
+    the block differences set the studies' peak memory."""
+    diff = a - b
+    return float(np.abs(diff, out=diff).max()) if diff.size else 0.0
 
 
 def _chr_family_errors(closed, oracle, m: int) -> dict[str, float]:
@@ -162,18 +161,18 @@ def _chr_family_errors(closed, oracle, m: int) -> dict[str, float]:
     alone (the closed form stores exact zeros there)."""
     cv, ov = closed.values, oracle.values
     return {
-        "chr_real_block": _max_abs(cv[..., :m, :m, :m] - ov[..., :m, :m, :m]),
+        "chr_real_block": _max_diff(cv[..., :m, :m, :m], ov[..., :m, :m, :m]),
         "chr_zero_mixed": max(
             _max_abs(ov[..., m:, :m, :m]),
             _max_abs(ov[..., :m, :m, m:]),
             _max_abs(ov[..., :m, m:, :m])),
-        "chr_real_from_phantom": _max_abs(
-            cv[..., :m, m:, m:] - ov[..., :m, m:, m:]),
+        "chr_real_from_phantom": _max_diff(
+            cv[..., :m, m:, m:], ov[..., :m, m:, m:]),
         "chr_phantom_mixed": max(
-            _max_abs(cv[..., m:, :m, m:] - ov[..., m:, :m, m:]),
-            _max_abs(cv[..., m:, m:, :m] - ov[..., m:, m:, :m])),
-        "chr_phantom_block": _max_abs(
-            cv[..., m:, m:, m:] - ov[..., m:, m:, m:]),
+            _max_diff(cv[..., m:, :m, m:], ov[..., m:, :m, m:]),
+            _max_diff(cv[..., m:, m:, :m], ov[..., m:, m:, :m])),
+        "chr_phantom_block": _max_diff(
+            cv[..., m:, m:, m:], ov[..., m:, m:, m:]),
     }
 
 
@@ -181,8 +180,7 @@ def curvature_study(cfg: CurvatureStudyConfig) -> list[ConvergenceRow]:
     """Compare every closed-form curvature family against the generic
     pipeline run on the assembled product metric, across the ladder."""
     c = cfg.constants
-    m, n = c.m, c.n
-    mm_idx, nn_idx, mixed_idx = _block_indices(m, n)
+    m = c.m
     on_locus = c.on_special_locus
     per_level: list[dict[str, float]] = []
     hs: list[float] = []
@@ -205,9 +203,9 @@ def curvature_study(cfg: CurvatureStudyConfig) -> list[ConvergenceRow]:
 
         gen = ricci_closed_general(pg, cfg.order)
         diff = gen.ricci.values - oracle.ricci.values
-        errors["ricci_real_general"] = _max_abs(diff[..., mm_idx])
-        errors["ricci_phantom_general"] = _max_abs(diff[..., nn_idx])
-        errors["ricci_mixed_zero"] = _max_abs(oracle.ricci.values[..., mixed_idx])
+        errors["ricci_real_general"] = _max_abs(diff[..., :m, :m])
+        errors["ricci_phantom_general"] = _max_abs(diff[..., m:, m:])
+        errors["ricci_mixed_zero"] = _max_abs(oracle.ricci.values[..., :m, m:])
         errors["scalar_general"] = _max_abs(gen.scalar.values
                                             - oracle.scalar.values)
         del gen, diff
@@ -215,8 +213,8 @@ def curvature_study(cfg: CurvatureStudyConfig) -> list[ConvergenceRow]:
         if on_locus:
             ans = ricci_closed_ansatz(pg, cfg.order)
             diff = ans.ricci.values - oracle.ricci.values
-            errors["ricci_real_ansatz"] = _max_abs(diff[..., mm_idx])
-            errors["ricci_phantom_ansatz"] = _max_abs(diff[..., nn_idx])
+            errors["ricci_real_ansatz"] = _max_abs(diff[..., :m, :m])
+            errors["ricci_phantom_ansatz"] = _max_abs(diff[..., m:, m:])
             errors["scalar_ansatz"] = _max_abs(ans.scalar.values
                                                - oracle.scalar.values)
             del ans, diff

@@ -286,12 +286,12 @@ def assemble_product_metric(pg: ProductGeometry) -> SymTensorField:
     m, n = c.m, c.n
     d = m + n
     grid = pg.product_grid
-    gm = np.exp(-c.A * pg.f.values)[..., None, None] * pg.g.matrix()
+    gm = np.exp(-c.A * pg.f.values)[..., None, None] * pg.g.values
     hn = np.exp(-c.B * pg.f.values)
     full = np.zeros(grid.shape + (d, d))
     full[..., :m, :m] = _lift_m(pg, gm)
     full[..., m:, m:] = _lift_m(pg, hn)[..., None, None] \
-        * _lift_n(pg, pg.h.matrix())
+        * _lift_n(pg, pg.h.values)
     return SymTensorField.from_matrix(grid, full, is_metric=True)
 
 
@@ -318,7 +318,7 @@ def _pieces(pg: ProductGeometry, order: int) -> _Pieces:
         bundle = geometry.curvature_bundle(pg.g, order)
         inv = geometry.inverse_metric(pg.g)
         df = geometry.gradient_components(pg.f, order)
-        hess = geometry.hessian(pg.f, bundle.christoffel, order).matrix()
+        hess = geometry.hessian(pg.f, bundle.christoffel, order).values
         p = pg._memo[order] = _Pieces(
             m=bundle, n=geometry.curvature_bundle(pg.h, order), df=df,
             hess=hess, lap=np.einsum("...jl,...jl->...", inv, hess),
@@ -347,7 +347,7 @@ def christoffel_closed_form(pg: ProductGeometry,
     p = _pieces(pg, order)
 
     # M-family on the M grid first.
-    gmat = pg.g.matrix()
+    gmat = pg.g.values
     mm = p.m.christoffel.values.copy()
     half_a = 0.5 * c.A
     for k in range(m):
@@ -362,7 +362,7 @@ def christoffel_closed_form(pg: ProductGeometry,
     warp = 0.5 * c.B * np.exp((c.A - c.B) * pg.f.values)
     vec = warp[..., None] * p.df_raised                       # (..., m)
     out[..., :m, m:, m:] = _lift_m(pg, vec)[..., :, None, None] \
-        * _lift_n(pg, pg.h.matrix())[..., None, :, :]
+        * _lift_n(pg, pg.h.values)[..., None, :, :]
 
     # Gt^gamma_{i beta} = -(B/2) df_i, diagonal in (gamma, beta); filled
     # in both lower-index orders since storage is the full cube.
@@ -402,16 +402,16 @@ def _closed_ricci_blocks(pg: ProductGeometry, p: _Pieces, hess_coeff: float,
     grid = pg.product_grid
 
     bracket = p.lap - block_coeff * p.grad_sq
-    mm = p.m.ricci.matrix() + hess_coeff * p.hess
-    mm += 0.5 * c.A * bracket[..., None, None] * pg.g.matrix()
+    mm = p.m.ricci.values + hess_coeff * p.hess
+    mm += 0.5 * c.A * bracket[..., None, None] * pg.g.values
     mm += df_quadratic * p.df[..., :, None] * p.df[..., None, :]
 
     warp = 0.5 * c.B * np.exp((c.A - c.B) * pg.f.values) * bracket
 
     full = np.zeros(grid.shape + (d, d))
     full[..., :m, :m] = _lift_m(pg, mm)
-    full[..., m:, m:] = _lift_n(pg, p.n.ricci.matrix()) \
-        + _lift_m(pg, warp)[..., None, None] * _lift_n(pg, pg.h.matrix())
+    full[..., m:, m:] = _lift_n(pg, p.n.ricci.values) \
+        + _lift_m(pg, warp)[..., None, None] * _lift_n(pg, pg.h.values)
     return SymTensorField.from_matrix(grid, full, symmetrize=True)
 
 

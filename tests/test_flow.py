@@ -136,7 +136,7 @@ def test_euler_step_against_taylor_oracle():
         nxt = step(state, FlowConfig(dt=dt, t_end=dt, mode="coupled",
                                      integrator="euler"))
         x = np.arange(n) * (TAU / n)
-        eg = np.abs(nxt.g.values[..., 0]
+        eg = np.abs(nxt.g.values[..., 0, 0]
                     - (1.0 + 2.0 * dt * a * np.sin(x))).max()
         ef = np.abs(nxt.f.values - (a * np.sin(x) + dt * a * np.sin(x))).max()
         gaps[n] = (float(eg), float(ef))
@@ -182,6 +182,30 @@ def test_trajectory_measure_drift():
                                              integrator=integ,
                                              snapshot_stride=5))
         assert conserved_measure_check(traj) < bound
+
+
+@pytest.mark.parametrize("integrator, passes", [("euler", 6), ("rk4", 26)])
+def test_decoupled_run_takes_one_oracle_pass_per_stored_metric(
+        monkeypatch, integrator, passes):
+    # 5 steps store 6 metrics, and one Ricci pass of each serves both the
+    # step from it and the backward sweep; rk4 adds 3 stages per forward
+    # step and one midpoint metric per backward step (5 * 5 + 1)
+    from warpflow import geometry
+    calls = []
+    ricci_pass = geometry._symmetrized_ricci
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return ricci_pass(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "_symmetrized_ricci", counted)
+    grid = circle(16)
+    traj = run_decoupled(recipes.conformal_metric(grid, 0.1),
+                         recipes.sine_scalar(grid, 0.2),
+                         FlowConfig(dt=1e-4, t_end=5e-4, mode="decoupled",
+                                    integrator=integrator))
+    assert len(traj) == 6
+    assert len(calls) == passes
 
 
 # ------------------------------------------------------------------ guards
@@ -270,7 +294,7 @@ def test_rate_at_nonzero_coupling_needs_completed_covector():
     gn = geometry.grad_norm_sq(f, g)
     completed = SymTensorField(
         grid, s.values
-        + (lam * (lap.values - gn.values))[..., None] * g.values)
+        + (lam * (lap.values - gn.values))[..., None, None] * g.values)
     inv = geometry.inverse_metric(g)
     pair = np.einsum("...ik,...jl,...ij,...kl->...",
                      inv, inv, completed.matrix(), s.matrix())

@@ -52,10 +52,10 @@ def test_inverse_metric_roundtrip_and_guard():
     # positive definite but conditioned past the limit: the guard names
     # the bad node instead of letting 1/eps noise flow downstream
     grid2 = torus(8)
-    vals = np.zeros(grid2.shape + (3,))
-    vals[..., 0] = 1.0
-    vals[..., 2] = 1.0
-    vals[3, 5, 2] = 1e-13
+    vals = np.zeros(grid2.shape + (2, 2))
+    vals[..., 0, 0] = 1.0
+    vals[..., 1, 1] = 1.0
+    vals[3, 5, 1, 1] = 1e-13
     sick = SymTensorField(grid2, vals, is_metric=True)
     with pytest.raises(MetricDegeneracyError) as err:
         geometry.inverse_metric(sick)
@@ -65,7 +65,7 @@ def test_inverse_metric_roundtrip_and_guard():
 
 def test_operations_require_metric_flag():
     grid = torus(8)
-    not_metric = SymTensorField(grid, np.ones(grid.shape + (3,)))
+    not_metric = SymTensorField(grid, np.ones(grid.shape + (2, 2)))
     with pytest.raises(ValueError):
         geometry.christoffel(not_metric)
     with pytest.raises(ValueError):
@@ -104,7 +104,7 @@ def test_conformal_ricci_is_half_scalar_times_metric():
     for n in (12, 24):
         grid, u, g = conformal_setup(n)
         bundle = geometry.curvature_bundle(g)
-        target = 0.5 * bundle.scalar.values[..., None] * g.values
+        target = 0.5 * bundle.scalar.values[..., None, None] * g.values
         assert float(np.abs(bundle.ricci.values - target).max()) < 1e-13
 
 
@@ -141,7 +141,7 @@ def test_hessian_flat_equals_plain_second_derivatives():
             manual = diff_array(diff_array(f.values, grid, j), grid, i)
             manual = 0.5 * (manual
                             + diff_array(diff_array(f.values, grid, i), grid, j))
-            assert np.allclose(hess.component(i, j), manual, atol=1e-13)
+            assert np.allclose(hess.values[..., i, j], manual, atol=1e-13)
 
 
 def test_hessian_trace_matches_laplacian_flat_then_converges():

@@ -5,10 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from warpflow import geometry, recipes
 from warpflow.errors import GridMismatchError, MetricDegeneracyError
+from warpflow.flow import FlowConfig, FlowState, step
+from warpflow.functionals import gradient_tensor
 from warpflow.grids import (Christoffel3Field, GridSpec, ScalarField,
                             SymTensorField, diff_array, filter_array,
-                            integrate, sym_pairs)
+                            integrate)
+from warpflow.verify import FieldSpec, build_product_geometry
+from warpflow.warped import (assemble_product_metric, ricci_closed_ansatz,
+                             ricci_closed_general, solve_perelman_constants)
 
 TAU = 2.0 * math.pi
 
@@ -25,7 +31,6 @@ def test_gridspec_properties():
     assert grid.shape == (16, 32)
     assert grid.spacing == (0.125, 0.25)
     assert grid.cell_volume == pytest.approx(0.125 * 0.25, rel=1e-15)
-    assert grid.n_sym == 3
     x = grid.coordinates(0)
     assert x[0] == 0.0 and x[-1] == pytest.approx(2.0 - 0.125)
     mx, my = grid.meshes()
@@ -45,11 +50,6 @@ def test_gridspec_rejects_bad_input():
         GridSpec((16,), (math.inf,))
 
 
-def test_sym_pairs_ordering():
-    assert sym_pairs(2) == [(0, 0), (0, 1), (1, 1)]
-    assert sym_pairs(3) == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-
-
 # ------------------------------------------------------------------- fields
 
 def test_scalar_field_validation():
@@ -64,15 +64,41 @@ def test_scalar_field_validation():
     assert np.array_equal(f.values, np.sin(grid.coordinates(0)))
 
 
-def test_sym_tensor_pack_unpack_roundtrip():
-    grid = GridSpec((8, 8), (1.0, 1.0))
+def test_sym_tensor_storage_is_full_symmetric_and_read_only():
+    # a symmetric input is stored bit for bit, as a new array
+    grid = GridSpec((8, 10), (TAU, 3.0))
     rng = np.random.default_rng(0)
     mat = rng.standard_normal(grid.shape + (2, 2))
     mat = mat + np.swapaxes(mat, -1, -2)
-    t = SymTensorField.from_matrix(grid, mat)
-    assert np.allclose(t.matrix(), mat, atol=0.0)
-    assert np.array_equal(t.component(1, 0), t.component(0, 1))
-    assert np.array_equal(t.component(0, 1), mat[..., 0, 1])
+    for t in (SymTensorField(grid, mat),
+              SymTensorField.from_matrix(grid, mat)):
+        assert np.array_equal(t.values, mat) and t.values is not mat
+    assert mat.flags.writeable
+
+    # every producer stores the full (..., d, d) matrix, symmetric to the bit
+    g = recipes.random_spd_metric(grid, rng, 0.3)
+    f = recipes.mixed_sine_scalar(grid, 0.3)
+    gamma = geometry.christoffel(g)
+    pg = build_product_geometry(
+        solve_perelman_constants(2, 1), (8, 10), (8,), TAU, TAU,
+        FieldSpec("random-spd", 0.2), FieldSpec("conformal-bump", 0.1),
+        0.2, 1, np.random.default_rng(1))
+    rk4 = step(FlowState.initial(g, f),
+               FlowConfig(dt=1e-4, t_end=1e-4, lam=0.5, integrator="rk4",
+                          filter_cutoff=0.75))
+    fields = [recipes.flat_metric(grid), recipes.conformal_metric(grid, 0.1),
+              recipes.random_sym_tensor(grid, rng), g, geometry.ricci(g),
+              geometry.hessian(f, gamma), gradient_tensor(g, f, 0.5),
+              assemble_product_metric(pg), ricci_closed_general(pg).ricci,
+              ricci_closed_ansatz(pg).ricci, rk4.g]
+    for t in fields:
+        d = t.grid.dim
+        assert t.values.shape == t.grid.shape + (d, d)
+        assert np.array_equal(t.values, np.swapaxes(t.values, -1, -2))
+        # the accessor hands out the stored array, which cannot be written
+        assert t.matrix() is t.values
+        with pytest.raises(ValueError):
+            t.matrix()[(0,) * (d + 2)] = 1.0
 
 
 def test_sym_tensor_rejects_asymmetric_unless_projected():
@@ -80,15 +106,23 @@ def test_sym_tensor_rejects_asymmetric_unless_projected():
     mat = np.zeros(grid.shape + (2, 2))
     mat[..., 0, 1] = 1.0                  # not symmetric
     with pytest.raises(ValueError):
+        SymTensorField(grid, mat)
+    with pytest.raises(ValueError):
         SymTensorField.from_matrix(grid, mat)
     t = SymTensorField.from_matrix(grid, mat, symmetrize=True)
-    assert np.allclose(t.component(0, 1), 0.5)
+    assert np.all(t.values[..., 0, 1] == 0.5)
+    assert np.all(t.values[..., 1, 0] == 0.5)
+    # asymmetry at roundoff passes the check and is projected away
+    mat[..., 1, 0] = 1.0 + 1e-12
+    t = SymTensorField(grid, mat)
+    assert np.all(t.values[..., 0, 1] == 0.5 * (1.0 + (1.0 + 1e-12)))
+    assert np.array_equal(t.values[..., 0, 1], t.values[..., 1, 0])
 
 
 def test_metric_flag_requires_spd():
     grid = line(16)
-    vals = np.ones(grid.shape + (1,))
-    vals[5, 0] = -2.0
+    vals = np.ones(grid.shape + (1, 1))
+    vals[5, 0, 0] = -2.0
     with pytest.raises(MetricDegeneracyError) as err:
         SymTensorField(grid, vals, is_metric=True)
     assert err.value.node == (5,)

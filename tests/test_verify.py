@@ -50,7 +50,7 @@ def test_loglog_slope_recovers_power_law():
 def test_build_metric_recipes():
     grid = GridSpec((16, 16), (TAU, TAU))
     flat = build_metric(grid, FieldSpec("flat"))
-    assert np.all(flat.component(0, 0) == 1.0)
+    assert np.all(flat.values[..., 0, 0] == 1.0)
     conf = build_metric(grid, FieldSpec("conformal-bump", 0.1, 1))
     assert conf.is_metric
     rng = np.random.default_rng(3)
