@@ -9,14 +9,13 @@ from .errors import (ConfigError, ConstantsError, FlowDivergenceError,
 from .flow import (FlowConfig, FlowState, MonotonicityRow, RateCheck,
                    conserved_measure_check, instantaneous_rate,
                    monotonicity_report, run_coupled, run_decoupled, step)
-from .functionals import (F_lambda, FunctionalReport, VariationResult,
-                          dissipation_integral, einstein_hilbert_S,
-                          first_variation_check, gradient_tensor, perelman_F,
+from .functionals import (F_lambda, FunctionalReport, StateTerms,
+                          VariationResult, dissipation_integral,
+                          einstein_hilbert_S, first_variation_check,
+                          gradient_tensor, measure_density, perelman_F,
                           theorem_identity_residual)
-from .geometry import (CurvatureBundle, christoffel, curvature_bundle,
-                       grad_norm_sq, hessian, inverse_metric,
-                       laplace_beltrami, ricci, scalar_curvature,
-                       volume_density)
+from .geometry import (CurvatureBundle, curvature_bundle, hessian,
+                       inverse_metric, laplace_beltrami, volume_density)
 from .grids import (Christoffel3Field, GridSpec, ScalarField, SymTensorField,
                     integrate)
 from .warped import (ProductGeometry, WarpedConstants,
@@ -38,9 +37,8 @@ __all__ = [
     "GridSpec", "ScalarField", "SymTensorField", "Christoffel3Field",
     "integrate",
     # geometry
-    "CurvatureBundle", "inverse_metric", "christoffel", "ricci",
-    "scalar_curvature", "curvature_bundle", "hessian", "volume_density",
-    "laplace_beltrami", "grad_norm_sq",
+    "CurvatureBundle", "inverse_metric", "curvature_bundle", "hessian",
+    "volume_density", "laplace_beltrami",
     # warped
     "WarpedConstants", "ProductGeometry", "c1_residual", "c2_residual",
     "z_value", "solve_theta", "solve_perelman_constants",
@@ -48,7 +46,8 @@ __all__ = [
     "christoffel_closed_form", "ricci_closed_general",
     "ricci_closed_ansatz", "closed_scalar_curvature",
     # functionals
-    "FunctionalReport", "VariationResult", "perelman_F", "F_lambda",
+    "FunctionalReport", "VariationResult", "StateTerms", "measure_density",
+    "perelman_F", "F_lambda",
     "einstein_hilbert_S", "theorem_identity_residual", "gradient_tensor",
     "first_variation_check", "dissipation_integral",
     # flow

@@ -35,7 +35,8 @@ import numpy as np
 from . import geometry
 from .errors import (ConfigError, FlowDivergenceError, MetricDegeneracyError,
                      StabilityWarning)
-from .functionals import F_lambda, dissipation_integral, gradient_tensor
+from .functionals import (F_lambda, StateTerms, dissipation_integral,
+                          measure_density)
 from .grids import ScalarField, SymTensorField, filter_array
 
 __all__ = [
@@ -43,7 +44,6 @@ __all__ = [
     "FlowConfig",
     "MonotonicityRow",
     "RateCheck",
-    "coupled_rhs",
     "step",
     "run_coupled",
     "run_decoupled",
@@ -76,14 +76,13 @@ class FlowState:
 
     @classmethod
     def initial(cls, g: SymTensorField, f: ScalarField) -> "FlowState":
-        rho = geometry.volume_density(g)
-        rho0 = ScalarField(g.grid, np.exp(-f.values) * rho.values)
-        return cls(t=0.0, g=g, f=f, rho0=rho0)
+        return cls(t=0.0, g=g, f=f, rho0=measure_density(g, f))
 
-    def measure_density(self) -> ScalarField:
-        """Current e^{-f} sqrt(det g)."""
-        rho = geometry.volume_density(self.g)
-        return ScalarField(self.g.grid, np.exp(-self.f.values) * rho.values)
+    def measure_drift(self) -> float:
+        """Max relative node-wise deviation of the current e^{-f}
+        sqrt(det g) from rho0."""
+        dev = np.abs(measure_density(self.g, self.f).values - self.rho0.values)
+        return float((dev / self.rho0.values).max())
 
 
 @dataclass(frozen=True)
@@ -124,17 +123,10 @@ def _rhs_arrays(g: SymTensorField, f: ScalarField, lam: float,
     """Right-hand sides as raw arrays: dg = -2 S_lam as (..., d, d)
     matrices, and df = (1/2) tr_g dg, computed from the same tensor so the
     constraint identity is exact by construction."""
-    dg = -2.0 * gradient_tensor(g, f, lam, order).values
-    inv = geometry.inverse_metric(g)
-    df = 0.5 * np.einsum("...ij,...ij->...", inv, dg)
+    terms = StateTerms.at(g, f, order)
+    dg = -2.0 * terms.gradient_tensor(lam).values
+    df = 0.5 * np.einsum("...ij,...ij->...", terms.bundle.inverse, dg)
     return dg, df
-
-
-def coupled_rhs(state: FlowState, lam: float,
-                order: int = 2) -> tuple[SymTensorField, ScalarField]:
-    """The coupled system's right-hand side at one state."""
-    dg, df = _rhs_arrays(state.g, state.f, lam, order)
-    return (SymTensorField(state.g.grid, dg), ScalarField(state.g.grid, df))
 
 
 def _stability_bound(g: SymTensorField) -> float:
@@ -268,7 +260,7 @@ def run_decoupled(g0: SymTensorField, f_terminal: ScalarField,
     order = config.order
 
     def ricci_rhs(g: SymTensorField) -> np.ndarray:
-        return -2.0 * geometry.ricci(g, order).values
+        return -2.0 * geometry.curvature_bundle(g, order).ricci.values
 
     # One oracle pass per stored metric feeds both phases: its Ricci is
     # the first stage of the step from it, its scalar the backward sweep.
@@ -298,7 +290,7 @@ def run_decoupled(g0: SymTensorField, f_terminal: ScalarField,
                 f"metric flow degenerated at t = {t + dt:.6g}: {exc}",
                 node=exc.node, eigenvalue=exc.eigenvalue, time=t + dt) from exc
         metrics.append(g)
-    scalars.append(geometry.scalar_curvature(g, order).values)
+    scalars.append(geometry.curvature_bundle(g, order).scalar.values)
 
     u_by_index = {n: np.exp(-f_terminal.values)}
     u = u_by_index[n]
@@ -312,7 +304,7 @@ def run_decoupled(g0: SymTensorField, f_terminal: ScalarField,
             g_mid = SymTensorField(
                 grid, 0.5 * (metrics[k].values + metrics[k - 1].values),
                 is_metric=True)
-            s_mid = geometry.scalar_curvature(g_mid, order).values
+            s_mid = geometry.curvature_bundle(g_mid, order).scalar.values
             k1 = _conjugate_rhs(u, metrics[k], scalars[k], order)
             k2 = _conjugate_rhs(u + 0.5 * dt * k1, g_mid, s_mid, order)
             k3 = _conjugate_rhs(u + 0.5 * dt * k2, g_mid, s_mid, order)
@@ -342,11 +334,7 @@ def run_decoupled(g0: SymTensorField, f_terminal: ScalarField,
 def conserved_measure_check(trajectory: list[FlowState]) -> float:
     """Max relative node-wise drift of e^{-f} sqrt(det g) from rho0
     across all snapshots."""
-    worst = 0.0
-    for state in trajectory:
-        dev = np.abs(state.measure_density().values - state.rho0.values)
-        worst = max(worst, float((dev / state.rho0.values).max()))
-    return worst
+    return max([0.0] + [state.measure_drift() for state in trajectory])
 
 
 @dataclass
@@ -367,8 +355,13 @@ def monotonicity_report(trajectory: list[FlowState], lam: float,
                         order: int = 2) -> list[MonotonicityRow]:
     """Tabulate F_lam along a trajectory against the dissipation
     integral.  The interesting claim is |dF/dt| = D; the sign of dF/dt
-    is reported as data, not asserted."""
-    values = [F_lambda(s.g, s.f, lam, order) for s in trajectory]
+    is reported as data, not asserted.  One oracle pass per snapshot
+    serves both F_lam and D."""
+    values, dissipations = [], []
+    for state in trajectory:
+        terms = StateTerms.at(state.g, state.f, order)
+        values.append(terms.F_lambda(lam))
+        dissipations.append(terms.dissipation(lam))
     rows = []
     for i, state in enumerate(trajectory):
         if 0 < i < len(trajectory) - 1:
@@ -376,7 +369,7 @@ def monotonicity_report(trajectory: list[FlowState], lam: float,
                     / (trajectory[i + 1].t - trajectory[i - 1].t))
         else:
             dfdt = math.nan
-        diss = dissipation_integral(state.g, state.f, lam, order)
+        diss = dissipations[i]
         ratio = dfdt / diss if diss > 0 and math.isfinite(dfdt) else math.nan
         sign = 0 if not math.isfinite(dfdt) else int(np.sign(dfdt))
         rows.append(MonotonicityRow(t=state.t, f_lam=values[i], df_dt=dfdt,

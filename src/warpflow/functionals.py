@@ -26,6 +26,10 @@ generic O(h^2) behaviour.
 The first-variation check differentiates the discrete action along a
 direction (delta g, delta f = tr_g delta g / 2) numerically and compares
 against the closed covector -2 <Ric + hess f + lam df (x) df, delta g>.
+
+F_lam, S_lam, the dissipation and the completed covector are each
+written once, against a ``StateTerms`` record: one oracle pass per (g, f)
+state, shared by every quantity a caller reads at that state.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ from .warped import (ProductGeometry, assemble_product_metric,
 __all__ = [
     "FunctionalReport",
     "VariationResult",
+    "StateTerms",
+    "measure_density",
     "perelman_F",
     "F_lambda",
     "einstein_hilbert_S",
@@ -81,10 +87,68 @@ class VariationResult:
     richardson_gap: float
 
 
-def _measure_weight(g: SymTensorField, f: ScalarField) -> ScalarField:
+def measure_density(g: SymTensorField, f: ScalarField) -> ScalarField:
     """The fixed-measure density e^{-f} sqrt(det g)."""
     rho = geometry.volume_density(g)
     return ScalarField(g.grid, np.exp(-f.values) * rho.values)
+
+
+@dataclass(frozen=True)
+class StateTerms:
+    """What every formula on M reads at one (g, f) state, computed once by
+    ``StateTerms.at``: the oracle bundle of g (its inverse included), df,
+    hess f, |grad f|^2 = g^{ij} df_i df_j and the weight e^{-f} dmu."""
+
+    g: SymTensorField
+    bundle: geometry.CurvatureBundle
+    df: np.ndarray
+    hess: np.ndarray
+    grad_sq: np.ndarray
+    weight: ScalarField
+
+    @classmethod
+    def at(cls, g: SymTensorField, f: ScalarField,
+           order: int = 2) -> "StateTerms":
+        bundle = geometry.curvature_bundle(g, order)
+        hess = geometry.hessian(f, bundle.christoffel, order).values
+        df = geometry.gradient_components(f, order)
+        return cls(g=g, bundle=bundle, df=df, hess=hess,
+                   grad_sq=np.einsum("...ij,...i,...j->...", bundle.inverse,
+                                     df, df),
+                   weight=measure_density(g, f))
+
+    def F_lambda(self, lam: float) -> float:
+        """F_lam = int (R + (lam+1)|grad f|^2) e^{-f} dmu."""
+        integrand = self.bundle.scalar.values + (lam + 1.0) * self.grad_sq
+        return integrate(ScalarField(self.g.grid, integrand), self.weight)
+
+    def gradient_tensor(self, lam: float) -> SymTensorField:
+        """S_lam = Ric + hess f + lam df (x) df."""
+        # lam df_i df_j rounds differently as (lam df_i) df_j and as
+        # (lam df_j) df_i, so both triangles take the lower index first.
+        axes = np.arange(self.g.grid.dim)
+        lo, hi = np.minimum.outer(axes, axes), np.maximum.outer(axes, axes)
+        quad = (lam * self.df)[..., lo] * self.df[..., hi]
+        return SymTensorField(self.g.grid,
+                              self.bundle.ricci.values + self.hess + quad)
+
+    def dissipation(self, lam: float) -> float:
+        """D = 2 int |S_lam|^2 e^{-f} dmu."""
+        s_lam = self.gradient_tensor(lam).values
+        inv = self.bundle.inverse
+        up = np.einsum("...ik,...jl,...kl->...ij", inv, inv, s_lam)
+        norm_sq = np.einsum("...ij,...ij->...", up, s_lam)
+        return 2.0 * integrate(ScalarField(self.g.grid, norm_sq), self.weight)
+
+    def completed_covector(self, lam: float) -> np.ndarray:
+        """S_lam + lam (lap f - |grad f|^2) g, the covector of the
+        constrained variation (see ``first_variation_check``)."""
+        s_lam = self.gradient_tensor(lam).values
+        if lam == 0.0:
+            return s_lam
+        lap = np.einsum("...ij,...ij->...", self.bundle.inverse, self.hess)
+        return s_lam + (lam * (lap - self.grad_sq))[..., None, None] \
+            * self.g.values
 
 
 def perelman_F(g: SymTensorField, f: ScalarField, order: int = 2) -> float:
@@ -97,13 +161,7 @@ def F_lambda(g: SymTensorField, f: ScalarField, lam: float,
              order: int = 2) -> float:
     """F_lam(g, f) = int (R + (lam+1)|grad f|^2) e^{-f} dmu; lam = 0
     recovers F exactly."""
-    if f.grid != g.grid:
-        raise ValueError("scalar and metric live on different grids")
-    scal = geometry.scalar_curvature(g, order)
-    gn = geometry.grad_norm_sq(f, g, order)
-    integrand = ScalarField(
-        g.grid, scal.values + (lam + 1.0) * gn.values)
-    return integrate(integrand, _measure_weight(g, f))
+    return StateTerms.at(g, f, order).F_lambda(lam)
 
 
 def einstein_hilbert_S(pg: ProductGeometry, order: int = 2,
@@ -121,7 +179,7 @@ def einstein_hilbert_S(pg: ProductGeometry, order: int = 2,
     if route == "closed":
         scal = closed_scalar_curvature(pg, order)
     elif route == "oracle":
-        scal = geometry.scalar_curvature(gt, order)
+        scal = geometry.curvature_bundle(gt, order).scalar
     else:
         raise ValueError(f"route must be 'closed' or 'oracle', got {route!r}")
     return integrate(scal, geometry.volume_density(gt))
@@ -141,11 +199,13 @@ def theorem_identity_residual(pg: ProductGeometry,
     c = pg.constants
     lam = c.lam
     s_tilde = einstein_hilbert_S(pg, order)
-    f_plain = perelman_F(pg.g, pg.f, order)
-    f_lam = f_plain if lam == 0.0 else F_lambda(pg.g, pg.f, lam, order)
+    terms = StateTerms.at(pg.g, pg.f, order)
+    f_plain = terms.F_lambda(0.0)
+    f_lam = f_plain if lam == 0.0 else terms.F_lambda(lam)
     rho_n = geometry.volume_density(pg.h)
     vol_n = integrate(ScalarField.constant(pg.grid_n, 1.0), rho_n)
-    total_scal_n = integrate(geometry.scalar_curvature(pg.h, order), rho_n)
+    total_scal_n = integrate(geometry.curvature_bundle(pg.h, order).scalar,
+                             rho_n)
     coupling_field = ScalarField(
         pg.grid_m, np.exp((c.B - c.A - 1.0) * pg.f.values))
     coupling = integrate(coupling_field, geometry.volume_density(pg.g))
@@ -163,16 +223,7 @@ def gradient_tensor(g: SymTensorField, f: ScalarField, lam: float,
         S_lam = Ric + hess f + lam df (x) df,
 
     as a symmetric field on M."""
-    gamma = geometry.christoffel(g, order)
-    ric = geometry.ricci(g, order, gamma=gamma)
-    hess = geometry.hessian(f, gamma, order)
-    df = geometry.gradient_components(f, order)
-    # lam df_i df_j rounds differently as (lam df_i) df_j and as
-    # (lam df_j) df_i, so both triangles take the lower index first.
-    axes = np.arange(g.grid.dim)
-    lo, hi = np.minimum.outer(axes, axes), np.maximum.outer(axes, axes)
-    quad = (lam * df)[..., lo] * df[..., hi]
-    return SymTensorField(g.grid, ric.values + hess.values + quad)
+    return StateTerms.at(g, f, order).gradient_tensor(lam)
 
 
 def first_variation_check(pg: ProductGeometry, dg: SymTensorField, lam: float,
@@ -218,7 +269,8 @@ def first_variation_check(pg: ProductGeometry, dg: SymTensorField, lam: float,
     if dg.grid != pg.grid_m:
         raise ValueError("variation direction must live on the M grid")
 
-    inv = geometry.inverse_metric(pg.g)
+    terms = StateTerms.at(pg.g, pg.f, order)
+    inv = terms.bundle.inverse
     trace_half = 0.5 * np.einsum("...ij,...ij->...", inv, dg.values)
 
     def doubled_action(t: float) -> float:
@@ -233,18 +285,9 @@ def first_variation_check(pg: ProductGeometry, dg: SymTensorField, lam: float,
     numeric = (4.0 * d_half - d_full) / 3.0
     gap = abs(d_half - d_full)
 
-    s_lam = gradient_tensor(pg.g, pg.f, lam, order).values
-    if lam != 0.0:
-        gamma = geometry.christoffel(pg.g, order)
-        hess = geometry.hessian(pg.f, gamma, order)
-        lap = np.einsum("...ij,...ij->...", inv, hess.values)
-        gn = geometry.grad_norm_sq(pg.f, pg.g, order)
-        s_lam = s_lam + (lam * (lap - gn.values))[..., None, None] \
-            * pg.g.values
     pairing = np.einsum("...ik,...jl,...ij,...kl->...",
-                        inv, inv, s_lam, dg.values)
-    closed = -2.0 * integrate(ScalarField(pg.grid_m, pairing),
-                              _measure_weight(pg.g, pg.f))
+                        inv, inv, terms.completed_covector(lam), dg.values)
+    closed = -2.0 * integrate(ScalarField(pg.grid_m, pairing), terms.weight)
     return VariationResult(numeric_derivative=numeric, closed_form=closed,
                            richardson_gap=gap)
 
@@ -254,9 +297,4 @@ def dissipation_integral(g: SymTensorField, f: ScalarField, lam: float,
     """D = 2 int |Ric + hess f + lam df (x) df|^2 e^{-f} dmu >= 0, with
     the norm taken by contracting both index pairs with g (the only
     choice consistent with the first-variation pairing)."""
-    s_lam = gradient_tensor(g, f, lam, order).values
-    inv = geometry.inverse_metric(g)
-    up = np.einsum("...ik,...jl,...kl->...ij", inv, inv, s_lam)
-    norm_sq = np.einsum("...ij,...ij->...", up, s_lam)
-    return 2.0 * integrate(ScalarField(g.grid, norm_sq),
-                           _measure_weight(g, f))
+    return StateTerms.at(g, f, order).dissipation(lam)

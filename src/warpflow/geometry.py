@@ -3,8 +3,8 @@
 This module knows nothing about warped products.  It takes any positive
 definite ``SymTensorField`` and grinds out Christoffel symbols, Ricci and
 scalar curvature straight from the coordinate definitions, plus the scalar
-helpers (Hessian, Laplace-Beltrami, gradient norm, volume density) used by
-the action functionals.  Serving as an independent oracle for the closed
+helpers (Hessian, Laplace-Beltrami, volume density) used by the action
+functionals.  Serving as an independent oracle for the closed
 warped-product formulas is its whole purpose, so nothing here may share
 code with those formulas.
 
@@ -28,8 +28,9 @@ Discrete quirks worth knowing:
   arguments depend on position through the inverse metric.  The result is
   symmetrized and the discarded part is reported; a large value means the
   fields are under-resolved.
-* ``curvature_bundle`` is one pass: it inverts the metric once and
-  contracts the scalar from the symmetrized Ricci matrix.
+* ``curvature_bundle`` is the only curvature entry point: one pass that
+  inverts the metric once, contracts the scalar from the symmetrized
+  Ricci matrix and returns the whole stack, the inverse included.
 * Contractions are accumulated axis by axis to keep peak memory near two
   Christoffel-sized arrays, which is what lets 4d product grids with a
   few million nodes fit in a small container.
@@ -48,13 +49,9 @@ from .grids import Christoffel3Field, ScalarField, SymTensorField, diff_array
 __all__ = [
     "CurvatureBundle",
     "inverse_metric",
-    "christoffel",
-    "ricci",
-    "scalar_curvature",
     "curvature_bundle",
     "hessian",
     "laplace_beltrami",
-    "grad_norm_sq",
     "volume_density",
 ]
 
@@ -69,8 +66,8 @@ class CurvatureBundle:
 
     ``source_tag`` is one of ``"generic_oracle"``, ``"closed_form_general"``,
     ``"closed_form_ansatz"``.  The closed-form bundles carry no Christoffel
-    cube (``christoffel`` is None); ``warped.christoffel_closed_form``
-    builds it on its own.  ``ricci_asymmetry`` is the max-norm of the
+    cube and no inverse metric (both None); ``warped.christoffel_closed_form``
+    builds the cube on its own.  ``ricci_asymmetry`` is the max-norm of the
     antisymmetric part discarded when symmetrizing (identically zero for
     the closed forms, which are symmetric by construction).
     """
@@ -80,6 +77,7 @@ class CurvatureBundle:
     scalar: ScalarField
     source_tag: str
     ricci_asymmetry: float = 0.0
+    inverse: np.ndarray | None = None
 
 
 def _require_metric(g: SymTensorField):
@@ -112,11 +110,6 @@ def inverse_metric(g: SymTensorField) -> np.ndarray:
             f"estimate {worst:.3e}, smallest eigenvalue {float(eigs[0]):.6e}",
             node=node, eigenvalue=float(eigs[0]))
     return inv
-
-
-def christoffel(g: SymTensorField, order: int = 2) -> Christoffel3Field:
-    """Christoffel symbols of the second kind, Gamma^k_{ij}."""
-    return _christoffel(g, inverse_metric(g), order)
 
 
 def _christoffel(g: SymTensorField, inv: np.ndarray,
@@ -188,20 +181,6 @@ def _symmetrized_ricci(gamma: Christoffel3Field,
     return ric, asym
 
 
-def ricci(g: SymTensorField, order: int = 2,
-          gamma: Christoffel3Field | None = None) -> SymTensorField:
-    """Ricci tensor of a metric field, symmetrized; warns when the
-    discarded antisymmetric part says the fields are under-resolved."""
-    if gamma is None:
-        gamma = christoffel(g, order)
-    return _symmetrized_ricci(gamma, order)[0]
-
-
-def scalar_curvature(g: SymTensorField, order: int = 2) -> ScalarField:
-    """Scalar curvature R = g^{bd} Ric_{bd}."""
-    return curvature_bundle(g, order).scalar
-
-
 def curvature_bundle(g: SymTensorField, order: int = 2) -> CurvatureBundle:
     """Full curvature stack of one metric via the generic pipeline.  The
     metric is inverted once, and the symmetrized Ricci matrix feeds both
@@ -215,7 +194,8 @@ def curvature_bundle(g: SymTensorField, order: int = 2) -> CurvatureBundle:
         ricci=ric,
         scalar=ScalarField(g.grid, scal),
         source_tag="generic_oracle",
-        ricci_asymmetry=asym)
+        ricci_asymmetry=asym,
+        inverse=inv)
 
 
 def gradient_components(f: ScalarField, order: int = 2) -> np.ndarray:
@@ -277,13 +257,3 @@ def laplace_beltrami(f: ScalarField, g: SymTensorField,
     for i in range(grid.dim):
         div += diff_array(flux[..., i], grid, i, order)
     return ScalarField(grid, div / rho)
-
-
-def grad_norm_sq(f: ScalarField, g: SymTensorField, order: int = 2) -> ScalarField:
-    """Squared gradient norm |grad f|^2 = g^{ij} D_i f D_j f."""
-    if f.grid != g.grid:
-        raise ValueError("scalar and metric live on different grids")
-    inv = inverse_metric(g)
-    df = gradient_components(f, order)
-    vals = np.einsum("...ij,...i,...j->...", inv, df, df)
-    return ScalarField(f.grid, vals)

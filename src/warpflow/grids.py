@@ -248,9 +248,6 @@ class Christoffel3Field:
                     f"Gamma^k_ij must be symmetric in (i, j); "
                     f"max asymmetry {asym:.3e}")
 
-    def component(self, k: int, i: int, j: int) -> np.ndarray:
-        return self.values[..., k, i, j]
-
 
 def _same_grid(a, b, what: str):
     if a.grid != b.grid:

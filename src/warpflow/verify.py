@@ -194,6 +194,8 @@ def curvature_study(cfg: CurvatureStudyConfig) -> list[ConvergenceRow]:
         hs.append(max(pg.grid_m.spacing))
         gt = assemble_product_metric(pg)
         oracle = geometry.curvature_bundle(gt, cfg.order)
+        # not compared; kept alive, it would raise the study's peak memory
+        oracle.inverse = None
         del gt
 
         errors: dict[str, float] = {}

@@ -316,7 +316,7 @@ def _pieces(pg: ProductGeometry, order: int) -> _Pieces:
     p = pg._memo.get(order)
     if p is None:
         bundle = geometry.curvature_bundle(pg.g, order)
-        inv = geometry.inverse_metric(pg.g)
+        inv = bundle.inverse
         df = geometry.gradient_components(pg.f, order)
         hess = geometry.hessian(pg.f, bundle.christoffel, order).values
         p = pg._memo[order] = _Pieces(

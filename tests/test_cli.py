@@ -158,10 +158,11 @@ def test_identity_flat_config(tmp_path, capsys):
     assert "[FAIL]" not in capsys.readouterr().out
 
 
-def test_variation_config_with_seed(tmp_path, capsys):
+@pytest.mark.parametrize("seed", ["7", "1"])
+def test_variation_config_with_seed(tmp_path, capsys, seed):
     rc = main(["verify-variation",
                "--config", str(CONFIGS / "variation.ini"),
-               "--seed", "7", "--out", str(tmp_path / "var.csv")])
+               "--seed", seed, "--out", str(tmp_path / "var.csv")])
     printed = capsys.readouterr().out
     assert rc == 0
     assert printed.count("[PASS]") == 2  # one gate per coupling

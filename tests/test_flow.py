@@ -11,10 +11,10 @@ from warpflow import recipes
 from warpflow.errors import (ConfigError, FlowDivergenceError,
                              MetricDegeneracyError, StabilityWarning)
 from warpflow.flow import (FlowConfig, FlowState, conserved_measure_check,
-                           coupled_rhs, instantaneous_rate,
-                           monotonicity_report, run_coupled, run_decoupled,
-                           step)
-from warpflow.functionals import F_lambda, dissipation_integral
+                           instantaneous_rate, monotonicity_report,
+                           run_coupled, run_decoupled, step)
+from warpflow.functionals import (F_lambda, dissipation_integral,
+                                  gradient_tensor)
 from warpflow.grids import GridSpec, ScalarField
 
 TAU = 2.0 * math.pi
@@ -95,8 +95,7 @@ def test_flat_constant_pair_is_a_fixed_point():
     g = recipes.flat_metric(grid)
     f = ScalarField.constant(grid, 0.7)
     state = FlowState.initial(g, f)
-    dg, df = coupled_rhs(state, 0.3)
-    assert np.all(dg.values == 0.0) and np.all(df.values == 0.0)
+    assert np.all(gradient_tensor(g, f, 0.3).values == 0.0)
     traj = run_coupled(state, FlowConfig(dt=1e-3, t_end=5e-3,
                                          mode="coupled", integrator="rk4",
                                          lam=0.3))
@@ -208,6 +207,45 @@ def test_decoupled_run_takes_one_oracle_pass_per_stored_metric(
     assert len(calls) == passes
 
 
+def test_monotonicity_report_takes_one_oracle_pass_per_snapshot(monkeypatch):
+    from warpflow import geometry
+    state = initial_state(32)
+    traj = run_coupled(state, FlowConfig(dt=1e-4, t_end=5e-4, lam=0.5,
+                                         integrator="euler",
+                                         snapshot_stride=2))
+    calls = []
+    ricci_pass = geometry._symmetrized_ricci
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return ricci_pass(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "_symmetrized_ricci", counted)
+    rows = monotonicity_report(traj, 0.5)
+    assert len(rows) == len(traj) == 4
+    assert len(calls) == len(traj)
+    assert [r.f_lam for r in rows] == [F_lambda(s.g, s.f, 0.5) for s in traj]
+    assert [r.dissipation for r in rows] \
+        == [dissipation_integral(s.g, s.f, 0.5) for s in traj]
+
+
+def test_coupled_rk4_step_inverts_the_metric_five_times(monkeypatch):
+    # one inversion per stage (its oracle pass also raises the trace of
+    # dg) plus the stability estimate
+    from warpflow import geometry
+    calls = []
+    inverse = geometry.inverse_metric
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inverse(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "inverse_metric", counted)
+    step(initial_state(32), FlowConfig(dt=1e-4, t_end=1e-4, lam=0.5,
+                                       integrator="rk4"))
+    assert len(calls) <= 5
+
+
 # ------------------------------------------------------------------ guards
 
 def test_stability_warning_on_oversized_step():
@@ -278,7 +316,7 @@ def test_rate_at_nonzero_coupling_needs_completed_covector():
     # The naive ratio is stably O(1) wrong (not a resolution artifact),
     # while the completed one converges to 1 at second order.
     from warpflow import geometry
-    from warpflow.functionals import _measure_weight, gradient_tensor
+    from warpflow.functionals import StateTerms
     from warpflow.grids import SymTensorField, integrate
 
     lam = 0.5
@@ -289,17 +327,16 @@ def test_rate_at_nonzero_coupling_needs_completed_covector():
     rc = instantaneous_rate(state, lam, 1e-4)
     assert abs(rc.ratio - 1.0) > 0.3
 
-    s = gradient_tensor(g, f, lam)
+    terms = StateTerms.at(g, f)
+    s = terms.gradient_tensor(lam)
     lap = geometry.laplace_beltrami(f, g)
-    gn = geometry.grad_norm_sq(f, g)
     completed = SymTensorField(
         grid, s.values
-        + (lam * (lap.values - gn.values))[..., None, None] * g.values)
-    inv = geometry.inverse_metric(g)
+        + (lam * (lap.values - terms.grad_sq))[..., None, None] * g.values)
+    inv = terms.bundle.inverse
     pair = np.einsum("...ik,...jl,...ij,...kl->...",
-                     inv, inv, completed.matrix(), s.matrix())
-    predicted = 2.0 * integrate(ScalarField(grid, pair),
-                                _measure_weight(g, f))
+                     inv, inv, completed.values, s.values)
+    predicted = 2.0 * integrate(ScalarField(grid, pair), terms.weight)
     assert abs(rc.numeric_rate / predicted - 1.0) < 5e-4
 
 

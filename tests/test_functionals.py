@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from warpflow import geometry, recipes
-from warpflow.functionals import (F_lambda, dissipation_integral,
+from warpflow.functionals import (F_lambda, StateTerms, dissipation_integral,
                                   einstein_hilbert_S, first_variation_check,
                                   gradient_tensor, perelman_F,
                                   theorem_identity_residual)
@@ -76,7 +76,7 @@ def test_total_scalar_curvature_against_quadrature():
     for n in (24, 48):
         grid = GridSpec((n, n, n), (TAU, TAU, TAU))
         h = recipes.conformal_metric(grid, 0.15, 1, axis=0)
-        total = integrate(geometry.scalar_curvature(h),
+        total = integrate(geometry.curvature_bundle(h).scalar,
                           geometry.volume_density(h))
         errs[n] = rel_gap(total, TOTAL_SCALAR_T3_015)
     assert 1.7e-2 < errs[24] < 2.8e-2
@@ -101,6 +101,46 @@ def test_gradient_tensor_and_dissipation_at_fixed_point():
     s = gradient_tensor(g, f0, 0.7)
     assert np.all(s.values == 0.0)
     assert dissipation_integral(g, f0, 0.7) == 0.0
+
+
+def test_state_terms_grad_sq_flat_single_mode():
+    grid = GridSpec((32,), (TAU,))
+    x = grid.coordinates(0)
+    h = grid.spacing[0]
+    f = ScalarField(grid, np.sin(x))
+    terms = StateTerms.at(recipes.flat_metric(grid), f)
+    expected = (math.sin(h) / h) ** 2 * np.cos(x) ** 2
+    assert np.allclose(terms.grad_sq, expected, atol=1e-14)
+    with pytest.raises(ValueError):
+        StateTerms.at(recipes.flat_metric(circle(16)), f)
+
+
+def test_one_state_record_serves_every_formula(monkeypatch):
+    # one oracle pass at a state gives F, F_lam, S_lam and D, bit for bit
+    # what the one-quantity functions give
+    grid = GridSpec((12, 12), (TAU, TAU))
+    g = recipes.random_spd_metric(grid, np.random.default_rng(5), 0.2)
+    f = recipes.mixed_sine_scalar(grid, 0.3)
+    expected = (perelman_F(g, f), F_lambda(g, f, 0.5),
+                gradient_tensor(g, f, 0.5).values,
+                dissipation_integral(g, f, 0.5))
+    passes = []
+    bundle = geometry.curvature_bundle
+
+    def counted(*args, **kwargs):
+        passes.append(1)
+        return bundle(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "curvature_bundle", counted)
+    terms = StateTerms.at(g, f)
+    got = (terms.F_lambda(0.0), terms.F_lambda(0.5),
+           terms.gradient_tensor(0.5).values, terms.dissipation(0.5))
+    assert len(passes) == 1
+    assert got[0] == expected[0] and got[1] == expected[1]
+    assert np.array_equal(got[2], expected[2])
+    assert got[3] == expected[3]
+    assert np.array_equal(terms.completed_covector(0.0),
+                          terms.gradient_tensor(0.0).values)
 
 
 # ----------------------------------------------------------------- identity
@@ -155,6 +195,25 @@ def test_identity_residual_nonflat_N():
     assert abs(rows[1].total_scalar_N) > 1e-3  # genuinely nonflat
 
 
+def test_identity_residual_takes_four_oracle_passes(monkeypatch):
+    # the closed side's factor pieces (g and h), one state record for
+    # both F and F_lam on M, and the scalar of h for the R^N coupling
+    c = lambda_to_constants(2, 1, 0.5)[0]
+    pg = identity_pg(c, (12, 12), (8,), FieldSpec("conformal-bump", 0.1, 1),
+                     FieldSpec("conformal-bump", 0.1, 1))
+    passes = []
+    bundle = geometry.curvature_bundle
+
+    def counted(*args, **kwargs):
+        passes.append(1)
+        return bundle(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "curvature_bundle", counted)
+    rep = theorem_identity_residual(pg)
+    assert rep.F != rep.F_lam
+    assert len(passes) <= 4
+
+
 def test_einstein_hilbert_routes_agree():
     c = solve_perelman_constants(2, 1)
     pg = identity_pg(c, (16, 16), (8,),
@@ -201,13 +260,12 @@ def test_variation_covector_needs_trace_completion():
     pg, dg = variation_setup(lam)
     res = first_variation_check(pg, dg, lam, order=4)
 
-    from warpflow.functionals import _measure_weight
-    s_naive = gradient_tensor(pg.g, pg.f, lam, 4).matrix()
-    inv = geometry.inverse_metric(pg.g)
+    terms = StateTerms.at(pg.g, pg.f, 4)
+    s_naive = terms.gradient_tensor(lam).values
+    inv = terms.bundle.inverse
     pairing = np.einsum("...ik,...jl,...ij,...kl->...",
-                        inv, inv, s_naive, dg.matrix())
-    naive = -2.0 * integrate(ScalarField(pg.grid_m, pairing),
-                             _measure_weight(pg.g, pg.f))
+                        inv, inv, s_naive, dg.values)
+    naive = -2.0 * integrate(ScalarField(pg.grid_m, pairing), terms.weight)
 
     rel_full = abs(res.numeric_derivative - res.closed_form) \
         / abs(res.numeric_derivative)
@@ -221,11 +279,10 @@ def test_variation_trace_term_inert_at_lambda_zero():
     pg, dg = variation_setup(0.0)
     res = first_variation_check(pg, dg, 0.0, order=4)
 
-    from warpflow.functionals import _measure_weight
-    s_naive = gradient_tensor(pg.g, pg.f, 0.0, 4).matrix()
-    inv = geometry.inverse_metric(pg.g)
+    terms = StateTerms.at(pg.g, pg.f, 4)
+    s_naive = terms.gradient_tensor(0.0).values
+    inv = terms.bundle.inverse
     pairing = np.einsum("...ik,...jl,...ij,...kl->...",
-                        inv, inv, s_naive, dg.matrix())
-    naive = -2.0 * integrate(ScalarField(pg.grid_m, pairing),
-                             _measure_weight(pg.g, pg.f))
+                        inv, inv, s_naive, dg.values)
+    naive = -2.0 * integrate(ScalarField(pg.grid_m, pairing), terms.weight)
     assert naive == pytest.approx(res.closed_form, rel=1e-14)

@@ -29,16 +29,24 @@ def test_flat_metric_curvature_vanishes_exactly():
     assert bundle.source_tag == "generic_oracle"
 
 
-def test_under_resolved_ricci_warns_from_both_entry_points():
-    # a random metric on a tiny torus: features span about one cell
+def test_under_resolved_ricci_warns_at_the_caller():
+    # a random metric on a tiny torus: features span about one cell; the
+    # warning names the line that asked for the bundle
     grid = torus(8, L=0.1)
     g = recipes.random_spd_metric(grid, np.random.default_rng(0), 0.4)
-    with pytest.warns(UserWarning, match="under-resolved"):
-        ric = geometry.ricci(g)
-    with pytest.warns(UserWarning, match="under-resolved"):
+    with pytest.warns(UserWarning, match="under-resolved") as record:
         bundle = geometry.curvature_bundle(g)
+    assert record[0].filename == __file__
     assert bundle.ricci_asymmetry > 0.0
-    assert np.array_equal(ric.values, bundle.ricci.values)
+
+
+def test_bundle_carries_the_inverse_it_contracted_with():
+    grid = torus(8, dim=3)
+    g = recipes.random_spd_metric(grid, np.random.default_rng(3), 0.3)
+    bundle = geometry.curvature_bundle(g)
+    assert np.array_equal(bundle.inverse, geometry.inverse_metric(g))
+    scal = np.einsum("...bd,...bd->...", bundle.inverse, bundle.ricci.values)
+    assert np.array_equal(bundle.scalar.values, scal)
 
 
 def test_inverse_metric_roundtrip_and_guard():
@@ -67,7 +75,7 @@ def test_operations_require_metric_flag():
     grid = torus(8)
     not_metric = SymTensorField(grid, np.ones(grid.shape + (2, 2)))
     with pytest.raises(ValueError):
-        geometry.christoffel(not_metric)
+        geometry.curvature_bundle(not_metric)
     with pytest.raises(ValueError):
         geometry.volume_density(not_metric)
 
@@ -86,7 +94,7 @@ def test_conformal_scalar_curvature_against_analytic():
     # Delta_0 u = -u, so R = -2 e^{-2u} Delta_0 u = 2 u e^{-2u}.
     def err(n):
         grid, u, g = conformal_setup(n)
-        scal = geometry.scalar_curvature(g)
+        scal = geometry.curvature_bundle(g).scalar
         exact = 2.0 * u.values * np.exp(-2.0 * u.values)
         return float(np.abs(scal.values - exact).max())
 
@@ -134,7 +142,7 @@ def test_hessian_flat_equals_plain_second_derivatives():
     rng = np.random.default_rng(4)
     f = ScalarField(grid, rng.standard_normal(grid.shape))
     g = recipes.flat_metric(grid)
-    gamma = geometry.christoffel(g)
+    gamma = geometry.curvature_bundle(g).christoffel
     hess = geometry.hessian(f, gamma)
     for i in range(2):
         for j in range(2):
@@ -148,7 +156,7 @@ def test_hessian_trace_matches_laplacian_flat_then_converges():
     grid = torus(16)
     f = recipes.sine_scalar(grid, 0.5)
     flat = recipes.flat_metric(grid)
-    gamma = geometry.christoffel(flat)
+    gamma = geometry.curvature_bundle(flat).christoffel
     trace = np.einsum("...ii->...", geometry.hessian(f, gamma).matrix())
     lap = geometry.laplace_beltrami(f, flat)
     assert np.allclose(trace, lap.values, atol=1e-12)
@@ -158,10 +166,9 @@ def test_hessian_trace_matches_laplacian_flat_then_converges():
     # the two forms are the same array
     grid, _, g = conformal_setup(16)
     f = recipes.sine_scalar(grid, 0.5)
-    gamma = geometry.christoffel(g)
-    inv = geometry.inverse_metric(g)
-    tr = np.einsum("...ij,...ij->...", inv,
-                   geometry.hessian(f, gamma).matrix())
+    bundle = geometry.curvature_bundle(g)
+    tr = np.einsum("...ij,...ij->...", bundle.inverse,
+                   geometry.hessian(f, bundle.christoffel).values)
     assert np.allclose(tr, geometry.laplace_beltrami(f, g).values,
                        atol=1e-13)
 
@@ -172,10 +179,9 @@ def test_hessian_trace_matches_laplacian_flat_then_converges():
         rng = np.random.default_rng(7)
         g = recipes.random_spd_metric(grid, rng, amplitude=0.4)
         f = recipes.sine_scalar(grid, 0.5)
-        gamma = geometry.christoffel(g)
-        inv = geometry.inverse_metric(g)
-        tr = np.einsum("...ij,...ij->...", inv,
-                       geometry.hessian(f, gamma).matrix())
+        bundle = geometry.curvature_bundle(g)
+        tr = np.einsum("...ij,...ij->...", bundle.inverse,
+                       geometry.hessian(f, bundle.christoffel).values)
         return float(np.abs(tr - geometry.laplace_beltrami(f, g).values).max())
 
     g32, g64 = gap(32), gap(64)
@@ -201,23 +207,11 @@ def test_laplace_beltrami_integration_by_parts_exact():
     assert lhs == pytest.approx(rhs, abs=1e-11)
 
 
-def test_grad_norm_sq_flat_single_mode():
-    grid = GridSpec((32,), (TAU,))
-    x = grid.coordinates(0)
-    h = grid.spacing[0]
-    f = ScalarField(grid, np.sin(x))
-    gn = geometry.grad_norm_sq(f, recipes.flat_metric(grid))
-    expected = (math.sin(h) / h) ** 2 * np.cos(x) ** 2
-    assert np.allclose(gn.values, expected, atol=1e-14)
-
-
 def test_grid_mismatch_checks():
     f = ScalarField.constant(torus(8), 1.0)
     g = recipes.flat_metric(torus(16))
     with pytest.raises(ValueError):
         geometry.laplace_beltrami(f, g)
-    with pytest.raises(ValueError):
-        geometry.grad_norm_sq(f, g)
-    gamma = geometry.christoffel(g)
+    gamma = geometry.curvature_bundle(g).christoffel
     with pytest.raises(ValueError):
         geometry.hessian(f, gamma)

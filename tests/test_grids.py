@@ -78,7 +78,7 @@ def test_sym_tensor_storage_is_full_symmetric_and_read_only():
     # every producer stores the full (..., d, d) matrix, symmetric to the bit
     g = recipes.random_spd_metric(grid, rng, 0.3)
     f = recipes.mixed_sine_scalar(grid, 0.3)
-    gamma = geometry.christoffel(g)
+    bundle = geometry.curvature_bundle(g)
     pg = build_product_geometry(
         solve_perelman_constants(2, 1), (8, 10), (8,), TAU, TAU,
         FieldSpec("random-spd", 0.2), FieldSpec("conformal-bump", 0.1),
@@ -87,8 +87,9 @@ def test_sym_tensor_storage_is_full_symmetric_and_read_only():
                FlowConfig(dt=1e-4, t_end=1e-4, lam=0.5, integrator="rk4",
                           filter_cutoff=0.75))
     fields = [recipes.flat_metric(grid), recipes.conformal_metric(grid, 0.1),
-              recipes.random_sym_tensor(grid, rng), g, geometry.ricci(g),
-              geometry.hessian(f, gamma), gradient_tensor(g, f, 0.5),
+              recipes.random_sym_tensor(grid, rng), g, bundle.ricci,
+              geometry.hessian(f, bundle.christoffel),
+              gradient_tensor(g, f, 0.5),
               assemble_product_metric(pg), ricci_closed_general(pg).ricci,
               ricci_closed_ansatz(pg).ricci, rk4.g]
     for t in fields:
