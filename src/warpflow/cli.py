@@ -10,9 +10,26 @@ flow               integrate the coupled or decoupled flow, tabulating
                    monotonicity data per snapshot
 
 Experiments are described by INI config files (see README for samples).
-Unknown sections or keys are rejected rather than ignored, so a typo
-cannot silently change an experiment.  Exit codes: 0 all checks passed,
-1 a tolerance or stability check failed, 2 invalid input.
+Each command parses its whole config into one typed spec before anything
+runs, and a key is accepted only where it takes effect: the parse looks a
+key up only on the path where its value is used, and any section or key
+it never looked up is rejected, so neither a typo nor an inert key can
+silently change an experiment.  The conditional keys:
+
+  [constants] branch          only without [constants] lambda
+  [constants] root            only with a coupling: [constants] lambda,
+                              or [identity] lambdas, or verify-variation
+  [constants] lambda, branch  not with [identity] lambdas, and never in
+                              verify-variation (it takes [variation] lambdas)
+  [fields] g_amplitude        only when g is conformal-bump or random-spd
+  [fields] g_mode, g_axis     only when g is conformal-bump (h_* alike)
+  [fields] f_mode             only without f_modes (flow takes no f_modes)
+  [fields] f_high_amplitude   only with f_high_modes
+  [flow] constraint_tol       only in coupled mode
+
+verify-variation runs at one resolution, so its m_points and n_points
+take one level.  Exit codes: 0 all checks passed, 1 a tolerance or
+stability check failed, 2 invalid input.
 
 Output tables are CSV with '#'-prefixed comment lines echoing the
 configuration and the tolerances in force; floats are written with
@@ -37,48 +54,12 @@ from .flow import FlowConfig, FlowState, monotonicity_report, run_coupled, \
     run_decoupled
 from .grids import GridSpec, ScalarField, SymTensorField, filter_array
 from .recipes import high_mode_scalar, sine_scalar
-from .verify import FieldSpec
+from .verify import FieldSpec, StudySpec
 from .warped import (WarpedConstants, c1_residual, c2_residual,
                      lambda_to_constants, solve_perelman_constants,
                      solve_theta)
 
 __all__ = ["main"]
-
-# Per-command config schema: section -> allowed keys.  A config may omit
-# keys (defaults apply) but may not invent them.
-_FIELD_KEYS = {"g", "g_amplitude", "g_mode", "g_axis",
-               "h", "h_amplitude", "h_mode", "h_axis",
-               "f_amplitude", "f_mode", "f_modes"}
-_SCHEMAS: dict[str, dict[str, set[str]]] = {
-    "verify-curvature": {
-        "constants": {"m", "n", "branch", "lambda", "root"},
-        "grid": {"m_points", "n_points", "m_period", "n_period", "order"},
-        "fields": _FIELD_KEYS,
-        "tolerances": {"min_order", "max_final_error"},
-    },
-    "verify-identity": {
-        "constants": {"m", "n", "branch", "lambda", "root"},
-        "grid": {"m_points", "n_points", "m_period", "n_period", "order"},
-        "fields": _FIELD_KEYS,
-        "identity": {"lambdas", "normalize_n"},
-        "tolerances": {"min_order", "max_final_residual"},
-    },
-    "verify-variation": {
-        "constants": {"m", "n", "branch", "lambda", "root"},
-        "grid": {"m_points", "n_points", "m_period", "n_period", "order"},
-        "fields": _FIELD_KEYS,
-        "variation": {"lambdas", "directions", "eps", "amplitude"},
-        "tolerances": {"max_rel_mismatch"},
-    },
-    "flow": {
-        "grid": {"points", "period"},
-        "fields": {"g", "g_amplitude", "g_mode", "g_axis",
-                   "f_amplitude", "f_mode",
-                   "f_high_modes", "f_high_amplitude"},
-        "flow": {"lambda", "dt", "t_end", "integrator", "mode",
-                 "filter_cutoff", "snapshot_stride", "constraint_tol"},
-    },
-}
 
 _ABS_FLOOR = 1e-11  # below this an error counts as "converged to roundoff"
 
@@ -104,40 +85,50 @@ def _write_table(out: str | None, comments: list[str], columns: list[str],
         Path(out).write_text(text)
 
 
-def _load_config(path: str, command: str) -> configparser.ConfigParser:
-    schema = _SCHEMAS[command]
-    parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
-    for section in parser.sections():
-        if section not in schema:
-            raise ConfigError(
-                f"unknown config section [{section}] for {command}")
-        for key in parser[section]:
-            if key not in schema[section]:
+class _Config:
+    """An INI config read key by key.  Every (section, key) a command
+    looks up is recorded, so that once the command has parsed its spec,
+    ``reject_unread`` refuses whatever it never looked up."""
+
+    def __init__(self, path: str):
+        self._parser = configparser.ConfigParser(interpolation=None)
+        if not self._parser.read(path):
+            raise ConfigError(f"config file not found: {path}")
+        self._looked_up: set[tuple[str, str]] = set()
+
+    def get(self, section: str, key: str, default=None, convert=str,
+            what: str = "a string"):
+        """``[section] key`` through ``convert``, or ``default`` when
+        absent; a value ``convert`` rejects is a ConfigError."""
+        self._looked_up.add((section, key))
+        if not self._parser.has_option(section, key):
+            return default
+        raw = self._parser.get(section, key)
+        try:
+            return convert(raw)
+        except (ValueError, KeyError) as exc:
+            raise ConfigError(f"{section}.{key} must be {what}, "
+                              f"got {raw!r}") from exc
+
+    def reject_unread(self, command: str) -> None:
+        sections = {section for section, _ in self._looked_up}
+        for section in self._parser.sections():
+            if section not in sections:
                 raise ConfigError(
-                    f"unknown key {key!r} in section [{section}]")
-    return parser
+                    f"unknown config section [{section}] for {command}")
+            for key in self._parser[section]:
+                if (section, key) not in self._looked_up:
+                    raise ConfigError(
+                        f"key {key!r} in section [{section}] is unknown "
+                        f"or has no effect in this {command} config")
 
-
-def _get(cfg, section, key, default=None):
-    if cfg.has_option(section, key):
-        return cfg.get(section, key)
-    return default
-
-
-def _parsed(cfg, section, key, default, convert, what):
-    """``[section] key`` through ``convert``, or ``default`` when absent;
-    a value ``convert`` rejects is a ConfigError."""
-    raw = _get(cfg, section, key)
-    if raw is None:
-        return default
-    try:
-        return convert(raw)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"{section}.{key} must be {what}, got {raw!r}") \
-            from exc
+    def echo(self) -> list[str]:
+        lines = []
+        for section in self._parser.sections():
+            pairs = " ".join(f"{k}={self._parser.get(section, k)}"
+                             for k in sorted(self._parser[section]))
+            lines.append(f"config [{section}] {pairs}")
+        return lines
 
 
 def _some(kind, raw: str) -> list:
@@ -147,26 +138,35 @@ def _some(kind, raw: str) -> list:
     return values
 
 
+def _one_of(*names: str):
+    def convert(raw: str) -> str:
+        if raw not in names:
+            raise ValueError(raw)
+        return raw
+    return convert
+
+
 def _float(cfg, section, key, default):
-    return _parsed(cfg, section, key, default, float, "a float")
+    return cfg.get(section, key, default, float, "a float")
 
 
 def _int(cfg, section, key, default):
-    return _parsed(cfg, section, key, default, int, "an int")
+    return cfg.get(section, key, default, int, "an int")
 
 
 def _bool(cfg, section, key, default):
-    return _parsed(cfg, section, key, default,
-                   lambda raw: cfg.BOOLEAN_STATES[raw.lower()], "a boolean")
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    return cfg.get(section, key, default, lambda raw: states[raw.lower()],
+                   "a boolean")
 
 
 def _ints(cfg, section, key, default):
-    return _parsed(cfg, section, key, default, lambda raw: _some(int, raw),
+    return cfg.get(section, key, default, lambda raw: _some(int, raw),
                    "one or more whitespace-separated ints")
 
 
 def _floats(cfg, section, key, default):
-    return _parsed(cfg, section, key, default, lambda raw: _some(float, raw),
+    return cfg.get(section, key, default, lambda raw: _some(float, raw),
                    "one or more whitespace-separated floats")
 
 
@@ -187,50 +187,59 @@ def _lambda_root(m: int, n: int, lam: float, root: int) -> WarpedConstants:
     return sols[root]
 
 
-def _constants_from_config(cfg) -> tuple[WarpedConstants, str]:
-    m, n = _dims(cfg)
-    lam_raw = _get(cfg, "constants", "lambda")
-    if lam_raw is not None:
-        root = _int(cfg, "constants", "root", 0)
-        lam = _float(cfg, "constants", "lambda", None)
-        return _lambda_root(m, n, lam, root), f"lambda={lam_raw} root={root}"
-    branch = _get(cfg, "constants", "branch", "plus")
-    if branch not in ("plus", "minus"):
-        raise ConfigError(f"constants.branch must be plus or minus, "
-                          f"got {branch!r}")
-    return solve_perelman_constants(m, n, branch), f"branch={branch}"
-
-
-def _f_modes(cfg) -> tuple[int, ...] | None:
-    modes = _ints(cfg, "fields", "f_modes", None)
-    if modes is None:
-        return None
-    if any(k < 1 for k in modes):
-        raise ConfigError(f"fields.f_modes must be positive ints: {modes}")
-    return tuple(modes)
-
-
-def _axis(cfg, key: str, dim: int) -> int | None:
-    axis = _int(cfg, "fields", key, None)
-    if axis is not None and axis not in range(dim):
-        raise ConfigError(f"fields.{key} must lie in 0..{dim - 1}, "
-                          f"got {axis}")
-    return axis
+def _constants(cfg, m: int, n: int, lams: list[float] | None = None
+               ) -> list[tuple[str, WarpedConstants]]:
+    """(label, constants) of every run: one per coupling in ``lams``, the
+    command's own list when it has one, else the [constants] lambda, else
+    the [constants] branch.  root is read only with a coupling, branch
+    only without one."""
+    if lams is None:
+        lam = cfg.get("constants", "lambda", None,
+                      lambda raw: (raw, float(raw)), "a float")
+        if lam is None:
+            branch = cfg.get("constants", "branch", "plus",
+                             _one_of("plus", "minus"), "plus or minus")
+            return [(f"branch={branch}",
+                     solve_perelman_constants(m, n, branch))]
+    root = _int(cfg, "constants", "root", 0)
+    if lams is None:
+        raw, value = lam
+        return [(f"lambda={raw} root={root}",
+                 _lambda_root(m, n, value, root))]
+    return [(f"lambda={_fmt(lam)}", _lambda_root(m, n, lam, root))
+            for lam in lams]
 
 
 def _field_spec(cfg, prefix: str, default_name: str,
                 default_amplitude: float, dim: int) -> FieldSpec:
-    name = _get(cfg, "fields", prefix, default_name)
-    if name not in ("flat", "conformal-bump", "random-spd"):
-        raise ConfigError(f"fields.{prefix} must be flat, conformal-bump "
-                          f"or random-spd, got {name!r}")
-    return FieldSpec(
-        name=name,
-        amplitude=_float(cfg, "fields", f"{prefix}_amplitude",
-                         default_amplitude),
-        mode=_int(cfg, "fields", f"{prefix}_mode", 1),
-        axis=_axis(cfg, f"{prefix}_axis", dim),
-    )
+    """A metric recipe; only the parameters the recipe uses are read."""
+    name = cfg.get("fields", prefix, default_name,
+                   _one_of("flat", "conformal-bump", "random-spd"),
+                   "flat, conformal-bump or random-spd")
+    if name == "flat":
+        return FieldSpec(name)
+    amplitude = _float(cfg, "fields", f"{prefix}_amplitude",
+                       default_amplitude)
+    if name == "random-spd":
+        return FieldSpec(name, amplitude)
+    mode = _int(cfg, "fields", f"{prefix}_mode", 1)
+    axis = _int(cfg, "fields", f"{prefix}_axis", None)
+    if axis is not None and axis not in range(dim):
+        raise ConfigError(f"fields.{prefix}_axis must lie in 0..{dim - 1}, "
+                          f"got {axis}")
+    return FieldSpec(name, amplitude, mode, axis)
+
+
+def _f_profile(cfg, multi_mode: bool) -> tuple[float, tuple[int, ...]]:
+    """f's amplitude and sine modes: ``f_modes`` where the command takes
+    several, else the single ``f_mode``."""
+    amplitude = _float(cfg, "fields", "f_amplitude", 0.2)
+    modes = _ints(cfg, "fields", "f_modes", None) if multi_mode else None
+    if modes is None:
+        return amplitude, (_int(cfg, "fields", "f_mode", 1),)
+    if any(k < 1 for k in modes):
+        raise ConfigError(f"fields.f_modes must be positive ints: {modes}")
+    return amplitude, tuple(modes)
 
 
 def _grid(points: tuple[int, ...], period: float) -> GridSpec:
@@ -241,21 +250,19 @@ def _grid(points: tuple[int, ...], period: float) -> GridSpec:
         raise ConfigError(f"[grid] {exc}") from exc
 
 
-def _order(cfg) -> int:
-    order = _int(cfg, "grid", "order", 2)
-    if order not in (2, 4):
-        raise ConfigError(f"grid.order must be 2 or 4, got {order}")
-    return order
-
-
-def _study_inputs(cfg, m: int, n: int, g_default: str):
-    """The ladder, every level's grids validated, and the keyword
-    arguments the three studies share."""
-    m_counts = _ints(cfg, "grid", "m_points", [16, 32])
+def _study_spec(cfg, m: int, n: int, g_default: str, seed: int | None,
+                ladder: bool = True) -> StudySpec:
+    """The study's ladder, every level's grids validated, and its recipes.
+    Without ``ladder`` the study runs at one level and a second is an
+    error, not a level silently dropped."""
+    m_counts = _ints(cfg, "grid", "m_points", [16, 32] if ladder else [16])
     n_counts = _ints(cfg, "grid", "n_points", [8] * len(m_counts))
     if len(m_counts) != len(n_counts):
         raise ConfigError("grid.m_points and grid.n_points must list the "
                           "same number of levels")
+    if not ladder and len(m_counts) > 1:
+        raise ConfigError("verify-variation runs at one resolution: "
+                          "grid.m_points and grid.n_points take one level")
     period_m = _float(cfg, "grid", "m_period", 2.0 * math.pi)
     period_n = _float(cfg, "grid", "n_period", 2.0 * math.pi)
     levels = tuple(((pm,) * m, (pn,) * n)
@@ -263,28 +270,107 @@ def _study_inputs(cfg, m: int, n: int, g_default: str):
     for points_m, points_n in levels:
         _grid(points_m, period_m)
         _grid(points_n, period_n)
-    return levels, dict(
-        period_m=period_m, period_n=period_n,
-        g_spec=_field_spec(cfg, "g", g_default, 0.2, m),
-        h_spec=_field_spec(cfg, "h", "flat", 0.1, n),
-        f_amplitude=_float(cfg, "fields", "f_amplitude", 0.2),
-        f_mode=_int(cfg, "fields", "f_mode", 1),
-        f_modes=_f_modes(cfg), order=_order(cfg))
-
-
-def _require_seed(args, *specs: FieldSpec) -> int | None:
-    if args.seed is None and any(s.name == "random-spd" for s in specs):
+    g_spec = _field_spec(cfg, "g", g_default, 0.2, m)
+    h_spec = _field_spec(cfg, "h", "flat", 0.1, n)
+    if seed is None and "random-spd" in (g_spec.name, h_spec.name):
         raise ConfigError("a random-spd recipe is in use: pass --seed")
-    return args.seed
+    f_amplitude, f_modes = _f_profile(cfg, multi_mode=True)
+    order = _int(cfg, "grid", "order", 2)
+    if order not in (2, 4):
+        raise ConfigError(f"grid.order must be 2 or 4, got {order}")
+    return StudySpec(levels, period_m, period_n, g_spec, h_spec,
+                     f_amplitude, f_modes, order, seed)
 
 
-def _config_echo(cfg) -> list[str]:
-    lines = []
-    for section in cfg.sections():
-        pairs = " ".join(f"{k}={cfg.get(section, k)}"
-                         for k in sorted(cfg[section]))
-        lines.append(f"config [{section}] {pairs}")
-    return lines
+def _ladder_gates(cfg, max_final_key: str) -> tuple[float, float]:
+    """A ladder's gates: the least order and the largest final value."""
+    return (_float(cfg, "tolerances", "min_order", 1.8),
+            _float(cfg, "tolerances", max_final_key, math.inf))
+
+
+def _parse_curvature(cfg, seed):
+    m, n = _dims(cfg)
+    [(label, constants)] = _constants(cfg, m, n)
+    return (label, constants,
+            _study_spec(cfg, m, n, "conformal-bump", seed),
+            *_ladder_gates(cfg, "max_final_error"))
+
+
+def _parse_identity(cfg, seed):
+    m, n = _dims(cfg)
+    return (_constants(cfg, m, n, _floats(cfg, "identity", "lambdas", None)),
+            _study_spec(cfg, m, n, "flat", seed),
+            _bool(cfg, "identity", "normalize_n", False),
+            *_ladder_gates(cfg, "max_final_residual"))
+
+
+def _parse_variation(cfg, seed):
+    if seed is None:
+        raise ConfigError("verify-variation draws random directions: "
+                          "pass --seed")
+    m, n = _dims(cfg)
+    directions = _int(cfg, "variation", "directions", 20)
+    if directions < 1:
+        raise ConfigError(f"variation.directions must be >= 1, "
+                          f"got {directions}")
+    return (_constants(cfg, m, n,
+                       _floats(cfg, "variation", "lambdas", [0.0])),
+            _study_spec(cfg, m, n, "flat", seed, ladder=False),
+            directions,
+            _float(cfg, "variation", "eps", 1e-4),
+            _float(cfg, "variation", "amplitude", 0.3),
+            _float(cfg, "tolerances", "max_rel_mismatch", 1e-4))
+
+
+def _parse_flow(cfg, seed):
+    flow_cfg = FlowConfig(
+        dt=_float(cfg, "flow", "dt", 1e-4),
+        t_end=_float(cfg, "flow", "t_end", 1e-2),
+        lam=_float(cfg, "flow", "lambda", 0.0),
+        integrator=cfg.get("flow", "integrator", "euler"),
+        mode=cfg.get("flow", "mode", "coupled"),
+        filter_cutoff=_float(cfg, "flow", "filter_cutoff", 1.0),
+        snapshot_stride=_int(cfg, "flow", "snapshot_stride", 1))
+    constraint_tol = (_float(cfg, "flow", "constraint_tol", math.inf)
+                      if flow_cfg.mode == "coupled" else math.inf)
+    grid = _grid(tuple(_ints(cfg, "grid", "points", [48])),
+                 _float(cfg, "grid", "period", 2.0 * math.pi))
+    rng = np.random.default_rng(seed) if seed is not None else None
+    g = verify.build_metric(grid, _field_spec(cfg, "g", "flat", 0.1, grid.dim),
+                            rng)
+    f_amplitude, (f_mode,) = _f_profile(cfg, multi_mode=False)
+    f = sine_scalar(grid, f_amplitude, f_mode)
+    high = _ints(cfg, "fields", "f_high_modes", None)
+    if high is not None:
+        extra = high_mode_scalar(
+            grid, _float(cfg, "fields", "f_high_amplitude", 0.3), tuple(high))
+        f = ScalarField(grid, f.values + extra.values)
+    if flow_cfg.filter_cutoff < 1.0:
+        # a filtered run lives in the resolved subspace; project the
+        # initial data into it too, or the first step's truncation shows
+        # up as a spurious O(1) transient in the conserved density
+        f = ScalarField(grid, filter_array(f.values, grid,
+                                           flow_cfg.filter_cutoff))
+        g = SymTensorField(grid, filter_array(g.values, grid,
+                                              flow_cfg.filter_cutoff),
+                           is_metric=True)
+    return flow_cfg, FlowState.initial(g, f), constraint_tol
+
+
+_PARSERS = {"verify-curvature": _parse_curvature,
+            "verify-identity": _parse_identity,
+            "verify-variation": _parse_variation,
+            "flow": _parse_flow}
+
+
+def _parse(command: str, path: str, seed: int | None):
+    """The config at ``path`` and ``command``'s typed spec parsed from it.
+    Every key is looked up only where its value takes effect, so any
+    section or key the parse did not look up is a ConfigError."""
+    cfg = _Config(path)
+    spec = _PARSERS[command](cfg, seed)
+    cfg.reject_unread(command)
+    return cfg, spec
 
 
 # ---------------------------------------------------------------- commands
@@ -316,18 +402,12 @@ def cmd_constants(args) -> int:
 
 
 def cmd_verify_curvature(args) -> int:
-    cfg = _load_config(args.config, "verify-curvature")
-    constants, label = _constants_from_config(cfg)
-    levels, shared = _study_inputs(cfg, constants.m, constants.n,
-                                   "conformal-bump")
-    seed = _require_seed(args, shared["g_spec"], shared["h_spec"])
-    min_order = _float(cfg, "tolerances", "min_order", 1.8)
-    max_final = _float(cfg, "tolerances", "max_final_error", math.inf)
+    cfg, (label, constants, spec, min_order, max_final) = _parse(
+        "verify-curvature", args.config, args.seed)
 
-    rows = verify.curvature_study(verify.CurvatureStudyConfig(
-        constants=constants, levels=levels, seed=seed, **shared))
+    rows = verify.curvature_study(constants, spec)
 
-    n_levels = len(levels)
+    n_levels = len(spec.levels)
     ok = True
     finest: dict[str, verify.ConvergenceRow] = {}
     for row in rows:
@@ -345,8 +425,8 @@ def cmd_verify_curvature(args) -> int:
             print(f"[PASS] {family}: final error {_fmt(row.error)}, "
                   f"order {_fmt(row.order)}")
     comments = [f"verify-curvature {label} m={constants.m} n={constants.n}",
-                *_config_echo(cfg),
-                f"seed {seed}",
+                *cfg.echo(),
+                f"seed {spec.seed}",
                 f"tolerances: min_order={_fmt(min_order)} "
                 f"max_final_error={_fmt(max_final)} "
                 f"abs_floor={_fmt(_ABS_FLOOR)}"]
@@ -357,30 +437,13 @@ def cmd_verify_curvature(args) -> int:
 
 
 def cmd_verify_identity(args) -> int:
-    cfg = _load_config(args.config, "verify-identity")
-    m, n = _dims(cfg)
-    levels, shared = _study_inputs(cfg, m, n, "flat")
-    seed = _require_seed(args, shared["g_spec"], shared["h_spec"])
-    normalize_n = _bool(cfg, "identity", "normalize_n", False)
-    min_order = _float(cfg, "tolerances", "min_order", 1.8)
-    max_final = _float(cfg, "tolerances", "max_final_residual", math.inf)
-    lams = _floats(cfg, "identity", "lambdas", None)
-
-    runs: list[tuple[str, WarpedConstants]] = []
-    if lams is not None:
-        root = _int(cfg, "constants", "root", 0)
-        for lam in lams:
-            runs.append((f"lambda={_fmt(lam)}", _lambda_root(m, n, lam, root)))
-    else:
-        constants, label = _constants_from_config(cfg)
-        runs.append((label, constants))
+    cfg, (runs, spec, normalize_n, min_order, max_final) = _parse(
+        "verify-identity", args.config, args.seed)
 
     all_rows: list[list] = []
     ok = True
     for label, constants in runs:
-        rows = verify.identity_study(constants, levels,
-                                     normalize_n=normalize_n, seed=seed,
-                                     **shared)
+        rows = verify.identity_study(constants, spec, normalize_n)
         final = rows[-1]
         converged = abs(final.residual) <= _ABS_FLOOR
         order_ok = not math.isnan(final.order) and final.order >= min_order
@@ -398,9 +461,9 @@ def cmd_verify_identity(args) -> int:
             all_rows.append([label, r.level, r.h, r.lam, r.S_tilde, r.F_lam,
                              r.vol_N, r.total_scalar_N, r.warp_coupling,
                              r.residual, r.order])
-    comments = [f"verify-identity m={m} n={n}",
-                *_config_echo(cfg),
-                f"seed {seed}",
+    comments = [f"verify-identity m={constants.m} n={constants.n}",
+                *cfg.echo(),
+                f"seed {spec.seed}",
                 f"tolerances: min_order={_fmt(min_order)} "
                 f"max_final_residual={_fmt(max_final)} "
                 f"abs_floor={_fmt(_ABS_FLOOR)}"]
@@ -413,43 +476,28 @@ def cmd_verify_identity(args) -> int:
 
 
 def cmd_verify_variation(args) -> int:
-    cfg = _load_config(args.config, "verify-variation")
-    if args.seed is None:
-        raise ConfigError("verify-variation draws random directions: "
-                          "pass --seed")
-    m, n = _dims(cfg)
-    levels, shared = _study_inputs(cfg, m, n, "flat")
-    lams = _floats(cfg, "variation", "lambdas", [0.0])
-    directions = _int(cfg, "variation", "directions", 20)
-    if directions < 1:
-        raise ConfigError(f"variation.directions must be >= 1, "
-                          f"got {directions}")
-    eps = _float(cfg, "variation", "eps", 1e-4)
-    amplitude = _float(cfg, "variation", "amplitude", 0.3)
-    max_rel = _float(cfg, "tolerances", "max_rel_mismatch", 1e-4)
-    root = _int(cfg, "constants", "root", 0)
-    solved = [_lambda_root(m, n, lam, root) for lam in lams]
+    cfg, (runs, spec, directions, eps, amplitude, max_rel) = _parse(
+        "verify-variation", args.config, args.seed)
 
     all_rows: list[list] = []
     ok = True
-    for lam, constants in zip(lams, solved):
-        rows = verify.variation_study(
-            constants, *levels[0], n_directions=directions, seed=args.seed,
-            direction_amplitude=amplitude, eps=eps, **shared)
+    for label, constants in runs:
+        rows = verify.variation_study(constants, spec, directions,
+                                      amplitude, eps)
         worst = max(r.rel_mismatch for r in rows)
         if worst <= max_rel:
-            print(f"[PASS] variation lambda={_fmt(lam)}: worst relative "
+            print(f"[PASS] variation {label}: worst relative "
                   f"mismatch {_fmt(worst)} over {directions} directions")
         else:
             ok = False
-            print(f"[FAIL] variation lambda={_fmt(lam)}: worst relative "
+            print(f"[FAIL] variation {label}: worst relative "
                   f"mismatch {_fmt(worst)} exceeds {_fmt(max_rel)}")
         for r in rows:
             all_rows.append([r.lam, r.direction, r.numeric, r.closed,
                              r.rel_mismatch, r.richardson_gap])
-    comments = [f"verify-variation m={m} n={n}",
-                *_config_echo(cfg),
-                f"seed {args.seed}",
+    comments = [f"verify-variation m={constants.m} n={constants.n}",
+                *cfg.echo(),
+                f"seed {spec.seed}",
                 f"tolerances: max_rel_mismatch={_fmt(max_rel)} "
                 f"eps={_fmt(eps)}"]
     _write_table(args.out, comments,
@@ -459,42 +507,10 @@ def cmd_verify_variation(args) -> int:
     return 0 if ok else 1
 
 
-def _flow_initial(cfg, seed: int | None, filter_cutoff: float) -> FlowState:
-    grid = _grid(tuple(_ints(cfg, "grid", "points", [48])),
-                 _float(cfg, "grid", "period", 2.0 * math.pi))
-    rng = np.random.default_rng(seed) if seed is not None else None
-    g = verify.build_metric(grid, _field_spec(cfg, "g", "flat", 0.1, grid.dim),
-                            rng)
-    f = sine_scalar(grid, _float(cfg, "fields", "f_amplitude", 0.2),
-                    _int(cfg, "fields", "f_mode", 1))
-    high = _ints(cfg, "fields", "f_high_modes", None)
-    if high is not None:
-        extra = high_mode_scalar(
-            grid, _float(cfg, "fields", "f_high_amplitude", 0.3), tuple(high))
-        f = ScalarField(grid, f.values + extra.values)
-    if filter_cutoff < 1.0:
-        # a filtered run lives in the resolved subspace; project the
-        # initial data into it too, or the first step's truncation shows
-        # up as a spurious O(1) transient in the conserved density
-        f = ScalarField(grid, filter_array(f.values, grid, filter_cutoff))
-        g = SymTensorField(grid, filter_array(g.values, grid, filter_cutoff),
-                           is_metric=True)
-    return FlowState.initial(g, f)
-
-
 def cmd_flow(args) -> int:
-    cfg = _load_config(args.config, "flow")
-    lam = _float(cfg, "flow", "lambda", 0.0)
-    flow_cfg = FlowConfig(
-        dt=_float(cfg, "flow", "dt", 1e-4),
-        t_end=_float(cfg, "flow", "t_end", 1e-2),
-        lam=lam,
-        integrator=_get(cfg, "flow", "integrator", "euler"),
-        mode=_get(cfg, "flow", "mode", "coupled"),
-        filter_cutoff=_float(cfg, "flow", "filter_cutoff", 1.0),
-        snapshot_stride=_int(cfg, "flow", "snapshot_stride", 1))
-    constraint_tol = _float(cfg, "flow", "constraint_tol", math.inf)
-    state0 = _flow_initial(cfg, args.seed, flow_cfg.filter_cutoff)
+    cfg, (flow_cfg, state0, constraint_tol) = _parse(
+        "flow", args.config, args.seed)
+    lam = flow_cfg.lam
 
     if flow_cfg.mode == "coupled":
         trajectory = run_coupled(state0, flow_cfg)
@@ -545,7 +561,7 @@ def cmd_flow(args) -> int:
                 f"lambda={_fmt(lam)} dt={_fmt(flow_cfg.dt)} "
                 f"t_end={_fmt(flow_cfg.t_end)} "
                 f"filter_cutoff={_fmt(flow_cfg.filter_cutoff)}",
-                *_config_echo(cfg),
+                *cfg.echo(),
                 f"seed {args.seed}",
                 f"constraint drift {_fmt(drift)} (tol {_fmt(constraint_tol)})",
                 "columns: time, functional, centered dF/dt, dissipation, "

@@ -35,8 +35,7 @@ import numpy as np
 from . import geometry
 from .errors import (ConfigError, FlowDivergenceError, MetricDegeneracyError,
                      StabilityWarning)
-from .functionals import (F_lambda, StateTerms, dissipation_integral,
-                          measure_density)
+from .functionals import F_lambda, StateTerms, measure_density
 from .grids import ScalarField, SymTensorField, filter_array
 
 __all__ = [
@@ -118,45 +117,43 @@ class FlowConfig:
         return max(1, int(round(self.t_end / self.dt)))
 
 
-def _rhs_arrays(g: SymTensorField, f: ScalarField, lam: float,
-                order: int) -> tuple[np.ndarray, np.ndarray]:
+def _rhs_arrays(terms: StateTerms,
+                lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand sides as raw arrays: dg = -2 S_lam as (..., d, d)
     matrices, and df = (1/2) tr_g dg, computed from the same tensor so the
     constraint identity is exact by construction."""
-    terms = StateTerms.at(g, f, order)
     dg = -2.0 * terms.gradient_tensor(lam).values
     df = 0.5 * np.einsum("...ij,...ij->...", terms.bundle.inverse, dg)
     return dg, df
 
 
-def _stability_bound(g: SymTensorField) -> float:
-    """Forward-Euler heat-operator estimate h_min^2 / (2 d max g^{ii})."""
-    inv = geometry.inverse_metric(g)
+def _stability_bound(g: SymTensorField, inv: np.ndarray) -> float:
+    """Forward-Euler heat-operator estimate h_min^2 / (2 d max g^{ii}),
+    ``inv`` being g's inverse."""
     d = g.grid.dim
     max_diag = float(inv[..., range(d), range(d)].max())
     h_min = min(g.grid.spacing)
     return h_min * h_min / (2.0 * d * max_diag)
 
 
-def _advance(g: SymTensorField, f: ScalarField, dt: float, lam: float,
+def _advance(terms: StateTerms, f: ScalarField, dt: float, lam: float,
              integrator: str, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """One raw integrator step (dt may be negative for probe steps);
-    returns unfiltered value arrays."""
+    """One raw integrator step from the state (terms.g, f), whose record
+    ``terms`` serves the first stage (dt may be negative for probe
+    steps); returns unfiltered value arrays."""
+    g = terms.g
+    k1g, k1f = _rhs_arrays(terms, lam)
     if integrator == "euler":
-        dg, df = _rhs_arrays(g, f, lam, order)
-        return g.values + dt * dg, f.values + dt * df
+        return g.values + dt * k1g, f.values + dt * k1f
 
-    def at(gv, fv):
-        return (SymTensorField(g.grid, gv, is_metric=True),
-                ScalarField(g.grid, fv))
+    def stage(gv, fv):
+        return _rhs_arrays(StateTerms.at(
+            SymTensorField(g.grid, gv, is_metric=True),
+            ScalarField(g.grid, fv), order), lam)
 
-    k1g, k1f = _rhs_arrays(g, f, lam, order)
-    k2g, k2f = _rhs_arrays(*at(g.values + 0.5 * dt * k1g,
-                                f.values + 0.5 * dt * k1f), lam, order)
-    k3g, k3f = _rhs_arrays(*at(g.values + 0.5 * dt * k2g,
-                                f.values + 0.5 * dt * k2f), lam, order)
-    k4g, k4f = _rhs_arrays(*at(g.values + dt * k3g,
-                                f.values + dt * k3f), lam, order)
+    k2g, k2f = stage(g.values + 0.5 * dt * k1g, f.values + 0.5 * dt * k1f)
+    k3g, k3f = stage(g.values + 0.5 * dt * k2g, f.values + 0.5 * dt * k2f)
+    k4g, k4f = stage(g.values + dt * k3g, f.values + dt * k3f)
     gv = g.values + (dt / 6.0) * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
     fv = f.values + (dt / 6.0) * (k1f + 2.0 * k2f + 2.0 * k3f + k4f)
     return gv, fv
@@ -183,7 +180,8 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
         raise ConfigError("step() integrates the coupled system; "
                           "decoupled runs are whole-trajectory, "
                           "use run_decoupled")
-    bound = _stability_bound(state.g)
+    terms = StateTerms.at(state.g, state.f, config.order)
+    bound = _stability_bound(state.g, terms.bundle.inverse)
     if config.dt > bound:
         warnings.warn(
             "dt exceeds the explicit-step stability estimate for the "
@@ -191,7 +189,7 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
             StabilityWarning, stacklevel=2)
     t_next = state.t + config.dt
     try:
-        gv, fv = _advance(state.g, state.f, config.dt, config.lam,
+        gv, fv = _advance(terms, state.f, config.dt, config.lam,
                           config.integrator, config.order)
     except MetricDegeneracyError as exc:
         raise MetricDegeneracyError(
@@ -394,12 +392,13 @@ def instantaneous_rate(state: FlowState, lam: float, dt: float,
     in time is legitimate regardless of parabolicity) and differencing.
     """
     grid = state.g.grid
+    terms = StateTerms.at(state.g, state.f, order)
     rates = []
     for signed_dt in (dt, -dt):
-        gv, fv = _advance(state.g, state.f, signed_dt, lam, integrator, order)
+        gv, fv = _advance(terms, state.f, signed_dt, lam, integrator, order)
         rates.append(F_lambda(SymTensorField(grid, gv, is_metric=True),
                               ScalarField(grid, fv), lam, order))
     numeric = (rates[0] - rates[1]) / (2.0 * dt)
-    diss = dissipation_integral(state.g, state.f, lam, order)
+    diss = terms.dissipation(lam)
     ratio = numeric / diss if diss > 0 else math.nan
     return RateCheck(numeric_rate=numeric, dissipation=diss, ratio=ratio)

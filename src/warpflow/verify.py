@@ -30,7 +30,7 @@ from .warped import (ProductGeometry, WarpedConstants,
 
 __all__ = [
     "FieldSpec",
-    "CurvatureStudyConfig",
+    "StudySpec",
     "ConvergenceRow",
     "measured_order",
     "loglog_slope",
@@ -83,54 +83,51 @@ def build_metric(grid: GridSpec, spec: FieldSpec,
     raise ConfigError(f"unknown metric recipe {spec.name!r}")
 
 
-def build_product_geometry(constants: WarpedConstants,
-                           points_m: tuple[int, ...],
-                           points_n: tuple[int, ...],
-                           period_m: float, period_n: float,
-                           g_spec: FieldSpec, h_spec: FieldSpec,
-                           f_amplitude: float, f_mode: int,
-                           rng: np.random.Generator | None = None,
-                           normalize_n: bool = False,
-                           f_modes: tuple[int, ...] | None = None
-                           ) -> ProductGeometry:
-    """Assemble one ProductGeometry from named recipes.
-
-    ``normalize_n`` rescales h by a constant so the discrete volume of N
-    is exactly 1 (recomputed, never assumed).  ``f_modes`` overrides
-    ``f_mode`` with a multi-mode profile (see mixed_sine_scalar)."""
-    grid_m = GridSpec(points_m, (period_m,) * len(points_m))
-    grid_n = GridSpec(points_n, (period_n,) * len(points_n))
-    g = build_metric(grid_m, g_spec, rng)
-    h = build_metric(grid_n, h_spec, rng)
-    if normalize_n:
-        vol = integrate(ScalarField.constant(grid_n, 1.0),
-                        geometry.volume_density(h))
-        h = SymTensorField(grid_n, vol ** (-2.0 / grid_n.dim) * h.values,
-                           is_metric=True)
-    if f_modes is not None and len(f_modes) > 1:
-        f = recipes.mixed_sine_scalar(grid_m, f_amplitude, f_modes)
-    elif f_modes is not None:
-        f = recipes.sine_scalar(grid_m, f_amplitude, f_modes[0])
-    else:
-        f = recipes.sine_scalar(grid_m, f_amplitude, f_mode)
-    return ProductGeometry(grid_m, grid_n, g, h, f, constants)
-
-
 @dataclass(frozen=True)
-class CurvatureStudyConfig:
-    """One closed-form-vs-generic comparison ladder."""
+class StudySpec:
+    """One refinement ladder and the recipes each of its levels is built
+    from.  ``levels`` pairs the M and N point counts of every level;
+    ``f_modes`` is one sine mode or several (see mixed_sine_scalar);
+    ``seed`` drives the random-spd recipe."""
 
-    constants: WarpedConstants
     levels: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     period_m: float = 2.0 * math.pi
     period_n: float = 2.0 * math.pi
     g_spec: FieldSpec = FieldSpec("conformal-bump", 0.2, 1)
     h_spec: FieldSpec = FieldSpec("flat")
     f_amplitude: float = 0.2
-    f_mode: int = 1
-    f_modes: tuple[int, ...] | None = None
+    f_modes: tuple[int, ...] = (1,)
     order: int = 2
     seed: int | None = None
+
+
+def build_product_geometry(constants: WarpedConstants, spec: StudySpec,
+                           level: int = 0, normalize_n: bool = False,
+                           rng: np.random.Generator | None = None
+                           ) -> ProductGeometry:
+    """Assemble level ``level`` of ``spec``'s ladder from its recipes.
+
+    The random-spd recipe draws g, then h, from ``rng``; without one, from
+    a fresh generator seeded with ``spec.seed``, so every level draws the
+    same stream.  ``normalize_n`` rescales h by a constant so the discrete
+    volume of N is exactly 1 (recomputed, never assumed)."""
+    if rng is None and spec.seed is not None:
+        rng = np.random.default_rng(spec.seed)
+    points_m, points_n = spec.levels[level]
+    grid_m = GridSpec(points_m, (spec.period_m,) * len(points_m))
+    grid_n = GridSpec(points_n, (spec.period_n,) * len(points_n))
+    g = build_metric(grid_m, spec.g_spec, rng)
+    h = build_metric(grid_n, spec.h_spec, rng)
+    if normalize_n:
+        vol = integrate(ScalarField.constant(grid_n, 1.0),
+                        geometry.volume_density(h))
+        h = SymTensorField(grid_n, vol ** (-2.0 / grid_n.dim) * h.values,
+                           is_metric=True)
+    if len(spec.f_modes) > 1:
+        f = recipes.mixed_sine_scalar(grid_m, spec.f_amplitude, spec.f_modes)
+    else:
+        f = recipes.sine_scalar(grid_m, spec.f_amplitude, spec.f_modes[0])
+    return ProductGeometry(grid_m, grid_n, g, h, f, constants)
 
 
 @dataclass
@@ -176,34 +173,29 @@ def _chr_family_errors(closed, oracle, m: int) -> dict[str, float]:
     }
 
 
-def curvature_study(cfg: CurvatureStudyConfig) -> list[ConvergenceRow]:
+def curvature_study(constants: WarpedConstants,
+                    spec: StudySpec) -> list[ConvergenceRow]:
     """Compare every closed-form curvature family against the generic
     pipeline run on the assembled product metric, across the ladder."""
-    c = cfg.constants
-    m = c.m
-    on_locus = c.on_special_locus
+    m = constants.m
+    order = spec.order
     per_level: list[dict[str, float]] = []
     hs: list[float] = []
-    for points_m, points_n in cfg.levels:
-        rng = (np.random.default_rng(cfg.seed)
-               if cfg.seed is not None else None)
-        pg = build_product_geometry(
-            c, points_m, points_n, cfg.period_m, cfg.period_n,
-            cfg.g_spec, cfg.h_spec, cfg.f_amplitude, cfg.f_mode, rng,
-            f_modes=cfg.f_modes)
+    for level in range(len(spec.levels)):
+        pg = build_product_geometry(constants, spec, level)
         hs.append(max(pg.grid_m.spacing))
         gt = assemble_product_metric(pg)
-        oracle = geometry.curvature_bundle(gt, cfg.order)
+        oracle = geometry.curvature_bundle(gt, order)
         # not compared; kept alive, it would raise the study's peak memory
         oracle.inverse = None
         del gt
 
         errors: dict[str, float] = {}
-        closed_chr = christoffel_closed_form(pg, cfg.order)
+        closed_chr = christoffel_closed_form(pg, order)
         errors.update(_chr_family_errors(closed_chr, oracle.christoffel, m))
         del closed_chr
 
-        gen = ricci_closed_general(pg, cfg.order)
+        gen = ricci_closed_general(pg, order)
         diff = gen.ricci.values - oracle.ricci.values
         errors["ricci_real_general"] = _max_abs(diff[..., :m, :m])
         errors["ricci_phantom_general"] = _max_abs(diff[..., m:, m:])
@@ -212,8 +204,8 @@ def curvature_study(cfg: CurvatureStudyConfig) -> list[ConvergenceRow]:
                                             - oracle.scalar.values)
         del gen, diff
 
-        if on_locus:
-            ans = ricci_closed_ansatz(pg, cfg.order)
+        if constants.on_special_locus:
+            ans = ricci_closed_ansatz(pg, order)
             diff = ans.ricci.values - oracle.ricci.values
             errors["ricci_real_ansatz"] = _max_abs(diff[..., :m, :m])
             errors["ricci_phantom_ansatz"] = _max_abs(diff[..., m:, m:])
@@ -251,26 +243,16 @@ class IdentityRow:
     order: float
 
 
-def identity_study(constants: WarpedConstants,
-                   levels: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...],
-                   period_m: float, period_n: float,
-                   g_spec: FieldSpec, h_spec: FieldSpec,
-                   f_amplitude: float, f_mode: int,
-                   normalize_n: bool = False, order: int = 2,
-                   seed: int | None = None,
-                   f_modes: tuple[int, ...] | None = None) -> list[IdentityRow]:
+def identity_study(constants: WarpedConstants, spec: StudySpec,
+                   normalize_n: bool = False) -> list[IdentityRow]:
     """Evaluate the product-action identity on a refinement ladder and
     report how fast the residual shrinks."""
     rows: list[IdentityRow] = []
     prev: tuple[float, float] | None = None
-    for lvl, (points_m, points_n) in enumerate(levels):
-        rng = np.random.default_rng(seed) if seed is not None else None
-        pg = build_product_geometry(
-            constants, points_m, points_n, period_m, period_n,
-            g_spec, h_spec, f_amplitude, f_mode, rng, normalize_n,
-            f_modes=f_modes)
+    for lvl in range(len(spec.levels)):
+        pg = build_product_geometry(constants, spec, lvl, normalize_n)
         h = max(pg.grid_m.spacing)
-        rep = theorem_identity_residual(pg, order)
+        rep = theorem_identity_residual(pg, spec.order)
         conv = math.nan
         if prev is not None:
             conv = measured_order(prev[0], abs(prev[1]), h, abs(rep.theorem_residual))
@@ -296,31 +278,26 @@ class VariationRow:
     richardson_gap: float
 
 
-def variation_study(constants: WarpedConstants,
-                    points_m: tuple[int, ...], points_n: tuple[int, ...],
-                    period_m: float, period_n: float,
-                    g_spec: FieldSpec, h_spec: FieldSpec,
-                    f_amplitude: float, f_mode: int,
-                    n_directions: int, seed: int,
-                    direction_amplitude: float = 0.3,
-                    eps: float = 1e-4, order: int = 2,
-                    f_modes: tuple[int, ...] | None = None
-                    ) -> list[VariationRow]:
+def variation_study(constants: WarpedConstants, spec: StudySpec,
+                    n_directions: int, direction_amplitude: float = 0.3,
+                    eps: float = 1e-4) -> list[VariationRow]:
     """Numeric vs closed directional derivative of the doubled action
-    over seeded random directions.
+    over random directions, drawn after the recipes from one generator
+    seeded with ``spec.seed``, at the ladder's first level.
 
     N is always rescaled to unit volume here: the closed covector is an
     integral over M alone, so it equals the derivative of the doubled
     product action exactly when Vol(N) = 1 and N is scalar-flat."""
-    rng = np.random.default_rng(seed)
-    pg = build_product_geometry(
-        constants, points_m, points_n, period_m, period_n,
-        g_spec, h_spec, f_amplitude, f_mode, rng, normalize_n=True,
-        f_modes=f_modes)
+    if spec.seed is None:
+        raise ConfigError("variation_study draws random directions: "
+                          "it needs a seed")
+    rng = np.random.default_rng(spec.seed)
+    pg = build_product_geometry(constants, spec, 0, True, rng)
     rows: list[VariationRow] = []
     for k in range(n_directions):
         dg = recipes.random_sym_tensor(pg.grid_m, rng, direction_amplitude)
-        res = first_variation_check(pg, dg, constants.lam, order, eps=eps)
+        res = first_variation_check(pg, dg, constants.lam, spec.order,
+                                    eps=eps)
         denom = max(abs(res.numeric_derivative), abs(res.closed_form), 1e-300)
         rows.append(VariationRow(
             lam=constants.lam, direction=k,

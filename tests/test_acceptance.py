@@ -43,9 +43,9 @@ from warpflow.grids import (GridSpec, ScalarField, SymTensorField,
 from warpflow.recipes import (conformal_metric, flat_metric,
                               mixed_sine_scalar, random_sym_tensor,
                               sine_scalar)
-from warpflow.verify import (CurvatureStudyConfig, FieldSpec,
-                             build_product_geometry, curvature_study,
-                             identity_study, variation_study)
+from warpflow.verify import (FieldSpec, StudySpec, build_product_geometry,
+                             curvature_study, identity_study,
+                             variation_study)
 from warpflow.warped import (c1_residual, c2_residual, lambda_to_constants,
                              solve_perelman_constants, solve_theta, z_value)
 
@@ -155,9 +155,9 @@ def test_criterion_2_curvature_closed_forms():
     details = []
     for tag, (m, n), h_spec, gate_mode, levels in cases:
         c = solve_perelman_constants(m, n)
-        rows = curvature_study(CurvatureStudyConfig(
-            constants=c, levels=levels, period_m=L, period_n=L,
-            g_spec=g_spec, h_spec=h_spec, f_amplitude=0.2, f_mode=1))
+        rows = curvature_study(c, StudySpec(
+            levels=levels, period_m=L, period_n=L,
+            g_spec=g_spec, h_spec=h_spec, f_amplitude=0.2, f_modes=(1,)))
         finest = [r for r in rows if r.level == len(levels) - 1]
         live = [r for r in finest if r.error > 1e-11]
         zeros = len(finest) - len(live)
@@ -197,10 +197,10 @@ def test_criterion_3_action_identity():
     # halving bound err(64) <= 5 * err(32)/4 has a wide margin.
     c21 = solve_perelman_constants(2, 1)
     rows = identity_study(
-        c21,
-        (((16, 16), (8,)), ((32, 32), (8,)), ((64, 64), (8,))),
-        TWO_PI, TWO_PI, FieldSpec("conformal-bump", 0.2, 1),
-        FieldSpec("flat"), 0.25, 1, normalize_n=True, f_modes=(1, 2))
+        c21, StudySpec(
+            (((16, 16), (8,)), ((32, 32), (8,)), ((64, 64), (8,))),
+            TWO_PI, TWO_PI, FieldSpec("conformal-bump", 0.2, 1),
+            FieldSpec("flat"), 0.25, (1, 2)), normalize_n=True)
     res = [abs(r.residual) for r in rows]
     bound = 5.0 * (res[1] / 4.0)
     flat_ok = res[2] <= bound and all(r.order >= 1.8 for r in rows[1:])
@@ -212,11 +212,12 @@ def test_criterion_3_action_identity():
     # Curved second factor: the extra total-curvature term is live.
     c13 = solve_perelman_constants(1, 3)
     rows = identity_study(
-        c13,
-        (((32,), (8, 8, 8)), ((64,), (16, 16, 16)), ((128,), (32, 32, 32))),
-        TWO_PI, TWO_PI, FieldSpec("flat"),
-        FieldSpec("conformal-bump", 0.15, 1), 0.25, 1,
-        normalize_n=True, f_modes=(1, 2))
+        c13, StudySpec(
+            (((32,), (8, 8, 8)), ((64,), (16, 16, 16)),
+             ((128,), (32, 32, 32))),
+            TWO_PI, TWO_PI, FieldSpec("flat"),
+            FieldSpec("conformal-bump", 0.15, 1), 0.25, (1, 2)),
+        normalize_n=True)
     curved_ok = (rows[-1].order >= 1.8
                  and abs(rows[-1].total_scalar_N) > 1e-3
                  and abs(rows[-1].residual) < abs(rows[0].residual))
@@ -231,9 +232,10 @@ def test_criterion_3_action_identity():
     for lam in (-0.5, 0.5, 1.0):
         c = lambda_to_constants(3, 1, lam)[0]
         rows = identity_study(
-            c, (((16,) * 3, (8,)), ((32,) * 3, (8,)), ((48,) * 3, (8,))),
-            TWO_PI, TWO_PI, FieldSpec("conformal-bump", 0.15, 1),
-            FieldSpec("flat"), 0.25, 1, normalize_n=True, f_modes=(1, 2))
+            c, StudySpec(
+                (((16,) * 3, (8,)), ((32,) * 3, (8,)), ((48,) * 3, (8,))),
+                TWO_PI, TWO_PI, FieldSpec("conformal-bump", 0.15, 1),
+                FieldSpec("flat"), 0.25, (1, 2)), normalize_n=True)
         lam_ok = rows[-1].order >= 1.8
         ok &= lam_ok
         details.append(f"coupling {lam:+.1f} on (3,1): residual "
@@ -253,13 +255,13 @@ def test_criterion_4_first_variation():
     details = []
     g_spec = FieldSpec("conformal-bump", 0.15, 1)
     h_spec = FieldSpec("flat")
+    spec = StudySpec((((128, 128), (8,)),), TWO_PI, TWO_PI, g_spec, h_spec,
+                     0.2, (1,), order=4, seed=7)
 
     for lam in (0.0, 0.5):
         c = lambda_to_constants(2, 1, lam)[0]
-        rows = variation_study(
-            c, (128, 128), (8,), TWO_PI, TWO_PI, g_spec, h_spec,
-            0.2, 1, n_directions=20, seed=7, direction_amplitude=0.3,
-            eps=1e-4, order=4)
+        rows = variation_study(c, spec, n_directions=20,
+                               direction_amplitude=0.3, eps=1e-4)
         worst = max(r.rel_mismatch for r in rows)
         worst_gap = max(r.richardson_gap for r in rows)
         lam_ok = worst <= 1e-4 and worst_gap < 1e-6
@@ -277,9 +279,7 @@ def test_criterion_4_first_variation():
     # does not converge away, so nobody "fixes" it silently.
     c = lambda_to_constants(2, 1, 0.5)[0]
     rng = np.random.default_rng(7)
-    pg = build_product_geometry(c, (128, 128), (8,), TWO_PI, TWO_PI,
-                                g_spec, h_spec, 0.2, 1, rng,
-                                normalize_n=True)
+    pg = build_product_geometry(c, spec, normalize_n=True, rng=rng)
     dg = random_sym_tensor(pg.grid_m, rng, 0.3)
     res = first_variation_check(pg, dg, 0.5, order=4)
     inv = geometry.inverse_metric(pg.g)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from warpflow.cli import main
+from warpflow.cli import _parse, main
 from warpflow.errors import StabilityWarning
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -118,6 +118,20 @@ MALFORMED = [
     ("verify-variation", _DIMS + "[variation]\nlambdas =\n"),
     ("flow", "[grid]\npoints = 4\n"),
     ("flow", "[fields]\ng = conformal-bump\ng_axis = 1\n"),
+    # keys that exist but would have no effect where they stand
+    ("verify-curvature", _DIMS + "lambda = 0.5\nbranch = minus\n"),
+    ("verify-curvature", _DIMS + "root = 0\n"),
+    ("verify-curvature", _DIMS + "[fields]\nf_mode = 1\nf_modes = 1 2\n"),
+    ("verify-curvature", _DIMS + "[fields]\ng = random-spd\ng_mode = 2\n"),
+    ("verify-identity", _DIMS + "branch = minus\n"
+                        "[identity]\nlambdas = 0.5\n"),
+    ("verify-identity", _DIMS + "lambda = 0.9\n"
+                        "[identity]\nlambdas = 0.5\n"),
+    ("verify-variation", _DIMS + "lambda = 0.9\n"),
+    ("verify-variation", _DIMS + "branch = minus\n"),
+    ("verify-variation", _DIMS + "[grid]\nm_points = 16 32\n"),
+    ("flow", "[fields]\nf_high_amplitude = 0.4\n"),
+    ("flow", "[flow]\nmode = decoupled\nconstraint_tol = 1e-10\n"),
 ]
 
 
@@ -135,6 +149,18 @@ def test_malformed_config_exits_2_without_traceback(tmp_path, capfd,
 
 
 # ------------------------------------------------------- shipped configs
+
+COMMANDS = {"curvature": "verify-curvature", "identity": "verify-identity",
+            "variation": "verify-variation", "flow": "flow"}
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.ini")),
+                         ids=lambda path: path.name)
+def test_shipped_config_parses(path):
+    # the parse alone, no study or flow: every key a shipped config sets
+    # takes effect in its command
+    _parse(COMMANDS[path.stem.split("-")[0]], str(path), seed=1)
+
 
 def test_curvature_quick_config(tmp_path, capsys):
     out = tmp_path / "curv.csv"

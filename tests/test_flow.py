@@ -229,9 +229,9 @@ def test_monotonicity_report_takes_one_oracle_pass_per_snapshot(monkeypatch):
         == [dissipation_integral(s.g, s.f, 0.5) for s in traj]
 
 
-def test_coupled_rk4_step_inverts_the_metric_five_times(monkeypatch):
-    # one inversion per stage (its oracle pass also raises the trace of
-    # dg) plus the stability estimate
+def test_coupled_rk4_step_inverts_the_metric_four_times(monkeypatch):
+    # one inversion per stage: its oracle pass also raises the trace of
+    # dg, and the first stage's serves the stability estimate
     from warpflow import geometry
     calls = []
     inverse = geometry.inverse_metric
@@ -243,7 +243,28 @@ def test_coupled_rk4_step_inverts_the_metric_five_times(monkeypatch):
     monkeypatch.setattr(geometry, "inverse_metric", counted)
     step(initial_state(32), FlowConfig(dt=1e-4, t_end=1e-4, lam=0.5,
                                        integrator="rk4"))
-    assert len(calls) <= 5
+    assert len(calls) <= 4
+
+
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+def test_instantaneous_rate_takes_one_oracle_pass_at_the_state(
+        monkeypatch, integrator):
+    # one state record serves the first stage of both probe steps and the
+    # dissipation
+    from warpflow import geometry
+    state = initial_state(32)
+    expected = dissipation_integral(state.g, state.f, 0.5)
+    at_state = []
+    bundle = geometry.curvature_bundle
+
+    def counted(g, *args, **kwargs):
+        at_state.append(np.array_equal(g.values, state.g.values))
+        return bundle(g, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "curvature_bundle", counted)
+    rc = instantaneous_rate(state, 0.5, 1e-4, integrator=integrator)
+    assert rc.dissipation == expected
+    assert sum(at_state) == 1
 
 
 # ------------------------------------------------------------------ guards

@@ -17,7 +17,8 @@ from warpflow.functionals import (F_lambda, StateTerms, dissipation_integral,
                                   gradient_tensor, perelman_F,
                                   theorem_identity_residual)
 from warpflow.grids import GridSpec, ScalarField, integrate
-from warpflow.verify import FieldSpec, build_product_geometry, identity_study
+from warpflow.verify import (FieldSpec, StudySpec, build_product_geometry,
+                             identity_study)
 from warpflow.warped import (ProductGeometry, lambda_to_constants,
                              solve_perelman_constants)
 
@@ -148,8 +149,9 @@ def test_one_state_record_serves_every_formula(monkeypatch):
 def identity_pg(constants, points_m, points_n, g_spec, h_spec,
                 f_amp=0.25, f_modes=(1, 2)):
     return build_product_geometry(
-        constants, points_m, points_n, TAU, TAU, g_spec, h_spec,
-        f_amp, 1, None, normalize_n=True, f_modes=f_modes)
+        constants, StudySpec(((points_m, points_n),), TAU, TAU, g_spec,
+                             h_spec, f_amp, f_modes),
+        normalize_n=True)
 
 
 def test_identity_trivial_product_is_exact():
@@ -172,9 +174,10 @@ def test_identity_trivial_product_is_exact():
 def test_identity_residual_flat_N():
     c = solve_perelman_constants(2, 1)
     rows = identity_study(
-        c, (((16, 16), (8,)), ((32, 32), (8,))), TAU, TAU,
-        FieldSpec("conformal-bump", 0.2, 1), FieldSpec("flat"),
-        0.25, 1, normalize_n=True, f_modes=(1, 2))
+        c, StudySpec((((16, 16), (8,)), ((32, 32), (8,))), TAU, TAU,
+                     FieldSpec("conformal-bump", 0.2, 1), FieldSpec("flat"),
+                     0.25, (1, 2)),
+        normalize_n=True)
     assert rows[0].vol_N == pytest.approx(1.0, abs=1e-13)
     assert 1e-3 < abs(rows[0].residual) < 5e-3
     assert abs(rows[1].residual) < 4e-4
@@ -186,9 +189,10 @@ def test_identity_residual_nonflat_N():
     # exercises the R^N coupling term of the identity
     c = solve_perelman_constants(1, 3)
     rows = identity_study(
-        c, (((32,), (8, 8, 8)), ((64,), (16, 16, 16))), TAU, TAU,
-        FieldSpec("flat"), FieldSpec("conformal-bump", 0.15, 1),
-        0.25, 1, normalize_n=True, f_modes=(1, 2))
+        c, StudySpec((((32,), (8, 8, 8)), ((64,), (16, 16, 16))), TAU, TAU,
+                     FieldSpec("flat"), FieldSpec("conformal-bump", 0.15, 1),
+                     0.25, (1, 2)),
+        normalize_n=True)
     assert abs(rows[0].residual) < 5e-5
     assert abs(rows[1].residual) < 5e-6
     assert rows[1].order > 3.0
@@ -232,9 +236,10 @@ def test_einstein_hilbert_routes_agree():
 def variation_setup(lam):
     c = lambda_to_constants(2, 1, lam)[0]
     pg = build_product_geometry(
-        c, (64, 64), (8,), TAU, TAU,
-        FieldSpec("conformal-bump", 0.15, 1), FieldSpec("flat"),
-        0.2, 1, None, normalize_n=True)
+        c, StudySpec((((64, 64), (8,)),), TAU, TAU,
+                     FieldSpec("conformal-bump", 0.15, 1), FieldSpec("flat"),
+                     0.2, (1,)),
+        normalize_n=True)
     rng = np.random.default_rng(5)
     dg = recipes.random_sym_tensor(pg.grid_m, rng, 0.3)
     return pg, dg

@@ -12,7 +12,7 @@ from warpflow.functionals import gradient_tensor
 from warpflow.grids import (Christoffel3Field, GridSpec, ScalarField,
                             SymTensorField, diff_array, filter_array,
                             integrate)
-from warpflow.verify import FieldSpec, build_product_geometry
+from warpflow.verify import FieldSpec, StudySpec, build_product_geometry
 from warpflow.warped import (assemble_product_metric, ricci_closed_ansatz,
                              ricci_closed_general, solve_perelman_constants)
 
@@ -80,9 +80,9 @@ def test_sym_tensor_storage_is_full_symmetric_and_read_only():
     f = recipes.mixed_sine_scalar(grid, 0.3)
     bundle = geometry.curvature_bundle(g)
     pg = build_product_geometry(
-        solve_perelman_constants(2, 1), (8, 10), (8,), TAU, TAU,
-        FieldSpec("random-spd", 0.2), FieldSpec("conformal-bump", 0.1),
-        0.2, 1, np.random.default_rng(1))
+        solve_perelman_constants(2, 1),
+        StudySpec((((8, 10), (8,)),), TAU, TAU, FieldSpec("random-spd", 0.2),
+                  FieldSpec("conformal-bump", 0.1), 0.2, (1,), seed=1))
     rk4 = step(FlowState.initial(g, f),
                FlowConfig(dt=1e-4, t_end=1e-4, lam=0.5, integrator="rk4",
                           filter_cutoff=0.75))

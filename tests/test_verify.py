@@ -11,7 +11,7 @@ from warpflow import geometry, recipes, verify, warped
 from warpflow.errors import ConfigError
 from warpflow.flow import FlowState
 from warpflow.grids import GridSpec, ScalarField, integrate
-from warpflow.verify import (CurvatureStudyConfig, FieldSpec, build_metric,
+from warpflow.verify import (FieldSpec, StudySpec, build_metric,
                              build_product_geometry, curvature_study,
                              drift_study, identity_study, loglog_slope,
                              measured_order, variation_study)
@@ -65,30 +65,28 @@ def test_build_metric_recipes():
 def test_build_product_geometry_normalization_and_modes():
     c = solve_perelman_constants(2, 1)
     pg = build_product_geometry(
-        c, (12, 12), (16,), TAU, TAU,
-        FieldSpec("conformal-bump", 0.2, 1),
-        FieldSpec("conformal-bump", 0.3, 2),
-        0.2, 1, None, normalize_n=True)
+        c, StudySpec((((12, 12), (16,)),),
+                     g_spec=FieldSpec("conformal-bump", 0.2, 1),
+                     h_spec=FieldSpec("conformal-bump", 0.3, 2)),
+        normalize_n=True)
     vol = integrate(ScalarField.constant(pg.grid_n, 1.0),
                     geometry.volume_density(pg.h))
     assert vol == pytest.approx(1.0, abs=1e-13)
-    single = build_product_geometry(
-        c, (12, 12), (8,), TAU, TAU, FieldSpec("flat"), FieldSpec("flat"),
-        0.2, 1)
+    flat = StudySpec((((12, 12), (8,)),), g_spec=FieldSpec("flat"))
+    single = build_product_geometry(c, flat)
     multi = build_product_geometry(
-        c, (12, 12), (8,), TAU, TAU, FieldSpec("flat"), FieldSpec("flat"),
-        0.2, 1, f_modes=(1, 2))
+        c, StudySpec(flat.levels, g_spec=FieldSpec("flat"), f_modes=(1, 2)))
     assert not np.array_equal(single.f.values, multi.f.values)
     assert float(np.abs(multi.f.values).max()) <= 0.2 * 2 * (1.0 + 0.5)
 
 
 def test_curvature_study_family_roster_and_convergence():
     c = solve_perelman_constants(2, 1)
-    rows = curvature_study(CurvatureStudyConfig(
-        constants=c, levels=(((12, 12), (8,)), ((24, 24), (8,))),
+    rows = curvature_study(c, StudySpec(
+        levels=(((12, 12), (8,)), ((24, 24), (8,))),
         period_m=2 * TAU, period_n=2 * TAU,
         g_spec=FieldSpec("conformal-bump", 0.1, 1),
-        h_spec=FieldSpec("flat"), f_amplitude=0.2, f_mode=1))
+        h_spec=FieldSpec("flat"), f_amplitude=0.2, f_modes=(1,)))
     assert {r.family for r in rows} == ON_LOCUS_FAMILIES
     by = {}
     for r in rows:
@@ -124,8 +122,7 @@ def test_curvature_study_level_runs_each_stage_once(monkeypatch):
     monkeypatch.setattr(warped, "_Pieces",
                         counted("pieces", getattr(warped, "_Pieces", None)),
                         raising=False)
-    rows = curvature_study(CurvatureStudyConfig(
-        constants=solve_perelman_constants(2, 1),
+    rows = curvature_study(solve_perelman_constants(2, 1), StudySpec(
         levels=(((12, 12), (8,)),),
         g_spec=FieldSpec("conformal-bump", 0.1, 1),
         h_spec=FieldSpec("conformal-bump", 0.1, 1)))
@@ -135,8 +132,8 @@ def test_curvature_study_level_runs_each_stage_once(monkeypatch):
 
 def test_curvature_study_off_locus_drops_ansatz_rows():
     c = lambda_to_constants(2, 1, 0.5)[0]
-    rows = curvature_study(CurvatureStudyConfig(
-        constants=c, levels=(((12, 12), (8,)),),
+    rows = curvature_study(c, StudySpec(
+        levels=(((12, 12), (8,)),),
         g_spec=FieldSpec("conformal-bump", 0.1, 1),
         h_spec=FieldSpec("flat")))
     assert {r.family for r in rows} == OFF_LOCUS_FAMILIES
@@ -145,9 +142,10 @@ def test_curvature_study_off_locus_drops_ansatz_rows():
 def test_identity_study_row_shape():
     c = solve_perelman_constants(2, 1)
     rows = identity_study(
-        c, (((12, 12), (8,)), ((24, 24), (8,))), TAU, TAU,
-        FieldSpec("conformal-bump", 0.2, 1), FieldSpec("flat"),
-        0.25, 1, normalize_n=True, f_modes=(1, 2))
+        c, StudySpec((((12, 12), (8,)), ((24, 24), (8,))), TAU, TAU,
+                     FieldSpec("conformal-bump", 0.2, 1), FieldSpec("flat"),
+                     0.25, (1, 2)),
+        normalize_n=True)
     assert [r.level for r in rows] == [0, 1]
     assert math.isnan(rows[0].order) and not math.isnan(rows[1].order)
     assert rows[0].lam == 0.0
@@ -157,9 +155,10 @@ def test_identity_study_row_shape():
 def test_variation_study_smoke():
     c = lambda_to_constants(2, 1, 0.5)[0]
     rows = variation_study(
-        c, (32, 32), (8,), TAU, TAU,
-        FieldSpec("conformal-bump", 0.15, 1), FieldSpec("flat"),
-        0.2, 1, n_directions=3, seed=11)
+        c, StudySpec((((32, 32), (8,)),), TAU, TAU,
+                     FieldSpec("conformal-bump", 0.15, 1), FieldSpec("flat"),
+                     0.2, (1,), seed=11),
+        n_directions=3)
     assert [r.direction for r in rows] == [0, 1, 2]
     for r in rows:
         assert r.lam == 0.5
