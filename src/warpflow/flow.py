@@ -223,11 +223,17 @@ def run_coupled(state0: FlowState, config: FlowConfig) -> list[FlowState]:
     return snapshots
 
 
-def _conjugate_rhs(u: np.ndarray, g: SymTensorField, scal: np.ndarray,
-                   order: int) -> np.ndarray:
+def _sweep_terms(g: SymTensorField, bundle) -> tuple:
+    """What the backward sweep reads of one metric: its scalar curvature,
+    the inverse its oracle pass already made, and its density."""
+    return bundle.scalar.values, bundle.inverse, geometry.volume_density(g)
+
+
+def _conjugate_rhs(u: np.ndarray, terms: tuple, order: int) -> np.ndarray:
     """du/ds = lap_g u - R u (the conjugate equation forward in
-    s = T - t, where it is parabolic)."""
-    lap = geometry.laplace_beltrami(ScalarField(g.grid, u), g, order)
+    s = T - t, where it is parabolic), against one metric's sweep terms."""
+    scal, inv, rho = terms
+    lap = geometry.laplace_beltrami(ScalarField(rho.grid, u), inv, rho, order)
     return lap.values - scal * u
 
 
@@ -261,15 +267,16 @@ def run_decoupled(g0: SymTensorField, f_terminal: ScalarField,
         return -2.0 * geometry.curvature_bundle(g, order).ricci.values
 
     # One oracle pass per stored metric feeds both phases: its Ricci is
-    # the first stage of the step from it, its scalar the backward sweep.
+    # the first stage of the step from it, its scalar and inverse the
+    # backward sweep.
     metrics = [g0]
-    scalars = []
+    terms = []
     g = g0
     for k in range(n):
         t = k * dt
         try:
             bundle = geometry.curvature_bundle(g, order)
-            scalars.append(bundle.scalar.values)
+            terms.append(_sweep_terms(g, bundle))
             k1 = -2.0 * bundle.ricci.values
             if config.integrator == "euler":
                 gv = g.values + dt * k1
@@ -288,7 +295,7 @@ def run_decoupled(g0: SymTensorField, f_terminal: ScalarField,
                 f"metric flow degenerated at t = {t + dt:.6g}: {exc}",
                 node=exc.node, eigenvalue=exc.eigenvalue, time=t + dt) from exc
         metrics.append(g)
-    scalars.append(geometry.curvature_bundle(g, order).scalar.values)
+    terms.append(_sweep_terms(g, geometry.curvature_bundle(g, order)))
 
     u_by_index = {n: np.exp(-f_terminal.values)}
     u = u_by_index[n]
@@ -297,17 +304,16 @@ def run_decoupled(g0: SymTensorField, f_terminal: ScalarField,
         # against the stored metric path; RK4 stages see the midpoint
         # metric by linear interpolation.
         if config.integrator == "euler":
-            u = u + dt * _conjugate_rhs(u, metrics[k], scalars[k], order)
+            u = u + dt * _conjugate_rhs(u, terms[k], order)
         else:
             g_mid = SymTensorField(
                 grid, 0.5 * (metrics[k].values + metrics[k - 1].values),
                 is_metric=True)
-            s_mid = geometry.curvature_bundle(g_mid, order).scalar.values
-            k1 = _conjugate_rhs(u, metrics[k], scalars[k], order)
-            k2 = _conjugate_rhs(u + 0.5 * dt * k1, g_mid, s_mid, order)
-            k3 = _conjugate_rhs(u + 0.5 * dt * k2, g_mid, s_mid, order)
-            k4 = _conjugate_rhs(u + dt * k3, metrics[k - 1],
-                                scalars[k - 1], order)
+            mid = _sweep_terms(g_mid, geometry.curvature_bundle(g_mid, order))
+            k1 = _conjugate_rhs(u, terms[k], order)
+            k2 = _conjugate_rhs(u + 0.5 * dt * k1, mid, order)
+            k3 = _conjugate_rhs(u + 0.5 * dt * k2, mid, order)
+            k4 = _conjugate_rhs(u + dt * k3, terms[k - 1], order)
             u = u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         low = float(u.min())
         if not np.all(np.isfinite(u)) or low <= 0.0:

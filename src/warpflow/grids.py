@@ -254,20 +254,50 @@ def _same_grid(a, b, what: str):
         raise GridMismatchError(f"{what}: fields live on different grids")
 
 
+def _periodic_runs(n: int, shifts: tuple[int, ...]):
+    """Split the nodes 0..n-1 of a periodic axis into runs on which no
+    i + s wraps around, for every shift s.  Yields each run's slice and,
+    per shift, the slice that holds the values at i + s over it."""
+    cuts = sorted({0, n} | {-s % n for s in shifts})
+    for lo, hi in zip(cuts, cuts[1:]):
+        yield slice(lo, hi), [slice((lo + s) % n, (lo + s) % n + hi - lo)
+                              for s in shifts]
+
+
 def diff_array(values: np.ndarray, grid: GridSpec, axis: int,
                order: int = 2) -> np.ndarray:
     """Periodic central difference along one grid axis of an array whose
     leading axes are the grid axes.  Trailing component axes pass through.
+
+    Every node sees the operations of the textbook formulas
+    (v[i+1] - v[i-1]) / (2h) and
+    (-v[i+2] + 8 v[i+1] - 8 v[i-1] + v[i-2]) / (12h), in that order; the
+    shifted operands are read as periodic slices and the result is
+    written into one output array.
     """
     grid._check_axis(axis)
     h = grid.spacing[axis]
+    if order not in (2, 4):
+        raise ValueError(f"stencil order must be 2 or 4, got {order}")
+    values = np.asarray(values)
+    out = np.empty(values.shape, np.result_type(values, 1.0))
+    lead = (slice(None),) * axis
     if order == 2:
-        return (np.roll(values, -1, axis) - np.roll(values, 1, axis)) / (2.0 * h)
-    if order == 4:
-        return (-np.roll(values, -2, axis) + 8.0 * np.roll(values, -1, axis)
-                - 8.0 * np.roll(values, 1, axis) + np.roll(values, 2, axis)
-                ) / (12.0 * h)
-    raise ValueError(f"stencil order must be 2 or 4, got {order}")
+        for run, (p1, m1) in _periodic_runs(values.shape[axis], (1, -1)):
+            np.subtract(values[lead + (p1,)], values[lead + (m1,)],
+                        out=out[lead + (run,)])
+        out /= 2.0 * h
+        return out
+    eight = 8.0 * values
+    for run, (p2, p1, m1, m2) in _periodic_runs(values.shape[axis],
+                                                (2, 1, -1, -2)):
+        o = out[lead + (run,)]
+        np.negative(values[lead + (p2,)], out=o)
+        o += eight[lead + (p1,)]
+        o -= eight[lead + (m1,)]
+        o += values[lead + (m2,)]
+    out /= 12.0 * h
+    return out
 
 
 def integrate(f: ScalarField, weight: ScalarField | None = None) -> float:

@@ -141,36 +141,69 @@ class ConvergenceRow:
     order: float  # vs previous level; NaN on the first
 
 
-def _max_abs(arr: np.ndarray) -> float:
-    return float(np.abs(arr).max()) if arr.size else 0.0
+# Bytes of each operand per block of the max-norm sweeps (512 nodes of a
+# d = 4 Christoffel cube): both operands and their difference stay in L2.
+_BLOCK_BYTES = 256 * 1024
 
 
-def _max_diff(a: np.ndarray, b: np.ndarray) -> float:
-    """max |a - b| through one temporary: the two Christoffel cubes plus
-    the block differences set the studies' peak memory."""
-    diff = a - b
-    return float(np.abs(diff, out=diff).max()) if diff.size else 0.0
+def _family_maxima(shape: tuple[int, ...],
+                   families: dict[str, list[tuple]]) -> dict[str, float]:
+    """Max-norm of each comparison family over the nodes of ``shape``.
+
+    A family is a list of terms ``(a, b, comp)``: the max of |a - b| (of
+    |a| when ``b`` is None) over the component block ``comp`` of arrays
+    whose leading axes are the grid axes.  Each distinct (a, b) pair is
+    swept once, in blocks of ``_BLOCK_BYTES`` of ``a``, keeping the
+    running max of every component, so each temporary is block-sized.
+    A max does not depend on how the nodes are split or grouped, so every
+    family's value is the whole-grid max to the bit.
+    """
+    nodes = math.prod(shape)
+    pairs = {(id(a), id(b)): (a, b)
+             for family in families.values() for a, b, _ in family}
+    peaks = {}
+    for key, (a, b) in pairs.items():
+        fa = a.reshape(nodes, -1)
+        fb = None if b is None else b.reshape(nodes, -1)
+        peak = np.zeros(fa.shape[1])
+        block = max(1, _BLOCK_BYTES // fa[0].nbytes)
+        for s in range(0, nodes, block):
+            blk = slice(s, s + block)
+            if fb is None:
+                part = np.abs(fa[blk])
+            else:
+                part = np.subtract(fa[blk], fb[blk])
+                np.abs(part, out=part)
+            np.maximum(peak, part.max(axis=0), out=peak)
+        peaks[key] = peak.reshape(a.shape[len(shape):])
+    return {name: max(float(peaks[id(a), id(b)][comp].max())
+                      for a, b, comp in family)
+            for name, family in families.items()}
 
 
-def _chr_family_errors(closed, oracle, m: int) -> dict[str, float]:
-    """Max-norm error per closed-form Christoffel component family.
-    The two identically-zero families are judged by the oracle magnitude
-    alone (the closed form stores exact zeros there)."""
+def _chr_families(closed, oracle, m: int) -> dict[str, list[tuple]]:
+    """The closed-form Christoffel component families.  The two
+    identically-zero families are judged by the oracle magnitude alone
+    (the closed form stores exact zeros there)."""
+    r, p = slice(None, m), slice(m, None)
     cv, ov = closed.values, oracle.values
     return {
-        "chr_real_block": _max_diff(cv[..., :m, :m, :m], ov[..., :m, :m, :m]),
-        "chr_zero_mixed": max(
-            _max_abs(ov[..., m:, :m, :m]),
-            _max_abs(ov[..., :m, :m, m:]),
-            _max_abs(ov[..., :m, m:, :m])),
-        "chr_real_from_phantom": _max_diff(
-            cv[..., :m, m:, m:], ov[..., :m, m:, m:]),
-        "chr_phantom_mixed": max(
-            _max_diff(cv[..., m:, :m, m:], ov[..., m:, :m, m:]),
-            _max_diff(cv[..., m:, m:, :m], ov[..., m:, m:, :m])),
-        "chr_phantom_block": _max_diff(
-            cv[..., m:, m:, m:], ov[..., m:, m:, m:]),
+        "chr_real_block": [(cv, ov, (r, r, r))],
+        "chr_zero_mixed": [(ov, None, (p, r, r)), (ov, None, (r, r, p)),
+                           (ov, None, (r, p, r))],
+        "chr_real_from_phantom": [(cv, ov, (r, p, p))],
+        "chr_phantom_mixed": [(cv, ov, (p, r, p)), (cv, ov, (p, p, r))],
+        "chr_phantom_block": [(cv, ov, (p, p, p))],
     }
+
+
+def _ricci_terms(closed, oracle, m: int) -> tuple[list, list, list]:
+    """The real and phantom Ricci blocks and the scalar of one closed
+    route against the oracle, as ``_family_maxima`` terms."""
+    r, p = slice(None, m), slice(m, None)
+    cr, orr = closed.ricci.values, oracle.ricci.values
+    return ([(cr, orr, (r, r))], [(cr, orr, (p, p))],
+            [(closed.scalar.values, oracle.scalar.values, ())])
 
 
 def curvature_study(constants: WarpedConstants,
@@ -190,28 +223,27 @@ def curvature_study(constants: WarpedConstants,
         oracle.inverse = None
         del gt
 
-        errors: dict[str, float] = {}
+        shape = pg.product_grid.shape
         closed_chr = christoffel_closed_form(pg, order)
-        errors.update(_chr_family_errors(closed_chr, oracle.christoffel, m))
+        errors = _family_maxima(
+            shape, _chr_families(closed_chr, oracle.christoffel, m))
         del closed_chr
 
         gen = ricci_closed_general(pg, order)
-        diff = gen.ricci.values - oracle.ricci.values
-        errors["ricci_real_general"] = _max_abs(diff[..., :m, :m])
-        errors["ricci_phantom_general"] = _max_abs(diff[..., m:, m:])
-        errors["ricci_mixed_zero"] = _max_abs(oracle.ricci.values[..., :m, m:])
-        errors["scalar_general"] = _max_abs(gen.scalar.values
-                                            - oracle.scalar.values)
-        del gen, diff
+        real, phantom, scalar = _ricci_terms(gen, oracle, m)
+        mixed = [(oracle.ricci.values, None, (slice(None, m), slice(m, None)))]
+        errors.update(_family_maxima(shape, {
+            "ricci_real_general": real, "ricci_phantom_general": phantom,
+            "ricci_mixed_zero": mixed, "scalar_general": scalar}))
+        del gen, real, phantom, scalar
 
         if constants.on_special_locus:
             ans = ricci_closed_ansatz(pg, order)
-            diff = ans.ricci.values - oracle.ricci.values
-            errors["ricci_real_ansatz"] = _max_abs(diff[..., :m, :m])
-            errors["ricci_phantom_ansatz"] = _max_abs(diff[..., m:, m:])
-            errors["scalar_ansatz"] = _max_abs(ans.scalar.values
-                                               - oracle.scalar.values)
-            del ans, diff
+            real, phantom, scalar = _ricci_terms(ans, oracle, m)
+            errors.update(_family_maxima(shape, {
+                "ricci_real_ansatz": real, "ricci_phantom_ansatz": phantom,
+                "scalar_ansatz": scalar}))
+            del ans, real, phantom, scalar
         del oracle
         per_level.append(errors)
 

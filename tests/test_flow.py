@@ -188,23 +188,29 @@ def test_decoupled_run_takes_one_oracle_pass_per_stored_metric(
         monkeypatch, integrator, passes):
     # 5 steps store 6 metrics, and one Ricci pass of each serves both the
     # step from it and the backward sweep; rk4 adds 3 stages per forward
-    # step and one midpoint metric per backward step (5 * 5 + 1)
+    # step and one midpoint metric per backward step (5 * 5 + 1).  The
+    # backward sweep reuses each pass's inverse, so every inversion is
+    # an oracle pass's own.
     from warpflow import geometry
-    calls = []
-    ricci_pass = geometry._symmetrized_ricci
+    calls = {"_symmetrized_ricci": 0, "inverse_metric": 0}
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return ricci_pass(*args, **kwargs)
+    def counting(name):
+        fn = getattr(geometry, name)
 
-    monkeypatch.setattr(geometry, "_symmetrized_ricci", counted)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(geometry, name, counting(name))
     grid = circle(16)
     traj = run_decoupled(recipes.conformal_metric(grid, 0.1),
                          recipes.sine_scalar(grid, 0.2),
                          FlowConfig(dt=1e-4, t_end=5e-4, mode="decoupled",
                                     integrator=integrator))
     assert len(traj) == 6
-    assert len(calls) == passes
+    assert calls == {"_symmetrized_ricci": passes, "inverse_metric": passes}
 
 
 def test_monotonicity_report_takes_one_oracle_pass_per_snapshot(monkeypatch):
@@ -350,7 +356,8 @@ def test_rate_at_nonzero_coupling_needs_completed_covector():
 
     terms = StateTerms.at(g, f)
     s = terms.gradient_tensor(lam)
-    lap = geometry.laplace_beltrami(f, g)
+    lap = geometry.laplace_beltrami(f, terms.bundle.inverse,
+                                   geometry.volume_density(g))
     completed = SymTensorField(
         grid, s.values
         + (lam * (lap.values - terms.grad_sq))[..., None, None] * g.values)

@@ -169,6 +169,31 @@ def test_derivative_convergence_orders():
         assert abs(measured - expected) < 0.15
 
 
+def test_derivative_uses_each_axis_spacing():
+    # unequal periods and point counts per axis: each axis's error must
+    # shrink at the stencil's order, which it cannot if any axis divides
+    # by another axis's spacing
+    periods = (TAU, 3.0, 5.0)
+    k = [TAU / L for L in periods]
+
+    def errors(scale, order):
+        grid = GridSpec(tuple(scale * n for n in (8, 10, 12)), periods)
+        x, y, z = grid.meshes()
+        f = np.exp(0.3 * (np.sin(k[0] * x) + np.cos(k[1] * y)
+                          + np.sin(k[2] * z)))
+        exact = (0.3 * k[0] * np.cos(k[0] * x) * f,
+                 -0.3 * k[1] * np.sin(k[1] * y) * f,
+                 0.3 * k[2] * np.cos(k[2] * z) * f)
+        return [float(np.abs(diff_array(f, grid, a, order) - exact[a]).max())
+                for a in range(3)]
+
+    for order in (2, 4):
+        coarse, fine = errors(2, order), errors(4, order)
+        for axis in range(3):
+            measured = math.log2(coarse[axis] / fine[axis])
+            assert abs(measured - order) < 0.15, (order, axis, measured)
+
+
 def test_second_derivative_is_composition_and_commutes():
     grid = GridSpec((16, 24), (TAU, TAU))
     rng = np.random.default_rng(3)
@@ -179,7 +204,8 @@ def test_second_derivative_is_composition_and_commutes():
     twice = diff_array(diff_array(v, grid, 0), grid, 0)
     wide = (np.roll(v, -2, 0) - 2.0 * v + np.roll(v, 2, 0)) / (4.0 * h * h)
     assert np.allclose(twice, wide, atol=1e-12 * float(np.abs(wide).max()))
-    # np.roll operators along different axes commute exactly
+    # stencils along different axes commute as operators; the two orders
+    # round differently, so they agree to roundoff, not to the bit
     ab = diff_array(diff_array(v, grid, 1), grid, 0)
     ba = diff_array(diff_array(v, grid, 0), grid, 1)
     assert np.allclose(ab, ba, atol=1e-12)

@@ -1,11 +1,12 @@
 """Metamorphic checks: relabelling the torus must relabel the curvature.
 
-A periodic translation (``np.roll``) of the input fields, or a
-permutation of the grid axes applied together with the same permutation
-of the tensor component axes, is an isometry of the flat torus.  The
-oracle's Christoffel symbols, Ricci tensor and scalar curvature, and the
-closed-form scalar curvature of a warped product, must move with it to
-roundoff.
+A periodic translation (``np.roll``) of the input fields, a permutation
+of the grid axes applied together with the same permutation of the
+tensor component axes, or the reflection x -> -x of one axis (node k to
+node -k, and a sign flip of every tensor component along that axis) is
+an isometry of the flat torus.  The oracle's Christoffel symbols, Ricci
+tensor and scalar curvature, and the closed-form scalar curvature of a
+warped product, must move with it to roundoff.
 """
 
 import math
@@ -54,6 +55,19 @@ def _permute(arr: np.ndarray, perm, ncomp: int) -> np.ndarray:
     return out
 
 
+def _reflect(arr: np.ndarray, axis: int, dim: int, ncomp: int) -> np.ndarray:
+    """x -> -x on grid axis ``axis`` of a field on ``dim`` grid axes:
+    node k moves to node -k mod N, and each of the trailing ``ncomp``
+    component axes flips the sign of its ``axis`` entry."""
+    out = np.roll(np.flip(arr, axis), 1, axis)
+    sign = np.where(np.arange(dim) == axis, -1.0, 1.0)
+    for comp in range(arr.ndim - ncomp, arr.ndim):
+        shape = [1] * arr.ndim
+        shape[comp] = dim
+        out = out * sign.reshape(shape)
+    return out
+
+
 def _assert_moved(actual: np.ndarray, expected: np.ndarray):
     scale = max(1.0, float(np.abs(expected).max()))
     assert float(np.abs(actual - expected).max()) <= 1e-12 * scale
@@ -88,6 +102,19 @@ def test_oracle_moves_with_axis_permutation(case):
         _assert_moved(after, _permute(before, perm, ncomp))
 
 
+@SETTINGS
+@given(torus_moves(), st.integers(0, 2))
+def test_oracle_moves_with_reflection(case, axis):
+    grid, seed, _, _ = case
+    axis %= grid.dim
+    g = recipes.random_spd_metric(grid, np.random.default_rng(seed), 0.3)
+    moved = SymTensorField(grid, _reflect(g.values, axis, grid.dim, 2),
+                           is_metric=True)
+    for ncomp, before, after in zip((3, 2, 0), _bundle_arrays(g),
+                                    _bundle_arrays(moved)):
+        _assert_moved(after, _reflect(before, axis, grid.dim, ncomp))
+
+
 def _closed_scalar(grid_m: GridSpec, g_vals: np.ndarray,
                    f_vals: np.ndarray) -> np.ndarray:
     grid_n = GridSpec((8,), (TAU,))
@@ -113,3 +140,17 @@ def test_closed_scalar_moves_with_translation_and_permutation(case):
     _assert_moved(_closed_scalar(_permuted_grid(grid, perm),
                                  _permute(g, perm, 2), _permute(f, perm, 0)),
                   np.transpose(scal, list(perm) + [grid.dim]))
+
+
+@SETTINGS
+@given(torus_moves(), st.integers(0, 2))
+def test_closed_scalar_moves_with_reflection(case, axis):
+    grid, seed, _, _ = case
+    axis %= grid.dim
+    rng = np.random.default_rng(seed)
+    g = recipes.random_spd_metric(grid, rng, 0.3).values
+    f = recipes.mixed_sine_scalar(grid, 0.3).values
+    scal = _closed_scalar(grid, g, f)        # grid axes of M, then N's one
+    _assert_moved(_closed_scalar(grid, _reflect(g, axis, grid.dim, 2),
+                                 _reflect(f, axis, grid.dim, 0)),
+                  _reflect(scal, axis, grid.dim, 0))
