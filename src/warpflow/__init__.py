@@ -9,11 +9,9 @@ from .errors import (ConfigError, ConstantsError, FlowDivergenceError,
 from .flow import (FlowConfig, FlowState, MonotonicityRow, RateCheck,
                    conserved_measure_check, instantaneous_rate,
                    monotonicity_report, run_coupled, run_decoupled, step)
-from .functionals import (F_lambda, FunctionalReport, StateTerms,
-                          VariationResult, dissipation_integral,
+from .functionals import (FunctionalReport, StateTerms, VariationResult,
                           einstein_hilbert_S, first_variation_check,
-                          gradient_tensor, measure_density, perelman_F,
-                          theorem_identity_residual)
+                          measure_density, theorem_identity_residual)
 from .geometry import (CurvatureBundle, curvature_bundle, hessian,
                        inverse_metric, laplace_beltrami, volume_density)
 from .grids import (Christoffel3Field, GridSpec, ScalarField, SymTensorField,
@@ -47,9 +45,8 @@ __all__ = [
     "ricci_closed_ansatz", "closed_scalar_curvature",
     # functionals
     "FunctionalReport", "VariationResult", "StateTerms", "measure_density",
-    "perelman_F", "F_lambda",
-    "einstein_hilbert_S", "theorem_identity_residual", "gradient_tensor",
-    "first_variation_check", "dissipation_integral",
+    "einstein_hilbert_S", "theorem_identity_residual",
+    "first_variation_check",
     # flow
     "FlowState", "FlowConfig", "step", "run_coupled", "run_decoupled",
     "conserved_measure_check", "MonotonicityRow", "monotonicity_report",

@@ -28,8 +28,11 @@ silently change an experiment.  The conditional keys:
   [flow] constraint_tol       only in coupled mode
 
 verify-variation runs at one resolution, so its m_points and n_points
-take one level.  Exit codes: 0 all checks passed, 1 a tolerance or
-stability check failed, 2 invalid input.
+take one level, and a flow's t_end must be a whole number of steps of
+dt.  Exit codes: 0 all checks passed, 1 a tolerance or stability check
+failed, 2 invalid input.  Each distinct warning a run raises is printed
+once on stderr as a ``warning: <message>`` line, ahead of any ``error:``
+or ``failure:`` line.
 
 Output tables are CSV with '#'-prefixed comment lines echoing the
 configuration and the tolerances in force; floats are written with
@@ -43,6 +46,7 @@ import argparse
 import configparser
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -439,11 +443,12 @@ def cmd_verify_curvature(args) -> int:
 def cmd_verify_identity(args) -> int:
     cfg, (runs, spec, normalize_n, min_order, max_final) = _parse(
         "verify-identity", args.config, args.seed)
+    rows_by_run = verify.identity_study([c for _, c in runs], spec,
+                                        normalize_n)
 
     all_rows: list[list] = []
     ok = True
-    for label, constants in runs:
-        rows = verify.identity_study(constants, spec, normalize_n)
+    for (label, constants), rows in zip(runs, rows_by_run):
         final = rows[-1]
         converged = abs(final.residual) <= _ABS_FLOOR
         order_ok = not math.isnan(final.order) and final.order >= min_order
@@ -478,12 +483,12 @@ def cmd_verify_identity(args) -> int:
 def cmd_verify_variation(args) -> int:
     cfg, (runs, spec, directions, eps, amplitude, max_rel) = _parse(
         "verify-variation", args.config, args.seed)
+    rows_by_run = verify.variation_study([c for _, c in runs], spec,
+                                         directions, amplitude, eps)
 
     all_rows: list[list] = []
     ok = True
-    for label, constants in runs:
-        rows = verify.variation_study(constants, spec, directions,
-                                      amplitude, eps)
+    for (label, constants), rows in zip(runs, rows_by_run):
         worst = max(r.rel_mismatch for r in rows)
         if worst <= max_rel:
             print(f"[PASS] variation {label}: worst relative "
@@ -611,15 +616,20 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    try:
-        return args.func(args)
-    except (ConfigError, ConstantsError, GridMismatchError,
-            configparser.Error) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FlowDivergenceError, MetricDegeneracyError) as exc:
-        print(f"failure: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code, failure = args.func(args), []
+        except (ConfigError, ConstantsError, GridMismatchError,
+                configparser.Error) as exc:
+            code, failure = 2, [f"error: {exc}"]
+        except (FlowDivergenceError, MetricDegeneracyError) as exc:
+            code, failure = 1, [f"failure: {exc}"]
+    # each distinct warning once, as a CLI line, ahead of the failure
+    for line in [*dict.fromkeys(f"warning: {w.message}" for w in caught),
+                 *failure]:
+        print(line, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ import numpy as np
 from . import geometry
 from .errors import (ConfigError, FlowDivergenceError, MetricDegeneracyError,
                      StabilityWarning)
-from .functionals import F_lambda, StateTerms, measure_density
+from .functionals import StateTerms, measure_density
 from .grids import ScalarField, SymTensorField, filter_array
 
 __all__ = [
@@ -86,8 +86,9 @@ class FlowState:
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Run parameters.  dt and t_end in flow time; snapshots every
-    ``snapshot_stride`` steps (first and last always kept)."""
+    """Run parameters.  dt and t_end in flow time, t_end a whole number
+    of steps (within 1e-9 relative); snapshots every ``snapshot_stride``
+    steps (first and last always kept)."""
 
     dt: float
     t_end: float
@@ -101,8 +102,11 @@ class FlowConfig:
     def __post_init__(self):
         if self.dt <= 0 or not math.isfinite(self.dt):
             raise ConfigError(f"dt must be positive, got {self.dt}")
-        if self.t_end < self.dt:
+        if not math.isfinite(self.t_end) or self.t_end < self.dt:
             raise ConfigError("t_end must cover at least one step")
+        if abs(self.t_end - self.n_steps * self.dt) > 1e-9 * self.t_end:
+            raise ConfigError(f"t_end = {self.t_end!r} is not a whole "
+                              f"number of steps of dt = {self.dt!r}")
         if self.integrator not in INTEGRATORS:
             raise ConfigError(f"integrator must be one of {INTEGRATORS}")
         if self.mode not in MODES:
@@ -114,7 +118,7 @@ class FlowConfig:
 
     @property
     def n_steps(self) -> int:
-        return max(1, int(round(self.t_end / self.dt)))
+        return round(self.t_end / self.dt)
 
 
 def _rhs_arrays(terms: StateTerms,
@@ -402,8 +406,8 @@ def instantaneous_rate(state: FlowState, lam: float, dt: float,
     rates = []
     for signed_dt in (dt, -dt):
         gv, fv = _advance(terms, state.f, signed_dt, lam, integrator, order)
-        rates.append(F_lambda(SymTensorField(grid, gv, is_metric=True),
-                              ScalarField(grid, fv), lam, order))
+        rates.append(StateTerms.at(SymTensorField(grid, gv, is_metric=True),
+                                   ScalarField(grid, fv), order).F_lambda(lam))
     numeric = (rates[0] - rates[1]) / (2.0 * dt)
     diss = terms.dissipation(lam)
     ratio = numeric / diss if diss > 0 else math.nan

@@ -29,7 +29,13 @@ against the closed covector -2 <Ric + hess f + lam df (x) df, delta g>.
 
 F_lam, S_lam, the dissipation and the completed covector are each
 written once, against a ``StateTerms`` record: one oracle pass per (g, f)
-state, shared by every quantity a caller reads at that state.
+state, shared by every quantity a caller reads at that state.  On a
+product geometry the record is read off the geometry's memoised M-grid
+pieces, so the identity and the variation take their M side from the
+same pass as the closed forms.  The product-side functions take the
+warping constants next to the geometry; the first variation takes a list
+of them, so every coupling's action is evaluated on one set of perturbed
+geometries.
 """
 
 from __future__ import annotations
@@ -39,22 +45,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .errors import ConstantsError
 from .grids import ScalarField, SymTensorField, integrate
-from .warped import (ProductGeometry, assemble_product_metric,
-                     closed_scalar_curvature)
+from .warped import (ProductGeometry, WarpedConstants,
+                     assemble_product_metric, closed_scalar_curvature)
 
 __all__ = [
     "FunctionalReport",
     "VariationResult",
     "StateTerms",
     "measure_density",
-    "perelman_F",
-    "F_lambda",
     "einstein_hilbert_S",
     "theorem_identity_residual",
     "first_variation_check",
-    "dissipation_integral",
 ]
 
 
@@ -110,12 +112,20 @@ class StateTerms:
     def at(cls, g: SymTensorField, f: ScalarField,
            order: int = 2) -> "StateTerms":
         bundle = geometry.curvature_bundle(g, order)
-        hess = geometry.hessian(f, bundle.christoffel, order).values
         df = geometry.gradient_components(f, order)
+        hess = geometry.hessian(df, bundle.christoffel, order).values
         return cls(g=g, bundle=bundle, df=df, hess=hess,
                    grad_sq=np.einsum("...ij,...i,...j->...", bundle.inverse,
                                      df, df),
                    weight=measure_density(g, f))
+
+    @classmethod
+    def on_m(cls, pg: ProductGeometry, order: int = 2) -> "StateTerms":
+        """The record of (pg.g, pg.f), read off the geometry's memoised
+        M-grid pieces instead of a pass of its own."""
+        p = pg.m_pieces(order)
+        return cls(g=pg.g, bundle=p.bundle, df=p.df, hess=p.hess,
+                   grad_sq=p.grad_sq, weight=measure_density(pg.g, pg.f))
 
     def F_lambda(self, lam: float) -> float:
         """F_lam = int (R + (lam+1)|grad f|^2) e^{-f} dmu."""
@@ -123,7 +133,7 @@ class StateTerms:
         return integrate(ScalarField(self.g.grid, integrand), self.weight)
 
     def gradient_tensor(self, lam: float) -> SymTensorField:
-        """S_lam = Ric + hess f + lam df (x) df."""
+        """S_lam = Ric + hess f + lam df (x) df, which drives the flow."""
         # lam df_i df_j rounds differently as (lam df_i) df_j and as
         # (lam df_j) df_i, so both triangles take the lower index first.
         axes = np.arange(self.g.grid.dim)
@@ -133,7 +143,9 @@ class StateTerms:
                               self.bundle.ricci.values + self.hess + quad)
 
     def dissipation(self, lam: float) -> float:
-        """D = 2 int |S_lam|^2 e^{-f} dmu."""
+        """D = 2 int |S_lam|^2 e^{-f} dmu >= 0, the norm contracting both
+        index pairs with g (the only choice consistent with the
+        first-variation pairing)."""
         s_lam = self.gradient_tensor(lam).values
         inv = self.bundle.inverse
         up = np.einsum("...ik,...jl,...kl->...ij", inv, inv, s_lam)
@@ -151,41 +163,19 @@ class StateTerms:
             * self.g.values
 
 
-def perelman_F(g: SymTensorField, f: ScalarField, order: int = 2) -> float:
-    """F(g, f) = int (R + |grad f|^2) e^{-f} dmu, curvature from the
-    generic pipeline."""
-    return F_lambda(g, f, 0.0, order)
-
-
-def F_lambda(g: SymTensorField, f: ScalarField, lam: float,
-             order: int = 2) -> float:
-    """F_lam(g, f) = int (R + (lam+1)|grad f|^2) e^{-f} dmu; lam = 0
-    recovers F exactly."""
-    return StateTerms.at(g, f, order).F_lambda(lam)
-
-
-def einstein_hilbert_S(pg: ProductGeometry, order: int = 2,
-                       route: str = "closed") -> float:
+def einstein_hilbert_S(pg: ProductGeometry, c: WarpedConstants,
+                       order: int = 2) -> float:
     """Total scalar curvature int Rt dmut of the warped metric over the
-    product grid.
-
-    ``route``: "closed" evaluates Rt from the closed general formula
-    (valid off the special locus too); "oracle" recomputes Rt by running
-    the generic pipeline on the assembled product metric.  Either way
-    the measure is volume_density of the assembled metric, so the
-    integral genuinely exercises the product measure factor.
-    """
-    gt = assemble_product_metric(pg)
-    if route == "closed":
-        scal = closed_scalar_curvature(pg, order)
-    elif route == "oracle":
-        scal = geometry.curvature_bundle(gt, order).scalar
-    else:
-        raise ValueError(f"route must be 'closed' or 'oracle', got {route!r}")
-    return integrate(scal, geometry.volume_density(gt))
+    product grid, with Rt from the closed general formula (valid off the
+    special locus too) and the measure from the volume density of the
+    assembled metric, so the integral genuinely exercises the product
+    measure factor."""
+    gt = assemble_product_metric(pg, c)
+    return integrate(closed_scalar_curvature(pg, c, order),
+                     geometry.volume_density(gt))
 
 
-def theorem_identity_residual(pg: ProductGeometry,
+def theorem_identity_residual(pg: ProductGeometry, c: WarpedConstants,
                               order: int = 2) -> FunctionalReport:
     """Evaluate every term of the product-action identity independently
     and report the residual
@@ -193,19 +183,17 @@ def theorem_identity_residual(pg: ProductGeometry,
         S_tilde - Vol(N) * F_lam - (int_M e^{(B-A-1)f} dmu)(int_N R^N dsigma)
 
     with lam = Z(A, B) taken from the constants (lam = 0 on the special
-    locus, where F_lam is plain F).  No tolerance is enforced here; the
+    locus, where F_lam is plain F).  F, F_lam and int R^N read the factor
+    passes the closed side made.  No tolerance is enforced here; the
     caller judges the residual against its grid.
     """
-    c = pg.constants
-    lam = c.lam
-    s_tilde = einstein_hilbert_S(pg, order)
-    terms = StateTerms.at(pg.g, pg.f, order)
+    s_tilde = einstein_hilbert_S(pg, c, order)
+    terms = StateTerms.on_m(pg, order)
     f_plain = terms.F_lambda(0.0)
-    f_lam = f_plain if lam == 0.0 else terms.F_lambda(lam)
+    f_lam = f_plain if c.lam == 0.0 else terms.F_lambda(c.lam)
     rho_n = geometry.volume_density(pg.h)
     vol_n = integrate(ScalarField.constant(pg.grid_n, 1.0), rho_n)
-    total_scal_n = integrate(geometry.curvature_bundle(pg.h, order).scalar,
-                             rho_n)
+    total_scal_n = integrate(pg.n_bundle(order).scalar, rho_n)
     coupling_field = ScalarField(
         pg.grid_m, np.exp((c.B - c.A - 1.0) * pg.f.values))
     coupling = integrate(coupling_field, geometry.volume_density(pg.g))
@@ -213,23 +201,17 @@ def theorem_identity_residual(pg: ProductGeometry,
     return FunctionalReport(
         F=f_plain, F_lam=f_lam, S_tilde=s_tilde, vol_N=vol_n,
         total_scalar_N=total_scal_n, warp_coupling=coupling,
-        theorem_residual=residual, lam=lam)
+        theorem_residual=residual, lam=c.lam)
 
 
-def gradient_tensor(g: SymTensorField, f: ScalarField, lam: float,
-                    order: int = 2) -> SymTensorField:
-    """The covector of the constrained variation (and the flow driver),
-
-        S_lam = Ric + hess f + lam df (x) df,
-
-    as a symmetric field on M."""
-    return StateTerms.at(g, f, order).gradient_tensor(lam)
-
-
-def first_variation_check(pg: ProductGeometry, dg: SymTensorField, lam: float,
-                          order: int = 2, eps: float = 1e-4) -> VariationResult:
+def first_variation_check(pg: ProductGeometry,
+                          couplings: list[WarpedConstants],
+                          dg: SymTensorField, order: int = 2,
+                          eps: float = 1e-4) -> list[VariationResult]:
     """Directional derivative of eps -> 2 S(gt(g + eps dg, f + eps tr/2))
-    against the closed form -2 int <S_lam, dg>_g e^{-f} dmu.
+    against the closed form -2 int <S_lam, dg>_g e^{-f} dmu, for every
+    coupling lam = constants.lam in ``couplings``.  Each perturbed
+    geometry is built once and serves every coupling's action.
 
     The constrained direction moves f along with g: delta f = tr_g(dg)/2,
     which freezes the density e^{-f} sqrt(det g) to first order.  The
@@ -261,40 +243,34 @@ def first_variation_check(pg: ProductGeometry, dg: SymTensorField, lam: float,
     makes the O(eps^2) bias ~1e-9 while staying 12 digits above the
     roundoff floor of the action values).
     """
-    c = pg.constants
-    if abs(c.lam - lam) > 1e-10:
-        raise ConstantsError(
-            f"constants carry coupling {c.lam!r}; the variation was asked "
-            f"for lam = {lam!r} (must match)")
     if dg.grid != pg.grid_m:
         raise ValueError("variation direction must live on the M grid")
 
-    terms = StateTerms.at(pg.g, pg.f, order)
+    terms = StateTerms.on_m(pg, order)
     inv = terms.bundle.inverse
     trace_half = 0.5 * np.einsum("...ij,...ij->...", inv, dg.values)
 
-    def doubled_action(t: float) -> float:
+    # doubled[k][i]: coupling k's doubled action at the i-th step of
+    # (eps, -eps, eps/2, -eps/2), one perturbed geometry alive at a time
+    doubled: list[list[float]] = [[] for _ in couplings]
+    for t in (eps, -eps, eps / 2, -eps / 2):
         g_t = SymTensorField(pg.grid_m, pg.g.values + t * dg.values,
                              is_metric=True)
         f_t = ScalarField(pg.grid_m, pg.f.values + t * trace_half)
-        pg_t = ProductGeometry(pg.grid_m, pg.grid_n, g_t, pg.h, f_t, c)
-        return 2.0 * einstein_hilbert_S(pg_t, order)
+        pg_t = ProductGeometry(pg.grid_m, pg.grid_n, g_t, pg.h, f_t)
+        for actions, c in zip(doubled, couplings):
+            actions.append(2.0 * einstein_hilbert_S(pg_t, c, order))
 
-    d_full = (doubled_action(eps) - doubled_action(-eps)) / (2.0 * eps)
-    d_half = (doubled_action(eps / 2) - doubled_action(-eps / 2)) / eps
-    numeric = (4.0 * d_half - d_full) / 3.0
-    gap = abs(d_half - d_full)
-
-    pairing = np.einsum("...ik,...jl,...ij,...kl->...",
-                        inv, inv, terms.completed_covector(lam), dg.values)
-    closed = -2.0 * integrate(ScalarField(pg.grid_m, pairing), terms.weight)
-    return VariationResult(numeric_derivative=numeric, closed_form=closed,
-                           richardson_gap=gap)
-
-
-def dissipation_integral(g: SymTensorField, f: ScalarField, lam: float,
-                         order: int = 2) -> float:
-    """D = 2 int |Ric + hess f + lam df (x) df|^2 e^{-f} dmu >= 0, with
-    the norm taken by contracting both index pairs with g (the only
-    choice consistent with the first-variation pairing)."""
-    return StateTerms.at(g, f, order).dissipation(lam)
+    results = []
+    for (plus, minus, half_plus, half_minus), c in zip(doubled, couplings):
+        d_full = (plus - minus) / (2.0 * eps)
+        d_half = (half_plus - half_minus) / eps
+        pairing = np.einsum("...ik,...jl,...ij,...kl->...",
+                            inv, inv, terms.completed_covector(c.lam),
+                            dg.values)
+        closed = -2.0 * integrate(ScalarField(pg.grid_m, pairing),
+                                  terms.weight)
+        results.append(VariationResult(
+            numeric_derivative=(4.0 * d_half - d_full) / 3.0,
+            closed_form=closed, richardson_gap=abs(d_half - d_full)))
+    return results

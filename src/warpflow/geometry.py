@@ -225,18 +225,18 @@ def gradient_components(f: ScalarField, order: int = 2) -> np.ndarray:
     return out
 
 
-def hessian(f: ScalarField, gamma: Christoffel3Field,
+def hessian(df: np.ndarray, gamma: Christoffel3Field,
             order: int = 2) -> SymTensorField:
     """Covariant Hessian (nabla^2 f)_{jl} = D_j D_l f - Gamma^k_{jl} D_k f.
 
-    Takes the connection, not the metric: the Hessian never needs g
-    itself, and callers usually have the Christoffel field already.
+    Takes the first partials df = ``gradient_components(f, order)`` and
+    the connection, not f and the metric: the Hessian never needs g
+    itself, and callers already hold both.
     """
-    if f.grid != gamma.grid:
-        raise ValueError("scalar and connection live on different grids")
-    grid = f.grid
+    grid = gamma.grid
     d = grid.dim
-    df = gradient_components(f, order)
+    if df.shape != grid.shape + (d,):
+        raise ValueError("scalar and connection live on different grids")
     out = np.empty(grid.shape + (d, d))
     for l in range(d):
         dl = df[..., l]

@@ -203,14 +203,17 @@ def _require_symmetric(arr: np.ndarray):
 
 def _require_spd(grid: GridSpec, mats: np.ndarray):
     """Raise MetricDegeneracyError unless every node matrix is symmetric
-    positive definite."""
+    positive definite.  The factors are discarded, so they are taken
+    4096 nodes at a time: no full-size copy of the field is made."""
+    nodes = mats.reshape(-1, grid.dim, grid.dim)
     try:
-        np.linalg.cholesky(mats)
+        for start in range(0, len(nodes), 4096):
+            np.linalg.cholesky(nodes[start:start + 4096])
         return
     except np.linalg.LinAlgError:
         pass
     # Slow path only on failure: locate the first bad node for the report.
-    eigs = np.linalg.eigvalsh(mats.reshape(-1, grid.dim, grid.dim))
+    eigs = np.linalg.eigvalsh(nodes)
     bad = np.nonzero(eigs[:, 0] <= 0.0)[0]
     flat = int(bad[0]) if bad.size else int(np.argmin(eigs[:, 0]))
     node = tuple(int(c) for c in np.unravel_index(flat, grid.shape))

@@ -101,8 +101,8 @@ class StudySpec:
     seed: int | None = None
 
 
-def build_product_geometry(constants: WarpedConstants, spec: StudySpec,
-                           level: int = 0, normalize_n: bool = False,
+def build_product_geometry(spec: StudySpec, level: int = 0,
+                           normalize_n: bool = False,
                            rng: np.random.Generator | None = None
                            ) -> ProductGeometry:
     """Assemble level ``level`` of ``spec``'s ladder from its recipes.
@@ -127,7 +127,7 @@ def build_product_geometry(constants: WarpedConstants, spec: StudySpec,
         f = recipes.mixed_sine_scalar(grid_m, spec.f_amplitude, spec.f_modes)
     else:
         f = recipes.sine_scalar(grid_m, spec.f_amplitude, spec.f_modes[0])
-    return ProductGeometry(grid_m, grid_n, g, h, f, constants)
+    return ProductGeometry(grid_m, grid_n, g, h, f)
 
 
 @dataclass
@@ -215,21 +215,21 @@ def curvature_study(constants: WarpedConstants,
     per_level: list[dict[str, float]] = []
     hs: list[float] = []
     for level in range(len(spec.levels)):
-        pg = build_product_geometry(constants, spec, level)
+        pg = build_product_geometry(spec, level)
         hs.append(max(pg.grid_m.spacing))
-        gt = assemble_product_metric(pg)
+        gt = assemble_product_metric(pg, constants)
         oracle = geometry.curvature_bundle(gt, order)
         # not compared; kept alive, it would raise the study's peak memory
         oracle.inverse = None
         del gt
 
         shape = pg.product_grid.shape
-        closed_chr = christoffel_closed_form(pg, order)
+        closed_chr = christoffel_closed_form(pg, constants, order)
         errors = _family_maxima(
             shape, _chr_families(closed_chr, oracle.christoffel, m))
         del closed_chr
 
-        gen = ricci_closed_general(pg, order)
+        gen = ricci_closed_general(pg, constants, order)
         real, phantom, scalar = _ricci_terms(gen, oracle, m)
         mixed = [(oracle.ricci.values, None, (slice(None, m), slice(m, None)))]
         errors.update(_family_maxima(shape, {
@@ -238,7 +238,7 @@ def curvature_study(constants: WarpedConstants,
         del gen, real, phantom, scalar
 
         if constants.on_special_locus:
-            ans = ricci_closed_ansatz(pg, order)
+            ans = ricci_closed_ansatz(pg, constants, order)
             real, phantom, scalar = _ricci_terms(ans, oracle, m)
             errors.update(_family_maxima(shape, {
                 "ricci_real_ansatz": real, "ricci_phantom_ansatz": phantom,
@@ -275,26 +275,28 @@ class IdentityRow:
     order: float
 
 
-def identity_study(constants: WarpedConstants, spec: StudySpec,
-                   normalize_n: bool = False) -> list[IdentityRow]:
-    """Evaluate the product-action identity on a refinement ladder and
-    report how fast the residual shrinks."""
-    rows: list[IdentityRow] = []
-    prev: tuple[float, float] | None = None
+def identity_study(couplings: list[WarpedConstants], spec: StudySpec,
+                   normalize_n: bool = False) -> list[list[IdentityRow]]:
+    """Evaluate the product-action identity on a refinement ladder at
+    every coupling and report how fast each residual shrinks: one list
+    of rows per coupling, in order.  Each level's geometry is built once
+    and its factor pieces serve every coupling."""
+    rows: list[list[IdentityRow]] = [[] for _ in couplings]
     for lvl in range(len(spec.levels)):
-        pg = build_product_geometry(constants, spec, lvl, normalize_n)
+        pg = build_product_geometry(spec, lvl, normalize_n)
         h = max(pg.grid_m.spacing)
-        rep = theorem_identity_residual(pg, spec.order)
-        conv = math.nan
-        if prev is not None:
-            conv = measured_order(prev[0], abs(prev[1]), h, abs(rep.theorem_residual))
-        rows.append(IdentityRow(
-            level=lvl, h=h, lam=rep.lam, S_tilde=rep.S_tilde,
-            F_lam=rep.F_lam, vol_N=rep.vol_N,
-            total_scalar_N=rep.total_scalar_N,
-            warp_coupling=rep.warp_coupling,
-            residual=rep.theorem_residual, order=conv))
-        prev = (h, rep.theorem_residual)
+        for own, c in zip(rows, couplings):
+            rep = theorem_identity_residual(pg, c, spec.order)
+            conv = math.nan
+            if own:
+                conv = measured_order(own[-1].h, abs(own[-1].residual), h,
+                                      abs(rep.theorem_residual))
+            own.append(IdentityRow(
+                level=lvl, h=h, lam=rep.lam, S_tilde=rep.S_tilde,
+                F_lam=rep.F_lam, vol_N=rep.vol_N,
+                total_scalar_N=rep.total_scalar_N,
+                warp_coupling=rep.warp_coupling,
+                residual=rep.theorem_residual, order=conv))
     return rows
 
 
@@ -310,12 +312,14 @@ class VariationRow:
     richardson_gap: float
 
 
-def variation_study(constants: WarpedConstants, spec: StudySpec,
+def variation_study(couplings: list[WarpedConstants], spec: StudySpec,
                     n_directions: int, direction_amplitude: float = 0.3,
-                    eps: float = 1e-4) -> list[VariationRow]:
+                    eps: float = 1e-4) -> list[list[VariationRow]]:
     """Numeric vs closed directional derivative of the doubled action
     over random directions, drawn after the recipes from one generator
-    seeded with ``spec.seed``, at the ladder's first level.
+    seeded with ``spec.seed``, at the ladder's first level: one list of
+    rows per coupling, in order.  The geometry, the directions and the
+    perturbed metrics are built once and serve every coupling.
 
     N is always rescaled to unit volume here: the closed covector is an
     integral over M alone, so it equals the derivative of the doubled
@@ -324,18 +328,18 @@ def variation_study(constants: WarpedConstants, spec: StudySpec,
         raise ConfigError("variation_study draws random directions: "
                           "it needs a seed")
     rng = np.random.default_rng(spec.seed)
-    pg = build_product_geometry(constants, spec, 0, True, rng)
-    rows: list[VariationRow] = []
+    pg = build_product_geometry(spec, 0, True, rng)
+    rows: list[list[VariationRow]] = [[] for _ in couplings]
     for k in range(n_directions):
         dg = recipes.random_sym_tensor(pg.grid_m, rng, direction_amplitude)
-        res = first_variation_check(pg, dg, constants.lam, spec.order,
-                                    eps=eps)
-        denom = max(abs(res.numeric_derivative), abs(res.closed_form), 1e-300)
-        rows.append(VariationRow(
-            lam=constants.lam, direction=k,
-            numeric=res.numeric_derivative, closed=res.closed_form,
-            rel_mismatch=abs(res.numeric_derivative - res.closed_form) / denom,
-            richardson_gap=res.richardson_gap))
+        results = first_variation_check(pg, couplings, dg, spec.order, eps)
+        for own, c, res in zip(rows, couplings, results):
+            num, closed = res.numeric_derivative, res.closed_form
+            own.append(VariationRow(
+                lam=c.lam, direction=k, numeric=num, closed=closed,
+                rel_mismatch=abs(num - closed)
+                / max(abs(num), abs(closed), 1e-300),
+                richardson_gap=res.richardson_gap))
     return rows
 
 

@@ -30,7 +30,10 @@ Nothing here reuses the generic curvature contractions: the closed forms
 are separate arithmetic by design, so a comparison between the two
 pipelines is a real cross-check rather than a tautology.  The generic
 pipeline runs on the factor grids only, once per geometry and stencil
-order (memoised on the frozen ``ProductGeometry``).  Only
+order (memoised on the frozen ``ProductGeometry``).  The geometry
+(g, h, f) does not depend on the coupling, so it carries no constants:
+the closed forms take ``(pg, constants, order)``, and every coupling of
+a command shares one geometry's factor pieces.  Only
 ``christoffel_closed_form`` builds the product-grid Christoffel cube.
 """
 
@@ -230,25 +233,22 @@ def lambda_to_constants(m: int, n: int, lam: float) -> list[WarpedConstants]:
 @dataclass(frozen=True)
 class ProductGeometry:
     """All the data defining one warped product: the two factor grids,
-    the factor metrics g (on M) and h (on N), the scalar f on M, and the
-    warping constants.  Frozen, so the factor-grid pieces the closed
-    forms memoise on it per stencil order cannot go stale."""
+    the factor metrics g (on M) and h (on N), and the scalar f on M.  The
+    warping constants are not part of it: they only pick the point (A, B)
+    on the constraint line, so every coupling reads the same geometry and
+    the closed forms take the constants as an argument.  Frozen, so the
+    coupling-free factor pieces memoised on it per stencil order cannot
+    go stale."""
 
     grid_m: GridSpec
     grid_n: GridSpec
     g: SymTensorField
     h: SymTensorField
     f: ScalarField
-    constants: WarpedConstants
     _memo: dict = field(default_factory=dict, init=False, compare=False,
                         repr=False)
 
     def __post_init__(self):
-        c = self.constants
-        if self.grid_m.dim != c.m or self.grid_n.dim != c.n:
-            raise ValueError(
-                f"grids have dims ({self.grid_m.dim}, {self.grid_n.dim}) but "
-                f"constants expect ({c.m}, {c.n})")
         if self.g.grid != self.grid_m or not self.g.is_metric:
             raise ValueError("g must be a metric field on the M grid")
         if self.h.grid != self.grid_n or not self.h.is_metric:
@@ -261,6 +261,52 @@ class ProductGeometry:
     def product_grid(self) -> GridSpec:
         return GridSpec(self.grid_m.points + self.grid_n.points,
                         self.grid_m.periods + self.grid_n.periods)
+
+    def m_pieces(self, order: int) -> "_Pieces":
+        """The M-grid pieces at ``order``: computed on first use, then
+        served from the memo.  Callers share them, so they must never be
+        written."""
+        p = self._memo.get(("m", order))
+        if p is None:
+            bundle = geometry.curvature_bundle(self.g, order)
+            inv = bundle.inverse
+            df = geometry.gradient_components(self.f, order)
+            hess = geometry.hessian(df, bundle.christoffel, order).values
+            p = self._memo["m", order] = _Pieces(
+                bundle=bundle, df=df, hess=hess,
+                lap=np.einsum("...jl,...jl->...", inv, hess),
+                grad_sq=np.einsum("...jl,...j,...l->...", inv, df, df),
+                df_raised=np.einsum("...kl,...l->...k", inv, df))
+        return p
+
+    def n_bundle(self, order: int) -> geometry.CurvatureBundle:
+        """The oracle curvature of h at ``order``, memoised like
+        ``m_pieces``."""
+        if ("n", order) not in self._memo:
+            self._memo["n", order] = geometry.curvature_bundle(self.h, order)
+        return self._memo["n", order]
+
+
+@dataclass
+class _Pieces:
+    """M-grid ingredients of the closed forms at one stencil order,
+    computed with the generic pipeline on the small factor grid."""
+
+    bundle: geometry.CurvatureBundle  # curvature of g, its inverse included
+    df: np.ndarray            # (..., m) first partials of f
+    hess: np.ndarray          # (..., m, m) covariant Hessian of f
+    lap: np.ndarray           # trace g^{jl} hess_{jl}
+    grad_sq: np.ndarray       # g^{jl} df_j df_l
+    df_raised: np.ndarray     # g^{kl} df_l
+
+
+def _dims(pg: ProductGeometry, c: WarpedConstants) -> tuple[int, int]:
+    """(m, n) of the constants, checked against the factor grids."""
+    if (pg.grid_m.dim, pg.grid_n.dim) != (c.m, c.n):
+        raise ValueError(
+            f"grids have dims ({pg.grid_m.dim}, {pg.grid_n.dim}) but "
+            f"constants expect ({c.m}, {c.n})")
+    return c.m, c.n
 
 
 def _lift_m(pg: ProductGeometry, arr: np.ndarray) -> np.ndarray:
@@ -279,11 +325,11 @@ def _lift_n(pg: ProductGeometry, arr: np.ndarray) -> np.ndarray:
     return np.broadcast_to(view, sm + sn + comp)
 
 
-def assemble_product_metric(pg: ProductGeometry) -> SymTensorField:
+def assemble_product_metric(pg: ProductGeometry,
+                            c: WarpedConstants) -> SymTensorField:
     """The block metric e^{-Af} g (+) e^{-Bf} h as a field on the product
     grid, with f extended constantly along the N directions."""
-    c = pg.constants
-    m, n = c.m, c.n
+    m, n = _dims(pg, c)
     d = m + n
     grid = pg.product_grid
     gm = np.exp(-c.A * pg.f.values)[..., None, None] * pg.g.values
@@ -295,39 +341,7 @@ def assemble_product_metric(pg: ProductGeometry) -> SymTensorField:
     return SymTensorField.from_matrix(grid, full, is_metric=True)
 
 
-@dataclass
-class _Pieces:
-    """Factor-grid ingredients of the closed forms at one stencil order,
-    computed with the generic pipeline on the small factor grids."""
-
-    m: geometry.CurvatureBundle     # curvature of g on the M grid
-    n: geometry.CurvatureBundle     # curvature of h on the N grid
-    df: np.ndarray            # (..., m) first partials of f
-    hess: np.ndarray          # (..., m, m) covariant Hessian of f
-    lap: np.ndarray           # trace g^{jl} hess_{jl}
-    grad_sq: np.ndarray       # g^{jl} df_j df_l
-    df_raised: np.ndarray     # g^{kl} df_l
-
-
-def _pieces(pg: ProductGeometry, order: int) -> _Pieces:
-    """The pieces of ``pg`` at ``order``: computed on first use, then
-    served from the geometry's memo.  The memo holds factor-grid arrays
-    only, and callers share them, so they must never be written."""
-    p = pg._memo.get(order)
-    if p is None:
-        bundle = geometry.curvature_bundle(pg.g, order)
-        inv = bundle.inverse
-        df = geometry.gradient_components(pg.f, order)
-        hess = geometry.hessian(pg.f, bundle.christoffel, order).values
-        p = pg._memo[order] = _Pieces(
-            m=bundle, n=geometry.curvature_bundle(pg.h, order), df=df,
-            hess=hess, lap=np.einsum("...jl,...jl->...", inv, hess),
-            grad_sq=np.einsum("...jl,...j,...l->...", inv, df, df),
-            df_raised=np.einsum("...kl,...l->...k", inv, df))
-    return p
-
-
-def christoffel_closed_form(pg: ProductGeometry,
+def christoffel_closed_form(pg: ProductGeometry, c: WarpedConstants,
                             order: int = 2) -> Christoffel3Field:
     """Connection of the warped metric from the five closed component
     families (everything from M-grid ingredients; no product-grid
@@ -340,15 +354,14 @@ def christoffel_closed_form(pg: ProductGeometry,
         Gt^gamma_{i beta} = -(B/2) df_i d^gamma_beta
         Gt^gamma_{alpha beta} = G^gamma_{alpha beta}
     """
-    c = pg.constants
-    m, n = c.m, c.n
+    m, n = _dims(pg, c)
     d = m + n
     grid = pg.product_grid
-    p = _pieces(pg, order)
+    p = pg.m_pieces(order)
 
     # M-family on the M grid first.
     gmat = pg.g.values
-    mm = p.m.christoffel.values.copy()
+    mm = p.bundle.christoffel.values.copy()
     half_a = 0.5 * c.A
     for k in range(m):
         mm[..., k, :, k] -= half_a * p.df
@@ -371,7 +384,7 @@ def christoffel_closed_form(pg: ProductGeometry,
         out[..., m + gam, :m, m + gam] = _lift_m(pg, half_b_df)
         out[..., m + gam, m + gam, :m] = _lift_m(pg, half_b_df)
 
-    out[..., m:, m:, m:] = _lift_n(pg, p.n.christoffel.values)
+    out[..., m:, m:, m:] = _lift_n(pg, pg.n_bundle(order).christoffel.values)
     return Christoffel3Field(grid, out, check_symmetry=False)
 
 
@@ -383,8 +396,8 @@ def _require_locus(c: WarpedConstants, what: str):
             f"{what} needs special-locus constants; residual {r1:.3e}")
 
 
-def _closed_ricci_blocks(pg: ProductGeometry, p: _Pieces, hess_coeff: float,
-                         block_coeff: float,
+def _closed_ricci_blocks(pg: ProductGeometry, c: WarpedConstants, order: int,
+                         hess_coeff: float, block_coeff: float,
                          df_quadratic: float) -> SymTensorField:
     """Assemble both diagonal Ricci blocks of the warped metric from the
     pattern shared by the general and reduced forms:
@@ -396,13 +409,13 @@ def _closed_ricci_blocks(pg: ProductGeometry, p: _Pieces, hess_coeff: float,
 
     with every scalar ingredient evaluated on the M grid.
     """
-    c = pg.constants
-    m, n = c.m, c.n
+    m, n = _dims(pg, c)
     d = m + n
     grid = pg.product_grid
+    p = pg.m_pieces(order)
 
     bracket = p.lap - block_coeff * p.grad_sq
-    mm = p.m.ricci.values + hess_coeff * p.hess
+    mm = p.bundle.ricci.values + hess_coeff * p.hess
     mm += 0.5 * c.A * bracket[..., None, None] * pg.g.values
     mm += df_quadratic * p.df[..., :, None] * p.df[..., None, :]
 
@@ -410,31 +423,13 @@ def _closed_ricci_blocks(pg: ProductGeometry, p: _Pieces, hess_coeff: float,
 
     full = np.zeros(grid.shape + (d, d))
     full[..., :m, :m] = _lift_m(pg, mm)
-    full[..., m:, m:] = _lift_n(pg, p.n.ricci.values) \
+    full[..., m:, m:] = _lift_n(pg, pg.n_bundle(order).ricci.values) \
         + _lift_m(pg, warp)[..., None, None] * _lift_n(pg, pg.h.values)
     return SymTensorField.from_matrix(grid, full, symmetrize=True)
 
 
-def _closed_scalar(pg: ProductGeometry, p: _Pieces,
-                   reduced: bool) -> ScalarField:
-    """The scalar formula of ``closed_scalar_curvature``, locus unchecked."""
-    c = pg.constants
-    m, n, A, B = c.m, c.n, c.A, c.B
-    ea, eb = np.exp(A * pg.f.values), np.exp(B * pg.f.values)
-    if reduced:
-        m_part = ea * (p.m.scalar.values + (A + 2.0) * p.lap
-                       - (A + 1.0) * p.grad_sq)
-    else:
-        coeff = (4 * A * B * n - 2 * A * B * m * n + 3 * m * A * A
-                 - 2 * A * A - m * m * A * A - B * B * n - B * B * n * n)
-        m_part = ea * (p.m.scalar.values + (A * m + B * n - A) * p.lap
-                       + 0.25 * coeff * p.grad_sq)
-    scal = _lift_m(pg, m_part) \
-        + _lift_m(pg, eb) * _lift_n(pg, p.n.scalar.values)
-    return ScalarField(pg.product_grid, scal)
-
-
-def closed_scalar_curvature(pg: ProductGeometry, order: int = 2,
+def closed_scalar_curvature(pg: ProductGeometry, c: WarpedConstants,
+                            order: int = 2,
                             reduced: bool = False) -> ScalarField:
     """Scalar curvature of the warped metric from the closed formula
     alone, without assembling the Christoffel cube on the product grid
@@ -451,11 +446,25 @@ def closed_scalar_curvature(pg: ProductGeometry, order: int = 2,
         e^{Af} R^M + e^{Bf} R^N + e^{Af} ((A+2) lap f - (A+1) |grad f|^2)
     """
     if reduced:
-        _require_locus(pg.constants, "the reduced scalar formula")
-    return _closed_scalar(pg, _pieces(pg, order), reduced)
+        _require_locus(c, "the reduced scalar formula")
+    m, n = _dims(pg, c)
+    A, B = c.A, c.B
+    p = pg.m_pieces(order)
+    ea, eb = np.exp(A * pg.f.values), np.exp(B * pg.f.values)
+    if reduced:
+        m_part = ea * (p.bundle.scalar.values + (A + 2.0) * p.lap
+                       - (A + 1.0) * p.grad_sq)
+    else:
+        coeff = (4 * A * B * n - 2 * A * B * m * n + 3 * m * A * A
+                 - 2 * A * A - m * m * A * A - B * B * n - B * B * n * n)
+        m_part = ea * (p.bundle.scalar.values + (A * m + B * n - A) * p.lap
+                       + 0.25 * coeff * p.grad_sq)
+    scal = _lift_m(pg, m_part) \
+        + _lift_m(pg, eb) * _lift_n(pg, pg.n_bundle(order).scalar.values)
+    return ScalarField(pg.product_grid, scal)
 
 
-def ricci_closed_general(pg: ProductGeometry,
+def ricci_closed_general(pg: ProductGeometry, c: WarpedConstants,
                          order: int = 2) -> geometry.CurvatureBundle:
     """Closed-form curvature for arbitrary constants on the constraint
     line or off it: no condition on (A, B) is assumed.
@@ -469,21 +478,18 @@ def ricci_closed_general(pg: ProductGeometry,
     documented in ``closed_scalar_curvature``.  The bundle carries no
     Christoffel cube; ``christoffel_closed_form`` builds that.
     """
-    c = pg.constants
-    m, n = c.m, c.n
-    A, B = c.A, c.B
-    c0 = 0.5 * (A * m + B * n) - A
-    quad = 0.25 * c1_residual(m, n, A, B)
-    p = _pieces(pg, order)
+    m, n = _dims(pg, c)
+    c0 = 0.5 * (c.A * m + c.B * n) - c.A
     return geometry.CurvatureBundle(
         christoffel=None,
-        ricci=_closed_ricci_blocks(pg, p, hess_coeff=c0, block_coeff=c0,
-                                   df_quadratic=quad),
-        scalar=_closed_scalar(pg, p, reduced=False),
+        ricci=_closed_ricci_blocks(pg, c, order, hess_coeff=c0,
+                                   block_coeff=c0,
+                                   df_quadratic=z_value(m, n, c.A, c.B)),
+        scalar=closed_scalar_curvature(pg, c, order),
         source_tag="closed_form_general")
 
 
-def ricci_closed_ansatz(pg: ProductGeometry,
+def ricci_closed_ansatz(pg: ProductGeometry, c: WarpedConstants,
                         order: int = 2) -> geometry.CurvatureBundle:
     """Reduced closed-form curvature, valid only on the special locus
     (both defining conditions within 1e-12):
@@ -497,11 +503,10 @@ def ricci_closed_ansatz(pg: ProductGeometry,
     there, so running them would be meaningless.  The bundle carries no
     Christoffel cube.
     """
-    _require_locus(pg.constants, "the reduced Ricci formula")
-    p = _pieces(pg, order)
+    _require_locus(c, "the reduced Ricci formula")
     return geometry.CurvatureBundle(
         christoffel=None,
-        ricci=_closed_ricci_blocks(pg, p, hess_coeff=1.0, block_coeff=1.0,
-                                   df_quadratic=0.0),
-        scalar=_closed_scalar(pg, p, reduced=True),
+        ricci=_closed_ricci_blocks(pg, c, order, hess_coeff=1.0,
+                                   block_coeff=1.0, df_quadratic=0.0),
+        scalar=closed_scalar_curvature(pg, c, order, reduced=True),
         source_tag="closed_form_ansatz")

@@ -37,7 +37,7 @@ from warpflow.cli import main
 from warpflow.errors import ConstantsError, StabilityWarning
 from warpflow.flow import (FlowConfig, FlowState, instantaneous_rate,
                            monotonicity_report, run_decoupled)
-from warpflow.functionals import first_variation_check, gradient_tensor
+from warpflow.functionals import StateTerms, first_variation_check
 from warpflow.grids import (GridSpec, ScalarField, SymTensorField,
                             filter_array, integrate)
 from warpflow.recipes import (conformal_metric, flat_metric,
@@ -196,8 +196,8 @@ def test_criterion_3_action_identity():
     # are smooth and the quadrature is spectral for trig data), so the
     # halving bound err(64) <= 5 * err(32)/4 has a wide margin.
     c21 = solve_perelman_constants(2, 1)
-    rows = identity_study(
-        c21, StudySpec(
+    [rows] = identity_study(
+        [c21], StudySpec(
             (((16, 16), (8,)), ((32, 32), (8,)), ((64, 64), (8,))),
             TWO_PI, TWO_PI, FieldSpec("conformal-bump", 0.2, 1),
             FieldSpec("flat"), 0.25, (1, 2)), normalize_n=True)
@@ -211,8 +211,8 @@ def test_criterion_3_action_identity():
 
     # Curved second factor: the extra total-curvature term is live.
     c13 = solve_perelman_constants(1, 3)
-    rows = identity_study(
-        c13, StudySpec(
+    [rows] = identity_study(
+        [c13], StudySpec(
             (((32,), (8, 8, 8)), ((64,), (16, 16, 16)),
              ((128,), (32, 32, 32))),
             TWO_PI, TWO_PI, FieldSpec("flat"),
@@ -229,13 +229,13 @@ def test_criterion_3_action_identity():
 
     # Coupled family on (3, 1): below, at, and nowhere-above the
     # maximal coupling 1/(m-2) = 1.
-    for lam in (-0.5, 0.5, 1.0):
-        c = lambda_to_constants(3, 1, lam)[0]
-        rows = identity_study(
-            c, StudySpec(
-                (((16,) * 3, (8,)), ((32,) * 3, (8,)), ((48,) * 3, (8,))),
-                TWO_PI, TWO_PI, FieldSpec("conformal-bump", 0.15, 1),
-                FieldSpec("flat"), 0.25, (1, 2)), normalize_n=True)
+    lams = (-0.5, 0.5, 1.0)
+    runs = identity_study(
+        [lambda_to_constants(3, 1, lam)[0] for lam in lams], StudySpec(
+            (((16,) * 3, (8,)), ((32,) * 3, (8,)), ((48,) * 3, (8,))),
+            TWO_PI, TWO_PI, FieldSpec("conformal-bump", 0.15, 1),
+            FieldSpec("flat"), 0.25, (1, 2)), normalize_n=True)
+    for lam, rows in zip(lams, runs):
         lam_ok = rows[-1].order >= 1.8
         ok &= lam_ok
         details.append(f"coupling {lam:+.1f} on (3,1): residual "
@@ -258,10 +258,11 @@ def test_criterion_4_first_variation():
     spec = StudySpec((((128, 128), (8,)),), TWO_PI, TWO_PI, g_spec, h_spec,
                      0.2, (1,), order=4, seed=7)
 
-    for lam in (0.0, 0.5):
-        c = lambda_to_constants(2, 1, lam)[0]
-        rows = variation_study(c, spec, n_directions=20,
-                               direction_amplitude=0.3, eps=1e-4)
+    lams = (0.0, 0.5)
+    runs = variation_study([lambda_to_constants(2, 1, lam)[0] for lam in lams],
+                           spec, n_directions=20, direction_amplitude=0.3,
+                           eps=1e-4)
+    for lam, rows in zip(lams, runs):
         worst = max(r.rel_mismatch for r in rows)
         worst_gap = max(r.richardson_gap for r in rows)
         lam_ok = worst <= 1e-4 and worst_gap < 1e-6
@@ -279,11 +280,11 @@ def test_criterion_4_first_variation():
     # does not converge away, so nobody "fixes" it silently.
     c = lambda_to_constants(2, 1, 0.5)[0]
     rng = np.random.default_rng(7)
-    pg = build_product_geometry(c, spec, normalize_n=True, rng=rng)
+    pg = build_product_geometry(spec, normalize_n=True, rng=rng)
     dg = random_sym_tensor(pg.grid_m, rng, 0.3)
-    res = first_variation_check(pg, dg, 0.5, order=4)
+    [res] = first_variation_check(pg, [c], dg, order=4)
     inv = geometry.inverse_metric(pg.g)
-    s_naive = gradient_tensor(pg.g, pg.f, 0.5, order=4).matrix()
+    s_naive = StateTerms.at(pg.g, pg.f, 4).gradient_tensor(0.5).matrix()
     pairing = np.einsum("...ik,...jl,...ij,...kl->...",
                         inv, inv, s_naive, dg.matrix())
     weight = ScalarField(pg.grid_m, np.exp(-pg.f.values)

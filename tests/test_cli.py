@@ -118,6 +118,8 @@ MALFORMED = [
     ("verify-variation", _DIMS + "[variation]\nlambdas =\n"),
     ("flow", "[grid]\npoints = 4\n"),
     ("flow", "[fields]\ng = conformal-bump\ng_axis = 1\n"),
+    ("flow", "[flow]\ndt = 1e-3\nt_end = 1.05e-2\n"),
+    ("flow", "[flow]\nt_end = nan\n"),
     # keys that exist but would have no effect where they stand
     ("verify-curvature", _DIMS + "lambda = 0.5\nbranch = minus\n"),
     ("verify-curvature", _DIMS + "root = 0\n"),
@@ -224,13 +226,19 @@ def test_flow_decoupled_config(tmp_path, capsys):
     assert "functional nondecreasing over 61 snapshots" in printed
 
 
-def test_flow_unstable_config_detects_divergence(tmp_path, capsys):
+def test_flow_unstable_config_detects_divergence(tmp_path, capfd):
+    # the stability warning comes out as CLI lines, once, ahead of the
+    # failure: no source path, no source line
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StabilityWarning)
         rc = main(["flow", "--config", str(CONFIGS / "flow-unstable.ini"),
                    "--out", str(tmp_path / "boom.csv")])
     assert rc == 1
-    assert "failure:" in capsys.readouterr().err
+    lines = capfd.readouterr().err.splitlines()
+    assert [l for l in lines if l.startswith("warning: dt exceeds")] \
+        == [lines[0]]
+    assert lines[-1].startswith("failure:")
+    assert not any(".py:" in l for l in lines)
 
 
 def test_flow_filtered_config_completes(tmp_path, capsys):

@@ -13,8 +13,7 @@ from warpflow.errors import (ConfigError, FlowDivergenceError,
 from warpflow.flow import (FlowConfig, FlowState, conserved_measure_check,
                            instantaneous_rate, monotonicity_report,
                            run_coupled, run_decoupled, step)
-from warpflow.functionals import (F_lambda, dissipation_integral,
-                                  gradient_tensor)
+from warpflow.functionals import StateTerms
 from warpflow.grids import GridSpec, ScalarField
 
 TAU = 2.0 * math.pi
@@ -50,6 +49,8 @@ def test_config_validation():
     for bad in (dict(good, dt=-1e-3),
                 dict(good, dt=math.nan),
                 dict(good, t_end=1e-4),
+                dict(good, t_end=1.05e-2),   # not a whole number of steps
+                dict(good, t_end=math.nan),
                 dict(good, integrator="rk2"),
                 dict(good, mode="mixed"),
                 dict(good, filter_cutoff=0.0),
@@ -95,14 +96,14 @@ def test_flat_constant_pair_is_a_fixed_point():
     g = recipes.flat_metric(grid)
     f = ScalarField.constant(grid, 0.7)
     state = FlowState.initial(g, f)
-    assert np.all(gradient_tensor(g, f, 0.3).values == 0.0)
+    assert np.all(StateTerms.at(g, f).gradient_tensor(0.3).values == 0.0)
     traj = run_coupled(state, FlowConfig(dt=1e-3, t_end=5e-3,
                                          mode="coupled", integrator="rk4",
                                          lam=0.3))
     final = traj[-1]
     assert np.array_equal(final.g.values, g.values)
     assert np.array_equal(final.f.values, f.values)
-    assert dissipation_integral(final.g, final.f, 0.3) == 0.0
+    assert StateTerms.at(final.g, final.f).dissipation(0.3) == 0.0
 
 
 def test_constant_terminal_f_stays_constant():
@@ -230,9 +231,10 @@ def test_monotonicity_report_takes_one_oracle_pass_per_snapshot(monkeypatch):
     rows = monotonicity_report(traj, 0.5)
     assert len(rows) == len(traj) == 4
     assert len(calls) == len(traj)
-    assert [r.f_lam for r in rows] == [F_lambda(s.g, s.f, 0.5) for s in traj]
+    records = [StateTerms.at(s.g, s.f) for s in traj]
+    assert [r.f_lam for r in rows] == [t.F_lambda(0.5) for t in records]
     assert [r.dissipation for r in rows] \
-        == [dissipation_integral(s.g, s.f, 0.5) for s in traj]
+        == [t.dissipation(0.5) for t in records]
 
 
 def test_coupled_rk4_step_inverts_the_metric_four_times(monkeypatch):
@@ -259,7 +261,7 @@ def test_instantaneous_rate_takes_one_oracle_pass_at_the_state(
     # dissipation
     from warpflow import geometry
     state = initial_state(32)
-    expected = dissipation_integral(state.g, state.f, 0.5)
+    expected = StateTerms.at(state.g, state.f).dissipation(0.5)
     at_state = []
     bundle = geometry.curvature_bundle
 
@@ -291,7 +293,7 @@ def test_unresolved_run_diverges_and_filter_rescues_it():
     f0 = ScalarField(grid, recipes.sine_scalar(grid, 0.2).values
                      + recipes.high_mode_scalar(grid, 0.4, (9, 11, 13)).values)
     state = FlowState.initial(recipes.flat_metric(grid), f0)
-    t_end = 0.01 * TAU ** 2
+    t_end = 0.395  # 79 steps, about 0.01 L^2
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StabilityWarning)
         with pytest.raises((FlowDivergenceError, MetricDegeneracyError)) as ei:
@@ -413,6 +415,6 @@ def test_decoupled_and_coupled_functionals_agree():
     assert len(traj_d) == len(traj_c)
     for sd, sc in zip(traj_d, traj_c):
         assert sd.t == pytest.approx(sc.t, abs=1e-12)
-        fd = F_lambda(sd.g, sd.f, 0.0)
-        fc = F_lambda(sc.g, sc.f, 0.0)
+        fd = StateTerms.at(sd.g, sd.f).F_lambda(0.0)
+        fc = StateTerms.at(sc.g, sc.f).F_lambda(0.0)
         assert abs(fd - fc) / abs(fd) < 1e-5

@@ -12,15 +12,14 @@ import numpy as np
 import pytest
 
 from warpflow import geometry, recipes
-from warpflow.functionals import (F_lambda, StateTerms, dissipation_integral,
-                                  einstein_hilbert_S, first_variation_check,
-                                  gradient_tensor, perelman_F,
+from warpflow.functionals import (StateTerms, einstein_hilbert_S,
+                                  first_variation_check,
                                   theorem_identity_residual)
 from warpflow.grids import GridSpec, ScalarField, integrate
 from warpflow.verify import (FieldSpec, StudySpec, build_product_geometry,
                              identity_study)
-from warpflow.warped import (ProductGeometry, lambda_to_constants,
-                             solve_perelman_constants)
+from warpflow.warped import (ProductGeometry, assemble_product_metric,
+                             lambda_to_constants, solve_perelman_constants)
 
 TAU = 2.0 * math.pi
 
@@ -50,8 +49,9 @@ def test_perelman_F_against_quadrature():
     for n in (128, 256):
         grid = circle(n)
         f = ScalarField.from_function(grid, lambda x: 0.3 * np.sin(x))
-        errs[n] = rel_gap(perelman_F(recipes.flat_metric(grid), f),
-                          F_CIRCLE_03)
+        errs[n] = rel_gap(
+            StateTerms.at(recipes.flat_metric(grid), f).F_lambda(0.0),
+            F_CIRCLE_03)
     assert 6e-4 < errs[128] < 1.1e-3
     assert errs[128] / errs[256] == pytest.approx(4.0, abs=0.3)
 
@@ -64,7 +64,7 @@ def test_dissipation_against_quadrature():
         grid = circle(n)
         f = ScalarField.from_function(grid, lambda x: 0.2 * np.sin(x))
         errs[n] = rel_gap(
-            dissipation_integral(recipes.flat_metric(grid), f, 0.0),
+            StateTerms.at(recipes.flat_metric(grid), f).dissipation(0.0),
             DISSIPATION_CIRCLE_02)
     assert 1.2e-3 < errs[128] < 2.1e-3
     assert errs[128] / errs[256] == pytest.approx(4.0, abs=0.3)
@@ -88,20 +88,20 @@ def test_F_lambda_reductions():
     grid = circle(64)
     f = recipes.sine_scalar(grid, 0.3)
     g = recipes.flat_metric(grid)
-    assert F_lambda(g, f, 0.0) == perelman_F(g, f)
+    terms = StateTerms.at(g, f)
+    assert terms.F_lambda(0.0) > 0.0
     # lam = -1 kills the gradient term; flat curvature is exactly zero
-    assert F_lambda(g, f, -1.0) == 0.0
+    assert terms.F_lambda(-1.0) == 0.0
     with pytest.raises(ValueError):
-        F_lambda(g, recipes.sine_scalar(circle(32), 0.3), 0.0)
+        StateTerms.at(g, recipes.sine_scalar(circle(32), 0.3))
 
 
 def test_gradient_tensor_and_dissipation_at_fixed_point():
     grid = circle(32)
     f0 = ScalarField.constant(grid, 0.0)
-    g = recipes.flat_metric(grid)
-    s = gradient_tensor(g, f0, 0.7)
-    assert np.all(s.values == 0.0)
-    assert dissipation_integral(g, f0, 0.7) == 0.0
+    terms = StateTerms.at(recipes.flat_metric(grid), f0)
+    assert np.all(terms.gradient_tensor(0.7).values == 0.0)
+    assert terms.dissipation(0.7) == 0.0
 
 
 def test_state_terms_grad_sq_flat_single_mode():
@@ -117,14 +117,16 @@ def test_state_terms_grad_sq_flat_single_mode():
 
 
 def test_one_state_record_serves_every_formula(monkeypatch):
-    # one oracle pass at a state gives F, F_lam, S_lam and D, bit for bit
-    # what the one-quantity functions give
+    # the record a product geometry's M pieces give is bit for bit the
+    # record of a pass of its own, and its one pass (g; h is not touched)
+    # serves F, F_lam, S_lam and D
     grid = GridSpec((12, 12), (TAU, TAU))
+    grid_n = GridSpec((8,), (TAU,))
     g = recipes.random_spd_metric(grid, np.random.default_rng(5), 0.2)
     f = recipes.mixed_sine_scalar(grid, 0.3)
-    expected = (perelman_F(g, f), F_lambda(g, f, 0.5),
-                gradient_tensor(g, f, 0.5).values,
-                dissipation_integral(g, f, 0.5))
+    own = StateTerms.at(g, f)
+    expected = (own.F_lambda(0.0), own.F_lambda(0.5),
+                own.gradient_tensor(0.5).values, own.dissipation(0.5))
     passes = []
     bundle = geometry.curvature_bundle
 
@@ -133,24 +135,28 @@ def test_one_state_record_serves_every_formula(monkeypatch):
         return bundle(*args, **kwargs)
 
     monkeypatch.setattr(geometry, "curvature_bundle", counted)
-    terms = StateTerms.at(g, f)
+    pg = ProductGeometry(grid, grid_n, g, recipes.conformal_metric(grid_n, 0.1),
+                         f)
+    terms = StateTerms.on_m(pg)
     got = (terms.F_lambda(0.0), terms.F_lambda(0.5),
            terms.gradient_tensor(0.5).values, terms.dissipation(0.5))
     assert len(passes) == 1
     assert got[0] == expected[0] and got[1] == expected[1]
     assert np.array_equal(got[2], expected[2])
     assert got[3] == expected[3]
+    assert np.array_equal(terms.completed_covector(0.5),
+                          own.completed_covector(0.5))
     assert np.array_equal(terms.completed_covector(0.0),
                           terms.gradient_tensor(0.0).values)
 
 
 # ----------------------------------------------------------------- identity
 
-def identity_pg(constants, points_m, points_n, g_spec, h_spec,
-                f_amp=0.25, f_modes=(1, 2)):
+def identity_pg(points_m, points_n, g_spec, h_spec, f_amp=0.25,
+                f_modes=(1, 2)):
     return build_product_geometry(
-        constants, StudySpec(((points_m, points_n),), TAU, TAU, g_spec,
-                             h_spec, f_amp, f_modes),
+        StudySpec(((points_m, points_n),), TAU, TAU, g_spec, h_spec, f_amp,
+                  f_modes),
         normalize_n=True)
 
 
@@ -161,8 +167,8 @@ def test_identity_trivial_product_is_exact():
     pg = ProductGeometry(grid_m, grid_n,
                          recipes.flat_metric(grid_m),
                          recipes.flat_metric(grid_n),
-                         ScalarField.constant(grid_m, 0.0), c)
-    rep = theorem_identity_residual(pg)
+                         ScalarField.constant(grid_m, 0.0))
+    rep = theorem_identity_residual(pg, c)
     assert rep.S_tilde == 0.0
     assert rep.F == 0.0 and rep.F_lam == 0.0
     assert rep.total_scalar_N == 0.0
@@ -173,8 +179,8 @@ def test_identity_trivial_product_is_exact():
 
 def test_identity_residual_flat_N():
     c = solve_perelman_constants(2, 1)
-    rows = identity_study(
-        c, StudySpec((((16, 16), (8,)), ((32, 32), (8,))), TAU, TAU,
+    [rows] = identity_study(
+        [c], StudySpec((((16, 16), (8,)), ((32, 32), (8,))), TAU, TAU,
                      FieldSpec("conformal-bump", 0.2, 1), FieldSpec("flat"),
                      0.25, (1, 2)),
         normalize_n=True)
@@ -188,8 +194,8 @@ def test_identity_residual_nonflat_N():
     # scalar-flat N is the easy case; a conformal T^3 second factor
     # exercises the R^N coupling term of the identity
     c = solve_perelman_constants(1, 3)
-    rows = identity_study(
-        c, StudySpec((((32,), (8, 8, 8)), ((64,), (16, 16, 16))), TAU, TAU,
+    [rows] = identity_study(
+        [c], StudySpec((((32,), (8, 8, 8)), ((64,), (16, 16, 16))), TAU, TAU,
                      FieldSpec("flat"), FieldSpec("conformal-bump", 0.15, 1),
                      0.25, (1, 2)),
         normalize_n=True)
@@ -199,11 +205,12 @@ def test_identity_residual_nonflat_N():
     assert abs(rows[1].total_scalar_N) > 1e-3  # genuinely nonflat
 
 
-def test_identity_residual_takes_four_oracle_passes(monkeypatch):
-    # the closed side's factor pieces (g and h), one state record for
-    # both F and F_lam on M, and the scalar of h for the R^N coupling
-    c = lambda_to_constants(2, 1, 0.5)[0]
-    pg = identity_pg(c, (12, 12), (8,), FieldSpec("conformal-bump", 0.1, 1),
+def test_identity_residual_reads_the_closed_side_passes(monkeypatch):
+    # one pass each over g and h serves every coupling: the closed side's
+    # factor pieces, the state record for F and F_lam on M, and the
+    # scalar of h for the R^N coupling
+    couplings = [lambda_to_constants(2, 1, lam)[0] for lam in (0.5, -0.5)]
+    pg = identity_pg((12, 12), (8,), FieldSpec("conformal-bump", 0.1, 1),
                      FieldSpec("conformal-bump", 0.1, 1))
     passes = []
     bundle = geometry.curvature_bundle
@@ -213,32 +220,31 @@ def test_identity_residual_takes_four_oracle_passes(monkeypatch):
         return bundle(*args, **kwargs)
 
     monkeypatch.setattr(geometry, "curvature_bundle", counted)
-    rep = theorem_identity_residual(pg)
-    assert rep.F != rep.F_lam
-    assert len(passes) <= 4
+    reps = [theorem_identity_residual(pg, c) for c in couplings]
+    assert all(rep.F != rep.F_lam for rep in reps)
+    assert reps[0].F == reps[1].F
+    assert len(passes) == 2
 
 
 def test_einstein_hilbert_routes_agree():
     c = solve_perelman_constants(2, 1)
-    pg = identity_pg(c, (16, 16), (8,),
-                     FieldSpec("conformal-bump", 0.15, 1),
+    pg = identity_pg((16, 16), (8,), FieldSpec("conformal-bump", 0.15, 1),
                      FieldSpec("conformal-bump", 0.1, 1), f_modes=(1,))
-    s_closed = einstein_hilbert_S(pg, route="closed")
-    s_oracle = einstein_hilbert_S(pg, route="oracle")
+    s_closed = einstein_hilbert_S(pg, c)
+    gt = assemble_product_metric(pg, c)
+    s_oracle = integrate(geometry.curvature_bundle(gt).scalar,
+                         geometry.volume_density(gt))
     assert abs(s_oracle) > 0.05  # the agreement is not about zero
     assert abs(s_closed - s_oracle) / abs(s_oracle) < 5e-3
-    with pytest.raises(ValueError):
-        einstein_hilbert_S(pg, route="exact")
 
 
 # ---------------------------------------------------------- first variation
 
-def variation_setup(lam):
-    c = lambda_to_constants(2, 1, lam)[0]
+def variation_setup():
     pg = build_product_geometry(
-        c, StudySpec((((64, 64), (8,)),), TAU, TAU,
-                     FieldSpec("conformal-bump", 0.15, 1), FieldSpec("flat"),
-                     0.2, (1,)),
+        StudySpec((((64, 64), (8,)),), TAU, TAU,
+                  FieldSpec("conformal-bump", 0.15, 1), FieldSpec("flat"),
+                  0.2, (1,)),
         normalize_n=True)
     rng = np.random.default_rng(5)
     dg = recipes.random_sym_tensor(pg.grid_m, rng, 0.3)
@@ -246,9 +252,10 @@ def variation_setup(lam):
 
 
 def test_first_variation_matches_closed_form():
-    for lam, tol in ((0.0, 3e-4), (0.5, 1e-4)):
-        pg, dg = variation_setup(lam)
-        res = first_variation_check(pg, dg, lam, order=4)
+    pg, dg = variation_setup()
+    couplings = [lambda_to_constants(2, 1, lam)[0] for lam in (0.0, 0.5)]
+    results = first_variation_check(pg, couplings, dg, order=4)
+    for res, tol in zip(results, (3e-4, 1e-4)):
         rel = abs(res.numeric_derivative - res.closed_form) \
             / abs(res.numeric_derivative)
         assert rel < tol
@@ -262,8 +269,9 @@ def test_variation_covector_needs_trace_completion():
     # that term is not a small error; this pins the failure mode so it
     # cannot creep back in.
     lam = 0.5
-    pg, dg = variation_setup(lam)
-    res = first_variation_check(pg, dg, lam, order=4)
+    pg, dg = variation_setup()
+    [res] = first_variation_check(pg, lambda_to_constants(2, 1, lam)[:1], dg,
+                                  order=4)
 
     terms = StateTerms.at(pg.g, pg.f, 4)
     s_naive = terms.gradient_tensor(lam).values
@@ -281,8 +289,9 @@ def test_variation_covector_needs_trace_completion():
 
 
 def test_variation_trace_term_inert_at_lambda_zero():
-    pg, dg = variation_setup(0.0)
-    res = first_variation_check(pg, dg, 0.0, order=4)
+    pg, dg = variation_setup()
+    [res] = first_variation_check(pg, lambda_to_constants(2, 1, 0.0)[:1], dg,
+                                  order=4)
 
     terms = StateTerms.at(pg.g, pg.f, 4)
     s_naive = terms.gradient_tensor(0.0).values
@@ -291,3 +300,29 @@ def test_variation_trace_term_inert_at_lambda_zero():
                         inv, inv, s_naive, dg.values)
     naive = -2.0 * integrate(ScalarField(pg.grid_m, pairing), terms.weight)
     assert naive == pytest.approx(res.closed_form, rel=1e-14)
+
+
+def test_first_variation_couplings_share_perturbed_geometries(monkeypatch):
+    # two couplings in one call: the base g and the four perturbed
+    # geometries take one pass each (g_t and h per geometry), and every
+    # number is bit for bit what each coupling gets alone
+    grid_m, grid_n = GridSpec((16, 16), (TAU, TAU)), GridSpec((8,), (TAU,))
+    pg = ProductGeometry(grid_m, grid_n,
+                         recipes.conformal_metric(grid_m, 0.15),
+                         recipes.flat_metric(grid_n),
+                         recipes.sine_scalar(grid_m, 0.2))
+    dg = recipes.random_sym_tensor(grid_m, np.random.default_rng(3), 0.3)
+    couplings = [lambda_to_constants(2, 1, lam)[0] for lam in (0.0, 0.5)]
+    alone = [first_variation_check(pg, [c], dg) for c in couplings]
+    passes = []
+    bundle = geometry.curvature_bundle
+
+    def counted(g, *args, **kwargs):
+        passes.append(g.grid.dim)
+        return bundle(g, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "curvature_bundle", counted)
+    fresh = ProductGeometry(pg.grid_m, pg.grid_n, pg.g, pg.h, pg.f)
+    together = first_variation_check(fresh, couplings, dg)
+    assert sorted(passes) == [1] * 4 + [2] * 5
+    assert together == [a for [a] in alone]

@@ -8,7 +8,7 @@ import pytest
 from warpflow import geometry, recipes
 from warpflow.errors import GridMismatchError, MetricDegeneracyError
 from warpflow.flow import FlowConfig, FlowState, step
-from warpflow.functionals import gradient_tensor
+from warpflow.functionals import StateTerms
 from warpflow.grids import (Christoffel3Field, GridSpec, ScalarField,
                             SymTensorField, diff_array, filter_array,
                             integrate)
@@ -79,8 +79,8 @@ def test_sym_tensor_storage_is_full_symmetric_and_read_only():
     g = recipes.random_spd_metric(grid, rng, 0.3)
     f = recipes.mixed_sine_scalar(grid, 0.3)
     bundle = geometry.curvature_bundle(g)
+    c = solve_perelman_constants(2, 1)
     pg = build_product_geometry(
-        solve_perelman_constants(2, 1),
         StudySpec((((8, 10), (8,)),), TAU, TAU, FieldSpec("random-spd", 0.2),
                   FieldSpec("conformal-bump", 0.1), 0.2, (1,), seed=1))
     rk4 = step(FlowState.initial(g, f),
@@ -88,10 +88,12 @@ def test_sym_tensor_storage_is_full_symmetric_and_read_only():
                           filter_cutoff=0.75))
     fields = [recipes.flat_metric(grid), recipes.conformal_metric(grid, 0.1),
               recipes.random_sym_tensor(grid, rng), g, bundle.ricci,
-              geometry.hessian(f, bundle.christoffel),
-              gradient_tensor(g, f, 0.5),
-              assemble_product_metric(pg), ricci_closed_general(pg).ricci,
-              ricci_closed_ansatz(pg).ricci, rk4.g]
+              geometry.hessian(geometry.gradient_components(f),
+                               bundle.christoffel),
+              StateTerms.at(g, f).gradient_tensor(0.5),
+              assemble_product_metric(pg, c),
+              ricci_closed_general(pg, c).ricci,
+              ricci_closed_ansatz(pg, c).ricci, rk4.g]
     for t in fields:
         d = t.grid.dim
         assert t.values.shape == t.grid.shape + (d, d)
@@ -128,6 +130,15 @@ def test_metric_flag_requires_spd():
         SymTensorField(grid, vals, is_metric=True)
     assert err.value.node == (5,)
     assert err.value.eigenvalue == pytest.approx(-2.0)
+    # the check runs in blocks of nodes: a bad node in the last, ragged
+    # block of a larger grid is found too
+    grid = GridSpec((96, 96), (1.0, 1.0))
+    vals = np.broadcast_to(np.eye(2), grid.shape + (2, 2)).copy()
+    vals[95, 90] = [[1.0, 2.0], [2.0, 1.0]]
+    with pytest.raises(MetricDegeneracyError) as err:
+        SymTensorField(grid, vals, is_metric=True)
+    assert err.value.node == (95, 90)
+    assert err.value.eigenvalue == pytest.approx(-1.0)
 
 
 def test_christoffel_field_checks_lower_symmetry():

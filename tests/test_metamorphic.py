@@ -120,9 +120,9 @@ def _closed_scalar(grid_m: GridSpec, g_vals: np.ndarray,
     grid_n = GridSpec((8,), (TAU,))
     pg = ProductGeometry(
         grid_m, grid_n, SymTensorField(grid_m, g_vals, is_metric=True),
-        recipes.conformal_metric(grid_n, 0.1), ScalarField(grid_m, f_vals),
-        solve_perelman_constants(grid_m.dim, 1))
-    return closed_scalar_curvature(pg).values
+        recipes.conformal_metric(grid_n, 0.1), ScalarField(grid_m, f_vals))
+    return closed_scalar_curvature(
+        pg, solve_perelman_constants(grid_m.dim, 1)).values
 
 
 @SETTINGS

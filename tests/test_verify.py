@@ -63,9 +63,8 @@ def test_build_metric_recipes():
 
 
 def test_build_product_geometry_normalization_and_modes():
-    c = solve_perelman_constants(2, 1)
     pg = build_product_geometry(
-        c, StudySpec((((12, 12), (16,)),),
+        StudySpec((((12, 12), (16,)),),
                      g_spec=FieldSpec("conformal-bump", 0.2, 1),
                      h_spec=FieldSpec("conformal-bump", 0.3, 2)),
         normalize_n=True)
@@ -73,9 +72,9 @@ def test_build_product_geometry_normalization_and_modes():
                     geometry.volume_density(pg.h))
     assert vol == pytest.approx(1.0, abs=1e-13)
     flat = StudySpec((((12, 12), (8,)),), g_spec=FieldSpec("flat"))
-    single = build_product_geometry(c, flat)
+    single = build_product_geometry(flat)
     multi = build_product_geometry(
-        c, StudySpec(flat.levels, g_spec=FieldSpec("flat"), f_modes=(1, 2)))
+        StudySpec(flat.levels, g_spec=FieldSpec("flat"), f_modes=(1, 2)))
     assert not np.array_equal(single.f.values, multi.f.values)
     assert float(np.abs(multi.f.values).max()) <= 0.2 * 2 * (1.0 + 0.5)
 
@@ -140,22 +139,30 @@ def test_curvature_study_off_locus_drops_ansatz_rows():
 
 
 def test_identity_study_row_shape():
-    c = solve_perelman_constants(2, 1)
-    rows = identity_study(
-        c, StudySpec((((12, 12), (8,)), ((24, 24), (8,))), TAU, TAU,
+    couplings = [solve_perelman_constants(2, 1),
+                 lambda_to_constants(2, 1, 0.5)[0]]
+    runs = identity_study(
+        couplings, StudySpec((((12, 12), (8,)), ((24, 24), (8,))), TAU, TAU,
                      FieldSpec("conformal-bump", 0.2, 1), FieldSpec("flat"),
                      0.25, (1, 2)),
         normalize_n=True)
-    assert [r.level for r in rows] == [0, 1]
-    assert math.isnan(rows[0].order) and not math.isnan(rows[1].order)
-    assert rows[0].lam == 0.0
-    assert abs(rows[1].residual) < abs(rows[0].residual)
+    assert len(runs) == 2
+    for rows, c in zip(runs, couplings):
+        assert [r.level for r in rows] == [0, 1]
+        assert math.isnan(rows[0].order) and not math.isnan(rows[1].order)
+        assert [r.lam for r in rows] == [c.lam] * 2
+        assert abs(rows[1].residual) < abs(rows[0].residual)
+    # each coupling's rows are those of a study of it alone
+    assert runs[1] == identity_study(couplings[1:], StudySpec(
+        (((12, 12), (8,)), ((24, 24), (8,))), TAU, TAU,
+        FieldSpec("conformal-bump", 0.2, 1), FieldSpec("flat"), 0.25,
+        (1, 2)), normalize_n=True)[0]
 
 
 def test_variation_study_smoke():
     c = lambda_to_constants(2, 1, 0.5)[0]
-    rows = variation_study(
-        c, StudySpec((((32, 32), (8,)),), TAU, TAU,
+    [rows] = variation_study(
+        [c], StudySpec((((32, 32), (8,)),), TAU, TAU,
                      FieldSpec("conformal-bump", 0.15, 1), FieldSpec("flat"),
                      0.2, (1,), seed=11),
         n_directions=3)
@@ -177,3 +184,44 @@ def test_drift_study_recovers_euler_order():
     assert [r.n_steps for r in rows] == [4, 8, 16]
     assert all(r.max_drift > 0 for r in rows)
     assert slope == pytest.approx(1.0, abs=0.15)
+
+
+_PASS_CONFIGS = {
+    "verify-identity": "[constants]\nm = 2\nn = 1\nroot = 0\n"
+                       "[grid]\nm_points = 8 12\nn_points = 8 8\n"
+                       "[identity]\nlambdas = -0.5 0.5 1.0\n"
+                       "normalize_n = true\n",
+    "verify-variation": "[constants]\nm = 2\nn = 1\n"
+                        "[grid]\nm_points = 12\nn_points = 8\n"
+                        "[fields]\ng = random-spd\n"
+                        "[variation]\nlambdas = 0.0 0.5\ndirections = 2\n",
+    "verify-curvature": "[constants]\nm = 2\nn = 1\n"
+                        "[grid]\nm_points = 8 12\nn_points = 8 8\n"
+                        "[fields]\nh = conformal-bump\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_PASS_CONFIGS))
+def test_oracle_passes_per_command(monkeypatch, tmp_path, command):
+    # one oracle pass per distinct M-grid or product-grid metric in a
+    # whole command, however many couplings it runs; the N-grid metric h
+    # (dim n = 1 here) may repeat across levels and perturbed geometries
+    import hashlib
+
+    from warpflow.cli import main
+    seen = Counter()
+    bundle = geometry.curvature_bundle
+
+    def hashed(g, *args, **kwargs):
+        digest = hashlib.sha256(g.values.tobytes()).hexdigest()
+        seen[g.grid, digest] += 1
+        return bundle(g, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "curvature_bundle", hashed)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(_PASS_CONFIGS[command])
+    assert main([command, "--config", str(cfg), "--seed", "1",
+                 "--out", str(tmp_path / "out.csv")]) in (0, 1)
+    repeats = {(grid.points, n) for (grid, _), n in seen.items()
+               if n > 1 and grid.dim != 1}
+    assert seen and not repeats

@@ -144,7 +144,7 @@ def test_constants_validation():
 
 # ----------------------------------------------------------- product setup
 
-def build(m_pts, n_pts, constants, g_amp=0.15, h_amp=0.1, f_amp=0.2,
+def build(m_pts, n_pts, g_amp=0.15, h_amp=0.1, f_amp=0.2,
           flat_h=False, f=None):
     grid_m = GridSpec(m_pts, (TAU,) * len(m_pts))
     grid_n = GridSpec(n_pts, (TAU,) * len(n_pts))
@@ -153,7 +153,7 @@ def build(m_pts, n_pts, constants, g_amp=0.15, h_amp=0.1, f_amp=0.2,
         else recipes.conformal_metric(grid_n, h_amp)
     if f is None:
         f = recipes.sine_scalar(grid_m, f_amp)
-    return ProductGeometry(grid_m, grid_n, g, h, f, constants)
+    return ProductGeometry(grid_m, grid_n, g, h, f)
 
 
 def test_product_geometry_validation():
@@ -163,20 +163,25 @@ def test_product_geometry_validation():
     g = recipes.flat_metric(grid_m)
     h = recipes.flat_metric(grid_n)
     f = recipes.sine_scalar(grid_m, 0.1)
-    with pytest.raises(ValueError):
-        ProductGeometry(grid_n, grid_m, h, g, f, c)   # dims swapped
+    swapped = ProductGeometry(grid_n, grid_m, h, g,
+                              recipes.sine_scalar(grid_n, 0.1))
+    for closed_form in (assemble_product_metric, christoffel_closed_form,
+                        closed_scalar_curvature, ricci_closed_general,
+                        ricci_closed_ansatz):
+        with pytest.raises(ValueError):
+            closed_form(swapped, c)   # dims swapped
     with pytest.raises(ValueError):
         ProductGeometry(grid_m, grid_n, g, h,
-                        recipes.sine_scalar(grid_n, 0.1), c)  # f on N
+                        recipes.sine_scalar(grid_n, 0.1))  # f on N
     bare = SymTensorField(grid_m, g.values.copy())
     with pytest.raises(ValueError):
-        ProductGeometry(grid_m, grid_n, bare, h, f, c)
+        ProductGeometry(grid_m, grid_n, bare, h, f)
 
 
 def test_assembled_metric_blocks():
     c = solve_perelman_constants(2, 1)
-    pg = build((8, 8), (8,), c)
-    gt = assemble_product_metric(pg)
+    pg = build((8, 8), (8,))
+    gt = assemble_product_metric(pg, c)
     mat = gt.matrix()
     ea = np.exp(-c.A * pg.f.values)[..., None, None, None]
     eb = np.exp(-c.B * pg.f.values)[..., None]
@@ -193,8 +198,8 @@ def test_mixed_christoffel_and_ricci_vanish_in_oracle():
     # nodes; the mixed Ricci entries pick up only roundoff from products
     # of those zeros with finite terms
     c = solve_perelman_constants(2, 1)
-    pg = build((8, 8), (8,), c)
-    bundle = geometry.curvature_bundle(assemble_product_metric(pg))
+    pg = build((8, 8), (8,))
+    bundle = geometry.curvature_bundle(assemble_product_metric(pg, c))
     chr_v = bundle.christoffel.values
     m = 2
     assert np.abs(chr_v[..., m:, :m, :m]).max() == 0.0
@@ -207,10 +212,10 @@ def test_closed_forms_reduce_to_blocks_when_f_vanishes():
     c = solve_perelman_constants(2, 2)
     grid_m = GridSpec((8, 8), (TAU, TAU))
     f0 = ScalarField.constant(grid_m, 0.0)
-    pg = build((8, 8), (8, 8), c, f=f0)
+    pg = build((8, 8), (8, 8), f=f0)
     m = 2
 
-    chr_t = christoffel_closed_form(pg)
+    chr_t = christoffel_closed_form(pg, c)
     oracle_g = geometry.curvature_bundle(pg.g)
     oracle_h = geometry.curvature_bundle(pg.h)
     assert np.allclose(chr_t.values[..., :m, :m, :m],
@@ -221,7 +226,7 @@ def test_closed_forms_reduce_to_blocks_when_f_vanishes():
                        atol=1e-14)
     assert np.abs(chr_t.values[..., :m, m:, m:]).max() == 0.0
 
-    bundle = ricci_closed_general(pg)
+    bundle = ricci_closed_general(pg, c)
     ric_g = oracle_g.ricci.values
     ric_h = oracle_h.ricci.values
     full = bundle.ricci.values
@@ -239,9 +244,9 @@ def test_closed_christoffel_tracks_oracle():
     # small at a fixed grid and shrinks by ~4x per refinement
     def gap(n):
         c = solve_perelman_constants(2, 1)
-        pg = build((n, n), (8,), c)
-        closed = christoffel_closed_form(pg)
-        oracle = geometry.curvature_bundle(assemble_product_metric(pg))
+        pg = build((n, n), (8,))
+        closed = christoffel_closed_form(pg, c)
+        oracle = geometry.curvature_bundle(assemble_product_metric(pg, c))
         return float(np.abs(closed.values - oracle.christoffel.values).max())
 
     g16, g32 = gap(16), gap(32)
@@ -255,10 +260,10 @@ def test_general_closed_ricci_tracks_oracle_off_locus():
     # formulas would not even apply
     def gaps(n):
         c = lambda_to_constants(2, 1, 0.5)[0]
-        pg = build((n, n), (8,), c)
-        bundle = ricci_closed_general(pg)
+        pg = build((n, n), (8,))
+        bundle = ricci_closed_general(pg, c)
         assert bundle.source_tag == "closed_form_general"
-        oracle = geometry.curvature_bundle(assemble_product_metric(pg))
+        oracle = geometry.curvature_bundle(assemble_product_metric(pg, c))
         return (float(np.abs(bundle.ricci.values - oracle.ricci.values).max()),
                 float(np.abs(bundle.scalar.values - oracle.scalar.values).max()))
 
@@ -271,9 +276,9 @@ def test_general_closed_ricci_tracks_oracle_off_locus():
 
 def test_ansatz_equals_general_on_locus():
     c = solve_perelman_constants(3, 1, "plus")
-    pg = build((8, 8, 8), (8,), c)
-    gen = ricci_closed_general(pg)
-    ans = ricci_closed_ansatz(pg)
+    pg = build((8, 8, 8), (8,))
+    gen = ricci_closed_general(pg, c)
+    ans = ricci_closed_ansatz(pg, c)
     assert np.allclose(ans.ricci.values, gen.ricci.values, atol=1e-12)
     assert np.allclose(ans.scalar.values, gen.scalar.values, atol=1e-12)
     assert ans.source_tag == "closed_form_ansatz"
@@ -281,23 +286,22 @@ def test_ansatz_equals_general_on_locus():
 
 def test_ansatz_refuses_off_locus_constants():
     c = lambda_to_constants(3, 1, 0.5)[0]
-    pg = build((8, 8, 8), (8,), c)
+    pg = build((8, 8, 8), (8,))
     with pytest.raises(ConstantsError):
-        ricci_closed_ansatz(pg)
+        ricci_closed_ansatz(pg, c)
     with pytest.raises(ConstantsError):
-        closed_scalar_curvature(pg, reduced=True)
+        closed_scalar_curvature(pg, c, reduced=True)
 
 
 def test_product_geometry_is_frozen_and_memo_is_transparent():
     c = solve_perelman_constants(2, 2)
-    pg = build((8, 8), (8, 8), c)
+    pg = build((8, 8), (8, 8))
     with pytest.raises(dataclasses.FrozenInstanceError):
         pg.f = recipes.sine_scalar(pg.grid_m, 0.3)
     # same fields, so the same numbers whether or not the memo was filled
-    warm = ProductGeometry(pg.grid_m, pg.grid_n, pg.g, pg.h, pg.f,
-                           pg.constants)
-    christoffel_closed_form(warm)
-    fresh, reused = ricci_closed_general(pg), ricci_closed_general(warm)
+    warm = ProductGeometry(pg.grid_m, pg.grid_n, pg.g, pg.h, pg.f)
+    christoffel_closed_form(warm, c)
+    fresh, reused = ricci_closed_general(pg, c), ricci_closed_general(warm, c)
     assert fresh.christoffel is None and reused.christoffel is None
     assert np.array_equal(fresh.ricci.values, reused.ricci.values)
     assert np.array_equal(fresh.scalar.values, reused.scalar.values)
@@ -305,7 +309,7 @@ def test_product_geometry_is_frozen_and_memo_is_transparent():
 
 def test_standalone_scalar_matches_bundle():
     c = solve_perelman_constants(2, 2)
-    pg = build((8, 8), (8, 8), c)
-    lone = closed_scalar_curvature(pg)
-    bundle = ricci_closed_general(pg)
+    pg = build((8, 8), (8, 8))
+    lone = closed_scalar_curvature(pg, c)
+    bundle = ricci_closed_general(pg, c)
     assert np.array_equal(lone.values, bundle.scalar.values)
