@@ -29,10 +29,11 @@ silently change an experiment.  The conditional keys:
 
 verify-variation runs at one resolution, so its m_points and n_points
 take one level, and a flow's t_end must be a whole number of steps of
-dt.  Exit codes: 0 all checks passed, 1 a tolerance or stability check
-failed, 2 invalid input.  Each distinct warning a run raises is printed
-once on stderr as a ``warning: <message>`` line, ahead of any ``error:``
-or ``failure:`` line.
+dt.  A value outside its domain, or a recipe field that comes out
+non-finite, is invalid input.  Exit codes: 0 all checks passed, 1 a
+tolerance or stability check failed, 2 invalid input.  Each distinct
+warning a run raises is printed once on stderr as a ``warning:
+<message>`` line, ahead of any ``error:`` or ``failure:`` line.
 
 Output tables are CSV with '#'-prefixed comment lines echoing the
 configuration and the tolerances in force; floats are written with
@@ -150,8 +151,17 @@ def _one_of(*names: str):
     return convert
 
 
-def _float(cfg, section, key, default):
-    return cfg.get(section, key, default, float, "a float")
+def _float(cfg, section, key, default, what="a float", accept=None):
+    def convert(raw: str) -> float:
+        value = float(raw)
+        if accept is not None and not accept(value):
+            raise ValueError(raw)
+        return value
+    return cfg.get(section, key, default, convert, what)
+
+
+def _finite(cfg, section, key, default):
+    return _float(cfg, section, key, default, "a finite float", math.isfinite)
 
 
 def _int(cfg, section, key, default):
@@ -222,10 +232,12 @@ def _field_spec(cfg, prefix: str, default_name: str,
                    "flat, conformal-bump or random-spd")
     if name == "flat":
         return FieldSpec(name)
-    amplitude = _float(cfg, "fields", f"{prefix}_amplitude",
-                       default_amplitude)
-    if name == "random-spd":
-        return FieldSpec(name, amplitude)
+    key = f"{prefix}_amplitude"
+    if name == "random-spd":  # Gershgorin keeps it a metric only below 1
+        return FieldSpec(name, _float(cfg, "fields", key, default_amplitude,
+                                      "a float in (0, 1)",
+                                      lambda a: 0.0 < a < 1.0))
+    amplitude = _finite(cfg, "fields", key, default_amplitude)
     mode = _int(cfg, "fields", f"{prefix}_mode", 1)
     axis = _int(cfg, "fields", f"{prefix}_axis", None)
     if axis is not None and axis not in range(dim):
@@ -237,7 +249,7 @@ def _field_spec(cfg, prefix: str, default_name: str,
 def _f_profile(cfg, multi_mode: bool) -> tuple[float, tuple[int, ...]]:
     """f's amplitude and sine modes: ``f_modes`` where the command takes
     several, else the single ``f_mode``."""
-    amplitude = _float(cfg, "fields", "f_amplitude", 0.2)
+    amplitude = _finite(cfg, "fields", "f_amplitude", 0.2)
     modes = _ints(cfg, "fields", "f_modes", None) if multi_mode else None
     if modes is None:
         return amplitude, (_int(cfg, "fields", "f_mode", 1),)
@@ -321,8 +333,9 @@ def _parse_variation(cfg, seed):
                        _floats(cfg, "variation", "lambdas", [0.0])),
             _study_spec(cfg, m, n, "flat", seed, ladder=False),
             directions,
-            _float(cfg, "variation", "eps", 1e-4),
-            _float(cfg, "variation", "amplitude", 0.3),
+            _float(cfg, "variation", "eps", 1e-4, "a finite float > 0",
+                   lambda eps: 0.0 < eps < math.inf),
+            _finite(cfg, "variation", "amplitude", 0.3),
             _float(cfg, "tolerances", "max_rel_mismatch", 1e-4))
 
 
@@ -332,11 +345,12 @@ def _parse_flow(cfg, seed):
         t_end=_float(cfg, "flow", "t_end", 1e-2),
         lam=_float(cfg, "flow", "lambda", 0.0),
         integrator=cfg.get("flow", "integrator", "euler"),
-        mode=cfg.get("flow", "mode", "coupled"),
         filter_cutoff=_float(cfg, "flow", "filter_cutoff", 1.0),
         snapshot_stride=_int(cfg, "flow", "snapshot_stride", 1))
+    mode = cfg.get("flow", "mode", "coupled", _one_of("coupled", "decoupled"),
+                   "coupled or decoupled")
     constraint_tol = (_float(cfg, "flow", "constraint_tol", math.inf)
-                      if flow_cfg.mode == "coupled" else math.inf)
+                      if mode == "coupled" else math.inf)
     grid = _grid(tuple(_ints(cfg, "grid", "points", [48])),
                  _float(cfg, "grid", "period", 2.0 * math.pi))
     rng = np.random.default_rng(seed) if seed is not None else None
@@ -347,7 +361,7 @@ def _parse_flow(cfg, seed):
     high = _ints(cfg, "fields", "f_high_modes", None)
     if high is not None:
         extra = high_mode_scalar(
-            grid, _float(cfg, "fields", "f_high_amplitude", 0.3), tuple(high))
+            grid, _finite(cfg, "fields", "f_high_amplitude", 0.3), tuple(high))
         f = ScalarField(grid, f.values + extra.values)
     if flow_cfg.filter_cutoff < 1.0:
         # a filtered run lives in the resolved subspace; project the
@@ -358,7 +372,7 @@ def _parse_flow(cfg, seed):
         g = SymTensorField(grid, filter_array(g.values, grid,
                                               flow_cfg.filter_cutoff),
                            is_metric=True)
-    return flow_cfg, FlowState.initial(g, f), constraint_tol
+    return flow_cfg, mode, FlowState.initial(g, f), constraint_tol
 
 
 _PARSERS = {"verify-curvature": _parse_curvature,
@@ -513,11 +527,11 @@ def cmd_verify_variation(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    cfg, (flow_cfg, state0, constraint_tol) = _parse(
+    cfg, (flow_cfg, mode, state0, constraint_tol) = _parse(
         "flow", args.config, args.seed)
     lam = flow_cfg.lam
 
-    if flow_cfg.mode == "coupled":
+    if mode == "coupled":
         trajectory = run_coupled(state0, flow_cfg)
     else:
         trajectory = run_decoupled(state0.g, state0.f, flow_cfg)
@@ -529,15 +543,14 @@ def cmd_flow(args) -> int:
         rows.append([r.t, r.f_lam, r.df_dt, r.dissipation, r.ratio, r.sign,
                      state.measure_drift(), min_eig])
     # flow.conserved_measure_check's drift: the rows' maximum deviation
-    drift = max(row[6] for row in rows) \
-        if flow_cfg.mode == "coupled" else math.nan
+    drift = max(row[6] for row in rows) if mode == "coupled" else math.nan
 
     ok = True
-    if flow_cfg.mode == "coupled" and drift > constraint_tol:
+    if mode == "coupled" and drift > constraint_tol:
         ok = False
         print(f"[FAIL] constraint drift {_fmt(drift)} exceeds "
               f"{_fmt(constraint_tol)}")
-    elif flow_cfg.mode == "coupled":
+    elif mode == "coupled":
         print(f"[PASS] coupled run complete, constraint drift {_fmt(drift)}")
     # The sign of dF/dt is data, but flipping mid-run would make the
     # monotonicity table incoherent; judge it only where the derivative
@@ -550,7 +563,7 @@ def cmd_flow(args) -> int:
     elif signs:
         print(f"[PASS] dF/dt sign consistent ({signs.pop():+d}) at every "
               "resolved snapshot")
-    if flow_cfg.mode == "decoupled":
+    if mode == "decoupled":
         values = [r.f_lam for r in table]
         scale = max(abs(v) for v in values) or 1.0
         nondecreasing = all(b - a >= -1e-10 * scale
@@ -562,7 +575,7 @@ def cmd_flow(args) -> int:
             ok = False
             print("[FAIL] decoupled run: functional decreased between "
                   "snapshots")
-    comments = [f"flow mode={flow_cfg.mode} integrator={flow_cfg.integrator} "
+    comments = [f"flow mode={mode} integrator={flow_cfg.integrator} "
                 f"lambda={_fmt(lam)} dt={_fmt(flow_cfg.dt)} "
                 f"t_end={_fmt(flow_cfg.t_end)} "
                 f"filter_cutoff={_fmt(flow_cfg.filter_cutoff)}",

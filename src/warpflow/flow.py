@@ -1,6 +1,6 @@
 """Time evolution: the constrained coupled system and its decoupled twin.
 
-Coupled mode integrates
+The coupled system (``step``, ``run_coupled``) integrates
 
     dg/dt = -2 (Ric + hess f + lam df (x) df)
     df/dt = -lap f - R - lam |grad f|^2
@@ -15,13 +15,14 @@ spectral filter, small t_end.  The companion guard rails (growth cap,
 positive-definiteness halt) treat divergence as a detected outcome, not
 a crash.
 
-Decoupled mode is the numerically sound formulation: the metric runs
-forward under dg/dt = -2 Ric alone, and f is recovered from u = e^{-f}
-solving the conjugate equation du/dt = -lap u + R u, integrated backward
-from terminal data, i.e. forward in s = T - t where it is an ordinary
-heat equation.  The two formulations differ by a diffeomorphism, which
-the action functionals cannot see, so their F(t) curves must agree; the
-tests use exactly that.
+Decoupled mode (``run_decoupled``) is the numerically sound formulation:
+the metric runs forward under dg/dt = -2 Ric alone, and f is recovered
+from u = e^{-f} solving the conjugate equation du/dt = -lap u + R u,
+integrated backward from terminal data, i.e. forward in s = T - t where
+it is an ordinary heat equation.  The two formulations differ by a
+diffeomorphism, which the action functionals cannot see, so their F(t)
+curves must agree; the tests use exactly that.  Both take their steps
+with one explicit Euler/RK4 routine, at second-order stencils.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ __all__ = [
 F_CAP = 25.0  # |f| beyond this means e^{+-f} has left the trusted regime
 
 INTEGRATORS = ("euler", "rk4")
-MODES = ("coupled", "decoupled")
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,10 +94,8 @@ class FlowConfig:
     t_end: float
     lam: float = 0.0
     integrator: str = "euler"
-    mode: str = "coupled"
     filter_cutoff: float = 1.0
     snapshot_stride: int = 1
-    order: int = 2
 
     def __post_init__(self):
         if self.dt <= 0 or not math.isfinite(self.dt):
@@ -109,8 +107,6 @@ class FlowConfig:
                               f"number of steps of dt = {self.dt!r}")
         if self.integrator not in INTEGRATORS:
             raise ConfigError(f"integrator must be one of {INTEGRATORS}")
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}")
         if not 0.0 < self.filter_cutoff <= 1.0:
             raise ConfigError("filter_cutoff must lie in (0, 1]")
         if self.snapshot_stride < 1:
@@ -119,16 +115,6 @@ class FlowConfig:
     @property
     def n_steps(self) -> int:
         return round(self.t_end / self.dt)
-
-
-def _rhs_arrays(terms: StateTerms,
-                lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand sides as raw arrays: dg = -2 S_lam as (..., d, d)
-    matrices, and df = (1/2) tr_g dg, computed from the same tensor so the
-    constraint identity is exact by construction."""
-    dg = -2.0 * terms.gradient_tensor(lam).values
-    df = 0.5 * np.einsum("...ij,...ij->...", terms.bundle.inverse, dg)
-    return dg, df
 
 
 def _stability_bound(g: SymTensorField, inv: np.ndarray) -> float:
@@ -140,27 +126,41 @@ def _stability_bound(g: SymTensorField, inv: np.ndarray) -> float:
     return h_min * h_min / (2.0 * d * max_diag)
 
 
-def _advance(terms: StateTerms, f: ScalarField, dt: float, lam: float,
-             integrator: str, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """One raw integrator step from the state (terms.g, f), whose record
-    ``terms`` serves the first stage (dt may be negative for probe
-    steps); returns unfiltered value arrays."""
-    g = terms.g
-    k1g, k1f = _rhs_arrays(terms, lam)
+def _explicit_step(y: tuple[np.ndarray, ...], k1: tuple[np.ndarray, ...],
+                   slope, dt: float, integrator: str) -> tuple:
+    """One explicit step of the system y' = slope from the arrays ``y``:
+    forward Euler, or classical RK4.  ``k1`` is the slope at y itself;
+    ``slope(c, y_c)`` returns it at a stage state a fraction c of the
+    way through the step (RK4 asks at c = 0.5, 0.5 and 1.0)."""
     if integrator == "euler":
-        return g.values + dt * k1g, f.values + dt * k1f
+        return tuple(v + dt * k for v, k in zip(y, k1))
+    k2 = slope(0.5, tuple(v + 0.5 * dt * k for v, k in zip(y, k1)))
+    k3 = slope(0.5, tuple(v + 0.5 * dt * k for v, k in zip(y, k2)))
+    k4 = slope(1.0, tuple(v + dt * k for v, k in zip(y, k3)))
+    return tuple(v + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+                 for v, a, b, c, d in zip(y, k1, k2, k3, k4))
 
-    def stage(gv, fv):
-        return _rhs_arrays(StateTerms.at(
-            SymTensorField(g.grid, gv, is_metric=True),
-            ScalarField(g.grid, fv), order), lam)
 
-    k2g, k2f = stage(g.values + 0.5 * dt * k1g, f.values + 0.5 * dt * k1f)
-    k3g, k3f = stage(g.values + 0.5 * dt * k2g, f.values + 0.5 * dt * k2f)
-    k4g, k4f = stage(g.values + dt * k3g, f.values + dt * k3f)
-    gv = g.values + (dt / 6.0) * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
-    fv = f.values + (dt / 6.0) * (k1f + 2.0 * k2f + 2.0 * k3f + k4f)
-    return gv, fv
+def _advance(terms: StateTerms, f: ScalarField, dt: float, lam: float,
+             integrator: str) -> tuple[np.ndarray, np.ndarray]:
+    """One raw coupled step from the state (terms.g, f), whose record
+    ``terms`` serves the first stage (dt may be negative for probe
+    steps); returns unfiltered value arrays.  The slopes are
+    dg = -2 S_lam as (..., d, d) matrices and df = (1/2) tr_g dg,
+    computed from the same tensor so the constraint identity is exact by
+    construction."""
+    grid = terms.g.grid
+
+    def rhs(at: StateTerms) -> tuple[np.ndarray, np.ndarray]:
+        dg = -2.0 * at.gradient_tensor(lam).values
+        return dg, 0.5 * np.einsum("...ij,...ij->...", at.bundle.inverse, dg)
+
+    def slope(c, y):
+        return rhs(StateTerms.at(SymTensorField(grid, y[0], is_metric=True),
+                                 ScalarField(grid, y[1])))
+
+    return _explicit_step((terms.g.values, f.values), rhs(terms), slope, dt,
+                          integrator)
 
 
 def _guard_growth(fv: np.ndarray, gv: np.ndarray, t: float):
@@ -180,11 +180,7 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
     filtering of f and the metric components afterwards.  Halts with a
     diagnostic if the metric leaves the positive cone or the run blows
     up; never repairs silently."""
-    if config.mode != "coupled":
-        raise ConfigError("step() integrates the coupled system; "
-                          "decoupled runs are whole-trajectory, "
-                          "use run_decoupled")
-    terms = StateTerms.at(state.g, state.f, config.order)
+    terms = StateTerms.at(state.g, state.f)
     bound = _stability_bound(state.g, terms.bundle.inverse)
     if config.dt > bound:
         warnings.warn(
@@ -194,7 +190,7 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
     t_next = state.t + config.dt
     try:
         gv, fv = _advance(terms, state.f, config.dt, config.lam,
-                          config.integrator, config.order)
+                          config.integrator)
     except MetricDegeneracyError as exc:
         raise MetricDegeneracyError(
             f"metric degenerated during a step from t = {state.t:.6g}: {exc}",
@@ -216,8 +212,6 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
 def run_coupled(state0: FlowState, config: FlowConfig) -> list[FlowState]:
     """Integrate the coupled system for n_steps, returning snapshots
     every ``snapshot_stride`` steps plus the initial and final states."""
-    if config.mode != "coupled":
-        raise ConfigError("run_coupled needs mode = 'coupled'")
     snapshots = [state0]
     state = state0
     for k in range(config.n_steps):
@@ -233,11 +227,11 @@ def _sweep_terms(g: SymTensorField, bundle) -> tuple:
     return bundle.scalar.values, bundle.inverse, geometry.volume_density(g)
 
 
-def _conjugate_rhs(u: np.ndarray, terms: tuple, order: int) -> np.ndarray:
+def _conjugate_rhs(u: np.ndarray, terms: tuple) -> np.ndarray:
     """du/ds = lap_g u - R u (the conjugate equation forward in
     s = T - t, where it is parabolic), against one metric's sweep terms."""
     scal, inv, rho = terms
-    lap = geometry.laplace_beltrami(ScalarField(rho.grid, u), inv, rho, order)
+    lap = geometry.laplace_beltrami(ScalarField(rho.grid, u), inv, rho)
     return lap.values - scal * u
 
 
@@ -255,8 +249,6 @@ def run_decoupled(g0: SymTensorField, f_terminal: ScalarField,
     Restricted to lam = 0: the decoupling diffeomorphism is only known
     for the plain system.
     """
-    if config.mode != "decoupled":
-        raise ConfigError("run_decoupled needs mode = 'decoupled'")
     if config.lam != 0.0:
         raise ConfigError("decoupled mode is defined for lam = 0 only; "
                           "nonzero couplings run in coupled mode")
@@ -265,10 +257,10 @@ def run_decoupled(g0: SymTensorField, f_terminal: ScalarField,
     grid = g0.grid
     dt = config.dt
     n = config.n_steps
-    order = config.order
 
-    def ricci_rhs(g: SymTensorField) -> np.ndarray:
-        return -2.0 * geometry.curvature_bundle(g, order).ricci.values
+    def ricci_slope(c, y):
+        g = SymTensorField(grid, y[0], is_metric=True)
+        return (-2.0 * geometry.curvature_bundle(g).ricci.values,)
 
     # One oracle pass per stored metric feeds both phases: its Ricci is
     # the first stage of the step from it, its scalar and inverse the
@@ -279,19 +271,10 @@ def run_decoupled(g0: SymTensorField, f_terminal: ScalarField,
     for k in range(n):
         t = k * dt
         try:
-            bundle = geometry.curvature_bundle(g, order)
+            bundle = geometry.curvature_bundle(g)
             terms.append(_sweep_terms(g, bundle))
-            k1 = -2.0 * bundle.ricci.values
-            if config.integrator == "euler":
-                gv = g.values + dt * k1
-            else:
-                k2 = ricci_rhs(SymTensorField(grid, g.values + 0.5 * dt * k1,
-                                              is_metric=True))
-                k3 = ricci_rhs(SymTensorField(grid, g.values + 0.5 * dt * k2,
-                                              is_metric=True))
-                k4 = ricci_rhs(SymTensorField(grid, g.values + dt * k3,
-                                              is_metric=True))
-                gv = g.values + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            (gv,) = _explicit_step((g.values,), (-2.0 * bundle.ricci.values,),
+                                   ricci_slope, dt, config.integrator)
             _guard_growth(np.zeros(1), gv, t + dt)
             g = SymTensorField(grid, gv, is_metric=True)
         except MetricDegeneracyError as exc:
@@ -299,26 +282,25 @@ def run_decoupled(g0: SymTensorField, f_terminal: ScalarField,
                 f"metric flow degenerated at t = {t + dt:.6g}: {exc}",
                 node=exc.node, eigenvalue=exc.eigenvalue, time=t + dt) from exc
         metrics.append(g)
-    terms.append(_sweep_terms(g, geometry.curvature_bundle(g, order)))
+    terms.append(_sweep_terms(g, geometry.curvature_bundle(g)))
 
     u_by_index = {n: np.exp(-f_terminal.values)}
     u = u_by_index[n]
     for k in range(n, 0, -1):
         # One step backward in t = one forward heat step in s, taken
-        # against the stored metric path; RK4 stages see the midpoint
-        # metric by linear interpolation.
-        if config.integrator == "euler":
-            u = u + dt * _conjugate_rhs(u, terms[k], order)
-        else:
+        # against the stored metric path: a stage at fraction c of the
+        # step sees the metric at t_k - c dt, the midpoint one by linear
+        # interpolation.
+        path = {0.0: terms[k], 1.0: terms[k - 1]}
+        if config.integrator == "rk4":
             g_mid = SymTensorField(
                 grid, 0.5 * (metrics[k].values + metrics[k - 1].values),
                 is_metric=True)
-            mid = _sweep_terms(g_mid, geometry.curvature_bundle(g_mid, order))
-            k1 = _conjugate_rhs(u, terms[k], order)
-            k2 = _conjugate_rhs(u + 0.5 * dt * k1, mid, order)
-            k3 = _conjugate_rhs(u + 0.5 * dt * k2, mid, order)
-            k4 = _conjugate_rhs(u + dt * k3, terms[k - 1], order)
-            u = u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            path[0.5] = _sweep_terms(g_mid, geometry.curvature_bundle(g_mid))
+        (u,) = _explicit_step(
+            (u,), (_conjugate_rhs(u, path[0.0]),),
+            lambda c, y: (_conjugate_rhs(y[0], path[c]),), dt,
+            config.integrator)
         low = float(u.min())
         if not np.all(np.isfinite(u)) or low <= 0.0:
             raise FlowDivergenceError(
@@ -359,15 +341,15 @@ class MonotonicityRow:
     sign: int
 
 
-def monotonicity_report(trajectory: list[FlowState], lam: float,
-                        order: int = 2) -> list[MonotonicityRow]:
+def monotonicity_report(trajectory: list[FlowState],
+                        lam: float) -> list[MonotonicityRow]:
     """Tabulate F_lam along a trajectory against the dissipation
     integral.  The interesting claim is |dF/dt| = D; the sign of dF/dt
     is reported as data, not asserted.  One oracle pass per snapshot
     serves both F_lam and D."""
     values, dissipations = [], []
     for state in trajectory:
-        terms = StateTerms.at(state.g, state.f, order)
+        terms = StateTerms.at(state.g, state.f)
         values.append(terms.F_lambda(lam))
         dissipations.append(terms.dissipation(lam))
     rows = []
@@ -396,18 +378,18 @@ class RateCheck:
 
 
 def instantaneous_rate(state: FlowState, lam: float, dt: float,
-                       order: int = 2, integrator: str = "rk4") -> RateCheck:
+                       integrator: str = "rk4") -> RateCheck:
     """Probe dF_lam/dt at a state by stepping the coupled system once
     forward and once backward (a single reversed step of the ODE system
     in time is legitimate regardless of parabolicity) and differencing.
     """
     grid = state.g.grid
-    terms = StateTerms.at(state.g, state.f, order)
+    terms = StateTerms.at(state.g, state.f)
     rates = []
     for signed_dt in (dt, -dt):
-        gv, fv = _advance(terms, state.f, signed_dt, lam, integrator, order)
+        gv, fv = _advance(terms, state.f, signed_dt, lam, integrator)
         rates.append(StateTerms.at(SymTensorField(grid, gv, is_metric=True),
-                                   ScalarField(grid, fv), order).F_lambda(lam))
+                                   ScalarField(grid, fv)).F_lambda(lam))
     numeric = (rates[0] - rates[1]) / (2.0 * dt)
     diss = terms.dissipation(lam)
     ratio = numeric / diss if diss > 0 else math.nan

@@ -32,10 +32,10 @@ written once, against a ``StateTerms`` record: one oracle pass per (g, f)
 state, shared by every quantity a caller reads at that state.  On a
 product geometry the record is read off the geometry's memoised M-grid
 pieces, so the identity and the variation take their M side from the
-same pass as the closed forms.  The product-side functions take the
-warping constants next to the geometry; the first variation takes a list
-of them, so every coupling's action is evaluated on one set of perturbed
-geometries.
+same pass as the closed forms, at the geometry's stencil order.  The
+product-side functions take the warping constants next to the geometry;
+the first variation takes a list of them, so every coupling's action is
+evaluated on one set of perturbed geometries.
 """
 
 from __future__ import annotations
@@ -120,10 +120,10 @@ class StateTerms:
                    weight=measure_density(g, f))
 
     @classmethod
-    def on_m(cls, pg: ProductGeometry, order: int = 2) -> "StateTerms":
+    def on_m(cls, pg: ProductGeometry) -> "StateTerms":
         """The record of (pg.g, pg.f), read off the geometry's memoised
         M-grid pieces instead of a pass of its own."""
-        p = pg.m_pieces(order)
+        p = pg.m_pieces
         return cls(g=pg.g, bundle=p.bundle, df=p.df, hess=p.hess,
                    grad_sq=p.grad_sq, weight=measure_density(pg.g, pg.f))
 
@@ -163,20 +163,19 @@ class StateTerms:
             * self.g.values
 
 
-def einstein_hilbert_S(pg: ProductGeometry, c: WarpedConstants,
-                       order: int = 2) -> float:
+def einstein_hilbert_S(pg: ProductGeometry, c: WarpedConstants) -> float:
     """Total scalar curvature int Rt dmut of the warped metric over the
     product grid, with Rt from the closed general formula (valid off the
     special locus too) and the measure from the volume density of the
     assembled metric, so the integral genuinely exercises the product
     measure factor."""
     gt = assemble_product_metric(pg, c)
-    return integrate(closed_scalar_curvature(pg, c, order),
+    return integrate(closed_scalar_curvature(pg, c),
                      geometry.volume_density(gt))
 
 
-def theorem_identity_residual(pg: ProductGeometry, c: WarpedConstants,
-                              order: int = 2) -> FunctionalReport:
+def theorem_identity_residual(pg: ProductGeometry,
+                              c: WarpedConstants) -> FunctionalReport:
     """Evaluate every term of the product-action identity independently
     and report the residual
 
@@ -187,13 +186,13 @@ def theorem_identity_residual(pg: ProductGeometry, c: WarpedConstants,
     passes the closed side made.  No tolerance is enforced here; the
     caller judges the residual against its grid.
     """
-    s_tilde = einstein_hilbert_S(pg, c, order)
-    terms = StateTerms.on_m(pg, order)
+    s_tilde = einstein_hilbert_S(pg, c)
+    terms = StateTerms.on_m(pg)
     f_plain = terms.F_lambda(0.0)
     f_lam = f_plain if c.lam == 0.0 else terms.F_lambda(c.lam)
     rho_n = geometry.volume_density(pg.h)
     vol_n = integrate(ScalarField.constant(pg.grid_n, 1.0), rho_n)
-    total_scal_n = integrate(pg.n_bundle(order).scalar, rho_n)
+    total_scal_n = integrate(pg.n_bundle.scalar, rho_n)
     coupling_field = ScalarField(
         pg.grid_m, np.exp((c.B - c.A - 1.0) * pg.f.values))
     coupling = integrate(coupling_field, geometry.volume_density(pg.g))
@@ -205,13 +204,13 @@ def theorem_identity_residual(pg: ProductGeometry, c: WarpedConstants,
 
 
 def first_variation_check(pg: ProductGeometry,
-                          couplings: list[WarpedConstants],
-                          dg: SymTensorField, order: int = 2,
+                          couplings: list[WarpedConstants], dg: SymTensorField,
                           eps: float = 1e-4) -> list[VariationResult]:
     """Directional derivative of eps -> 2 S(gt(g + eps dg, f + eps tr/2))
     against the closed form -2 int <S_lam, dg>_g e^{-f} dmu, for every
     coupling lam = constants.lam in ``couplings``.  Each perturbed
-    geometry is built once and serves every coupling's action.
+    geometry is built once, shares ``pg``'s pass over h and serves every
+    coupling's action.
 
     The constrained direction moves f along with g: delta f = tr_g(dg)/2,
     which freezes the density e^{-f} sqrt(det g) to first order.  The
@@ -246,7 +245,7 @@ def first_variation_check(pg: ProductGeometry,
     if dg.grid != pg.grid_m:
         raise ValueError("variation direction must live on the M grid")
 
-    terms = StateTerms.on_m(pg, order)
+    terms = StateTerms.on_m(pg)
     inv = terms.bundle.inverse
     trace_half = 0.5 * np.einsum("...ij,...ij->...", inv, dg.values)
 
@@ -257,9 +256,9 @@ def first_variation_check(pg: ProductGeometry,
         g_t = SymTensorField(pg.grid_m, pg.g.values + t * dg.values,
                              is_metric=True)
         f_t = ScalarField(pg.grid_m, pg.f.values + t * trace_half)
-        pg_t = ProductGeometry(pg.grid_m, pg.grid_n, g_t, pg.h, f_t)
+        pg_t = pg.with_m(g_t, f_t)
         for actions, c in zip(doubled, couplings):
-            actions.append(2.0 * einstein_hilbert_S(pg_t, c, order))
+            actions.append(2.0 * einstein_hilbert_S(pg_t, c))
 
     results = []
     for (plus, minus, half_plus, half_minus), c in zip(doubled, couplings):

@@ -71,11 +71,18 @@ class FieldSpec:
 
 def build_metric(grid: GridSpec, spec: FieldSpec,
                  rng: np.random.Generator | None = None):
+    """The metric ``spec`` names on ``grid``; a conformal bump too tall for
+    exp comes out non-finite, which is a ConfigError."""
     if spec.name == "flat":
         return recipes.flat_metric(grid)
     if spec.name == "conformal-bump":
-        return recipes.conformal_metric(grid, spec.amplitude, spec.mode,
-                                        spec.axis)
+        # the overflow, and the inf * 0 it feeds, are reported once, below
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                return recipes.conformal_metric(grid, spec.amplitude,
+                                                spec.mode, spec.axis)
+            except ValueError as exc:
+                raise ConfigError(f"conformal-bump metric: {exc}") from exc
     if spec.name == "random-spd":
         if rng is None:
             raise ConfigError("random-spd recipe needs a seed")
@@ -88,7 +95,7 @@ class StudySpec:
     """One refinement ladder and the recipes each of its levels is built
     from.  ``levels`` pairs the M and N point counts of every level;
     ``f_modes`` is one sine mode or several (see mixed_sine_scalar);
-    ``seed`` drives the random-spd recipe."""
+    ``order`` is its geometries' stencil order; ``seed`` drives random-spd."""
 
     levels: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     period_m: float = 2.0 * math.pi
@@ -127,7 +134,7 @@ def build_product_geometry(spec: StudySpec, level: int = 0,
         f = recipes.mixed_sine_scalar(grid_m, spec.f_amplitude, spec.f_modes)
     else:
         f = recipes.sine_scalar(grid_m, spec.f_amplitude, spec.f_modes[0])
-    return ProductGeometry(grid_m, grid_n, g, h, f)
+    return ProductGeometry(grid_m, grid_n, g, h, f, spec.order)
 
 
 @dataclass
@@ -211,25 +218,24 @@ def curvature_study(constants: WarpedConstants,
     """Compare every closed-form curvature family against the generic
     pipeline run on the assembled product metric, across the ladder."""
     m = constants.m
-    order = spec.order
     per_level: list[dict[str, float]] = []
     hs: list[float] = []
     for level in range(len(spec.levels)):
         pg = build_product_geometry(spec, level)
         hs.append(max(pg.grid_m.spacing))
         gt = assemble_product_metric(pg, constants)
-        oracle = geometry.curvature_bundle(gt, order)
+        oracle = geometry.curvature_bundle(gt, pg.order)
         # not compared; kept alive, it would raise the study's peak memory
         oracle.inverse = None
         del gt
 
         shape = pg.product_grid.shape
-        closed_chr = christoffel_closed_form(pg, constants, order)
+        closed_chr = christoffel_closed_form(pg, constants)
         errors = _family_maxima(
             shape, _chr_families(closed_chr, oracle.christoffel, m))
         del closed_chr
 
-        gen = ricci_closed_general(pg, constants, order)
+        gen = ricci_closed_general(pg, constants)
         real, phantom, scalar = _ricci_terms(gen, oracle, m)
         mixed = [(oracle.ricci.values, None, (slice(None, m), slice(m, None)))]
         errors.update(_family_maxima(shape, {
@@ -238,7 +244,7 @@ def curvature_study(constants: WarpedConstants,
         del gen, real, phantom, scalar
 
         if constants.on_special_locus:
-            ans = ricci_closed_ansatz(pg, constants, order)
+            ans = ricci_closed_ansatz(pg, constants)
             real, phantom, scalar = _ricci_terms(ans, oracle, m)
             errors.update(_family_maxima(shape, {
                 "ricci_real_ansatz": real, "ricci_phantom_ansatz": phantom,
@@ -286,7 +292,7 @@ def identity_study(couplings: list[WarpedConstants], spec: StudySpec,
         pg = build_product_geometry(spec, lvl, normalize_n)
         h = max(pg.grid_m.spacing)
         for own, c in zip(rows, couplings):
-            rep = theorem_identity_residual(pg, c, spec.order)
+            rep = theorem_identity_residual(pg, c)
             conv = math.nan
             if own:
                 conv = measured_order(own[-1].h, abs(own[-1].residual), h,
@@ -332,7 +338,7 @@ def variation_study(couplings: list[WarpedConstants], spec: StudySpec,
     rows: list[list[VariationRow]] = [[] for _ in couplings]
     for k in range(n_directions):
         dg = recipes.random_sym_tensor(pg.grid_m, rng, direction_amplitude)
-        results = first_variation_check(pg, couplings, dg, spec.order, eps)
+        results = first_variation_check(pg, couplings, dg, eps)
         for own, c, res in zip(rows, couplings, results):
             num, closed = res.numeric_derivative, res.closed_form
             own.append(VariationRow(
@@ -352,15 +358,14 @@ class DriftRow:
     max_drift: float
 
 
-def drift_study(state0: FlowState, lam: float, integrator: str,
-                t_end: float, dts: list[float],
-                order: int = 2) -> tuple[list[DriftRow], float]:
+def drift_study(state0: FlowState, lam: float, integrator: str, t_end: float,
+                dts: list[float]) -> tuple[list[DriftRow], float]:
     """Run the coupled system to the same t_end at several time steps and
     fit the drift-vs-dt slope (the integrator's order)."""
     rows = []
     for dt in dts:
         cfg = FlowConfig(dt=dt, t_end=t_end, lam=lam, integrator=integrator,
-                         mode="coupled", snapshot_stride=10 ** 9, order=order)
+                         snapshot_stride=10 ** 9)
         traj = run_coupled(state0, cfg)
         rows.append(DriftRow(dt=dt, n_steps=cfg.n_steps,
                              max_drift=conserved_measure_check(traj)))

@@ -29,18 +29,19 @@ module implements
 Nothing here reuses the generic curvature contractions: the closed forms
 are separate arithmetic by design, so a comparison between the two
 pipelines is a real cross-check rather than a tautology.  The generic
-pipeline runs on the factor grids only, once per geometry and stencil
-order (memoised on the frozen ``ProductGeometry``).  The geometry
-(g, h, f) does not depend on the coupling, so it carries no constants:
-the closed forms take ``(pg, constants, order)``, and every coupling of
-a command shares one geometry's factor pieces.  Only
-``christoffel_closed_form`` builds the product-grid Christoffel cube.
+pipeline runs on the factor grids only, once per geometry, at the
+stencil order it carries (memoised on the frozen ``ProductGeometry``).
+The geometry (g, h, f) does not depend on the coupling: the closed forms
+take ``(pg, constants)``, and every coupling of a command shares one
+geometry's factor pieces.  Only ``christoffel_closed_form`` builds the
+product-grid Christoffel cube.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -233,20 +234,19 @@ def lambda_to_constants(m: int, n: int, lam: float) -> list[WarpedConstants]:
 @dataclass(frozen=True)
 class ProductGeometry:
     """All the data defining one warped product: the two factor grids,
-    the factor metrics g (on M) and h (on N), and the scalar f on M.  The
+    the factor metrics g (on M) and h (on N), the scalar f on M, and the
+    stencil order of every oracle pass and derivative taken on it.  The
     warping constants are not part of it: they only pick the point (A, B)
     on the constraint line, so every coupling reads the same geometry and
     the closed forms take the constants as an argument.  Frozen, so the
-    coupling-free factor pieces memoised on it per stencil order cannot
-    go stale."""
+    coupling-free factor pieces memoised on it cannot go stale."""
 
     grid_m: GridSpec
     grid_n: GridSpec
     g: SymTensorField
     h: SymTensorField
     f: ScalarField
-    _memo: dict = field(default_factory=dict, init=False, compare=False,
-                        repr=False)
+    order: int = 2
 
     def __post_init__(self):
         if self.g.grid != self.grid_m or not self.g.is_metric:
@@ -262,35 +262,36 @@ class ProductGeometry:
         return GridSpec(self.grid_m.points + self.grid_n.points,
                         self.grid_m.periods + self.grid_n.periods)
 
-    def m_pieces(self, order: int) -> "_Pieces":
-        """The M-grid pieces at ``order``: computed on first use, then
-        served from the memo.  Callers share them, so they must never be
-        written."""
-        p = self._memo.get(("m", order))
-        if p is None:
-            bundle = geometry.curvature_bundle(self.g, order)
-            inv = bundle.inverse
-            df = geometry.gradient_components(self.f, order)
-            hess = geometry.hessian(df, bundle.christoffel, order).values
-            p = self._memo["m", order] = _Pieces(
-                bundle=bundle, df=df, hess=hess,
-                lap=np.einsum("...jl,...jl->...", inv, hess),
-                grad_sq=np.einsum("...jl,...j,...l->...", inv, df, df),
-                df_raised=np.einsum("...kl,...l->...k", inv, df))
-        return p
+    @cached_property
+    def m_pieces(self) -> "_Pieces":
+        """The M-grid pieces, computed on first use.  Callers share them,
+        so they must never be written."""
+        bundle = geometry.curvature_bundle(self.g, self.order)
+        inv = bundle.inverse
+        df = geometry.gradient_components(self.f, self.order)
+        hess = geometry.hessian(df, bundle.christoffel, self.order).values
+        return _Pieces(
+            bundle=bundle, df=df, hess=hess,
+            lap=np.einsum("...jl,...jl->...", inv, hess),
+            grad_sq=np.einsum("...jl,...j,...l->...", inv, df, df),
+            df_raised=np.einsum("...kl,...l->...k", inv, df))
 
-    def n_bundle(self, order: int) -> geometry.CurvatureBundle:
-        """The oracle curvature of h at ``order``, memoised like
-        ``m_pieces``."""
-        if ("n", order) not in self._memo:
-            self._memo["n", order] = geometry.curvature_bundle(self.h, order)
-        return self._memo["n", order]
+    @cached_property
+    def n_bundle(self) -> geometry.CurvatureBundle:
+        """The oracle curvature of h, computed on first use."""
+        return geometry.curvature_bundle(self.h, self.order)
+
+    def with_m(self, g: SymTensorField, f: ScalarField) -> "ProductGeometry":
+        """This geometry with (g, f) on M, sharing its pass over h."""
+        moved = replace(self, g=g, f=f)
+        moved.__dict__["n_bundle"] = self.n_bundle
+        return moved
 
 
 @dataclass
 class _Pieces:
-    """M-grid ingredients of the closed forms at one stencil order,
-    computed with the generic pipeline on the small factor grid."""
+    """M-grid ingredients of the closed forms, computed with the generic
+    pipeline on the small factor grid."""
 
     bundle: geometry.CurvatureBundle  # curvature of g, its inverse included
     df: np.ndarray            # (..., m) first partials of f
@@ -341,8 +342,8 @@ def assemble_product_metric(pg: ProductGeometry,
     return SymTensorField.from_matrix(grid, full, is_metric=True)
 
 
-def christoffel_closed_form(pg: ProductGeometry, c: WarpedConstants,
-                            order: int = 2) -> Christoffel3Field:
+def christoffel_closed_form(pg: ProductGeometry,
+                            c: WarpedConstants) -> Christoffel3Field:
     """Connection of the warped metric from the five closed component
     families (everything from M-grid ingredients; no product-grid
     differentiation):
@@ -357,7 +358,7 @@ def christoffel_closed_form(pg: ProductGeometry, c: WarpedConstants,
     m, n = _dims(pg, c)
     d = m + n
     grid = pg.product_grid
-    p = pg.m_pieces(order)
+    p = pg.m_pieces
 
     # M-family on the M grid first.
     gmat = pg.g.values
@@ -384,7 +385,7 @@ def christoffel_closed_form(pg: ProductGeometry, c: WarpedConstants,
         out[..., m + gam, :m, m + gam] = _lift_m(pg, half_b_df)
         out[..., m + gam, m + gam, :m] = _lift_m(pg, half_b_df)
 
-    out[..., m:, m:, m:] = _lift_n(pg, pg.n_bundle(order).christoffel.values)
+    out[..., m:, m:, m:] = _lift_n(pg, pg.n_bundle.christoffel.values)
     return Christoffel3Field(grid, out, check_symmetry=False)
 
 
@@ -396,7 +397,7 @@ def _require_locus(c: WarpedConstants, what: str):
             f"{what} needs special-locus constants; residual {r1:.3e}")
 
 
-def _closed_ricci_blocks(pg: ProductGeometry, c: WarpedConstants, order: int,
+def _closed_ricci_blocks(pg: ProductGeometry, c: WarpedConstants,
                          hess_coeff: float, block_coeff: float,
                          df_quadratic: float) -> SymTensorField:
     """Assemble both diagonal Ricci blocks of the warped metric from the
@@ -412,7 +413,7 @@ def _closed_ricci_blocks(pg: ProductGeometry, c: WarpedConstants, order: int,
     m, n = _dims(pg, c)
     d = m + n
     grid = pg.product_grid
-    p = pg.m_pieces(order)
+    p = pg.m_pieces
 
     bracket = p.lap - block_coeff * p.grad_sq
     mm = p.bundle.ricci.values + hess_coeff * p.hess
@@ -423,13 +424,12 @@ def _closed_ricci_blocks(pg: ProductGeometry, c: WarpedConstants, order: int,
 
     full = np.zeros(grid.shape + (d, d))
     full[..., :m, :m] = _lift_m(pg, mm)
-    full[..., m:, m:] = _lift_n(pg, pg.n_bundle(order).ricci.values) \
+    full[..., m:, m:] = _lift_n(pg, pg.n_bundle.ricci.values) \
         + _lift_m(pg, warp)[..., None, None] * _lift_n(pg, pg.h.values)
     return SymTensorField.from_matrix(grid, full, symmetrize=True)
 
 
 def closed_scalar_curvature(pg: ProductGeometry, c: WarpedConstants,
-                            order: int = 2,
                             reduced: bool = False) -> ScalarField:
     """Scalar curvature of the warped metric from the closed formula
     alone, without assembling the Christoffel cube on the product grid
@@ -449,7 +449,7 @@ def closed_scalar_curvature(pg: ProductGeometry, c: WarpedConstants,
         _require_locus(c, "the reduced scalar formula")
     m, n = _dims(pg, c)
     A, B = c.A, c.B
-    p = pg.m_pieces(order)
+    p = pg.m_pieces
     ea, eb = np.exp(A * pg.f.values), np.exp(B * pg.f.values)
     if reduced:
         m_part = ea * (p.bundle.scalar.values + (A + 2.0) * p.lap
@@ -460,12 +460,12 @@ def closed_scalar_curvature(pg: ProductGeometry, c: WarpedConstants,
         m_part = ea * (p.bundle.scalar.values + (A * m + B * n - A) * p.lap
                        + 0.25 * coeff * p.grad_sq)
     scal = _lift_m(pg, m_part) \
-        + _lift_m(pg, eb) * _lift_n(pg, pg.n_bundle(order).scalar.values)
+        + _lift_m(pg, eb) * _lift_n(pg, pg.n_bundle.scalar.values)
     return ScalarField(pg.product_grid, scal)
 
 
-def ricci_closed_general(pg: ProductGeometry, c: WarpedConstants,
-                         order: int = 2) -> geometry.CurvatureBundle:
+def ricci_closed_general(pg: ProductGeometry,
+                         c: WarpedConstants) -> geometry.CurvatureBundle:
     """Closed-form curvature for arbitrary constants on the constraint
     line or off it: no condition on (A, B) is assumed.
 
@@ -482,15 +482,14 @@ def ricci_closed_general(pg: ProductGeometry, c: WarpedConstants,
     c0 = 0.5 * (c.A * m + c.B * n) - c.A
     return geometry.CurvatureBundle(
         christoffel=None,
-        ricci=_closed_ricci_blocks(pg, c, order, hess_coeff=c0,
-                                   block_coeff=c0,
+        ricci=_closed_ricci_blocks(pg, c, hess_coeff=c0, block_coeff=c0,
                                    df_quadratic=z_value(m, n, c.A, c.B)),
-        scalar=closed_scalar_curvature(pg, c, order),
+        scalar=closed_scalar_curvature(pg, c),
         source_tag="closed_form_general")
 
 
-def ricci_closed_ansatz(pg: ProductGeometry, c: WarpedConstants,
-                        order: int = 2) -> geometry.CurvatureBundle:
+def ricci_closed_ansatz(pg: ProductGeometry,
+                        c: WarpedConstants) -> geometry.CurvatureBundle:
     """Reduced closed-form curvature, valid only on the special locus
     (both defining conditions within 1e-12):
 
@@ -506,7 +505,7 @@ def ricci_closed_ansatz(pg: ProductGeometry, c: WarpedConstants,
     _require_locus(c, "the reduced Ricci formula")
     return geometry.CurvatureBundle(
         christoffel=None,
-        ricci=_closed_ricci_blocks(pg, c, order, hess_coeff=1.0,
+        ricci=_closed_ricci_blocks(pg, c, hess_coeff=1.0,
                                    block_coeff=1.0, df_quadratic=0.0),
-        scalar=closed_scalar_curvature(pg, c, order, reduced=True),
+        scalar=closed_scalar_curvature(pg, c, reduced=True),
         source_tag="closed_form_ansatz")

@@ -282,11 +282,11 @@ def test_criterion_4_first_variation():
     rng = np.random.default_rng(7)
     pg = build_product_geometry(spec, normalize_n=True, rng=rng)
     dg = random_sym_tensor(pg.grid_m, rng, 0.3)
-    [res] = first_variation_check(pg, [c], dg, order=4)
+    [res] = first_variation_check(pg, [c], dg)
     inv = geometry.inverse_metric(pg.g)
-    s_naive = StateTerms.at(pg.g, pg.f, 4).gradient_tensor(0.5).matrix()
+    s_naive = StateTerms.at(pg.g, pg.f, 4).gradient_tensor(0.5).values
     pairing = np.einsum("...ik,...jl,...ij,...kl->...",
-                        inv, inv, s_naive, dg.matrix())
+                        inv, inv, s_naive, dg.values)
     weight = ScalarField(pg.grid_m, np.exp(-pg.f.values)
                          * geometry.volume_density(pg.g).values)
     naive = -2.0 * integrate(ScalarField(pg.grid_m, pairing), weight)
@@ -356,8 +356,7 @@ def test_criterion_5_flow_bookkeeping():
     g0 = flat_metric(GridSpec((64,), (TWO_PI,)))
     f_term = sine_scalar(g0.grid, 0.2, 1)
     traj = run_decoupled(g0, f_term, FlowConfig(
-        dt=1e-4, t_end=6e-3, lam=0.0, integrator="rk4",
-        mode="decoupled", snapshot_stride=1))
+        dt=1e-4, t_end=6e-3, lam=0.0, integrator="rk4", snapshot_stride=1))
     rows = monotonicity_report(traj, 0.0)
     values = [r.f_lam for r in rows]
     nondec = all(b >= a - 1e-12 * max(1.0, abs(a))

@@ -134,6 +134,25 @@ MALFORMED = [
     ("verify-variation", _DIMS + "[grid]\nm_points = 16 32\n"),
     ("flow", "[fields]\nf_high_amplitude = 0.4\n"),
     ("flow", "[flow]\nmode = decoupled\nconstraint_tol = 1e-10\n"),
+    # values outside their domain, caught before anything runs
+    ("flow", "[flow]\nmode = mixed\n"),
+    ("verify-variation", _DIMS + "[variation]\neps = 0\n"),
+    ("verify-variation", _DIMS + "[variation]\neps = inf\n"),
+    ("verify-variation", _DIMS + "[variation]\neps = nan\n"),
+    ("verify-variation", _DIMS + "[variation]\namplitude = nan\n"),
+    ("verify-variation", _DIMS + "[variation]\namplitude = inf\n"),
+    ("verify-curvature", _DIMS + "[fields]\ng = random-spd\n"
+                         "g_amplitude = 1.5\n"),
+    ("verify-variation", _DIMS + "[fields]\ng = random-spd\n"
+                         "g_amplitude = 0\n"),
+    ("verify-identity", _DIMS + "[fields]\nf_amplitude = nan\n"),
+    ("flow", "[fields]\nf_amplitude = inf\n"),
+    # a recipe field that comes out non-finite
+    ("verify-curvature", _DIMS + "[fields]\ng = conformal-bump\n"
+                         "g_amplitude = nan\n"),
+    ("verify-identity", _DIMS + "[fields]\ng = conformal-bump\n"
+                        "g_amplitude = 1e3\n"),
+    ("flow", "[fields]\ng = conformal-bump\ng_amplitude = 1e3\n"),
 ]
 
 

@@ -10,9 +10,10 @@ import pytest
 from warpflow import recipes
 from warpflow.errors import (ConfigError, FlowDivergenceError,
                              MetricDegeneracyError, StabilityWarning)
-from warpflow.flow import (FlowConfig, FlowState, conserved_measure_check,
-                           instantaneous_rate, monotonicity_report,
-                           run_coupled, run_decoupled, step)
+from warpflow.flow import (FlowConfig, FlowState, _explicit_step,
+                           conserved_measure_check, instantaneous_rate,
+                           monotonicity_report, run_coupled, run_decoupled,
+                           step)
 from warpflow.functionals import StateTerms
 from warpflow.grids import GridSpec, ScalarField
 
@@ -52,7 +53,6 @@ def test_config_validation():
                 dict(good, t_end=1.05e-2),   # not a whole number of steps
                 dict(good, t_end=math.nan),
                 dict(good, integrator="rk2"),
-                dict(good, mode="mixed"),
                 dict(good, filter_cutoff=0.0),
                 dict(good, filter_cutoff=1.5),
                 dict(good, snapshot_stride=0)):
@@ -61,31 +61,22 @@ def test_config_validation():
 
 
 def test_mode_cross_checks():
-    state = initial_state(16)
-    dec = FlowConfig(dt=1e-4, t_end=1e-3, mode="decoupled")
-    cou = FlowConfig(dt=1e-4, t_end=1e-3, mode="coupled")
-    with pytest.raises(ConfigError):
-        step(state, dec)
-    with pytest.raises(ConfigError):
-        run_coupled(state, dec)
+    # the decoupled runner refuses a coupling and mismatched grids
     grid = circle(16)
     with pytest.raises(ConfigError):
         run_decoupled(recipes.flat_metric(grid),
-                      recipes.sine_scalar(grid, 0.1), cou)
-    with pytest.raises(ConfigError):
-        run_decoupled(recipes.flat_metric(grid),
                       recipes.sine_scalar(grid, 0.1),
-                      FlowConfig(dt=1e-4, t_end=1e-3, mode="decoupled",
-                                 lam=0.5))
+                      FlowConfig(dt=1e-4, t_end=1e-3, lam=0.5))
     with pytest.raises(ConfigError):
         run_decoupled(recipes.flat_metric(grid),
-                      recipes.sine_scalar(circle(32), 0.1), dec)
+                      recipes.sine_scalar(circle(32), 0.1),
+                      FlowConfig(dt=1e-4, t_end=1e-3))
 
 
 def test_snapshot_stride_bookkeeping():
     state = initial_state(32)
     traj = run_coupled(state, FlowConfig(dt=1e-3, t_end=7e-3,
-                                         mode="coupled", snapshot_stride=3))
+                                         snapshot_stride=3))
     assert [round(s.t / 1e-3) for s in traj] == [0, 3, 6, 7]
 
 
@@ -98,8 +89,7 @@ def test_flat_constant_pair_is_a_fixed_point():
     state = FlowState.initial(g, f)
     assert np.all(StateTerms.at(g, f).gradient_tensor(0.3).values == 0.0)
     traj = run_coupled(state, FlowConfig(dt=1e-3, t_end=5e-3,
-                                         mode="coupled", integrator="rk4",
-                                         lam=0.3))
+                                         integrator="rk4", lam=0.3))
     final = traj[-1]
     assert np.array_equal(final.g.values, g.values)
     assert np.array_equal(final.f.values, f.values)
@@ -110,8 +100,7 @@ def test_constant_terminal_f_stays_constant():
     grid = circle(32)
     traj = run_decoupled(recipes.flat_metric(grid),
                          ScalarField.constant(grid, 0.4),
-                         FlowConfig(dt=1e-3, t_end=5e-3, mode="decoupled",
-                                    snapshot_stride=1))
+                         FlowConfig(dt=1e-3, t_end=5e-3, snapshot_stride=1))
     for s in traj:
         # u never changes, so f is the same array of values throughout;
         # the log(exp(.)) round trip is only ulp-exact, hence the atol
@@ -121,6 +110,45 @@ def test_constant_terminal_f_stays_constant():
 
 
 # -------------------------------------------------------------- integrators
+
+def test_explicit_step_on_linear_ode():
+    # on y' = a y one step multiplies every array of the tuple by the
+    # method's polynomial in z = a dt: 1 + z for Euler, the degree-4
+    # Taylor polynomial of e^z for RK4
+    a, dt = -1.3, 0.1
+    z = a * dt
+    y = (np.array([1.0, -2.0, 0.5]), np.array([[3.0, 0.25]]))
+
+    def slope(c, ys):
+        return tuple(a * v for v in ys)
+
+    for integrator, factor in (
+            ("euler", 1.0 + z),
+            ("rk4", 1.0 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24)):
+        out = _explicit_step(y, slope(0.0, y), slope, dt, integrator)
+        assert len(out) == len(y)
+        for got, start in zip(out, y):
+            assert np.allclose(got, factor * start, rtol=1e-15, atol=0.0)
+
+
+def test_explicit_step_stage_fractions():
+    # y' = 3 t^2 from t = 0: the slope depends on the stage fraction c
+    # alone, RK4 asks at c = 0.5, 0.5, 1.0 and integrates the cubic
+    # exactly (Simpson's rule), Euler asks nothing beyond k1 = 0
+    dt = 0.2
+    seen = []
+
+    def slope(c, ys):
+        seen.append(c)
+        return (np.full(2, 3.0 * (c * dt) ** 2),)
+
+    (y,) = _explicit_step((np.zeros(2),), (np.zeros(2),), slope, dt, "rk4")
+    assert seen == [0.5, 0.5, 1.0]
+    assert np.allclose(y, dt ** 3, rtol=1e-15, atol=0.0)
+    seen.clear()
+    (y,) = _explicit_step((np.zeros(2),), (np.zeros(2),), slope, dt, "euler")
+    assert seen == [] and np.all(y == 0.0)
+
 
 def test_euler_step_against_taylor_oracle():
     # flat circle with f = a sin x has an analytic right-hand side:
@@ -133,8 +161,7 @@ def test_euler_step_against_taylor_oracle():
         grid = circle(n)
         f = ScalarField.from_function(grid, lambda x: a * np.sin(x))
         state = FlowState.initial(recipes.flat_metric(grid), f)
-        nxt = step(state, FlowConfig(dt=dt, t_end=dt, mode="coupled",
-                                     integrator="euler"))
+        nxt = step(state, FlowConfig(dt=dt, t_end=dt, integrator="euler"))
         x = np.arange(n) * (TAU / n)
         eg = np.abs(nxt.g.values[..., 0, 0]
                     - (1.0 + 2.0 * dt * a * np.sin(x))).max()
@@ -151,7 +178,6 @@ def test_rk4_euler_gap_is_first_order_in_dt():
     gaps = []
     for dt in (2e-4, 1e-4):
         ends = [run_coupled(state, FlowConfig(dt=dt, t_end=t_end,
-                                              mode="coupled",
                                               integrator=integ))[-1]
                 for integ in ("euler", "rk4")]
         gaps.append(max(
@@ -167,8 +193,7 @@ def test_single_step_measure_drift_is_second_order():
     drifts = []
     for dt in (1e-3, 5e-4):
         state = initial_state(64)
-        nxt = step(state, FlowConfig(dt=dt, t_end=dt, mode="coupled",
-                                     integrator="euler"))
+        nxt = step(state, FlowConfig(dt=dt, t_end=dt, integrator="euler"))
         drifts.append(conserved_measure_check([state, nxt]))
     assert drifts[0] < 1e-7
     assert drifts[0] / drifts[1] == pytest.approx(4.0, abs=0.3)
@@ -178,7 +203,6 @@ def test_trajectory_measure_drift():
     state = initial_state(64)
     for integ, bound in (("euler", 5e-8), ("rk4", 1e-12)):
         traj = run_coupled(state, FlowConfig(dt=1e-4, t_end=2e-3,
-                                             mode="coupled",
                                              integrator=integ,
                                              snapshot_stride=5))
         assert conserved_measure_check(traj) < bound
@@ -208,7 +232,7 @@ def test_decoupled_run_takes_one_oracle_pass_per_stored_metric(
     grid = circle(16)
     traj = run_decoupled(recipes.conformal_metric(grid, 0.1),
                          recipes.sine_scalar(grid, 0.2),
-                         FlowConfig(dt=1e-4, t_end=5e-4, mode="decoupled",
+                         FlowConfig(dt=1e-4, t_end=5e-4,
                                     integrator=integrator))
     assert len(traj) == 6
     assert calls == {"_symmetrized_ricci": passes, "inverse_metric": passes}
@@ -279,7 +303,7 @@ def test_instantaneous_rate_takes_one_oracle_pass_at_the_state(
 
 def test_stability_warning_on_oversized_step():
     state = initial_state(16, amplitude=0.05)
-    cfg = FlowConfig(dt=0.1, t_end=0.1, mode="coupled", integrator="euler")
+    cfg = FlowConfig(dt=0.1, t_end=0.1, integrator="euler")
     with pytest.warns(StabilityWarning):
         step(state, cfg)
 
@@ -298,11 +322,10 @@ def test_unresolved_run_diverges_and_filter_rescues_it():
         warnings.simplefilter("ignore", StabilityWarning)
         with pytest.raises((FlowDivergenceError, MetricDegeneracyError)) as ei:
             run_coupled(state, FlowConfig(dt=5e-3, t_end=t_end,
-                                          mode="coupled", integrator="euler",
+                                          integrator="euler",
                                           filter_cutoff=1.0))
         assert ei.value.time is not None and ei.value.time < t_end
         traj = run_coupled(state, FlowConfig(dt=5e-3, t_end=t_end,
-                                             mode="coupled",
                                              integrator="euler",
                                              filter_cutoff=0.5,
                                              snapshot_stride=10))
@@ -319,8 +342,7 @@ def test_decoupled_positivity_guard():
         grid, lambda x: -np.log(1.0 + 0.9 * np.cos(8.0 * x)))
     with pytest.raises(FlowDivergenceError):
         run_decoupled(recipes.flat_metric(grid), f_term,
-                      FlowConfig(dt=0.15, t_end=0.3, mode="decoupled",
-                                 integrator="euler"))
+                      FlowConfig(dt=0.15, t_end=0.3, integrator="euler"))
 
 
 # ------------------------------------------------------- dissipation ledger
@@ -374,8 +396,8 @@ def test_decoupled_functional_is_nondecreasing():
     grid = circle(48)
     traj = run_decoupled(recipes.flat_metric(grid),
                          recipes.sine_scalar(grid, 0.2),
-                         FlowConfig(dt=2e-4, t_end=4e-3, mode="decoupled",
-                                    integrator="rk4", snapshot_stride=1))
+                         FlowConfig(dt=2e-4, t_end=4e-3, integrator="rk4",
+                                    snapshot_stride=1))
     rows = monotonicity_report(traj, 0.0)
     assert len(rows) == 21
     vals = [r.f_lam for r in rows]
@@ -395,8 +417,8 @@ def test_max_principle_for_flat_decoupled_euler():
     grid = circle(48)
     traj = run_decoupled(recipes.flat_metric(grid),
                          recipes.sine_scalar(grid, 0.2),
-                         FlowConfig(dt=2e-4, t_end=4e-3, mode="decoupled",
-                                    integrator="euler", snapshot_stride=1))
+                         FlowConfig(dt=2e-4, t_end=4e-3, integrator="euler",
+                                    snapshot_stride=1))
     mu = [float(np.exp(-s.f.values).max()) for s in traj]
     assert all(b >= a - 1e-15 for a, b in zip(mu, mu[1:]))
 
@@ -407,11 +429,11 @@ def test_decoupled_and_coupled_functionals_agree():
     # F(t) curves must track each other far below the O(1) scale of F
     grid = circle(64)
     g0 = recipes.flat_metric(grid)
-    cfg = dict(dt=1e-4, t_end=4e-3, integrator="rk4", snapshot_stride=5)
-    traj_d = run_decoupled(g0, recipes.sine_scalar(grid, 0.2),
-                           FlowConfig(mode="decoupled", **cfg))
-    traj_c = run_coupled(FlowState.initial(g0, traj_d[0].f),
-                         FlowConfig(mode="coupled", **cfg))
+    # one config serves both runners: the runner called is the mode
+    cfg = FlowConfig(dt=1e-4, t_end=4e-3, integrator="rk4",
+                     snapshot_stride=5)
+    traj_d = run_decoupled(g0, recipes.sine_scalar(grid, 0.2), cfg)
+    traj_c = run_coupled(FlowState.initial(g0, traj_d[0].f), cfg)
     assert len(traj_d) == len(traj_c)
     for sd, sc in zip(traj_d, traj_c):
         assert sd.t == pytest.approx(sc.t, abs=1e-12)

@@ -244,7 +244,7 @@ def variation_setup():
     pg = build_product_geometry(
         StudySpec((((64, 64), (8,)),), TAU, TAU,
                   FieldSpec("conformal-bump", 0.15, 1), FieldSpec("flat"),
-                  0.2, (1,)),
+                  0.2, (1,), order=4),
         normalize_n=True)
     rng = np.random.default_rng(5)
     dg = recipes.random_sym_tensor(pg.grid_m, rng, 0.3)
@@ -254,7 +254,7 @@ def variation_setup():
 def test_first_variation_matches_closed_form():
     pg, dg = variation_setup()
     couplings = [lambda_to_constants(2, 1, lam)[0] for lam in (0.0, 0.5)]
-    results = first_variation_check(pg, couplings, dg, order=4)
+    results = first_variation_check(pg, couplings, dg)
     for res, tol in zip(results, (3e-4, 1e-4)):
         rel = abs(res.numeric_derivative - res.closed_form) \
             / abs(res.numeric_derivative)
@@ -270,10 +270,9 @@ def test_variation_covector_needs_trace_completion():
     # cannot creep back in.
     lam = 0.5
     pg, dg = variation_setup()
-    [res] = first_variation_check(pg, lambda_to_constants(2, 1, lam)[:1], dg,
-                                  order=4)
+    [res] = first_variation_check(pg, lambda_to_constants(2, 1, lam)[:1], dg)
 
-    terms = StateTerms.at(pg.g, pg.f, 4)
+    terms = StateTerms.at(pg.g, pg.f, pg.order)
     s_naive = terms.gradient_tensor(lam).values
     inv = terms.bundle.inverse
     pairing = np.einsum("...ik,...jl,...ij,...kl->...",
@@ -290,10 +289,9 @@ def test_variation_covector_needs_trace_completion():
 
 def test_variation_trace_term_inert_at_lambda_zero():
     pg, dg = variation_setup()
-    [res] = first_variation_check(pg, lambda_to_constants(2, 1, 0.0)[:1], dg,
-                                  order=4)
+    [res] = first_variation_check(pg, lambda_to_constants(2, 1, 0.0)[:1], dg)
 
-    terms = StateTerms.at(pg.g, pg.f, 4)
+    terms = StateTerms.at(pg.g, pg.f, pg.order)
     s_naive = terms.gradient_tensor(0.0).values
     inv = terms.bundle.inverse
     pairing = np.einsum("...ik,...jl,...ij,...kl->...",
@@ -303,9 +301,10 @@ def test_variation_trace_term_inert_at_lambda_zero():
 
 
 def test_first_variation_couplings_share_perturbed_geometries(monkeypatch):
-    # two couplings in one call: the base g and the four perturbed
-    # geometries take one pass each (g_t and h per geometry), and every
-    # number is bit for bit what each coupling gets alone
+    # two couplings in one call: the base g, the four perturbed g_t and
+    # h take one pass each (the perturbed geometries read h's pass off
+    # the base one), and every number is bit for bit what each coupling
+    # gets alone
     grid_m, grid_n = GridSpec((16, 16), (TAU, TAU)), GridSpec((8,), (TAU,))
     pg = ProductGeometry(grid_m, grid_n,
                          recipes.conformal_metric(grid_m, 0.15),
@@ -324,5 +323,5 @@ def test_first_variation_couplings_share_perturbed_geometries(monkeypatch):
     monkeypatch.setattr(geometry, "curvature_bundle", counted)
     fresh = ProductGeometry(pg.grid_m, pg.grid_n, pg.g, pg.h, pg.f)
     together = first_variation_check(fresh, couplings, dg)
-    assert sorted(passes) == [1] * 4 + [2] * 5
+    assert sorted(passes) == [1] + [2] * 5
     assert together == [a for [a] in alone]

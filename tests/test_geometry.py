@@ -63,7 +63,7 @@ def test_inverse_metric_roundtrip_and_guard():
     rng = np.random.default_rng(2)
     g = recipes.random_spd_metric(grid, rng, amplitude=0.4)
     inv = geometry.inverse_metric(g)
-    eye = np.matmul(inv, g.matrix())
+    eye = np.matmul(inv, g.values)
     assert np.allclose(eye, np.eye(3), atol=1e-12)
 
     # positive definite but conditioned past the limit: the guard names
@@ -166,7 +166,7 @@ def test_hessian_trace_matches_laplacian_flat_then_converges():
     f = recipes.sine_scalar(grid, 0.5)
     flat = recipes.flat_metric(grid)
     gamma = geometry.curvature_bundle(flat).christoffel
-    trace = np.einsum("...ii->...", hessian(f, gamma).matrix())
+    trace = np.einsum("...ii->...", hessian(f, gamma).values)
     lap = laplacian(f, flat)
     assert np.allclose(trace, lap.values, atol=1e-12)
 

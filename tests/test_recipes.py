@@ -14,7 +14,7 @@ TAU = 2.0 * math.pi
 def test_flat_metric_is_identity():
     grid = GridSpec((8, 8, 8), (TAU, TAU, TAU))
     g = recipes.flat_metric(grid)
-    assert np.allclose(g.matrix(), np.eye(3), atol=0.0)
+    assert np.allclose(g.values, np.eye(3), atol=0.0)
     assert g.is_metric
 
 
@@ -22,7 +22,7 @@ def test_conformal_metric_structure():
     grid = GridSpec((16, 16), (TAU, TAU))
     u = recipes.conformal_factor(grid, 0.3)
     g = recipes.conformal_metric(grid, 0.3)
-    mat = g.matrix()
+    mat = g.values
     assert np.allclose(mat[..., 0, 0], np.exp(2.0 * u.values), rtol=1e-15)
     assert np.allclose(mat[..., 0, 0], mat[..., 1, 1], rtol=1e-15)
     assert np.all(mat[..., 0, 1] == 0.0)
@@ -66,7 +66,7 @@ def test_random_spd_metric_definite_and_seeded():
     g1 = recipes.random_spd_metric(grid, np.random.default_rng(42), 0.4)
     g2 = recipes.random_spd_metric(grid, np.random.default_rng(42), 0.4)
     assert np.array_equal(g1.values, g2.values)
-    eigs = np.linalg.eigvalsh(g1.matrix())
+    eigs = np.linalg.eigvalsh(g1.values)
     assert float(eigs.min()) > 1.0 - 0.4 - 1e-12
     with pytest.raises(ValueError):
         recipes.random_spd_metric(grid, np.random.default_rng(0), 1.5)

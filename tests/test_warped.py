@@ -182,12 +182,12 @@ def test_assembled_metric_blocks():
     c = solve_perelman_constants(2, 1)
     pg = build((8, 8), (8,))
     gt = assemble_product_metric(pg, c)
-    mat = gt.matrix()
+    mat = gt.values
     ea = np.exp(-c.A * pg.f.values)[..., None, None, None]
     eb = np.exp(-c.B * pg.f.values)[..., None]
     assert np.allclose(mat[..., :2, :2],
-                       ea * pg.g.matrix()[..., None, :, :], atol=1e-15)
-    h_diag = pg.h.matrix()[None, None, :, 0, 0]
+                       ea * pg.g.values[..., None, :, :], atol=1e-15)
+    h_diag = pg.h.values[None, None, :, 0, 0]
     assert np.allclose(mat[..., 2, 2], eb * h_diag, atol=1e-15)
     assert np.all(mat[..., :2, 2] == 0.0)
 
@@ -204,7 +204,7 @@ def test_mixed_christoffel_and_ricci_vanish_in_oracle():
     m = 2
     assert np.abs(chr_v[..., m:, :m, :m]).max() == 0.0
     assert np.abs(chr_v[..., :m, :m, m:]).max() == 0.0
-    ric = bundle.ricci.matrix()
+    ric = bundle.ricci.values
     assert np.abs(ric[..., :m, m:]).max() < 1e-15
 
 
@@ -305,6 +305,26 @@ def test_product_geometry_is_frozen_and_memo_is_transparent():
     assert fresh.christoffel is None and reused.christoffel is None
     assert np.array_equal(fresh.ricci.values, reused.ricci.values)
     assert np.array_equal(fresh.scalar.values, reused.scalar.values)
+
+
+def test_product_geometry_carries_its_stencil_order():
+    # every piece is the oracle pass at the geometry's own order, bit for
+    # bit, and a study's geometry takes its spec's order
+    from warpflow.verify import FieldSpec, StudySpec, build_product_geometry
+    base = build((8, 8), (8,))
+    pg = dataclasses.replace(base, order=4)
+    assert (base.order, pg.order) == (2, 4)
+    for got, want in ((pg.m_pieces.bundle, geometry.curvature_bundle(pg.g, 4)),
+                      (pg.n_bundle, geometry.curvature_bundle(pg.h, 4))):
+        assert np.array_equal(got.christoffel.values, want.christoffel.values)
+        assert np.array_equal(got.ricci.values, want.ricci.values)
+        assert np.array_equal(got.scalar.values, want.scalar.values)
+        assert np.array_equal(got.inverse, want.inverse)
+    assert np.array_equal(pg.m_pieces.df,
+                          geometry.gradient_components(pg.f, 4))
+    assert not np.array_equal(pg.m_pieces.df, base.m_pieces.df)
+    spec = StudySpec((((8, 8), (8,)),), g_spec=FieldSpec("flat"), order=4)
+    assert build_product_geometry(spec).order == 4
 
 
 def test_standalone_scalar_matches_bundle():
