@@ -41,6 +41,7 @@ evaluated on one set of perturbed geometries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -98,15 +99,16 @@ def measure_density(g: SymTensorField, f: ScalarField) -> ScalarField:
 @dataclass(frozen=True)
 class StateTerms:
     """What every formula on M reads at one (g, f) state, computed once by
-    ``StateTerms.at``: the oracle bundle of g (its inverse included), df,
-    hess f, |grad f|^2 = g^{ij} df_i df_j and the weight e^{-f} dmu."""
+    ``StateTerms.at``: the oracle bundle of g (its inverse included), df
+    and hess f.  |grad f|^2 = g^{ij} df_i df_j and the weight e^{-f} dmu
+    are computed on first use, since a flow step's slopes never read
+    them."""
 
     g: SymTensorField
+    f: ScalarField
     bundle: geometry.CurvatureBundle
     df: np.ndarray
     hess: np.ndarray
-    grad_sq: np.ndarray
-    weight: ScalarField
 
     @classmethod
     def at(cls, g: SymTensorField, f: ScalarField,
@@ -114,18 +116,25 @@ class StateTerms:
         bundle = geometry.curvature_bundle(g, order)
         df = geometry.gradient_components(f, order)
         hess = geometry.hessian(df, bundle.christoffel, order).values
-        return cls(g=g, bundle=bundle, df=df, hess=hess,
-                   grad_sq=np.einsum("...ij,...i,...j->...", bundle.inverse,
-                                     df, df),
-                   weight=measure_density(g, f))
+        return cls(g=g, f=f, bundle=bundle, df=df, hess=hess)
 
     @classmethod
     def on_m(cls, pg: ProductGeometry) -> "StateTerms":
         """The record of (pg.g, pg.f), read off the geometry's memoised
         M-grid pieces instead of a pass of its own."""
         p = pg.m_pieces
-        return cls(g=pg.g, bundle=p.bundle, df=p.df, hess=p.hess,
-                   grad_sq=p.grad_sq, weight=measure_density(pg.g, pg.f))
+        terms = cls(g=pg.g, f=pg.f, bundle=p.bundle, df=p.df, hess=p.hess)
+        terms.__dict__["grad_sq"] = p.grad_sq
+        return terms
+
+    @cached_property
+    def grad_sq(self) -> np.ndarray:
+        return np.einsum("...ij,...i,...j->...", self.bundle.inverse,
+                         self.df, self.df)
+
+    @cached_property
+    def weight(self) -> ScalarField:
+        return measure_density(self.g, self.f)
 
     def F_lambda(self, lam: float) -> float:
         """F_lam = int (R + (lam+1)|grad f|^2) e^{-f} dmu."""

@@ -31,26 +31,35 @@ Discrete quirks worth knowing:
 * ``curvature_bundle`` is the only curvature entry point: one pass that
   inverts the metric once, contracts the scalar from the symmetrized
   Ricci matrix and returns the whole stack, the inverse included.
-* The Christoffel cube is assembled one derivative axis at a time, with
-  one D_a g array alive, sweeping the flattened nodes in blocks of
-  ``_BLOCK_BYTES`` of the cube: each block takes its three updates while
-  it sits in cache, and every temporary of the sweep is block-sized.
-  Peak memory is the cube, D_a g and the order-4 stencil's one temporary,
-  plus one block's worth, which is what lets 4d product grids with a few
-  million nodes fit in a small container.  Every node sees the same
-  operations in the same order as a whole-grid sweep, so the split
-  changes no bit.
+* Every kernel that reads or writes the Christoffel cube sweeps the
+  flattened nodes in blocks of ``_BLOCK_BYTES`` of the cube
+  (``_node_blocks``), so each block is worked on while it sits in cache
+  and every temporary of a sweep is block-sized.  The cube is assembled
+  one derivative axis at a time, with one D_a g array alive: peak memory
+  is the cube, D_a g and the order-4 stencil's one temporary, plus one
+  block's worth, which is what lets 4d product grids with a few million
+  nodes fit in a small container.
+* The three contractions that read the cube are batched matrix products
+  over a block's nodes: Gamma^p_{ad} Gamma^a_{bp} as
+  (d, d^2) @ (d^2, d), and Gamma^p_{bd} Gamma^a_{ap} and Hessian's
+  Gamma^k_{jl} D_k f as (1, d) @ (d, d^2).  Each node's products go
+  through BLAS, independently of the other nodes, so where a block ends
+  changes no bit.  They are not bitwise equal to the einsum formulas
+  they stand for: the sums run in another order, and differ from them by
+  a few ulps of the summed magnitudes.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MetricDegeneracyError
-from .grids import Christoffel3Field, ScalarField, SymTensorField, diff_array
+from .grids import (Christoffel3Field, GridSpec, ScalarField, SymTensorField,
+                    diff_array)
 
 __all__ = [
     "CurvatureBundle",
@@ -63,8 +72,9 @@ __all__ = [
 
 CONDITION_LIMIT = 1e12
 ASYMMETRY_WARN_FACTOR = 10.0
-# Bytes of the Christoffel cube per block of its assembly: 512 nodes at
-# d = 4.  With its product temporary a block stays well inside a 2 MB L2.
+# Bytes of the Christoffel cube per block of the kernels' node sweep: 512
+# nodes at d = 4.  With its product temporary a block stays well inside a
+# 2 MB L2.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -121,6 +131,21 @@ def inverse_metric(g: SymTensorField) -> np.ndarray:
     return inv
 
 
+def _node_blocks(grid: GridSpec) -> list[slice]:
+    """The flattened nodes of ``grid`` in blocks of ``_BLOCK_BYTES`` of
+    the Christoffel cube, the one sweep of every kernel that reads it."""
+    nodes, d = math.prod(grid.shape), grid.dim
+    block = max(1, _BLOCK_BYTES // (8 * d ** 3))
+    return [slice(s, s + block) for s in range(0, nodes, block)]
+
+
+def _lower_contract(v: np.ndarray, gam: np.ndarray) -> np.ndarray:
+    """sum_p v_p Gamma^p_{ij} on a block of nodes, one (1, d) @ (d, d^2)
+    product per node: (n, d) and (n, d, d, d) -> (n, d, d)."""
+    n, d = v.shape
+    return np.matmul(v[:, None, :], gam.reshape(n, d, d * d)).reshape(n, d, d)
+
+
 def _christoffel(g: SymTensorField, inv: np.ndarray,
                  order: int) -> Christoffel3Field:
     """Christoffel symbols from the metric and its inverse.
@@ -138,13 +163,10 @@ def _christoffel(g: SymTensorField, inv: np.ndarray,
     out = np.zeros(grid.shape + (d, d, d))
     flat_out = out.reshape(-1, d, d, d)
     flat_inv = inv.reshape(-1, d, d)
-    nodes = flat_out.shape[0]
-    block = max(1, _BLOCK_BYTES // flat_out[0].nbytes)
     for a in range(d):
         # D_a g_{ij}, the only derivative array alive
         da = diff_array(g.values, grid, a, order).reshape(-1, d, d)
-        for s in range(0, nodes, block):
-            blk = slice(s, s + block)
+        for blk in _node_blocks(grid):
             o, ib, dab = flat_out[blk], flat_inv[blk], da[blk]
             half_raised = 0.5 * np.matmul(ib, dab)  # (1/2) g^{kl} D_a g_{lj}
             o[:, :, a, :] += half_raised            # D_i term at i = a
@@ -160,14 +182,24 @@ def _ricci_matrix(gamma: Christoffel3Field, order: int) -> np.ndarray:
     grid = gamma.grid
     d = grid.dim
     gam = gamma.values
-    trace = np.einsum("...aab->...b", gam)             # Gamma^a_{ab}
+    trace = np.zeros(grid.shape + (d,))                # Gamma^a_{ab}
+    for a in range(d):
+        trace += gam[..., a, a, :]
     ric = np.zeros(grid.shape + (d, d))
     for a in range(d):
         ric += diff_array(gam[..., a, :, :], grid, a, order)
     for b in range(d):
         ric[..., b, :] -= diff_array(trace, grid, b, order)
-    ric += np.einsum("...pbd,...p->...bd", gam, trace)
-    ric -= np.einsum("...pad,...abp->...bd", gam, gam)
+    flat_gam = gam.reshape(-1, d, d, d)
+    flat_trace, flat_ric = trace.reshape(-1, d), ric.reshape(-1, d, d)
+    for blk in _node_blocks(grid):
+        gb, r = flat_gam[blk], flat_ric[blk]
+        r += _lower_contract(flat_trace[blk], gb)      # Gamma^p_{bd} Gamma^a_{ap}
+        # Gamma^p_{ad} Gamma^a_{bp}: rows (b) of Gamma^a_{bp} laid out as
+        # [b, (p, a)] against the cube's own [(p, a), d]
+        n = gb.shape[0]
+        r -= np.matmul(gb.transpose(0, 2, 3, 1).reshape(n, d, d * d),
+                       gb.reshape(n, d * d, d))
     return ric
 
 
@@ -242,7 +274,10 @@ def hessian(df: np.ndarray, gamma: Christoffel3Field,
         dl = df[..., l]
         for j in range(d):
             out[..., j, l] = diff_array(dl, grid, j, order)
-    out -= np.einsum("...kjl,...k->...jl", gamma.values, df)
+    flat_out, flat_df = out.reshape(-1, d, d), df.reshape(-1, d)
+    flat_gam = gamma.values.reshape(-1, d, d, d)
+    for blk in _node_blocks(grid):
+        flat_out[blk] -= _lower_contract(flat_df[blk], flat_gam[blk])
     return SymTensorField.from_matrix(grid, out, symmetrize=True)
 
 

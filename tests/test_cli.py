@@ -2,6 +2,9 @@
 reproducible CSV output, and the shipped sample configs."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -10,7 +13,8 @@ import pytest
 from warpflow.cli import _parse, main
 from warpflow.errors import StabilityWarning
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 
 def read_table(path):
@@ -299,3 +303,24 @@ def test_reruns_are_byte_identical(tmp_path):
         pairs.append((a.read_bytes(), b.read_bytes()))
     for blob_a, blob_b in pairs:
         assert blob_a == blob_b
+
+
+def test_output_does_not_depend_on_blas_threads(tmp_path):
+    # the oracle's contractions are BLAS matrix products: one thread and
+    # the default thread count must print and write the same bytes
+    runs = []
+    for tag, threads in (("one", "1"), ("default", None)):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"{tag}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "warpflow.cli", "verify-curvature",
+             "--config", str(CONFIGS / "curvature-quick.ini"),
+             "--out", str(out)],
+            env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs.append((proc.stdout, out.read_bytes()))
+    assert b"[PASS]" in runs[0][0]
+    assert runs[0] == runs[1]

@@ -278,6 +278,26 @@ def test_coupled_rk4_step_inverts_the_metric_four_times(monkeypatch):
     assert len(calls) <= 4
 
 
+def test_coupled_rk4_step_takes_no_volume_density(monkeypatch):
+    # the slopes read each stage record's bundle, df and hess f; the
+    # weight e^{-f} dmu is never built
+    from warpflow import geometry
+    grid = GridSpec((12, 12), (TAU, TAU))
+    state = FlowState.initial(
+        recipes.random_spd_metric(grid, np.random.default_rng(3), 0.2),
+        recipes.mixed_sine_scalar(grid, 0.2))
+    calls = []
+    density = geometry.volume_density
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return density(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "volume_density", counted)
+    step(state, FlowConfig(dt=1e-4, t_end=1e-4, lam=0.5, integrator="rk4"))
+    assert calls == []
+
+
 @pytest.mark.parametrize("integrator", ["euler", "rk4"])
 def test_instantaneous_rate_takes_one_oracle_pass_at_the_state(
         monkeypatch, integrator):

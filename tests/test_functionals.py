@@ -13,7 +13,7 @@ import pytest
 
 from warpflow import geometry, recipes
 from warpflow.functionals import (StateTerms, einstein_hilbert_S,
-                                  first_variation_check,
+                                  first_variation_check, measure_density,
                                   theorem_identity_residual)
 from warpflow.grids import GridSpec, ScalarField, integrate
 from warpflow.verify import (FieldSpec, StudySpec, build_product_geometry,
@@ -148,6 +148,25 @@ def test_one_state_record_serves_every_formula(monkeypatch):
                           own.completed_covector(0.5))
     assert np.array_equal(terms.completed_covector(0.0),
                           terms.gradient_tensor(0.0).values)
+
+
+def test_lazy_state_record_matches_the_eager_terms():
+    # |grad f|^2 and the weight are computed on first use, whichever
+    # formula asks first, to the bit of computing them up front
+    grid = GridSpec((12, 12), (TAU, TAU))
+    g = recipes.random_spd_metric(grid, np.random.default_rng(7), 0.2)
+    f = recipes.mixed_sine_scalar(grid, 0.3)
+    lazy, eager = StateTerms.at(g, f), StateTerms.at(g, f)
+    assert "grad_sq" not in vars(lazy) and "weight" not in vars(lazy)
+    vars(eager).update(
+        grad_sq=np.einsum("...ij,...i,...j->...", eager.bundle.inverse,
+                          eager.df, eager.df),
+        weight=measure_density(g, f))
+    for lam in (0.5, 0.0):
+        assert np.array_equal(lazy.completed_covector(lam),
+                              eager.completed_covector(lam))
+        assert lazy.dissipation(lam) == eager.dissipation(lam)
+        assert lazy.F_lambda(lam) == eager.F_lambda(lam)
 
 
 # ----------------------------------------------------------------- identity

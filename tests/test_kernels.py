@@ -3,9 +3,16 @@
 ``grids.diff_array`` reads its shifted operands as periodic slices into
 one output array, ``geometry._christoffel`` sweeps the flattened nodes in
 blocks, and ``verify._family_maxima`` takes its max-norms block by block.
-Every node must still see the same floating-point operations in the same
-order, so each is held to the plain formula bit for bit (sign of zero
+Every node sees the same floating-point operations in the same order, so
+these three are held to the plain formula bit for bit (sign of zero
 included), whatever the shape, the strides or where the blocks end.
+
+The oracle's three contractions of the Christoffel cube (the two Ricci
+terms and Hessian's Gamma^k_{jl} D_k f) are batched matrix products over
+the same node blocks.  Their sums run in another order than the einsum
+formulas they stand for, so they are held to those formulas within
+8 d^2 ulps of the summed magnitudes at every node, and to themselves bit
+for bit wherever the blocks end.
 """
 
 import math
@@ -14,7 +21,7 @@ import numpy as np
 import pytest
 
 from warpflow import geometry, recipes, verify
-from warpflow.grids import GridSpec, diff_array
+from warpflow.grids import Christoffel3Field, GridSpec, ScalarField, diff_array
 
 
 def roll_diff(values, grid, axis, order):
@@ -79,16 +86,20 @@ def cube_bytes(nodes, d):
     return nodes * 8 * d ** 3
 
 
+# block sizes, in nodes, for a grid of ``nodes`` nodes
+BLOCKS = {"below_one": lambda nodes: nodes + 5,
+          "one_plus_one": lambda nodes: nodes - 1,
+          "ragged": lambda nodes: 7}
+
+
 @pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("points", SHAPES[:1] + SHAPES[2:])
-@pytest.mark.parametrize("blocks", ["below_one", "one_plus_one", "ragged"])
+@pytest.mark.parametrize("blocks", sorted(BLOCKS))
 def test_christoffel_matches_whole_grid_loop(monkeypatch, points, order,
                                              blocks):
     nodes = math.prod(points)
-    size = {"below_one": nodes + 5, "one_plus_one": nodes - 1,
-            "ragged": 7}[blocks]
     monkeypatch.setattr(geometry, "_BLOCK_BYTES",
-                        cube_bytes(size, len(points)))
+                        cube_bytes(BLOCKS[blocks](nodes), len(points)))
     grid = grid_of(points)
     g = recipes.random_spd_metric(grid, np.random.default_rng(nodes), 0.3)
     inv = geometry.inverse_metric(g)
@@ -108,6 +119,93 @@ def test_christoffel_matches_at_the_module_block_size(order):
         inv = geometry.inverse_metric(g)
         assert_bitwise(geometry._christoffel(g, inv, order).values,
                        loop_christoffel(g, inv, order))
+
+
+def einsum_ricci(gamma, order):
+    """The raw Ricci with its contractions as einsum formulas, and at
+    every node the sum of the absolute values of its terms."""
+    grid = gamma.grid
+    d = grid.dim
+    gam = gamma.values
+    trace = np.einsum("...aab->...b", gam)
+    deriv = np.zeros(grid.shape + (d, d))
+    for a in range(d):
+        deriv += roll_diff(gam[..., a, :, :], grid, a, order)
+    for b in range(d):
+        deriv[..., b, :] -= roll_diff(trace, grid, b, order)
+    ric = (deriv + np.einsum("...pbd,...p->...bd", gam, trace)
+           - np.einsum("...pad,...abp->...bd", gam, gam))
+    mag = (np.abs(deriv)
+           + np.einsum("...pbd,...p->...bd", np.abs(gam), np.abs(trace))
+           + np.einsum("...pad,...abp->...bd", np.abs(gam), np.abs(gam)))
+    return ric, mag
+
+
+def einsum_hessian(df, gamma, order):
+    """The symmetrized covariant Hessian with Gamma^k_{jl} D_k f as an
+    einsum, and the sum of the absolute values of its terms."""
+    grid = gamma.grid
+    d = grid.dim
+    second = np.empty(grid.shape + (d, d))
+    for l in range(d):
+        for j in range(d):
+            second[..., j, l] = roll_diff(df[..., l], grid, j, order)
+    raw = second - np.einsum("...kjl,...k->...jl", gamma.values, df)
+    mag = np.abs(second) + np.einsum("...kjl,...k->...jl",
+                                     np.abs(gamma.values), np.abs(df))
+    return (0.5 * (raw + np.swapaxes(raw, -1, -2)),
+            np.maximum(mag, np.swapaxes(mag, -1, -2)))
+
+
+def assert_within_ulps(actual, expected, mag, d):
+    assert actual.shape == expected.shape
+    gap = np.abs(actual - expected)
+    assert np.all(gap <= 8 * d * d * np.finfo(float).eps * mag)
+
+
+def random_cube(grid, rng):
+    """A connection with no symmetry at all, so that no swap of the lower
+    indices goes unseen."""
+    d = grid.dim
+    return Christoffel3Field(grid, rng.standard_normal(grid.shape + (d,) * 3),
+                             check_symmetry=False)
+
+
+def ricci_and_hessian(grid, order, seed):
+    rng = np.random.default_rng(seed)
+    gamma = random_cube(grid, rng)
+    f = ScalarField(grid, rng.standard_normal(grid.shape))
+    df = geometry.gradient_components(f, order)
+    return (gamma, df, geometry._ricci_matrix(gamma, order),
+            geometry.hessian(df, gamma, order).values)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("points", SHAPES)
+@pytest.mark.parametrize("blocks", sorted(BLOCKS))
+def test_contractions_match_einsum_formulas(monkeypatch, points, order,
+                                            blocks):
+    nodes, d = math.prod(points), len(points)
+    monkeypatch.setattr(geometry, "_BLOCK_BYTES",
+                        cube_bytes(BLOCKS[blocks](nodes), d))
+    gamma, df, ric, hess = ricci_and_hessian(grid_of(points), order, nodes)
+    assert_within_ulps(ric, *einsum_ricci(gamma, order), d)
+    assert_within_ulps(hess, *einsum_hessian(df, gamma, order), d)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("points", SHAPES)
+def test_contractions_do_not_depend_on_the_block_size(monkeypatch, points,
+                                                      order):
+    nodes, d = math.prod(points), len(points)
+    grid = grid_of(points)
+    results = []
+    for size in [1, 7, nodes - 1, nodes + 5]:
+        monkeypatch.setattr(geometry, "_BLOCK_BYTES", cube_bytes(size, d))
+        results.append(ricci_and_hessian(grid, order, nodes)[2:])
+    for ric, hess in results[1:]:
+        assert_bitwise(ric, results[0][0])
+        assert_bitwise(hess, results[0][1])
 
 
 @pytest.mark.parametrize("nodes", [7, 71, 100_000])
