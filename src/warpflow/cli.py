@@ -29,8 +29,10 @@ silently change an experiment.  The conditional keys:
 
 verify-variation runs at one resolution, so its m_points and n_points
 take one level, and a flow's t_end must be a whole number of steps of
-dt.  A value outside its domain, or a recipe field that comes out
-non-finite, is invalid input.  Exit codes: 0 all checks passed, 1 a
+dt.  A value outside its domain (a NaN gate bound or a non-finite
+coupling included), a recipe field that comes out non-finite, or an
+--out that is not a file in an existing directory (checked before the
+run) is invalid input.  Exit codes: 0 all checks passed, 1 a
 tolerance or stability check failed, 2 invalid input.  Each distinct
 warning a run raises is printed once on stderr as a ``warning:
 <message>`` line, ahead of any ``error:`` or ``failure:`` line.
@@ -86,8 +88,20 @@ def _write_table(out: str | None, comments: list[str], columns: list[str],
     text = "\n".join(lines) + "\n"
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {out}: {exc}") from exc
+
+
+def _check_out(out: str | None) -> None:
+    """Refuse an --out whose directory does not exist before anything
+    runs, so a long study never ends in an unwritable path."""
+    if out is not None and (Path(out).is_dir()
+                            or not Path(out).parent.is_dir()):
+        raise ConfigError(f"--out {out}: not a file in an existing "
+                          "directory")
 
 
 class _Config:
@@ -162,6 +176,12 @@ def _float(cfg, section, key, default, what="a float", accept=None):
 
 def _finite(cfg, section, key, default):
     return _float(cfg, section, key, default, "a finite float", math.isfinite)
+
+
+def _tolerance(cfg, section, key, default):
+    """A gate's bound: any float but NaN, which would pass every check."""
+    return _float(cfg, section, key, default, "a float, not nan",
+                  lambda value: not math.isnan(value))
 
 
 def _int(cfg, section, key, default):
@@ -300,8 +320,8 @@ def _study_spec(cfg, m: int, n: int, g_default: str, seed: int | None,
 
 def _ladder_gates(cfg, max_final_key: str) -> tuple[float, float]:
     """A ladder's gates: the least order and the largest final value."""
-    return (_float(cfg, "tolerances", "min_order", 1.8),
-            _float(cfg, "tolerances", max_final_key, math.inf))
+    return (_tolerance(cfg, "tolerances", "min_order", 1.8),
+            _tolerance(cfg, "tolerances", max_final_key, math.inf))
 
 
 def _parse_curvature(cfg, seed):
@@ -336,7 +356,7 @@ def _parse_variation(cfg, seed):
             _float(cfg, "variation", "eps", 1e-4, "a finite float > 0",
                    lambda eps: 0.0 < eps < math.inf),
             _finite(cfg, "variation", "amplitude", 0.3),
-            _float(cfg, "tolerances", "max_rel_mismatch", 1e-4))
+            _tolerance(cfg, "tolerances", "max_rel_mismatch", 1e-4))
 
 
 def _parse_flow(cfg, seed):
@@ -349,7 +369,7 @@ def _parse_flow(cfg, seed):
         snapshot_stride=_int(cfg, "flow", "snapshot_stride", 1))
     mode = cfg.get("flow", "mode", "coupled", _one_of("coupled", "decoupled"),
                    "coupled or decoupled")
-    constraint_tol = (_float(cfg, "flow", "constraint_tol", math.inf)
+    constraint_tol = (_tolerance(cfg, "flow", "constraint_tol", math.inf)
                       if mode == "coupled" else math.inf)
     grid = _grid(tuple(_ints(cfg, "grid", "points", [48])),
                  _float(cfg, "grid", "period", 2.0 * math.pi))
@@ -632,6 +652,7 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
+            _check_out(args.out)
             code, failure = args.func(args), []
         except (ConfigError, ConstantsError, GridMismatchError,
                 configparser.Error) as exc:

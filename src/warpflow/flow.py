@@ -36,7 +36,8 @@ import numpy as np
 from . import geometry
 from .errors import (ConfigError, FlowDivergenceError, MetricDegeneracyError,
                      StabilityWarning)
-from .functionals import StateTerms, measure_density
+from .functionals import F_lambda, dissipation_integral, gradient_tensor
+from .geometry import StateTerms, measure_density
 from .grids import ScalarField, SymTensorField, filter_array
 
 __all__ = [
@@ -75,12 +76,14 @@ class FlowState:
 
     @classmethod
     def initial(cls, g: SymTensorField, f: ScalarField) -> "FlowState":
-        return cls(t=0.0, g=g, f=f, rho0=measure_density(g, f))
+        return cls(t=0.0, g=g, f=f,
+                   rho0=measure_density(f, geometry.volume_density(g)))
 
     def measure_drift(self) -> float:
         """Max relative node-wise deviation of the current e^{-f}
         sqrt(det g) from rho0."""
-        dev = np.abs(measure_density(self.g, self.f).values - self.rho0.values)
+        rho = measure_density(self.f, geometry.volume_density(self.g))
+        dev = np.abs(rho.values - self.rho0.values)
         return float((dev / self.rho0.values).max())
 
 
@@ -105,6 +108,8 @@ class FlowConfig:
         if abs(self.t_end - self.n_steps * self.dt) > 1e-9 * self.t_end:
             raise ConfigError(f"t_end = {self.t_end!r} is not a whole "
                               f"number of steps of dt = {self.dt!r}")
+        if not math.isfinite(self.lam):
+            raise ConfigError(f"lam must be finite, got {self.lam}")
         if self.integrator not in INTEGRATORS:
             raise ConfigError(f"integrator must be one of {INTEGRATORS}")
         if not 0.0 < self.filter_cutoff <= 1.0:
@@ -152,7 +157,7 @@ def _advance(terms: StateTerms, f: ScalarField, dt: float, lam: float,
     grid = terms.g.grid
 
     def rhs(at: StateTerms) -> tuple[np.ndarray, np.ndarray]:
-        dg = -2.0 * at.gradient_tensor(lam).values
+        dg = -2.0 * gradient_tensor(at, lam).values
         return dg, 0.5 * np.einsum("...ij,...ij->...", at.bundle.inverse, dg)
 
     def slope(c, y):
@@ -350,8 +355,8 @@ def monotonicity_report(trajectory: list[FlowState],
     values, dissipations = [], []
     for state in trajectory:
         terms = StateTerms.at(state.g, state.f)
-        values.append(terms.F_lambda(lam))
-        dissipations.append(terms.dissipation(lam))
+        values.append(F_lambda(terms, lam))
+        dissipations.append(dissipation_integral(terms, lam))
     rows = []
     for i, state in enumerate(trajectory):
         if 0 < i < len(trajectory) - 1:
@@ -388,9 +393,10 @@ def instantaneous_rate(state: FlowState, lam: float, dt: float,
     rates = []
     for signed_dt in (dt, -dt):
         gv, fv = _advance(terms, state.f, signed_dt, lam, integrator)
-        rates.append(StateTerms.at(SymTensorField(grid, gv, is_metric=True),
-                                   ScalarField(grid, fv)).F_lambda(lam))
+        probe = StateTerms.at(SymTensorField(grid, gv, is_metric=True),
+                              ScalarField(grid, fv))
+        rates.append(F_lambda(probe, lam))
     numeric = (rates[0] - rates[1]) / (2.0 * dt)
-    diss = terms.dissipation(lam)
+    diss = dissipation_integral(terms, lam)
     ratio = numeric / diss if diss > 0 else math.nan
     return RateCheck(numeric_rate=numeric, dissipation=diss, ratio=ratio)

@@ -28,20 +28,20 @@ direction (delta g, delta f = tr_g delta g / 2) numerically and compares
 against the closed covector -2 <Ric + hess f + lam df (x) df, delta g>.
 
 F_lam, S_lam, the dissipation and the completed covector are each
-written once, against a ``StateTerms`` record: one oracle pass per (g, f)
-state, shared by every quantity a caller reads at that state.  On a
-product geometry the record is read off the geometry's memoised M-grid
-pieces, so the identity and the variation take their M side from the
-same pass as the closed forms, at the geometry's stencil order.  The
-product-side functions take the warping constants next to the geometry;
-the first variation takes a list of them, so every coupling's action is
-evaluated on one set of perturbed geometries.
+written once, as a function of a ``geometry.StateTerms`` record and lam:
+one oracle pass per (g, f) state, shared by every quantity a caller
+reads at that state.  A product geometry memoises the record of its
+(g, f) as ``pg.m_pieces``, so the identity and the variation take their
+M side, density included, from the same record as the closed forms, at
+the geometry's stencil order.  The product-side functions take the
+warping constants next to the geometry; the first variation takes a list
+of them, so every coupling's action is evaluated on one set of perturbed
+geometries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -53,8 +53,10 @@ from .warped import (ProductGeometry, WarpedConstants,
 __all__ = [
     "FunctionalReport",
     "VariationResult",
-    "StateTerms",
-    "measure_density",
+    "F_lambda",
+    "gradient_tensor",
+    "dissipation_integral",
+    "completed_covector",
     "einstein_hilbert_S",
     "theorem_identity_residual",
     "first_variation_check",
@@ -90,86 +92,44 @@ class VariationResult:
     richardson_gap: float
 
 
-def measure_density(g: SymTensorField, f: ScalarField) -> ScalarField:
-    """The fixed-measure density e^{-f} sqrt(det g)."""
-    rho = geometry.volume_density(g)
-    return ScalarField(g.grid, np.exp(-f.values) * rho.values)
+def F_lambda(terms: geometry.StateTerms, lam: float) -> float:
+    """F_lam = int (R + (lam+1)|grad f|^2) e^{-f} dmu."""
+    integrand = terms.bundle.scalar.values + (lam + 1.0) * terms.grad_sq
+    return integrate(ScalarField(terms.g.grid, integrand), terms.weight)
 
 
-@dataclass(frozen=True)
-class StateTerms:
-    """What every formula on M reads at one (g, f) state, computed once by
-    ``StateTerms.at``: the oracle bundle of g (its inverse included), df
-    and hess f.  |grad f|^2 = g^{ij} df_i df_j and the weight e^{-f} dmu
-    are computed on first use, since a flow step's slopes never read
-    them."""
+def gradient_tensor(terms: geometry.StateTerms,
+                    lam: float) -> SymTensorField:
+    """S_lam = Ric + hess f + lam df (x) df, which drives the flow."""
+    # lam df_i df_j rounds differently as (lam df_i) df_j and as
+    # (lam df_j) df_i, so both triangles take the lower index first.
+    axes = np.arange(terms.g.grid.dim)
+    lo, hi = np.minimum.outer(axes, axes), np.maximum.outer(axes, axes)
+    quad = (lam * terms.df)[..., lo] * terms.df[..., hi]
+    return SymTensorField(terms.g.grid,
+                          terms.bundle.ricci.values + terms.hess + quad)
 
-    g: SymTensorField
-    f: ScalarField
-    bundle: geometry.CurvatureBundle
-    df: np.ndarray
-    hess: np.ndarray
 
-    @classmethod
-    def at(cls, g: SymTensorField, f: ScalarField,
-           order: int = 2) -> "StateTerms":
-        bundle = geometry.curvature_bundle(g, order)
-        df = geometry.gradient_components(f, order)
-        hess = geometry.hessian(df, bundle.christoffel, order).values
-        return cls(g=g, f=f, bundle=bundle, df=df, hess=hess)
+def dissipation_integral(terms: geometry.StateTerms, lam: float) -> float:
+    """D = 2 int |S_lam|^2 e^{-f} dmu >= 0, the norm contracting both
+    index pairs with g (the only choice consistent with the
+    first-variation pairing)."""
+    s_lam = gradient_tensor(terms, lam).values
+    inv = terms.bundle.inverse
+    up = np.einsum("...ik,...jl,...kl->...ij", inv, inv, s_lam)
+    norm_sq = np.einsum("...ij,...ij->...", up, s_lam)
+    return 2.0 * integrate(ScalarField(terms.g.grid, norm_sq), terms.weight)
 
-    @classmethod
-    def on_m(cls, pg: ProductGeometry) -> "StateTerms":
-        """The record of (pg.g, pg.f), read off the geometry's memoised
-        M-grid pieces instead of a pass of its own."""
-        p = pg.m_pieces
-        terms = cls(g=pg.g, f=pg.f, bundle=p.bundle, df=p.df, hess=p.hess)
-        terms.__dict__["grad_sq"] = p.grad_sq
-        return terms
 
-    @cached_property
-    def grad_sq(self) -> np.ndarray:
-        return np.einsum("...ij,...i,...j->...", self.bundle.inverse,
-                         self.df, self.df)
-
-    @cached_property
-    def weight(self) -> ScalarField:
-        return measure_density(self.g, self.f)
-
-    def F_lambda(self, lam: float) -> float:
-        """F_lam = int (R + (lam+1)|grad f|^2) e^{-f} dmu."""
-        integrand = self.bundle.scalar.values + (lam + 1.0) * self.grad_sq
-        return integrate(ScalarField(self.g.grid, integrand), self.weight)
-
-    def gradient_tensor(self, lam: float) -> SymTensorField:
-        """S_lam = Ric + hess f + lam df (x) df, which drives the flow."""
-        # lam df_i df_j rounds differently as (lam df_i) df_j and as
-        # (lam df_j) df_i, so both triangles take the lower index first.
-        axes = np.arange(self.g.grid.dim)
-        lo, hi = np.minimum.outer(axes, axes), np.maximum.outer(axes, axes)
-        quad = (lam * self.df)[..., lo] * self.df[..., hi]
-        return SymTensorField(self.g.grid,
-                              self.bundle.ricci.values + self.hess + quad)
-
-    def dissipation(self, lam: float) -> float:
-        """D = 2 int |S_lam|^2 e^{-f} dmu >= 0, the norm contracting both
-        index pairs with g (the only choice consistent with the
-        first-variation pairing)."""
-        s_lam = self.gradient_tensor(lam).values
-        inv = self.bundle.inverse
-        up = np.einsum("...ik,...jl,...kl->...ij", inv, inv, s_lam)
-        norm_sq = np.einsum("...ij,...ij->...", up, s_lam)
-        return 2.0 * integrate(ScalarField(self.g.grid, norm_sq), self.weight)
-
-    def completed_covector(self, lam: float) -> np.ndarray:
-        """S_lam + lam (lap f - |grad f|^2) g, the covector of the
-        constrained variation (see ``first_variation_check``)."""
-        s_lam = self.gradient_tensor(lam).values
-        if lam == 0.0:
-            return s_lam
-        lap = np.einsum("...ij,...ij->...", self.bundle.inverse, self.hess)
-        return s_lam + (lam * (lap - self.grad_sq))[..., None, None] \
-            * self.g.values
+def completed_covector(terms: geometry.StateTerms,
+                       lam: float) -> np.ndarray:
+    """S_lam + lam (lap f - |grad f|^2) g, the covector of the
+    constrained variation (see ``first_variation_check``)."""
+    s_lam = gradient_tensor(terms, lam).values
+    if lam == 0.0:
+        return s_lam
+    return s_lam + (lam * (terms.lap - terms.grad_sq))[..., None, None] \
+        * terms.g.values
 
 
 def einstein_hilbert_S(pg: ProductGeometry, c: WarpedConstants) -> float:
@@ -196,15 +156,15 @@ def theorem_identity_residual(pg: ProductGeometry,
     caller judges the residual against its grid.
     """
     s_tilde = einstein_hilbert_S(pg, c)
-    terms = StateTerms.on_m(pg)
-    f_plain = terms.F_lambda(0.0)
-    f_lam = f_plain if c.lam == 0.0 else terms.F_lambda(c.lam)
+    terms = pg.m_pieces
+    f_plain = F_lambda(terms, 0.0)
+    f_lam = f_plain if c.lam == 0.0 else F_lambda(terms, c.lam)
     rho_n = geometry.volume_density(pg.h)
     vol_n = integrate(ScalarField.constant(pg.grid_n, 1.0), rho_n)
     total_scal_n = integrate(pg.n_bundle.scalar, rho_n)
     coupling_field = ScalarField(
         pg.grid_m, np.exp((c.B - c.A - 1.0) * pg.f.values))
-    coupling = integrate(coupling_field, geometry.volume_density(pg.g))
+    coupling = integrate(coupling_field, terms.rho)
     residual = s_tilde - vol_n * f_lam - coupling * total_scal_n
     return FunctionalReport(
         F=f_plain, F_lam=f_lam, S_tilde=s_tilde, vol_N=vol_n,
@@ -254,7 +214,7 @@ def first_variation_check(pg: ProductGeometry,
     if dg.grid != pg.grid_m:
         raise ValueError("variation direction must live on the M grid")
 
-    terms = StateTerms.on_m(pg)
+    terms = pg.m_pieces
     inv = terms.bundle.inverse
     trace_half = 0.5 * np.einsum("...ij,...ij->...", inv, dg.values)
 
@@ -274,7 +234,7 @@ def first_variation_check(pg: ProductGeometry,
         d_full = (plus - minus) / (2.0 * eps)
         d_half = (half_plus - half_minus) / eps
         pairing = np.einsum("...ik,...jl,...ij,...kl->...",
-                            inv, inv, terms.completed_covector(c.lam),
+                            inv, inv, completed_covector(terms, c.lam),
                             dg.values)
         closed = -2.0 * integrate(ScalarField(pg.grid_m, pairing),
                                   terms.weight)

@@ -3,10 +3,10 @@
 This module knows nothing about warped products.  It takes any positive
 definite ``SymTensorField`` and grinds out Christoffel symbols, Ricci and
 scalar curvature straight from the coordinate definitions, plus the scalar
-helpers (Hessian, Laplace-Beltrami, volume density) used by the action
-functionals.  Serving as an independent oracle for the closed
-warped-product formulas is its whole purpose, so nothing here may share
-code with those formulas.
+helpers (Hessian, Laplace-Beltrami, volume density) and the record of a
+(g, f) state that the action functionals and the flow read.  Serving as
+an independent oracle for the closed warped-product formulas is its
+whole purpose, so nothing here may share code with those formulas.
 
 Index and sign conventions:
 
@@ -31,6 +31,10 @@ Discrete quirks worth knowing:
 * ``curvature_bundle`` is the only curvature entry point: one pass that
   inverts the metric once, contracts the scalar from the symmetrized
   Ricci matrix and returns the whole stack, the inverse included.
+* ``StateTerms.at(g, f, order)`` is the only record of a (g, f) state:
+  one bundle, df and hess f.  What only some readers need (|grad f|^2,
+  lap f, df raised, sqrt(det g) and e^{-f} sqrt(det g)) is computed on
+  first use, once per record.
 * Every kernel that reads or writes the Christoffel cube sweeps the
   flattened nodes in blocks of ``_BLOCK_BYTES`` of the cube
   (``_node_blocks``), so each block is worked on while it sits in cache
@@ -54,6 +58,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,11 +68,13 @@ from .grids import (Christoffel3Field, GridSpec, ScalarField, SymTensorField,
 
 __all__ = [
     "CurvatureBundle",
+    "StateTerms",
     "inverse_metric",
     "curvature_bundle",
     "hessian",
     "laplace_beltrami",
     "volume_density",
+    "measure_density",
 ]
 
 CONDITION_LIMIT = 1e12
@@ -78,25 +85,18 @@ ASYMMETRY_WARN_FACTOR = 10.0
 _BLOCK_BYTES = 256 * 1024
 
 
-@dataclass
+@dataclass(frozen=True)
 class CurvatureBundle:
-    """Christoffel symbols, Ricci tensor and scalar curvature of one
-    metric, stamped with which pipeline produced them.
+    """One oracle pass over a metric: its Christoffel symbols, Ricci
+    tensor, scalar curvature and the inverse the pass made.
+    ``ricci_asymmetry`` is the max-norm of the antisymmetric part
+    discarded when symmetrizing Ricci."""
 
-    ``source_tag`` is one of ``"generic_oracle"``, ``"closed_form_general"``,
-    ``"closed_form_ansatz"``.  The closed-form bundles carry no Christoffel
-    cube and no inverse metric (both None); ``warped.christoffel_closed_form``
-    builds the cube on its own.  ``ricci_asymmetry`` is the max-norm of the
-    antisymmetric part discarded when symmetrizing (identically zero for
-    the closed forms, which are symmetric by construction).
-    """
-
-    christoffel: Christoffel3Field | None
+    christoffel: Christoffel3Field
     ricci: SymTensorField
     scalar: ScalarField
-    source_tag: str
-    ricci_asymmetry: float = 0.0
-    inverse: np.ndarray | None = None
+    inverse: np.ndarray
+    ricci_asymmetry: float
 
 
 def _require_metric(g: SymTensorField):
@@ -239,13 +239,9 @@ def curvature_bundle(g: SymTensorField, order: int = 2) -> CurvatureBundle:
     gamma = _christoffel(g, inv, order)
     ric, asym = _symmetrized_ricci(gamma, order)
     scal = np.einsum("...bd,...bd->...", inv, ric.values)
-    return CurvatureBundle(
-        christoffel=gamma,
-        ricci=ric,
-        scalar=ScalarField(g.grid, scal),
-        source_tag="generic_oracle",
-        ricci_asymmetry=asym,
-        inverse=inv)
+    return CurvatureBundle(christoffel=gamma, ricci=ric,
+                           scalar=ScalarField(g.grid, scal), inverse=inv,
+                           ricci_asymmetry=asym)
 
 
 def gradient_components(f: ScalarField, order: int = 2) -> np.ndarray:
@@ -285,6 +281,60 @@ def volume_density(g: SymTensorField) -> ScalarField:
     """Riemannian volume density sqrt(det g), nodewise."""
     _require_metric(g)
     return ScalarField(g.grid, np.sqrt(np.linalg.det(g.values)))
+
+
+def measure_density(f: ScalarField, rho: ScalarField) -> ScalarField:
+    """The fixed-measure density e^{-f} rho, with rho = volume_density(g)."""
+    return ScalarField(f.grid, np.exp(-f.values) * rho.values)
+
+
+@dataclass(frozen=True)
+class StateTerms:
+    """What every formula on M reads at one (g, f) state, from one
+    oracle pass made by ``StateTerms.at``: the bundle of g (its inverse
+    included), the first partials df and the covariant Hessian of f.
+    The contractions |grad f|^2, lap f and df raised, the volume density
+    rho and the weight e^{-f} rho are computed on first use, once per
+    record, since a flow step's slopes read none of them.  Callers share
+    a record, so its arrays must never be written."""
+
+    g: SymTensorField
+    f: ScalarField
+    bundle: CurvatureBundle
+    df: np.ndarray
+    hess: np.ndarray
+
+    @classmethod
+    def at(cls, g: SymTensorField, f: ScalarField,
+           order: int = 2) -> "StateTerms":
+        bundle = curvature_bundle(g, order)
+        df = gradient_components(f, order)
+        hess = hessian(df, bundle.christoffel, order).values
+        return cls(g=g, f=f, bundle=bundle, df=df, hess=hess)
+
+    @cached_property
+    def grad_sq(self) -> np.ndarray:
+        """g^{ij} df_i df_j."""
+        return np.einsum("...ij,...i,...j->...", self.bundle.inverse,
+                         self.df, self.df)
+
+    @cached_property
+    def lap(self) -> np.ndarray:
+        """g^{ij} hess_{ij}, the trace of the Hessian."""
+        return np.einsum("...ij,...ij->...", self.bundle.inverse, self.hess)
+
+    @cached_property
+    def df_raised(self) -> np.ndarray:
+        """g^{kl} df_l."""
+        return np.einsum("...kl,...l->...k", self.bundle.inverse, self.df)
+
+    @cached_property
+    def rho(self) -> ScalarField:
+        return volume_density(self.g)
+
+    @cached_property
+    def weight(self) -> ScalarField:
+        return measure_density(self.f, self.rho)
 
 
 def laplace_beltrami(f: ScalarField, inv: np.ndarray, rho: ScalarField,

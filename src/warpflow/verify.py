@@ -206,11 +206,13 @@ def _chr_families(closed, oracle, m: int) -> dict[str, list[tuple]]:
 
 def _ricci_terms(closed, oracle, m: int) -> tuple[list, list, list]:
     """The real and phantom Ricci blocks and the scalar of one closed
-    route against the oracle, as ``_family_maxima`` terms."""
+    route against the oracle, both given as (ricci, scalar), as
+    ``_family_maxima`` terms."""
     r, p = slice(None, m), slice(m, None)
-    cr, orr = closed.ricci.values, oracle.ricci.values
+    (c_ric, c_scal), (o_ric, o_scal) = closed, oracle
+    cr, orr = c_ric.values, o_ric.values
     return ([(cr, orr, (r, r))], [(cr, orr, (p, p))],
-            [(closed.scalar.values, oracle.scalar.values, ())])
+            [(c_scal.values, o_scal.values, ())])
 
 
 def curvature_study(constants: WarpedConstants,
@@ -224,20 +226,21 @@ def curvature_study(constants: WarpedConstants,
         pg = build_product_geometry(spec, level)
         hs.append(max(pg.grid_m.spacing))
         gt = assemble_product_metric(pg, constants)
-        oracle = geometry.curvature_bundle(gt, pg.order)
-        # not compared; kept alive, it would raise the study's peak memory
-        oracle.inverse = None
-        del gt
+        bundle = geometry.curvature_bundle(gt, pg.order)
+        # the compared fields only: the bundle's inverse, kept alive,
+        # would raise the study's peak memory
+        oracle_chr, oracle = bundle.christoffel, (bundle.ricci, bundle.scalar)
+        del bundle, gt
 
         shape = pg.product_grid.shape
         closed_chr = christoffel_closed_form(pg, constants)
         errors = _family_maxima(
-            shape, _chr_families(closed_chr, oracle.christoffel, m))
+            shape, _chr_families(closed_chr, oracle_chr, m))
         del closed_chr
 
         gen = ricci_closed_general(pg, constants)
         real, phantom, scalar = _ricci_terms(gen, oracle, m)
-        mixed = [(oracle.ricci.values, None, (slice(None, m), slice(m, None)))]
+        mixed = [(oracle[0].values, None, (slice(None, m), slice(m, None)))]
         errors.update(_family_maxima(shape, {
             "ricci_real_general": real, "ricci_phantom_general": phantom,
             "ricci_mixed_zero": mixed, "scalar_general": scalar}))
@@ -250,7 +253,7 @@ def curvature_study(constants: WarpedConstants,
                 "ricci_real_ansatz": real, "ricci_phantom_ansatz": phantom,
                 "scalar_ansatz": scalar}))
             del ans, real, phantom, scalar
-        del oracle
+        del oracle_chr, oracle
         per_level.append(errors)
 
     rows: list[ConvergenceRow] = []

@@ -30,11 +30,13 @@ Nothing here reuses the generic curvature contractions: the closed forms
 are separate arithmetic by design, so a comparison between the two
 pipelines is a real cross-check rather than a tautology.  The generic
 pipeline runs on the factor grids only, once per geometry, at the
-stencil order it carries (memoised on the frozen ``ProductGeometry``).
-The geometry (g, h, f) does not depend on the coupling: the closed forms
-take ``(pg, constants)``, and every coupling of a command shares one
-geometry's factor pieces.  Only ``christoffel_closed_form`` builds the
-product-grid Christoffel cube.
+stencil order it carries, memoised on the frozen ``ProductGeometry``:
+the ``geometry.StateTerms`` record of (g, f) as ``m_pieces`` and the
+curvature of h as ``n_bundle``.  The geometry (g, h, f) does not depend
+on the coupling: the closed forms take ``(pg, constants)``, and every
+coupling of a command shares one geometry's factor passes.  Only
+``christoffel_closed_form`` builds the product-grid Christoffel cube;
+the closed Ricci routes return the pair (Ricci, scalar).
 """
 
 from __future__ import annotations
@@ -118,6 +120,10 @@ class WarpedConstants:
 
     def __post_init__(self):
         _check_dims(self.m, self.n)
+        if not all(map(math.isfinite, (self.A, self.B, self.lam))):
+            raise ConstantsError(
+                f"constants must be finite, got A = {self.A!r}, "
+                f"B = {self.B!r}, lam = {self.lam!r}")
         r2 = abs(c2_residual(self.m, self.n, self.A, self.B))
         if r2 > RESIDUAL_TOL:
             raise ConstantsError(
@@ -211,6 +217,8 @@ def lambda_to_constants(m: int, n: int, lam: float) -> list[WarpedConstants]:
     """
     _check_dims(m, n)
     lam = float(lam)
+    if not math.isfinite(lam):
+        raise ConstantsError(f"lam must be finite, got {lam}")
     if m == 2:
         return [WarpedConstants.from_ab(m, n, lam + 1.0 / n, 2.0 / n)]
     disc = n * (1.0 - lam * (m - 2)) / ((m - 2) ** 2 * (m + n - 2))
@@ -263,18 +271,10 @@ class ProductGeometry:
                         self.grid_m.periods + self.grid_n.periods)
 
     @cached_property
-    def m_pieces(self) -> "_Pieces":
-        """The M-grid pieces, computed on first use.  Callers share them,
-        so they must never be written."""
-        bundle = geometry.curvature_bundle(self.g, self.order)
-        inv = bundle.inverse
-        df = geometry.gradient_components(self.f, self.order)
-        hess = geometry.hessian(df, bundle.christoffel, self.order).values
-        return _Pieces(
-            bundle=bundle, df=df, hess=hess,
-            lap=np.einsum("...jl,...jl->...", inv, hess),
-            grad_sq=np.einsum("...jl,...j,...l->...", inv, df, df),
-            df_raised=np.einsum("...kl,...l->...k", inv, df))
+    def m_pieces(self) -> geometry.StateTerms:
+        """The record of (g, f) at the geometry's order, made on first
+        use and shared by every caller."""
+        return geometry.StateTerms.at(self.g, self.f, self.order)
 
     @cached_property
     def n_bundle(self) -> geometry.CurvatureBundle:
@@ -286,19 +286,6 @@ class ProductGeometry:
         moved = replace(self, g=g, f=f)
         moved.__dict__["n_bundle"] = self.n_bundle
         return moved
-
-
-@dataclass
-class _Pieces:
-    """M-grid ingredients of the closed forms, computed with the generic
-    pipeline on the small factor grid."""
-
-    bundle: geometry.CurvatureBundle  # curvature of g, its inverse included
-    df: np.ndarray            # (..., m) first partials of f
-    hess: np.ndarray          # (..., m, m) covariant Hessian of f
-    lap: np.ndarray           # trace g^{jl} hess_{jl}
-    grad_sq: np.ndarray       # g^{jl} df_j df_l
-    df_raised: np.ndarray     # g^{kl} df_l
 
 
 def _dims(pg: ProductGeometry, c: WarpedConstants) -> tuple[int, int]:
@@ -464,10 +451,11 @@ def closed_scalar_curvature(pg: ProductGeometry, c: WarpedConstants,
     return ScalarField(pg.product_grid, scal)
 
 
-def ricci_closed_general(pg: ProductGeometry,
-                         c: WarpedConstants) -> geometry.CurvatureBundle:
-    """Closed-form curvature for arbitrary constants on the constraint
-    line or off it: no condition on (A, B) is assumed.
+def ricci_closed_general(pg: ProductGeometry, c: WarpedConstants
+                         ) -> tuple[SymTensorField, ScalarField]:
+    """Closed-form Ricci tensor and scalar curvature for arbitrary
+    constants on the constraint line or off it: no condition on (A, B)
+    is assumed.
 
     The Ricci blocks carry the pre-reduction coefficients
 
@@ -475,23 +463,19 @@ def ricci_closed_general(pg: ProductGeometry,
         (1/4)(2ABn + (m-2)A^2 - B^2 n)   on df (x) df,
 
     and the scalar curvature is the independent pre-reduction expression
-    documented in ``closed_scalar_curvature``.  The bundle carries no
-    Christoffel cube; ``christoffel_closed_form`` builds that.
+    documented in ``closed_scalar_curvature``.
     """
     m, n = _dims(pg, c)
     c0 = 0.5 * (c.A * m + c.B * n) - c.A
-    return geometry.CurvatureBundle(
-        christoffel=None,
-        ricci=_closed_ricci_blocks(pg, c, hess_coeff=c0, block_coeff=c0,
-                                   df_quadratic=z_value(m, n, c.A, c.B)),
-        scalar=closed_scalar_curvature(pg, c),
-        source_tag="closed_form_general")
+    return (_closed_ricci_blocks(pg, c, hess_coeff=c0, block_coeff=c0,
+                                 df_quadratic=z_value(m, n, c.A, c.B)),
+            closed_scalar_curvature(pg, c))
 
 
-def ricci_closed_ansatz(pg: ProductGeometry,
-                        c: WarpedConstants) -> geometry.CurvatureBundle:
-    """Reduced closed-form curvature, valid only on the special locus
-    (both defining conditions within 1e-12):
+def ricci_closed_ansatz(pg: ProductGeometry, c: WarpedConstants
+                        ) -> tuple[SymTensorField, ScalarField]:
+    """Reduced closed-form Ricci tensor and scalar curvature, valid only
+    on the special locus (both defining conditions within 1e-12):
 
         Rt_{jl} = R_{jl} + hess_{jl} f + (A/2) g_{jl} (lap f - |grad f|^2)
         Rt_{bg} = R_{bg} + (B/2) e^{(A-B)f} h_{bg} (lap f - |grad f|^2)
@@ -499,13 +483,9 @@ def ricci_closed_ansatz(pg: ProductGeometry,
                   + e^{Af} ((A+2) lap f - (A+1) |grad f|^2)
 
     Refuses off-locus constants: the reductions are algebraically false
-    there, so running them would be meaningless.  The bundle carries no
-    Christoffel cube.
+    there, so running them would be meaningless.
     """
     _require_locus(c, "the reduced Ricci formula")
-    return geometry.CurvatureBundle(
-        christoffel=None,
-        ricci=_closed_ricci_blocks(pg, c, hess_coeff=1.0,
-                                   block_coeff=1.0, df_quadratic=0.0),
-        scalar=closed_scalar_curvature(pg, c, reduced=True),
-        source_tag="closed_form_ansatz")
+    return (_closed_ricci_blocks(pg, c, hess_coeff=1.0, block_coeff=1.0,
+                                 df_quadratic=0.0),
+            closed_scalar_curvature(pg, c, reduced=True))

@@ -37,7 +37,8 @@ from warpflow.cli import main
 from warpflow.errors import ConstantsError, StabilityWarning
 from warpflow.flow import (FlowConfig, FlowState, instantaneous_rate,
                            monotonicity_report, run_decoupled)
-from warpflow.functionals import StateTerms, first_variation_check
+from warpflow.functionals import first_variation_check, gradient_tensor
+from warpflow.geometry import StateTerms
 from warpflow.grids import (GridSpec, ScalarField, SymTensorField,
                             filter_array, integrate)
 from warpflow.recipes import (conformal_metric, flat_metric,
@@ -284,7 +285,7 @@ def test_criterion_4_first_variation():
     dg = random_sym_tensor(pg.grid_m, rng, 0.3)
     [res] = first_variation_check(pg, [c], dg)
     inv = geometry.inverse_metric(pg.g)
-    s_naive = StateTerms.at(pg.g, pg.f, 4).gradient_tensor(0.5).values
+    s_naive = gradient_tensor(StateTerms.at(pg.g, pg.f, 4), 0.5).values
     pairing = np.einsum("...ik,...jl,...ij,...kl->...",
                         inv, inv, s_naive, dg.values)
     weight = ScalarField(pg.grid_m, np.exp(-pg.f.values)

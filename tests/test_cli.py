@@ -61,6 +61,56 @@ def test_constants_invalid_dimensions_exit_2():
     assert main(["constants", "--m", "0", "--n", "1"]) == 2
 
 
+@pytest.mark.parametrize("lam", ["inf", "nan"])
+def test_constants_non_finite_lambda_exit_2(capfd, lam):
+    assert main(["constants", "--m", "3", "--n", "1", "--lambda", lam]) == 2
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_unwritable_out_exits_2_before_the_run(tmp_path, capfd,
+                                               monkeypatch):
+    from warpflow import verify
+    entered = []
+    monkeypatch.setattr(verify, "curvature_study",
+                        lambda *args: entered.append(args))
+    curvature = ["verify-curvature",
+                 "--config", str(CONFIGS / "curvature-quick.ini")]
+    for out in (tmp_path / "absent" / "x.csv", tmp_path):
+        assert main(["constants", "--m", "3", "--n", "1",
+                     "--out", str(out)]) == 2
+        assert main(curvature + ["--out", str(out)]) == 2
+    assert not entered
+    captured = capfd.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 4
+    assert all(line.startswith("error: --out ") for line in lines)
+
+
+def test_failed_write_exits_2(tmp_path, capfd, monkeypatch):
+    def refuse(self, text):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "write_text", refuse)
+    assert main(["constants", "--m", "3", "--n", "1",
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    err = capfd.readouterr().err
+    assert err.startswith("error: cannot write --out ")
+    assert "Traceback" not in err
+
+
+def test_gate_bounds_accept_inf(tmp_path):
+    cfg = tmp_path / "inf.ini"
+    cfg.write_text(_DIMS + "[tolerances]\nmax_final_error = inf\n")
+    _, spec = _parse("verify-curvature", str(cfg), seed=None)
+    assert spec[-1] == math.inf
+    cfg.write_text("[flow]\nconstraint_tol = inf\n")
+    _, spec = _parse("flow", str(cfg), seed=None)
+    assert spec[-1] == math.inf
+
+
 def test_argparse_failures_exit_2():
     assert main(["no-such-command"]) == 2
     assert main(["constants", "--m", "3"]) == 2
@@ -105,6 +155,7 @@ def test_random_spd_requires_seed(tmp_path):
 
 
 _DIMS = "[constants]\nm = 2\nn = 1\n"
+_DIMS_31 = "[constants]\nm = 3\nn = 1\n"
 MALFORMED = [
     ("verify-curvature", _DIMS + "lambda = abc\n"),
     ("verify-curvature", _DIMS + "[fields]\ng_axis = x\n"),
@@ -151,6 +202,19 @@ MALFORMED = [
                          "g_amplitude = 0\n"),
     ("verify-identity", _DIMS + "[fields]\nf_amplitude = nan\n"),
     ("flow", "[fields]\nf_amplitude = inf\n"),
+    # non-finite couplings, on every path that reads one
+    ("verify-identity", _DIMS_31 + "[identity]\nlambdas = 0.5 inf\n"),
+    ("verify-identity", _DIMS_31 + "[identity]\nlambdas = 0.5 nan\n"),
+    ("verify-curvature", _DIMS_31 + "lambda = nan\n"),
+    ("verify-variation", _DIMS_31 + "[variation]\nlambdas = 0.0 inf\n"),
+    ("flow", "[flow]\nlambda = nan\n"),
+    ("flow", "[flow]\nlambda = inf\n"),
+    # a NaN bound would pass every check it gates
+    ("verify-curvature", _DIMS + "[tolerances]\nmin_order = nan\n"),
+    ("verify-curvature", _DIMS + "[tolerances]\nmax_final_error = nan\n"),
+    ("verify-identity", _DIMS + "[tolerances]\nmax_final_residual = nan\n"),
+    ("verify-variation", _DIMS + "[tolerances]\nmax_rel_mismatch = nan\n"),
+    ("flow", "[flow]\nconstraint_tol = nan\n"),
     # a recipe field that comes out non-finite
     ("verify-curvature", _DIMS + "[fields]\ng = conformal-bump\n"
                          "g_amplitude = nan\n"),

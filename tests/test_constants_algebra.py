@@ -8,10 +8,13 @@ m > 2 the vertex is the top of the reachable range; for m = 1 it is the
 bottom.
 """
 
+import math
+
 import pytest
 
 from warpflow.errors import ConstantsError
-from warpflow.warped import c2_residual, lambda_to_constants, z_value
+from warpflow.warped import (WarpedConstants, c2_residual,
+                             lambda_to_constants, z_value)
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, strategies as st  # noqa: E402
@@ -56,3 +59,20 @@ def test_past_the_vertex_raises(mn, gap):
     lam = top + gap if m > 2 else top - gap
     with pytest.raises(ConstantsError):
         lambda_to_constants(m, n, lam)
+
+
+@pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("mn", [(3, 1), (2, 1), (1, 3)])
+def test_non_finite_lambda_raises(mn, lam):
+    # inf < inf is False and so is every comparison with NaN, so without
+    # their own check these slip past the range test to a vertex or NaN row
+    with pytest.raises(ConstantsError):
+        lambda_to_constants(*mn, lam)
+
+
+@pytest.mark.parametrize("A,B,lam", [(math.nan,) * 3,
+                                     (math.inf, 0.0, math.inf),
+                                     (2.0, 0.0, math.nan)])
+def test_constants_reject_non_finite_values(A, B, lam):
+    with pytest.raises(ConstantsError):
+        WarpedConstants(m=3, n=1, A=A, B=B, theta=math.nan, lam=lam)

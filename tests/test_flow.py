@@ -14,7 +14,9 @@ from warpflow.flow import (FlowConfig, FlowState, _explicit_step,
                            conserved_measure_check, instantaneous_rate,
                            monotonicity_report, run_coupled, run_decoupled,
                            step)
-from warpflow.functionals import StateTerms
+from warpflow.functionals import (F_lambda, dissipation_integral,
+                                  gradient_tensor)
+from warpflow.geometry import StateTerms
 from warpflow.grids import GridSpec, ScalarField
 
 TAU = 2.0 * math.pi
@@ -55,7 +57,9 @@ def test_config_validation():
                 dict(good, integrator="rk2"),
                 dict(good, filter_cutoff=0.0),
                 dict(good, filter_cutoff=1.5),
-                dict(good, snapshot_stride=0)):
+                dict(good, snapshot_stride=0),
+                dict(good, lam=math.nan),
+                dict(good, lam=math.inf)):
         with pytest.raises(ConfigError):
             FlowConfig(**bad)
 
@@ -87,13 +91,13 @@ def test_flat_constant_pair_is_a_fixed_point():
     g = recipes.flat_metric(grid)
     f = ScalarField.constant(grid, 0.7)
     state = FlowState.initial(g, f)
-    assert np.all(StateTerms.at(g, f).gradient_tensor(0.3).values == 0.0)
+    assert np.all(gradient_tensor(StateTerms.at(g, f), 0.3).values == 0.0)
     traj = run_coupled(state, FlowConfig(dt=1e-3, t_end=5e-3,
                                          integrator="rk4", lam=0.3))
     final = traj[-1]
     assert np.array_equal(final.g.values, g.values)
     assert np.array_equal(final.f.values, f.values)
-    assert StateTerms.at(final.g, final.f).dissipation(0.3) == 0.0
+    assert dissipation_integral(StateTerms.at(final.g, final.f), 0.3) == 0.0
 
 
 def test_constant_terminal_f_stays_constant():
@@ -256,9 +260,9 @@ def test_monotonicity_report_takes_one_oracle_pass_per_snapshot(monkeypatch):
     assert len(rows) == len(traj) == 4
     assert len(calls) == len(traj)
     records = [StateTerms.at(s.g, s.f) for s in traj]
-    assert [r.f_lam for r in rows] == [t.F_lambda(0.5) for t in records]
+    assert [r.f_lam for r in rows] == [F_lambda(t, 0.5) for t in records]
     assert [r.dissipation for r in rows] \
-        == [t.dissipation(0.5) for t in records]
+        == [dissipation_integral(t, 0.5) for t in records]
 
 
 def test_coupled_rk4_step_inverts_the_metric_four_times(monkeypatch):
@@ -305,7 +309,7 @@ def test_instantaneous_rate_takes_one_oracle_pass_at_the_state(
     # dissipation
     from warpflow import geometry
     state = initial_state(32)
-    expected = StateTerms.at(state.g, state.f).dissipation(0.5)
+    expected = dissipation_integral(StateTerms.at(state.g, state.f), 0.5)
     at_state = []
     bundle = geometry.curvature_bundle
 
@@ -387,7 +391,6 @@ def test_rate_at_nonzero_coupling_needs_completed_covector():
     # The naive ratio is stably O(1) wrong (not a resolution artifact),
     # while the completed one converges to 1 at second order.
     from warpflow import geometry
-    from warpflow.functionals import StateTerms
     from warpflow.grids import SymTensorField, integrate
 
     lam = 0.5
@@ -399,7 +402,7 @@ def test_rate_at_nonzero_coupling_needs_completed_covector():
     assert abs(rc.ratio - 1.0) > 0.3
 
     terms = StateTerms.at(g, f)
-    s = terms.gradient_tensor(lam)
+    s = gradient_tensor(terms, lam)
     lap = geometry.laplace_beltrami(f, terms.bundle.inverse,
                                    geometry.volume_density(g))
     completed = SymTensorField(
@@ -457,6 +460,6 @@ def test_decoupled_and_coupled_functionals_agree():
     assert len(traj_d) == len(traj_c)
     for sd, sc in zip(traj_d, traj_c):
         assert sd.t == pytest.approx(sc.t, abs=1e-12)
-        fd = StateTerms.at(sd.g, sd.f).F_lambda(0.0)
-        fc = StateTerms.at(sc.g, sc.f).F_lambda(0.0)
+        fd = F_lambda(StateTerms.at(sd.g, sd.f), 0.0)
+        fc = F_lambda(StateTerms.at(sc.g, sc.f), 0.0)
         assert abs(fd - fc) / abs(fd) < 1e-5

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from warpflow import geometry, recipes
-from warpflow.functionals import (StateTerms, einstein_hilbert_S,
-                                  first_variation_check, measure_density,
+from warpflow.functionals import (F_lambda, completed_covector,
+                                  dissipation_integral, einstein_hilbert_S,
+                                  first_variation_check, gradient_tensor,
                                   theorem_identity_residual)
+from warpflow.geometry import StateTerms
 from warpflow.grids import GridSpec, ScalarField, integrate
 from warpflow.verify import (FieldSpec, StudySpec, build_product_geometry,
                              identity_study)
@@ -50,7 +52,7 @@ def test_perelman_F_against_quadrature():
         grid = circle(n)
         f = ScalarField.from_function(grid, lambda x: 0.3 * np.sin(x))
         errs[n] = rel_gap(
-            StateTerms.at(recipes.flat_metric(grid), f).F_lambda(0.0),
+            F_lambda(StateTerms.at(recipes.flat_metric(grid), f), 0.0),
             F_CIRCLE_03)
     assert 6e-4 < errs[128] < 1.1e-3
     assert errs[128] / errs[256] == pytest.approx(4.0, abs=0.3)
@@ -64,7 +66,8 @@ def test_dissipation_against_quadrature():
         grid = circle(n)
         f = ScalarField.from_function(grid, lambda x: 0.2 * np.sin(x))
         errs[n] = rel_gap(
-            StateTerms.at(recipes.flat_metric(grid), f).dissipation(0.0),
+            dissipation_integral(
+                StateTerms.at(recipes.flat_metric(grid), f), 0.0),
             DISSIPATION_CIRCLE_02)
     assert 1.2e-3 < errs[128] < 2.1e-3
     assert errs[128] / errs[256] == pytest.approx(4.0, abs=0.3)
@@ -89,9 +92,9 @@ def test_F_lambda_reductions():
     f = recipes.sine_scalar(grid, 0.3)
     g = recipes.flat_metric(grid)
     terms = StateTerms.at(g, f)
-    assert terms.F_lambda(0.0) > 0.0
+    assert F_lambda(terms, 0.0) > 0.0
     # lam = -1 kills the gradient term; flat curvature is exactly zero
-    assert terms.F_lambda(-1.0) == 0.0
+    assert F_lambda(terms, -1.0) == 0.0
     with pytest.raises(ValueError):
         StateTerms.at(g, recipes.sine_scalar(circle(32), 0.3))
 
@@ -100,8 +103,8 @@ def test_gradient_tensor_and_dissipation_at_fixed_point():
     grid = circle(32)
     f0 = ScalarField.constant(grid, 0.0)
     terms = StateTerms.at(recipes.flat_metric(grid), f0)
-    assert np.all(terms.gradient_tensor(0.7).values == 0.0)
-    assert terms.dissipation(0.7) == 0.0
+    assert np.all(gradient_tensor(terms, 0.7).values == 0.0)
+    assert dissipation_integral(terms, 0.7) == 0.0
 
 
 def test_state_terms_grad_sq_flat_single_mode():
@@ -117,16 +120,17 @@ def test_state_terms_grad_sq_flat_single_mode():
 
 
 def test_one_state_record_serves_every_formula(monkeypatch):
-    # the record a product geometry's M pieces give is bit for bit the
-    # record of a pass of its own, and its one pass (g; h is not touched)
-    # serves F, F_lam, S_lam and D
+    # a product geometry's memoised M pieces are bit for bit the record
+    # of a pass of its own, and its one pass (g; h is not touched) serves
+    # F, F_lam, S_lam, D and the completed covector
     grid = GridSpec((12, 12), (TAU, TAU))
     grid_n = GridSpec((8,), (TAU,))
     g = recipes.random_spd_metric(grid, np.random.default_rng(5), 0.2)
     f = recipes.mixed_sine_scalar(grid, 0.3)
     own = StateTerms.at(g, f)
-    expected = (own.F_lambda(0.0), own.F_lambda(0.5),
-                own.gradient_tensor(0.5).values, own.dissipation(0.5))
+    expected = (F_lambda(own, 0.0), F_lambda(own, 0.5),
+                gradient_tensor(own, 0.5).values,
+                dissipation_integral(own, 0.5))
     passes = []
     bundle = geometry.curvature_bundle
 
@@ -137,36 +141,44 @@ def test_one_state_record_serves_every_formula(monkeypatch):
     monkeypatch.setattr(geometry, "curvature_bundle", counted)
     pg = ProductGeometry(grid, grid_n, g, recipes.conformal_metric(grid_n, 0.1),
                          f)
-    terms = StateTerms.on_m(pg)
-    got = (terms.F_lambda(0.0), terms.F_lambda(0.5),
-           terms.gradient_tensor(0.5).values, terms.dissipation(0.5))
-    assert len(passes) == 1
+    terms = pg.m_pieces
+    got = (F_lambda(terms, 0.0), F_lambda(terms, 0.5),
+           gradient_tensor(terms, 0.5).values, dissipation_integral(terms, 0.5))
+    assert pg.m_pieces is terms and len(passes) == 1
     assert got[0] == expected[0] and got[1] == expected[1]
     assert np.array_equal(got[2], expected[2])
     assert got[3] == expected[3]
-    assert np.array_equal(terms.completed_covector(0.5),
-                          own.completed_covector(0.5))
-    assert np.array_equal(terms.completed_covector(0.0),
-                          terms.gradient_tensor(0.0).values)
+    assert np.array_equal(completed_covector(terms, 0.5),
+                          completed_covector(own, 0.5))
+    assert np.array_equal(completed_covector(terms, 0.0),
+                          gradient_tensor(terms, 0.0).values)
 
 
 def test_lazy_state_record_matches_the_eager_terms():
-    # |grad f|^2 and the weight are computed on first use, whichever
-    # formula asks first, to the bit of computing them up front
+    # the contractions, rho and the weight are computed on first use,
+    # whichever formula asks first, to the bit of computing them up front
     grid = GridSpec((12, 12), (TAU, TAU))
     g = recipes.random_spd_metric(grid, np.random.default_rng(7), 0.2)
     f = recipes.mixed_sine_scalar(grid, 0.3)
     lazy, eager = StateTerms.at(g, f), StateTerms.at(g, f)
-    assert "grad_sq" not in vars(lazy) and "weight" not in vars(lazy)
-    vars(eager).update(
-        grad_sq=np.einsum("...ij,...i,...j->...", eager.bundle.inverse,
-                          eager.df, eager.df),
-        weight=measure_density(g, f))
+    cached = {"grad_sq", "lap", "df_raised", "rho", "weight"}
+    assert not cached & vars(lazy).keys()
+    inv = eager.bundle.inverse
+    assert np.array_equal(eager.grad_sq, np.einsum(
+        "...ij,...i,...j->...", inv, eager.df, eager.df))
+    assert np.array_equal(eager.lap,
+                          np.einsum("...ij,...ij->...", inv, eager.hess))
+    assert np.array_equal(eager.df_raised,
+                          np.einsum("...kl,...l->...k", inv, eager.df))
+    assert np.array_equal(eager.weight.values, np.exp(-f.values)
+                          * np.sqrt(np.linalg.det(g.values)))
+    assert cached <= vars(eager).keys()
     for lam in (0.5, 0.0):
-        assert np.array_equal(lazy.completed_covector(lam),
-                              eager.completed_covector(lam))
-        assert lazy.dissipation(lam) == eager.dissipation(lam)
-        assert lazy.F_lambda(lam) == eager.F_lambda(lam)
+        assert np.array_equal(completed_covector(lazy, lam),
+                              completed_covector(eager, lam))
+        assert dissipation_integral(lazy, lam) \
+            == dissipation_integral(eager, lam)
+        assert F_lambda(lazy, lam) == F_lambda(eager, lam)
 
 
 # ----------------------------------------------------------------- identity
@@ -292,7 +304,7 @@ def test_variation_covector_needs_trace_completion():
     [res] = first_variation_check(pg, lambda_to_constants(2, 1, lam)[:1], dg)
 
     terms = StateTerms.at(pg.g, pg.f, pg.order)
-    s_naive = terms.gradient_tensor(lam).values
+    s_naive = gradient_tensor(terms, lam).values
     inv = terms.bundle.inverse
     pairing = np.einsum("...ik,...jl,...ij,...kl->...",
                         inv, inv, s_naive, dg.values)
@@ -311,7 +323,7 @@ def test_variation_trace_term_inert_at_lambda_zero():
     [res] = first_variation_check(pg, lambda_to_constants(2, 1, 0.0)[:1], dg)
 
     terms = StateTerms.at(pg.g, pg.f, pg.order)
-    s_naive = terms.gradient_tensor(0.0).values
+    s_naive = gradient_tensor(terms, 0.0).values
     inv = terms.bundle.inverse
     pairing = np.einsum("...ik,...jl,...ij,...kl->...",
                         inv, inv, s_naive, dg.values)

@@ -35,7 +35,6 @@ def test_flat_metric_curvature_vanishes_exactly():
     assert np.all(bundle.ricci.values == 0.0)
     assert np.all(bundle.scalar.values == 0.0)
     assert bundle.ricci_asymmetry == 0.0
-    assert bundle.source_tag == "generic_oracle"
 
 
 def test_under_resolved_ricci_warns_at_the_caller():

@@ -8,7 +8,8 @@ import pytest
 from warpflow import geometry, recipes
 from warpflow.errors import GridMismatchError, MetricDegeneracyError
 from warpflow.flow import FlowConfig, FlowState, step
-from warpflow.functionals import StateTerms
+from warpflow.functionals import gradient_tensor
+from warpflow.geometry import StateTerms
 from warpflow.grids import (Christoffel3Field, GridSpec, ScalarField,
                             SymTensorField, diff_array, filter_array,
                             integrate)
@@ -90,10 +91,10 @@ def test_sym_tensor_storage_is_full_symmetric_and_read_only():
               recipes.random_sym_tensor(grid, rng), g, bundle.ricci,
               geometry.hessian(geometry.gradient_components(f),
                                bundle.christoffel),
-              StateTerms.at(g, f).gradient_tensor(0.5),
+              gradient_tensor(StateTerms.at(g, f), 0.5),
               assemble_product_metric(pg, c),
-              ricci_closed_general(pg, c).ricci,
-              ricci_closed_ansatz(pg, c).ricci, rk4.g]
+              ricci_closed_general(pg, c)[0],
+              ricci_closed_ansatz(pg, c)[0], rk4.g]
     for t in fields:
         d = t.grid.dim
         assert t.values.shape == t.grid.shape + (d, d)

@@ -103,8 +103,8 @@ def test_curvature_study_family_roster_and_convergence():
 
 def test_curvature_study_level_runs_each_stage_once(monkeypatch):
     # one on-locus level: one closed Christoffel cube, three generic
-    # curvature stacks (the product oracle, g and h) and one computation
-    # of the factor-grid pieces shared by every closed form
+    # curvature stacks (the product oracle, g and h) and one state record
+    # of (g, f), shared by every closed form
     calls = Counter()
 
     def counted(key, fn):
@@ -118,15 +118,14 @@ def test_curvature_study_level_runs_each_stage_once(monkeypatch):
     monkeypatch.setattr(verify, "christoffel_closed_form", cube)
     monkeypatch.setattr(geometry, "curvature_bundle",
                         counted("bundle", geometry.curvature_bundle))
-    monkeypatch.setattr(warped, "_Pieces",
-                        counted("pieces", getattr(warped, "_Pieces", None)),
-                        raising=False)
+    monkeypatch.setattr(geometry.StateTerms, "__init__",
+                        counted("record", geometry.StateTerms.__init__))
     rows = curvature_study(solve_perelman_constants(2, 1), StudySpec(
         levels=(((12, 12), (8,)),),
         g_spec=FieldSpec("conformal-bump", 0.1, 1),
         h_spec=FieldSpec("conformal-bump", 0.1, 1)))
     assert {r.family for r in rows} == ON_LOCUS_FAMILIES
-    assert calls == {"cube": 1, "bundle": 3, "pieces": 1}
+    assert calls == {"cube": 1, "bundle": 3, "record": 1}
 
 
 def test_curvature_study_off_locus_drops_ansatz_rows():
@@ -226,3 +225,28 @@ def test_oracle_passes_per_command(monkeypatch, tmp_path, command):
     repeats = {(grid.points, n) for (grid, _), n in seen.items()
                if n > 1 and not (ladder and grid.dim == 1)}
     assert seen and not repeats
+
+
+@pytest.mark.parametrize("command", ["verify-identity", "verify-variation"])
+def test_volume_density_once_per_m_metric(monkeypatch, tmp_path, command):
+    # the M-grid density sqrt(det g) of a level's geometry is computed
+    # once, for its weight and the identity's coupling term alike, however
+    # many couplings and directions the command runs
+    import hashlib
+
+    from warpflow.cli import main
+    seen = Counter()
+    density = geometry.volume_density
+
+    def hashed(g):
+        digest = hashlib.sha256(g.values.tobytes()).hexdigest()
+        seen[g.grid, digest] += 1
+        return density(g)
+
+    monkeypatch.setattr(geometry, "volume_density", hashed)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(_PASS_CONFIGS[command])
+    assert main([command, "--config", str(cfg), "--seed", "1",
+                 "--out", str(tmp_path / "out.csv")]) in (0, 1)
+    on_m = {key: n for key, n in seen.items() if key[0].dim == 2}
+    assert on_m and max(on_m.values()) == 1

@@ -226,17 +226,17 @@ def test_closed_forms_reduce_to_blocks_when_f_vanishes():
                        atol=1e-14)
     assert np.abs(chr_t.values[..., :m, m:, m:]).max() == 0.0
 
-    bundle = ricci_closed_general(pg, c)
+    ricci, scalar = ricci_closed_general(pg, c)
     ric_g = oracle_g.ricci.values
     ric_h = oracle_h.ricci.values
-    full = bundle.ricci.values
+    full = ricci.values
     assert np.allclose(full[..., :m, :m],
                        ric_g[..., None, None, :, :], atol=1e-13)
     assert np.allclose(full[..., m:, m:], ric_h[None, None, ...], atol=1e-13)
 
     scal_sum = (oracle_g.scalar.values[..., None, None]
                 + oracle_h.scalar.values[None, None, ...])
-    assert np.allclose(bundle.scalar.values, scal_sum, atol=1e-13)
+    assert np.allclose(scalar.values, scal_sum, atol=1e-13)
 
 
 def test_closed_christoffel_tracks_oracle():
@@ -261,11 +261,10 @@ def test_general_closed_ricci_tracks_oracle_off_locus():
     def gaps(n):
         c = lambda_to_constants(2, 1, 0.5)[0]
         pg = build((n, n), (8,))
-        bundle = ricci_closed_general(pg, c)
-        assert bundle.source_tag == "closed_form_general"
+        ricci, scalar = ricci_closed_general(pg, c)
         oracle = geometry.curvature_bundle(assemble_product_metric(pg, c))
-        return (float(np.abs(bundle.ricci.values - oracle.ricci.values).max()),
-                float(np.abs(bundle.scalar.values - oracle.scalar.values).max()))
+        return (float(np.abs(ricci.values - oracle.ricci.values).max()),
+                float(np.abs(scalar.values - oracle.scalar.values).max()))
 
     r12, s12 = gaps(12)
     r24, s24 = gaps(24)
@@ -277,11 +276,10 @@ def test_general_closed_ricci_tracks_oracle_off_locus():
 def test_ansatz_equals_general_on_locus():
     c = solve_perelman_constants(3, 1, "plus")
     pg = build((8, 8, 8), (8,))
-    gen = ricci_closed_general(pg, c)
-    ans = ricci_closed_ansatz(pg, c)
-    assert np.allclose(ans.ricci.values, gen.ricci.values, atol=1e-12)
-    assert np.allclose(ans.scalar.values, gen.scalar.values, atol=1e-12)
-    assert ans.source_tag == "closed_form_ansatz"
+    gen_ricci, gen_scalar = ricci_closed_general(pg, c)
+    ans_ricci, ans_scalar = ricci_closed_ansatz(pg, c)
+    assert np.allclose(ans_ricci.values, gen_ricci.values, atol=1e-12)
+    assert np.allclose(ans_scalar.values, gen_scalar.values, atol=1e-12)
 
 
 def test_ansatz_refuses_off_locus_constants():
@@ -302,9 +300,8 @@ def test_product_geometry_is_frozen_and_memo_is_transparent():
     warm = ProductGeometry(pg.grid_m, pg.grid_n, pg.g, pg.h, pg.f)
     christoffel_closed_form(warm, c)
     fresh, reused = ricci_closed_general(pg, c), ricci_closed_general(warm, c)
-    assert fresh.christoffel is None and reused.christoffel is None
-    assert np.array_equal(fresh.ricci.values, reused.ricci.values)
-    assert np.array_equal(fresh.scalar.values, reused.scalar.values)
+    for a, b in zip(fresh, reused):
+        assert np.array_equal(a.values, b.values)
 
 
 def test_product_geometry_carries_its_stencil_order():
@@ -331,5 +328,5 @@ def test_standalone_scalar_matches_bundle():
     c = solve_perelman_constants(2, 2)
     pg = build((8, 8), (8, 8))
     lone = closed_scalar_curvature(pg, c)
-    bundle = ricci_closed_general(pg, c)
-    assert np.array_equal(lone.values, bundle.scalar.values)
+    _, scalar = ricci_closed_general(pg, c)
+    assert np.array_equal(lone.values, scalar.values)
