@@ -561,7 +561,7 @@ def cmd_flow(args) -> int:
     for state, r in zip(trajectory, table):
         min_eig = float(np.linalg.eigvalsh(state.g.values)[..., 0].min())
         rows.append([r.t, r.f_lam, r.df_dt, r.dissipation, r.ratio, r.sign,
-                     state.measure_drift(), min_eig])
+                     r.drift, min_eig])
     # flow.conserved_measure_check's drift: the rows' maximum deviation
     drift = max(row[6] for row in rows) if mode == "coupled" else math.nan
 
@@ -643,10 +643,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_lambda_value(argv: list[str]) -> list[str]:
+    """``--lambda VALUE`` as ``--lambda=VALUE`` when VALUE starts with
+    '-'.  argparse reads such a word as an option unless it is a plain
+    negative number, so ``--lambda -1e-1`` and ``--lambda -inf`` would
+    end in "expected one argument" instead of reaching the value
+    checks."""
+    words = list(argv)
+    for k in reversed(range(1, len(words))):
+        if words[k - 1] == "--lambda" and words[k].startswith("-"):
+            words[k - 1:k + 1] = [f"--lambda={words[k]}"]
+    return words
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_lambda_value(
+            sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     with warnings.catch_warnings(record=True) as caught:

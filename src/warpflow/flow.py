@@ -79,11 +79,14 @@ class FlowState:
         return cls(t=0.0, g=g, f=f,
                    rho0=measure_density(f, geometry.volume_density(g)))
 
-    def measure_drift(self) -> float:
+    def measure_drift(self, weight: ScalarField | None = None) -> float:
         """Max relative node-wise deviation of the current e^{-f}
-        sqrt(det g) from rho0."""
-        rho = measure_density(self.f, geometry.volume_density(self.g))
-        dev = np.abs(rho.values - self.rho0.values)
+        sqrt(det g) from rho0.  ``weight`` is that density when the
+        caller already holds it: the ``weight`` of this state's
+        ``StateTerms`` record."""
+        if weight is None:
+            weight = measure_density(self.f, geometry.volume_density(self.g))
+        dev = np.abs(weight.values - self.rho0.values)
         return float((dev / self.rho0.values).max())
 
 
@@ -336,7 +339,8 @@ def conserved_measure_check(trajectory: list[FlowState]) -> float:
 class MonotonicityRow:
     """One snapshot's entry in the monotonicity table: the functional
     value, its centered-difference time derivative (NaN at endpoints),
-    the dissipation integral, their ratio, and the derivative's sign."""
+    the dissipation integral, their ratio, the derivative's sign, and the
+    snapshot's ``FlowState.measure_drift``."""
 
     t: float
     f_lam: float
@@ -344,6 +348,7 @@ class MonotonicityRow:
     dissipation: float
     ratio: float
     sign: int
+    drift: float
 
 
 def monotonicity_report(trajectory: list[FlowState],
@@ -351,12 +356,13 @@ def monotonicity_report(trajectory: list[FlowState],
     """Tabulate F_lam along a trajectory against the dissipation
     integral.  The interesting claim is |dF/dt| = D; the sign of dF/dt
     is reported as data, not asserted.  One oracle pass per snapshot
-    serves both F_lam and D."""
-    values, dissipations = [], []
+    serves F_lam, D and the drift, which reads the weight F_lam made."""
+    values, dissipations, drifts = [], [], []
     for state in trajectory:
         terms = StateTerms.at(state.g, state.f)
         values.append(F_lambda(terms, lam))
         dissipations.append(dissipation_integral(terms, lam))
+        drifts.append(state.measure_drift(terms.weight))
     rows = []
     for i, state in enumerate(trajectory):
         if 0 < i < len(trajectory) - 1:
@@ -368,7 +374,8 @@ def monotonicity_report(trajectory: list[FlowState],
         ratio = dfdt / diss if diss > 0 and math.isfinite(dfdt) else math.nan
         sign = 0 if not math.isfinite(dfdt) else int(np.sign(dfdt))
         rows.append(MonotonicityRow(t=state.t, f_lam=values[i], df_dt=dfdt,
-                                    dissipation=diss, ratio=ratio, sign=sign))
+                                    dissipation=diss, ratio=ratio, sign=sign,
+                                    drift=drifts[i]))
     return rows
 
 

@@ -51,6 +51,14 @@ Discrete quirks worth knowing:
   changes no bit.  They are not bitwise equal to the einsum formulas
   they stand for: the sums run in another order, and differ from them by
   a few ulps of the summed magnitudes.
+* At d <= 3, the flows' and the M-grid pieces' sizes, the inverse is the
+  adjugate over the determinant, and the determinant under the volume
+  density is the product of the LDL^T pivots that the grids module's
+  positive-definiteness check tests.  A few thousand 2x2 or 3x3 matrices
+  cost LAPACK more in per-call setup than in arithmetic.  The closed
+  forms are not bitwise equal to LAPACK's LU results: they differ from
+  them by a few ulps times the condition estimate.  From d = 4 on, where
+  they stop paying, both are LAPACK's.
 """
 
 from __future__ import annotations
@@ -63,7 +71,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import MetricDegeneracyError
-from .grids import (Christoffel3Field, GridSpec, ScalarField, SymTensorField,
+from .grids import (_CLOSED_FORM_DIM, Christoffel3Field, GridSpec,
+                    ScalarField, SymTensorField, _small_det, _small_inverse,
                     diff_array)
 
 __all__ = [
@@ -108,19 +117,32 @@ def _require_metric(g: SymTensorField):
 def inverse_metric(g: SymTensorField) -> np.ndarray:
     """Nodewise inverse of a metric, with a conditioning guard.
 
-    Returns a full (..., d, d) array.  If the Frobenius condition estimate
-    ||g|| * ||g^-1|| exceeds CONDITION_LIMIT anywhere, the metric is
-    declared numerically non-invertible and the report carries the worst
-    node and its smallest eigenvalue.
+    Returns a full (..., d, d) array: at d <= 3 the adjugate over the
+    determinant, from d = 4 on LAPACK's inverse.  If the Frobenius
+    condition estimate ||g|| * ||g^-1|| exceeds CONDITION_LIMIT anywhere,
+    or is not finite, the metric is declared numerically non-invertible
+    and the report carries the worst node and its smallest eigenvalue.
     """
     _require_metric(g)
     mats = g.values
-    inv = np.linalg.inv(mats)
-    frob_g = np.sqrt(np.sum(mats * mats, axis=(-2, -1)))
-    frob_i = np.sqrt(np.sum(inv * inv, axis=(-2, -1)))
-    cond = frob_g * frob_i
+    # Out-of-range values become inf or NaN silently: the guard below
+    # refuses a NaN estimate like one above the limit, so no
+    # floating-point warning escapes and no NaN slips past it.
+    with np.errstate(all="ignore"):
+        if g.grid.dim <= _CLOSED_FORM_DIM:
+            det = _small_det(mats)
+            inv = _small_inverse(mats, det)
+            # a determinant that under- or overflowed leaves an inverse
+            # of zeros, infs or NaNs: infinitely ill-conditioned
+            lost = ~np.isfinite(det) | (det == 0.0)
+        else:
+            inv = np.linalg.inv(mats)
+            lost = False
+        frob_g = np.sqrt(np.einsum("...ij,...ij->...", mats, mats))
+        frob_i = np.sqrt(np.einsum("...ij,...ij->...", inv, inv))
+        cond = np.where(lost, np.inf, frob_g * frob_i)
     worst = float(cond.max())
-    if worst > CONDITION_LIMIT:
+    if not worst <= CONDITION_LIMIT:
         flat = int(np.argmax(cond))
         node = tuple(int(c) for c in np.unravel_index(flat, g.grid.shape))
         eigs = np.linalg.eigvalsh(mats.reshape(-1, g.grid.dim, g.grid.dim)[flat])
@@ -280,7 +302,9 @@ def hessian(df: np.ndarray, gamma: Christoffel3Field,
 def volume_density(g: SymTensorField) -> ScalarField:
     """Riemannian volume density sqrt(det g), nodewise."""
     _require_metric(g)
-    return ScalarField(g.grid, np.sqrt(np.linalg.det(g.values)))
+    det = (_small_det(g.values) if g.grid.dim <= _CLOSED_FORM_DIM
+           else np.linalg.det(g.values))
+    return ScalarField(g.grid, np.sqrt(det))
 
 
 def measure_density(f: ScalarField, rho: ScalarField) -> ScalarField:

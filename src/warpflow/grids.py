@@ -20,11 +20,19 @@ Conventions, fixed once for the whole package:
   matrix array ``shape + (d, d)``, symmetric to the bit and read-only.
 * All field values are float64 and finite; metrics are checked for
   positive definiteness node by node when flagged with ``is_metric``.
+* The nodewise algebra of a metric (its determinant, its inverse and its
+  positive-definiteness check) is taken in closed form up to
+  ``_CLOSED_FORM_DIM`` = 3, where LAPACK's per-call setup costs more than
+  the arithmetic of a few thousand small matrices; from d = 4 on it goes
+  through LAPACK.  The geometry module's inverse and volume density use
+  the same closed forms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -150,9 +158,10 @@ class SymTensorField:
     0.5 (A + A^T) in a new read-only array, so the stored matrices are
     symmetric to the bit and cannot be written through ``values`` or
     ``matrix()``.  With ``is_metric=True`` the constructor additionally
-    verifies positive definiteness at every node via a batched Cholesky
-    factorization and reports the first offending node and its smallest
-    eigenvalue on failure.
+    verifies positive definiteness at every node, by the signs of the
+    leading principal minors at d <= 3 and a blocked Cholesky
+    factorization from d = 4 on, and reports the first offending node and
+    its smallest eigenvalue on failure.
     """
 
     grid: GridSpec
@@ -201,17 +210,93 @@ def _require_symmetric(arr: np.ndarray):
             "pass symmetrize=True to project")
 
 
+# Largest matrix size whose nodewise determinant, inverse and
+# positive-definiteness check are taken in closed form.
+_CLOSED_FORM_DIM = 3
+
+
+def _small_pivots(mats: np.ndarray) -> list[np.ndarray]:
+    """The pivots p_1..p_d of the LDL^T factorization of each symmetric
+    (..., d, d) node matrix, d <= 3: p_k is the k-th leading principal
+    minor over the (k-1)-th, the square of the k-th diagonal entry of the
+    Cholesky factor.  p_1 is a read-only view of the entries.  A pivot
+    that leaves the float range comes out inf or NaN, silently, for the
+    caller's guard to see."""
+    d = mats.shape[-1]
+    a = mats[..., 0, 0]
+    if d == 1:
+        return [a]
+    with np.errstate(all="ignore"):
+        b, e = mats[..., 0, 1], mats[..., 1, 1]
+        l10 = b / a
+        p2 = e - b * l10
+        if d == 2:
+            return [a, p2]
+        c, f, i = mats[..., 0, 2], mats[..., 1, 2], mats[..., 2, 2]
+        l20 = c / a
+        t = f - b * l20                     # p_2 times L's (2, 1) entry
+        return [a, p2, i - c * l20 - t * (t / p2)]
+
+
+def _small_det(mats: np.ndarray) -> np.ndarray:
+    """Determinant of each symmetric (..., d, d) node matrix, d <= 3, as
+    the product of its pivots.  Like LAPACK's LU it is accurate to a few
+    ulps times the condition number; cofactor expansion along a row
+    loses the square of it at d = 3 when two eigenvalues are small."""
+    with np.errstate(all="ignore"):
+        return math.prod(_small_pivots(mats))
+
+
+def _small_inverse(mats: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """Inverse of each symmetric (..., d, d) node matrix, d <= 3, as its
+    adjugate over ``det``, its ``_small_det``.  Each cofactor is divided
+    by det as it is written into the new array, and the (i, j) and (j, i)
+    entries share one, so the result is symmetric to the bit."""
+    d = mats.shape[-1]
+    out = np.empty(mats.shape)
+
+    def m(i, j):
+        return mats[..., i, j]
+
+    def cofactor(i, j):
+        if d == 1:
+            return 1.0
+        if d == 2:
+            return m(1 - i, 1 - j) if i == j else -m(i, j)
+        i1, i2, j1, j2 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
+        c = m(i1, j1) * m(i2, j2)
+        c -= m(i1, j2) * m(i2, j1)
+        return c
+
+    with np.errstate(all="ignore"):
+        for i in range(d):
+            for j in range(i, d):
+                np.divide(cofactor(i, j), det, out=out[..., i, j])
+                out[..., j, i] = out[..., i, j]
+    return out
+
+
 def _require_spd(grid: GridSpec, mats: np.ndarray):
     """Raise MetricDegeneracyError unless every node matrix is symmetric
-    positive definite.  The factors are discarded, so they are taken
-    4096 nodes at a time: no full-size copy of the field is made."""
+    positive definite.  At d <= 3 the test is that every pivot is
+    positive and finite, which is that every leading principal minor is:
+    the Cholesky factorization's own test, in closed form.  The
+    determinant under the inverse and the volume density is the product
+    of these pivots.  From d = 4 on the factorization is LAPACK's;
+    its factors are discarded, so they are taken 4096 nodes at a time: no
+    full-size copy of the field is made."""
     nodes = mats.reshape(-1, grid.dim, grid.dim)
-    try:
-        for start in range(0, len(nodes), 4096):
-            np.linalg.cholesky(nodes[start:start + 4096])
-        return
-    except np.linalg.LinAlgError:
-        pass
+    if grid.dim <= _CLOSED_FORM_DIM:
+        if all(np.all((p > 0.0) & (p < np.inf))
+               for p in _small_pivots(nodes)):
+            return
+    else:
+        try:
+            for start in range(0, len(nodes), 4096):
+                np.linalg.cholesky(nodes[start:start + 4096])
+            return
+        except np.linalg.LinAlgError:
+            pass
     # Slow path only on failure: locate the first bad node for the report.
     eigs = np.linalg.eigvalsh(nodes)
     bad = np.nonzero(eigs[:, 0] <= 0.0)[0]
@@ -257,14 +342,17 @@ def _same_grid(a, b, what: str):
         raise GridMismatchError(f"{what}: fields live on different grids")
 
 
-def _periodic_runs(n: int, shifts: tuple[int, ...]):
+@lru_cache(maxsize=None)
+def _periodic_runs(n: int, shifts: tuple[int, ...]) -> tuple:
     """Split the nodes 0..n-1 of a periodic axis into runs on which no
-    i + s wraps around, for every shift s.  Yields each run's slice and,
-    per shift, the slice that holds the values at i + s over it."""
+    i + s wraps around, for every shift s: each run's slice and, per
+    shift, the slice that holds the values at i + s over it.  Memoised
+    per (n, shifts), since every stencil call along an axis asks again."""
     cuts = sorted({0, n} | {-s % n for s in shifts})
-    for lo, hi in zip(cuts, cuts[1:]):
-        yield slice(lo, hi), [slice((lo + s) % n, (lo + s) % n + hi - lo)
-                              for s in shifts]
+    return tuple((slice(lo, hi),
+                  tuple(slice((lo + s) % n, (lo + s) % n + hi - lo)
+                        for s in shifts))
+                 for lo, hi in zip(cuts, cuts[1:]))
 
 
 def diff_array(values: np.ndarray, grid: GridSpec, axis: int,

@@ -61,12 +61,24 @@ def test_constants_invalid_dimensions_exit_2():
     assert main(["constants", "--m", "0", "--n", "1"]) == 2
 
 
-@pytest.mark.parametrize("lam", ["inf", "nan"])
+@pytest.mark.parametrize("lam", ["-0.1", "-1e-1"])
+def test_constants_negative_lambda_forms(tmp_path, lam):
+    # a value that starts with '-' reaches the parser as a value, whether
+    # or not argparse would take it for a plain negative number
+    out = tmp_path / "c.csv"
+    assert main(["constants", "--m", "3", "--n", "1", "--lambda", lam,
+                 "--out", str(out)]) == 0
+    _, _, rows = read_table(out)
+    assert [r[0] for r in rows] == ["lambda-root-0", "lambda-root-1"]
+    assert all(float(r[4]) == pytest.approx(-0.1) for r in rows)
+
+
+@pytest.mark.parametrize("lam", ["inf", "nan", "-inf"])
 def test_constants_non_finite_lambda_exit_2(capfd, lam):
     assert main(["constants", "--m", "3", "--n", "1", "--lambda", lam]) == 2
     captured = capfd.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert captured.err.startswith("error: lam must be finite")
     assert "Traceback" not in captured.err
 
 

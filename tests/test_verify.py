@@ -232,6 +232,15 @@ def test_volume_density_once_per_m_metric(monkeypatch, tmp_path, command):
     # the M-grid density sqrt(det g) of a level's geometry is computed
     # once, for its weight and the identity's coupling term alike, however
     # many couplings and directions the command runs
+    seen = _densities_of_run(monkeypatch, tmp_path, command,
+                             _PASS_CONFIGS[command])
+    on_m = {key: n for key, n in seen.items() if key[0].dim == 2}
+    assert on_m and max(on_m.values()) == 1
+
+
+def _densities_of_run(monkeypatch, tmp_path, command, config):
+    """Calls of geometry.volume_density in one seeded CLI run, per
+    (grid, metric digest)."""
     import hashlib
 
     from warpflow.cli import main
@@ -245,8 +254,25 @@ def test_volume_density_once_per_m_metric(monkeypatch, tmp_path, command):
 
     monkeypatch.setattr(geometry, "volume_density", hashed)
     cfg = tmp_path / "run.ini"
-    cfg.write_text(_PASS_CONFIGS[command])
+    cfg.write_text(config)
     assert main([command, "--config", str(cfg), "--seed", "1",
                  "--out", str(tmp_path / "out.csv")]) in (0, 1)
-    on_m = {key: n for key, n in seen.items() if key[0].dim == 2}
-    assert on_m and max(on_m.values()) == 1
+    return seen
+
+
+def test_volume_density_once_per_flow_snapshot(monkeypatch, tmp_path):
+    # the coupled flow of the benchmark's flow-small workload: 400 steps,
+    # 41 snapshots.  Each snapshot's sqrt(det g) is taken once, for its
+    # record's weight, which the constraint_dev column reads too; rho0 at
+    # t = 0 takes one more
+    seen = _densities_of_run(
+        monkeypatch, tmp_path, "flow",
+        "[grid]\npoints = 32 32\nperiod = 6.283185307179586\n"
+        "[fields]\ng = random-spd\ng_amplitude = 0.1\n"
+        "f_amplitude = 0.2\nf_mode = 1\n"
+        "[flow]\nlambda = 0.5\ndt = 1e-4\nt_end = 4e-2\n"
+        "integrator = rk4\nmode = coupled\n"
+        "filter_cutoff = 0.6666666666666666\nsnapshot_stride = 10\n"
+        "constraint_tol = 1e-8\n")
+    assert len(seen) == 41
+    assert sum(seen.values()) == 42

@@ -1,6 +1,6 @@
 """Compare the CLI outputs of the working tree against a git revision.
 
-    python tools/same_outputs.py --base REV [INI ...]
+    python tools/same_outputs.py --base REV [--bench] [INI ...]
 
 REV's ``src/`` is extracted with ``git archive`` into a temporary
 directory, so the checkout is left as it is.  Each INI (default
@@ -8,13 +8,17 @@ directory, so the checkout is left as it is.  Each INI (default
 for ``verify-curvature`` and so on) and ``constants --m 3 --n 1`` run on
 both trees, at seeds 1 and 2, once with ``OPENBLAS_NUM_THREADS=1`` and
 once with it unset.  ``constants`` takes no seed and runs once per
-thread setting.
+thread setting.  ``--bench`` adds the six INIs of the benchmark's
+full-size workloads, written by the working tree's ``bench/workloads.py``
+into the temporary directory.
 
 One Markdown row per run: the two exit codes, whether stdout and stderr
 match line for line, whether the CSVs are byte-identical and, where they
 are not, the largest relative difference of a cell and its column.
 Exits 1 when an exit code or a verdict line (a printed line up to its
-first colon, e.g. ``[PASS] scalar_general`` or ``error``) differs, else 0.
+first colon, e.g. ``[PASS] scalar_general`` or ``error``, with every
+decimal number in it masked, so that ``[PASS] coupled run complete,
+constraint drift 5.36e-10`` compares as a verdict) differs, else 0.
 Standard library only.
 """
 
@@ -24,6 +28,8 @@ import argparse
 import io
 import math
 import os
+import re
+import runpy
 import subprocess
 import sys
 import tarfile
@@ -61,8 +67,12 @@ def run(src: Path, argv: list[str], threads: str | None,
     return proc.returncode, lines, out.read_bytes() if out.exists() else None
 
 
+# a decimal number, such as a drift a verdict line reports
+MEASURED = re.compile(r"[-+]?(\d+\.\d*|\.\d+|\d+(?=[eE]))([eE][-+]?\d+)?")
+
+
 def verdicts(lines: list[str]) -> list[str]:
-    return [line.split(":", 1)[0] for line in lines]
+    return [MEASURED.sub("#", line.split(":", 1)[0]) for line in lines]
 
 
 def rel_gap(a: str, b: str) -> float:
@@ -98,16 +108,30 @@ def largest_gap(base: bytes, change: bytes) -> tuple[float, str]:
     return worst, column
 
 
-def runs(inis: list[Path]):
-    """(label, argv) of every run, in order."""
+def bench_inis(into: Path) -> list[tuple[str, Path]]:
+    """(label, path) of each INI ``bench/workloads.py`` writes for the
+    full-size workloads, written under ``into``, in run order."""
+    workloads = runpy.run_path(str(ROOT / "bench" / "workloads.py"))
+    into.mkdir()
+    labelled = []
+    for name in workloads["NAMES"]:
+        for op in workloads["ops"](name):
+            op.write_config(into)
+            labelled.append((f"bench/workloads.py {op.name}.ini",
+                             into / f"{op.name}.ini"))
+    return labelled
+
+
+def runs(inis: list[tuple[str, Path]]):
+    """(label, argv, threads) of every run, in order."""
     for threads in THREADS:
         tag = "1 thread" if threads else "default threads"
         yield f"constants --m 3 --n 1, {tag}", \
             ["constants", "--m", "3", "--n", "1"], threads
-        for ini in inis:
+        for name, ini in inis:
             command = COMMANDS[ini.stem.split("-")[0]]
             for seed in SEEDS:
-                yield (f"{ini.parent.name}/{ini.name}, seed {seed}, {tag}",
+                yield (f"{name}, seed {seed}, {tag}",
                        [command, "--config", str(ini.resolve()),
                         "--seed", str(seed)], threads)
 
@@ -115,15 +139,20 @@ def runs(inis: list[Path]):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision")
+    parser.add_argument("--bench", action="store_true",
+                        help="also run the benchmark workloads' INIs")
     parser.add_argument("inis", nargs="*", type=Path)
     args = parser.parse_args(argv)
-    inis = args.inis or sorted((ROOT / "configs").glob("*.ini"))
+    inis = [(f"{ini.parent.name}/{ini.name}", ini) for ini in
+            args.inis or sorted((ROOT / "configs").glob("*.ini"))]
     print("| run | exit (base, change) | same lines | CSV | "
           "largest relative difference (column) |")
     print("| --- | --- | --- | --- | --- |")
     differs = False
     with tempfile.TemporaryDirectory() as tmp:
         base_src = extract_src(args.base, Path(tmp) / "base")
+        if args.bench:
+            inis += bench_inis(Path(tmp) / "bench")
         out = Path(tmp) / "out.csv"
         for label, cli_argv, threads in runs(inis):
             code_b, lines_b, csv_b = run(base_src, cli_argv, threads, out)
