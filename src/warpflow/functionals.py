@@ -25,7 +25,9 @@ generic O(h^2) behaviour.
 
 The first-variation check differentiates the discrete action along a
 direction (delta g, delta f = tr_g delta g / 2) numerically and compares
-against the closed covector -2 <Ric + hess f + lam df (x) df, delta g>.
+against the closed covector -2 <Ric + hess f + lam df (x) df, delta g>,
+times Vol(N), plus the variation of the warp coupling times the total
+scalar curvature of N.
 
 F_lam, S_lam, the dissipation and the completed covector are each
 written once, as a function of a ``geometry.StateTerms`` record and lam:
@@ -143,6 +145,21 @@ def einstein_hilbert_S(pg: ProductGeometry, c: WarpedConstants) -> float:
                      geometry.volume_density(gt))
 
 
+def _n_integrals(pg: ProductGeometry) -> tuple[float, float]:
+    """Vol(N) and int_N R^N dsigma, from h's density and h's pass."""
+    rho_n = geometry.volume_density(pg.h)
+    return (integrate(ScalarField.constant(pg.grid_n, 1.0), rho_n),
+            integrate(pg.n_bundle.scalar, rho_n))
+
+
+def _warp_integral(pg: ProductGeometry, c: WarpedConstants,
+                   factor: np.ndarray | float = 1.0) -> float:
+    """int_M e^{(B-A-1)f} factor dmu: the warp coupling W at factor 1,
+    and its variation over (B - A) at factor delta f."""
+    integrand = np.exp((c.B - c.A - 1.0) * pg.f.values) * factor
+    return integrate(ScalarField(pg.grid_m, integrand), pg.m_pieces.rho)
+
+
 def theorem_identity_residual(pg: ProductGeometry,
                               c: WarpedConstants) -> FunctionalReport:
     """Evaluate every term of the product-action identity independently
@@ -159,12 +176,8 @@ def theorem_identity_residual(pg: ProductGeometry,
     terms = pg.m_pieces
     f_plain = F_lambda(terms, 0.0)
     f_lam = f_plain if c.lam == 0.0 else F_lambda(terms, c.lam)
-    rho_n = geometry.volume_density(pg.h)
-    vol_n = integrate(ScalarField.constant(pg.grid_n, 1.0), rho_n)
-    total_scal_n = integrate(pg.n_bundle.scalar, rho_n)
-    coupling_field = ScalarField(
-        pg.grid_m, np.exp((c.B - c.A - 1.0) * pg.f.values))
-    coupling = integrate(coupling_field, terms.rho)
+    vol_n, total_scal_n = _n_integrals(pg)
+    coupling = _warp_integral(pg, c)
     residual = s_tilde - vol_n * f_lam - coupling * total_scal_n
     return FunctionalReport(
         F=f_plain, F_lam=f_lam, S_tilde=s_tilde, vol_N=vol_n,
@@ -183,11 +196,15 @@ def first_variation_check(pg: ProductGeometry,
 
     The constrained direction moves f along with g: delta f = tr_g(dg)/2,
     which freezes the density e^{-f} sqrt(det g) to first order.  The
-    closed side is an integral over M alone, so the two sides agree (up
-    to discretization) exactly when Vol(N) = 1 and N is scalar-flat;
-    otherwise the derivative of the product action carries a Vol(N)
-    factor plus a term from the varying warp coupling, and the caller
-    owns that bookkeeping.
+    product action is S = Vol(N) F_lam + W T (see the module docstring),
+    with T = int_N R^N dsigma fixed and the warp coupling
+    W = int_M e^{(B-A-1)f} dmu varying as
+
+        delta W = (B - A) int_M e^{(B-A-1)f} delta f dmu,
+
+    so the closed side is Vol(N) times the M-side covector below plus
+    2 T delta W.  On a flat N of unit volume, Vol(N) = 1 and T = 0, and
+    it is the M-side covector alone.
 
     For lam != 0 the covector is NOT plain S_lam: collecting the trace
     terms of the variation leaves a residue
@@ -218,6 +235,8 @@ def first_variation_check(pg: ProductGeometry,
     inv = terms.bundle.inverse
     trace_half = 0.5 * np.einsum("...ij,...ij->...", inv, dg.values)
 
+    vol_n, total_scal_n = _n_integrals(pg)
+
     # doubled[k][i]: coupling k's doubled action at the i-th step of
     # (eps, -eps, eps/2, -eps/2), one perturbed geometry alive at a time
     doubled: list[list[float]] = [[] for _ in couplings]
@@ -236,9 +255,11 @@ def first_variation_check(pg: ProductGeometry,
         pairing = np.einsum("...ik,...jl,...ij,...kl->...",
                             inv, inv, completed_covector(terms, c.lam),
                             dg.values)
-        closed = -2.0 * integrate(ScalarField(pg.grid_m, pairing),
-                                  terms.weight)
+        closed_m = -2.0 * integrate(ScalarField(pg.grid_m, pairing),
+                                    terms.weight)
+        d_coupling = (c.B - c.A) * _warp_integral(pg, c, trace_half)
         results.append(VariationResult(
             numeric_derivative=(4.0 * d_half - d_full) / 3.0,
-            closed_form=closed, richardson_gap=abs(d_half - d_full)))
+            closed_form=vol_n * closed_m + 2.0 * total_scal_n * d_coupling,
+            richardson_gap=abs(d_half - d_full)))
     return results

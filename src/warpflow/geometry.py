@@ -36,13 +36,13 @@ Discrete quirks worth knowing:
   lap f, df raised, sqrt(det g) and e^{-f} sqrt(det g)) is computed on
   first use, once per record.
 * Every kernel that reads or writes the Christoffel cube sweeps the
-  flattened nodes in blocks of ``_BLOCK_BYTES`` of the cube
-  (``_node_blocks``), so each block is worked on while it sits in cache
-  and every temporary of a sweep is block-sized.  The cube is assembled
-  one derivative axis at a time, with one D_a g array alive: peak memory
-  is the cube, D_a g and the order-4 stencil's one temporary, plus one
-  block's worth, which is what lets 4d product grids with a few million
-  nodes fit in a small container.
+  flattened nodes in the grids module's ``node_blocks`` of the cube, so
+  each block is worked on while it sits in cache and every temporary of
+  a sweep is block-sized.  The cube is assembled one derivative axis at
+  a time, with one D_a g array alive: peak memory is the cube, D_a g and
+  the order-4 stencil's one temporary, plus one block's worth, which is
+  what lets 4d product grids with a few million nodes fit in a small
+  container.
 * The three contractions that read the cube are batched matrix products
   over a block's nodes: Gamma^p_{ad} Gamma^a_{bp} as
   (d, d^2) @ (d^2, d), and Gamma^p_{bd} Gamma^a_{ap} and Hessian's
@@ -51,14 +51,16 @@ Discrete quirks worth knowing:
   changes no bit.  They are not bitwise equal to the einsum formulas
   they stand for: the sums run in another order, and differ from them by
   a few ulps of the summed magnitudes.
-* At d <= 3, the flows' and the M-grid pieces' sizes, the inverse is the
-  adjugate over the determinant, and the determinant under the volume
-  density is the product of the LDL^T pivots that the grids module's
-  positive-definiteness check tests.  A few thousand 2x2 or 3x3 matrices
-  cost LAPACK more in per-call setup than in arithmetic.  The closed
-  forms are not bitwise equal to LAPACK's LU results: they differ from
-  them by a few ulps times the condition estimate.  From d = 4 on, where
-  they stop paying, both are LAPACK's.
+* A metric field holds its determinant, and the inverse and the volume
+  density both read it.  At d <= 3, the flows' and the M-grid pieces'
+  sizes, it is the product of the LDL^T pivots that the grids module's
+  positive-definiteness check took, and the inverse is the adjugate over
+  it: a few thousand 2x2 or 3x3 matrices cost LAPACK more in per-call
+  setup than in arithmetic.  These closed forms are not bitwise equal to
+  LAPACK's LU results: they differ from them by a few ulps times the
+  condition estimate.  From d = 4 on, where they stop paying, the inverse
+  and the determinant are LAPACK's, the determinant taken only when a
+  density is asked for.  The grids module alone makes that choice.
 """
 
 from __future__ import annotations
@@ -71,9 +73,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import MetricDegeneracyError
-from .grids import (_CLOSED_FORM_DIM, Christoffel3Field, GridSpec,
-                    ScalarField, SymTensorField, _small_det, _small_inverse,
-                    diff_array)
+from .grids import (Christoffel3Field, GridSpec, ScalarField, SymTensorField,
+                    diff_array, metric_inverse, node_blocks)
 
 __all__ = [
     "CurvatureBundle",
@@ -88,10 +89,6 @@ __all__ = [
 
 CONDITION_LIMIT = 1e12
 ASYMMETRY_WARN_FACTOR = 10.0
-# Bytes of the Christoffel cube per block of the kernels' node sweep: 512
-# nodes at d = 4.  With its product temporary a block stays well inside a
-# 2 MB L2.
-_BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -129,15 +126,7 @@ def inverse_metric(g: SymTensorField) -> np.ndarray:
     # refuses a NaN estimate like one above the limit, so no
     # floating-point warning escapes and no NaN slips past it.
     with np.errstate(all="ignore"):
-        if g.grid.dim <= _CLOSED_FORM_DIM:
-            det = _small_det(mats)
-            inv = _small_inverse(mats, det)
-            # a determinant that under- or overflowed leaves an inverse
-            # of zeros, infs or NaNs: infinitely ill-conditioned
-            lost = ~np.isfinite(det) | (det == 0.0)
-        else:
-            inv = np.linalg.inv(mats)
-            lost = False
+        inv, lost = metric_inverse(g)  # lost: infinitely ill-conditioned
         frob_g = np.sqrt(np.einsum("...ij,...ij->...", mats, mats))
         frob_i = np.sqrt(np.einsum("...ij,...ij->...", inv, inv))
         cond = np.where(lost, np.inf, frob_g * frob_i)
@@ -154,11 +143,9 @@ def inverse_metric(g: SymTensorField) -> np.ndarray:
 
 
 def _node_blocks(grid: GridSpec) -> list[slice]:
-    """The flattened nodes of ``grid`` in blocks of ``_BLOCK_BYTES`` of
-    the Christoffel cube, the one sweep of every kernel that reads it."""
-    nodes, d = math.prod(grid.shape), grid.dim
-    block = max(1, _BLOCK_BYTES // (8 * d ** 3))
-    return [slice(s, s + block) for s in range(0, nodes, block)]
+    """The node blocks of the Christoffel cube, the one sweep of every
+    kernel that reads it."""
+    return node_blocks(math.prod(grid.shape), 8 * grid.dim ** 3)
 
 
 def _lower_contract(v: np.ndarray, gam: np.ndarray) -> np.ndarray:
@@ -177,8 +164,7 @@ def _christoffel(g: SymTensorField, inv: np.ndarray,
         Gamma^k_{ij} = (1/2) g^{kl} (D_i g_{jl} + D_j g_{il} - D_l g_{ij})
 
     The accumulation order is identical for the (i, j) and (j, i) entries,
-    so the stored array is symmetric to the bit and the symmetry check can
-    be skipped.
+    so the stored array is symmetric to the bit.
     """
     grid = g.grid
     d = grid.dim
@@ -196,7 +182,7 @@ def _christoffel(g: SymTensorField, inv: np.ndarray,
             # -(1/2) g^{ka} D_a g_{ij}, for every k at once
             o -= (0.5 * ib[:, :, a])[:, :, None, None] * dab[:, None]
         del da
-    return Christoffel3Field(grid, out, check_symmetry=False)
+    return Christoffel3Field(grid, out)
 
 
 def _ricci_matrix(gamma: Christoffel3Field, order: int) -> np.ndarray:
@@ -302,9 +288,7 @@ def hessian(df: np.ndarray, gamma: Christoffel3Field,
 def volume_density(g: SymTensorField) -> ScalarField:
     """Riemannian volume density sqrt(det g), nodewise."""
     _require_metric(g)
-    det = (_small_det(g.values) if g.grid.dim <= _CLOSED_FORM_DIM
-           else np.linalg.det(g.values))
-    return ScalarField(g.grid, np.sqrt(det))
+    return ScalarField(g.grid, np.sqrt(g.det))
 
 
 def measure_density(f: ScalarField, rho: ScalarField) -> ScalarField:

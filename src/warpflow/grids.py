@@ -19,20 +19,22 @@ Conventions, fixed once for the whole package:
   on a d-dimensional grid with shape ``shape`` is the full symmetric
   matrix array ``shape + (d, d)``, symmetric to the bit and read-only.
 * All field values are float64 and finite; metrics are checked for
-  positive definiteness node by node when flagged with ``is_metric``.
-* The nodewise algebra of a metric (its determinant, its inverse and its
-  positive-definiteness check) is taken in closed form up to
+  positive definiteness node by node when flagged with ``is_metric``,
+  and a metric field holds its nodewise determinant (``det``).
+* The nodewise algebra of a metric (its positive-definiteness check, its
+  determinant and its inverse) is taken in closed form up to
   ``_CLOSED_FORM_DIM`` = 3, where LAPACK's per-call setup costs more than
   the arithmetic of a few thousand small matrices; from d = 4 on it goes
-  through LAPACK.  The geometry module's inverse and volume density use
-  the same closed forms.
+  through LAPACK.  This module alone makes that choice: the geometry
+  module's inverse reads ``metric_inverse`` and its volume density reads
+  ``det``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
-from functools import lru_cache
+from dataclasses import InitVar, dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -43,6 +45,8 @@ __all__ = [
     "ScalarField",
     "SymTensorField",
     "Christoffel3Field",
+    "metric_inverse",
+    "node_blocks",
     "integrate",
     "diff_array",
     "filter_array",
@@ -159,9 +163,11 @@ class SymTensorField:
     symmetric to the bit and cannot be written through ``values`` or
     ``matrix()``.  With ``is_metric=True`` the constructor additionally
     verifies positive definiteness at every node, by the signs of the
-    leading principal minors at d <= 3 and a blocked Cholesky
-    factorization from d = 4 on, and reports the first offending node and
-    its smallest eigenvalue on failure.
+    LDL^T pivots at d <= 3 and a blocked Cholesky factorization from
+    d = 4 on, and reports the first offending node and its smallest
+    eigenvalue on failure.  A metric holds its determinant ``det``: at
+    d <= 3 the product of the pivots the check took, from d = 4 on
+    LAPACK's, taken on first read.
     """
 
     grid: GridSpec
@@ -181,7 +187,10 @@ class SymTensorField:
         sym.flags.writeable = False
         self.values = sym
         if self.is_metric:
-            _require_spd(self.grid, sym)
+            det = _require_spd(self.grid, sym)
+            if det is not None:
+                det.flags.writeable = False
+                self.det = det
 
     @classmethod
     def from_matrix(cls, grid: GridSpec, mat, is_metric: bool = False,
@@ -194,6 +203,14 @@ class SymTensorField:
     def matrix(self) -> np.ndarray:
         """The stored (..., d, d) array itself: read-only, not a copy."""
         return self.values
+
+    @cached_property
+    def det(self) -> np.ndarray:
+        """The determinant at each node, read-only: LAPACK's, taken on
+        first read, unless a metric's check took it."""
+        det = np.linalg.det(self.values)
+        det.flags.writeable = False
+        return det
 
 
 def _require_symmetric(arr: np.ndarray):
@@ -238,21 +255,16 @@ def _small_pivots(mats: np.ndarray) -> list[np.ndarray]:
         return [a, p2, i - c * l20 - t * (t / p2)]
 
 
-def _small_det(mats: np.ndarray) -> np.ndarray:
-    """Determinant of each symmetric (..., d, d) node matrix, d <= 3, as
-    the product of its pivots.  Like LAPACK's LU it is accurate to a few
-    ulps times the condition number; cofactor expansion along a row
-    loses the square of it at d = 3 when two eigenvalues are small."""
-    with np.errstate(all="ignore"):
-        return math.prod(_small_pivots(mats))
-
-
-def _small_inverse(mats: np.ndarray, det: np.ndarray) -> np.ndarray:
-    """Inverse of each symmetric (..., d, d) node matrix, d <= 3, as its
-    adjugate over ``det``, its ``_small_det``.  Each cofactor is divided
-    by det as it is written into the new array, and the (i, j) and (j, i)
-    entries share one, so the result is symmetric to the bit."""
-    d = mats.shape[-1]
+def metric_inverse(g: SymTensorField) -> tuple[np.ndarray, np.ndarray | bool]:
+    """Inverse of each node matrix of a metric, and where it is lost: at
+    d <= 3 the adjugate over ``g.det``, lost where det under- or
+    overflowed; from d = 4 on LAPACK's.  Each cofactor is divided by det
+    as it is written, and (i, j) and (j, i) share one, so the result is
+    symmetric to the bit.  Out-of-range values come out inf or NaN."""
+    mats, d = g.values, g.grid.dim
+    if d > _CLOSED_FORM_DIM:
+        return np.linalg.inv(mats), False
+    det = g.det
     out = np.empty(mats.shape)
 
     def m(i, j):
@@ -273,23 +285,23 @@ def _small_inverse(mats: np.ndarray, det: np.ndarray) -> np.ndarray:
             for j in range(i, d):
                 np.divide(cofactor(i, j), det, out=out[..., i, j])
                 out[..., j, i] = out[..., i, j]
-    return out
+    return out, ~np.isfinite(det) | (det == 0.0)
 
 
-def _require_spd(grid: GridSpec, mats: np.ndarray):
+def _require_spd(grid: GridSpec, mats: np.ndarray) -> np.ndarray | None:
     """Raise MetricDegeneracyError unless every node matrix is symmetric
     positive definite.  At d <= 3 the test is that every pivot is
     positive and finite, which is that every leading principal minor is:
-    the Cholesky factorization's own test, in closed form.  The
-    determinant under the inverse and the volume density is the product
-    of these pivots.  From d = 4 on the factorization is LAPACK's;
-    its factors are discarded, so they are taken 4096 nodes at a time: no
-    full-size copy of the field is made."""
+    the Cholesky factorization's own test, in closed form, and their
+    product, the determinant, is returned.  From d = 4 on the
+    factorization is LAPACK's; its factors are discarded, so they are
+    taken 4096 nodes at a time: no full-size copy of the field is made."""
     nodes = mats.reshape(-1, grid.dim, grid.dim)
     if grid.dim <= _CLOSED_FORM_DIM:
-        if all(np.all((p > 0.0) & (p < np.inf))
-               for p in _small_pivots(nodes)):
-            return
+        pivots = _small_pivots(nodes)
+        if all(np.all((p > 0.0) & (p < np.inf)) for p in pivots):
+            with np.errstate(all="ignore"):
+                return math.prod(pivots).reshape(grid.shape)
     else:
         try:
             for start in range(0, len(nodes), 4096):
@@ -312,29 +324,33 @@ def _require_spd(grid: GridSpec, mats: np.ndarray):
 @dataclass(eq=False)
 class Christoffel3Field:
     """Connection coefficients Gamma^k_{ij}, stored full as
-    ``shape + (d, d, d)`` with axes ordered (k, i, j).
-
-    Symmetry in the two lower indices is an invariant and is checked on
-    construction unless the caller built the array symmetric by
-    construction and says so.
-    """
+    ``shape + (d, d, d)`` with axes ordered (k, i, j).  Both producers,
+    the oracle and the closed form, write the (i, j) and (j, i) entries
+    with the same operations, so the lower indices are symmetric to the
+    bit by construction."""
 
     grid: GridSpec
     values: np.ndarray
-    check_symmetry: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         d = self.grid.dim
         self.values = _validated_values(
             self.grid, self.values, (d, d, d), "christoffel field")
-        if self.check_symmetry:
-            asym = float(np.abs(self.values
-                                - np.swapaxes(self.values, -1, -2)).max())
-            scale = max(1.0, float(np.abs(self.values).max()))
-            if asym > 1e-10 * scale:
-                raise ValueError(
-                    f"Gamma^k_ij must be symmetric in (i, j); "
-                    f"max asymmetry {asym:.3e}")
+
+
+# Bytes of an operand per block of a node sweep: 512 nodes of a d = 4
+# Christoffel cube.  A block, its product temporary and a second operand
+# stay well inside a 2 MB L2.
+_BLOCK_BYTES = 256 * 1024
+
+
+def node_blocks(nodes: int, node_bytes: int) -> list[slice]:
+    """The flattened nodes 0..nodes-1 in blocks of ``_BLOCK_BYTES`` of an
+    operand with ``node_bytes`` bytes per node, one node at least: the
+    sweep of every blocked kernel, so that each block is worked on while
+    it sits in cache and every temporary of a sweep is block-sized."""
+    block = max(1, _BLOCK_BYTES // node_bytes)
+    return [slice(s, s + block) for s in range(0, nodes, block)]
 
 
 def _same_grid(a, b, what: str):

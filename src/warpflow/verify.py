@@ -23,7 +23,8 @@ from . import geometry, recipes
 from .errors import ConfigError
 from .flow import FlowConfig, FlowState, conserved_measure_check, run_coupled
 from .functionals import first_variation_check, theorem_identity_residual
-from .grids import GridSpec, ScalarField, SymTensorField, integrate
+from .grids import (GridSpec, ScalarField, SymTensorField, integrate,
+                    node_blocks)
 from .warped import (ProductGeometry, WarpedConstants,
                      assemble_product_metric, christoffel_closed_form,
                      ricci_closed_ansatz, ricci_closed_general)
@@ -148,11 +149,6 @@ class ConvergenceRow:
     order: float  # vs previous level; NaN on the first
 
 
-# Bytes of each operand per block of the max-norm sweeps (512 nodes of a
-# d = 4 Christoffel cube): both operands and their difference stay in L2.
-_BLOCK_BYTES = 256 * 1024
-
-
 def _family_maxima(shape: tuple[int, ...],
                    families: dict[str, list[tuple]]) -> dict[str, float]:
     """Max-norm of each comparison family over the nodes of ``shape``.
@@ -160,7 +156,7 @@ def _family_maxima(shape: tuple[int, ...],
     A family is a list of terms ``(a, b, comp)``: the max of |a - b| (of
     |a| when ``b`` is None) over the component block ``comp`` of arrays
     whose leading axes are the grid axes.  Each distinct (a, b) pair is
-    swept once, in blocks of ``_BLOCK_BYTES`` of ``a``, keeping the
+    swept once, in the grids module's ``node_blocks`` of ``a``, keeping the
     running max of every component, so each temporary is block-sized.
     A max does not depend on how the nodes are split or grouped, so every
     family's value is the whole-grid max to the bit.
@@ -173,9 +169,7 @@ def _family_maxima(shape: tuple[int, ...],
         fa = a.reshape(nodes, -1)
         fb = None if b is None else b.reshape(nodes, -1)
         peak = np.zeros(fa.shape[1])
-        block = max(1, _BLOCK_BYTES // fa[0].nbytes)
-        for s in range(0, nodes, block):
-            blk = slice(s, s + block)
+        for blk in node_blocks(nodes, fa[0].nbytes):
             if fb is None:
                 part = np.abs(fa[blk])
             else:
@@ -330,9 +324,9 @@ def variation_study(couplings: list[WarpedConstants], spec: StudySpec,
     rows per coupling, in order.  The geometry, the directions and the
     perturbed metrics are built once and serve every coupling.
 
-    N is always rescaled to unit volume here: the closed covector is an
-    integral over M alone, so it equals the derivative of the doubled
-    product action exactly when Vol(N) = 1 and N is scalar-flat."""
+    N is always rescaled to unit volume here, so a flat N's closed side
+    is the M-side covector alone and a curved N adds only its
+    warp-coupling term (see ``first_variation_check``)."""
     if spec.seed is None:
         raise ConfigError("variation_study draws random directions: "
                           "it needs a seed")

@@ -373,7 +373,7 @@ def christoffel_closed_form(pg: ProductGeometry,
         out[..., m + gam, m + gam, :m] = _lift_m(pg, half_b_df)
 
     out[..., m:, m:, m:] = _lift_n(pg, pg.n_bundle.christoffel.values)
-    return Christoffel3Field(grid, out, check_symmetry=False)
+    return Christoffel3Field(grid, out)
 
 
 def _require_locus(c: WarpedConstants, what: str):

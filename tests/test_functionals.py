@@ -293,6 +293,29 @@ def test_first_variation_matches_closed_form():
         assert abs(res.richardson_gap) < 1e-6 * abs(res.numeric_derivative)
 
 
+@pytest.mark.parametrize("normalize_n", [True, False],
+                         ids=["unit-volume", "volume-288"])
+def test_first_variation_with_a_curved_n(normalize_n):
+    # a conformal 3-torus N: T = int_N R^N dsigma is about 2.5 at unit
+    # volume, and the root-1 constants have B != A at both couplings, so
+    # the closed side needs its warp-coupling term 2 T delta W (without it
+    # the mismatch is O(1)), and off unit volume its Vol(N) factor too
+    pg = build_product_geometry(
+        StudySpec((((32,), (8, 8, 8)),), TAU, TAU,
+                  FieldSpec("conformal-bump", 0.15, 1),
+                  FieldSpec("conformal-bump", 0.15, 1), 0.2, (1,), order=4),
+        normalize_n=normalize_n)
+    dg = recipes.random_sym_tensor(pg.grid_m, np.random.default_rng(5), 0.3)
+    couplings = [lambda_to_constants(1, 3, lam)[1] for lam in (0.0, 0.5)]
+    report = theorem_identity_residual(pg, couplings[0])
+    assert report.total_scalar_N > 2.0
+    for c, res in zip(couplings, first_variation_check(pg, couplings, dg)):
+        assert c.B != c.A
+        rel = abs(res.numeric_derivative - res.closed_form) \
+            / abs(res.numeric_derivative)
+        assert rel < 2e-3  # measured 4.5e-5 and 3.5e-4
+
+
 def test_variation_covector_needs_trace_completion():
     # the covector of the constrained variation at lam != 0 is not just
     # Ric + hess f + lam df (x) df: the measure constraint feeds the

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from warpflow import geometry, recipes
+from warpflow import geometry, grids, recipes
 from warpflow.errors import MetricDegeneracyError
 from warpflow.grids import (GridSpec, ScalarField, SymTensorField, diff_array,
                             integrate)
@@ -77,6 +77,33 @@ def test_inverse_metric_roundtrip_and_guard():
         geometry.inverse_metric(sick)
     assert err.value.node == (3, 5)
     assert err.value.eigenvalue == pytest.approx(1e-13, rel=1e-6)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_metric_determinant_is_taken_once(monkeypatch, d):
+    # at d <= 3 the positive-definiteness check's pivots give the
+    # determinant; from d = 4 on LAPACK's is taken on its first read.
+    # Either way the inverse and every density read that one determinant.
+    calls = []
+
+    def counted(fn, name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(grids, "_small_pivots",
+                        counted(grids._small_pivots, "pivots"))
+    monkeypatch.setattr(np.linalg, "det", counted(np.linalg.det, "det"))
+    g = recipes.random_spd_metric(torus(8, dim=d), np.random.default_rng(d),
+                                  amplitude=0.3)
+    inv = geometry.inverse_metric(g)
+    rho = [geometry.volume_density(g).values for _ in range(2)]
+    assert calls == (["pivots"] if d <= 3 else ["det"])
+    assert np.array_equal(rho[0], rho[1])
+    assert np.array_equal(rho[0], np.sqrt(g.det))
+    assert not g.det.flags.writeable      # shared by every reader
+    assert np.allclose(inv @ g.values, np.eye(d), atol=1e-12)
 
 
 def test_operations_require_metric_flag():

@@ -10,12 +10,12 @@ from warpflow.errors import GridMismatchError, MetricDegeneracyError
 from warpflow.flow import FlowConfig, FlowState, step
 from warpflow.functionals import gradient_tensor
 from warpflow.geometry import StateTerms
-from warpflow.grids import (Christoffel3Field, GridSpec, ScalarField,
-                            SymTensorField, diff_array, filter_array,
-                            integrate)
+from warpflow.grids import (GridSpec, ScalarField, SymTensorField,
+                            diff_array, filter_array, integrate)
 from warpflow.verify import FieldSpec, StudySpec, build_product_geometry
-from warpflow.warped import (assemble_product_metric, ricci_closed_ansatz,
-                             ricci_closed_general, solve_perelman_constants)
+from warpflow.warped import (assemble_product_metric, christoffel_closed_form,
+                             ricci_closed_ansatz, ricci_closed_general,
+                             solve_perelman_constants)
 
 TAU = 2.0 * math.pi
 
@@ -104,6 +104,12 @@ def test_sym_tensor_storage_is_full_symmetric_and_read_only():
         with pytest.raises(ValueError):
             t.matrix()[(0,) * (d + 2)] = 1.0
 
+    # both Christoffel producers write Gamma^k_{ij} symmetric in (i, j)
+    # to the bit, which no constructor checks
+    for gamma in (bundle.christoffel, christoffel_closed_form(pg, c)):
+        assert np.array_equal(gamma.values,
+                              np.swapaxes(gamma.values, -1, -2))
+
 
 def test_sym_tensor_rejects_asymmetric_unless_projected():
     grid = GridSpec((8, 8), (1.0, 1.0))
@@ -140,17 +146,6 @@ def test_metric_flag_requires_spd():
         SymTensorField(grid, vals, is_metric=True)
     assert err.value.node == (95, 90)
     assert err.value.eigenvalue == pytest.approx(-1.0)
-
-
-def test_christoffel_field_checks_lower_symmetry():
-    grid = line(16)
-    vals = np.zeros(grid.shape + (1, 1, 1))
-    Christoffel3Field(grid, vals)         # symmetric (trivially) is fine
-    grid2 = GridSpec((8, 8), (1.0, 1.0))
-    bad = np.zeros(grid2.shape + (2, 2, 2))
-    bad[..., 0, 0, 1] = 1.0
-    with pytest.raises(ValueError):
-        Christoffel3Field(grid2, bad)
 
 
 # -------------------------------------------------------------- derivatives

@@ -2,7 +2,9 @@
 
 ``grids.diff_array`` reads its shifted operands as periodic slices into
 one output array, ``geometry._christoffel`` sweeps the flattened nodes in
-blocks, and ``verify._family_maxima`` takes its max-norms block by block.
+blocks, and ``verify._family_maxima`` takes its max-norms block by block;
+both sweeps cut their blocks with ``grids.node_blocks``, whose one block
+size ``grids._BLOCK_BYTES`` the tests below vary.
 Every node sees the same floating-point operations in the same order, so
 these three are held to the plain formula bit for bit (sign of zero
 included), whatever the shape, the strides or where the blocks end.
@@ -20,7 +22,7 @@ import math
 import numpy as np
 import pytest
 
-from warpflow import geometry, recipes, verify
+from warpflow import geometry, grids, recipes, verify
 from warpflow.grids import Christoffel3Field, GridSpec, ScalarField, diff_array
 
 
@@ -98,7 +100,7 @@ BLOCKS = {"below_one": lambda nodes: nodes + 5,
 def test_christoffel_matches_whole_grid_loop(monkeypatch, points, order,
                                              blocks):
     nodes = math.prod(points)
-    monkeypatch.setattr(geometry, "_BLOCK_BYTES",
+    monkeypatch.setattr(grids, "_BLOCK_BYTES",
                         cube_bytes(BLOCKS[blocks](nodes), len(points)))
     grid = grid_of(points)
     g = recipes.random_spd_metric(grid, np.random.default_rng(nodes), 0.3)
@@ -110,9 +112,9 @@ def test_christoffel_matches_whole_grid_loop(monkeypatch, points, order,
 @pytest.mark.parametrize("order", [2, 4])
 def test_christoffel_matches_at_the_module_block_size(order):
     # one block plus one node, and a d = 4 grid that is no multiple of it
-    block_1d = geometry._BLOCK_BYTES // cube_bytes(1, 1)
+    block_1d = grids._BLOCK_BYTES // cube_bytes(1, 1)
     for points in ((block_1d + 1,), (8, 9, 8, 10)):
-        block = geometry._BLOCK_BYTES // cube_bytes(1, len(points))
+        block = grids._BLOCK_BYTES // cube_bytes(1, len(points))
         assert math.prod(points) % block != 0
         grid = grid_of(points)
         g = recipes.random_spd_metric(grid, np.random.default_rng(order), 0.3)
@@ -167,8 +169,7 @@ def random_cube(grid, rng):
     """A connection with no symmetry at all, so that no swap of the lower
     indices goes unseen."""
     d = grid.dim
-    return Christoffel3Field(grid, rng.standard_normal(grid.shape + (d,) * 3),
-                             check_symmetry=False)
+    return Christoffel3Field(grid, rng.standard_normal(grid.shape + (d,) * 3))
 
 
 def ricci_and_hessian(grid, order, seed):
@@ -186,7 +187,7 @@ def ricci_and_hessian(grid, order, seed):
 def test_contractions_match_einsum_formulas(monkeypatch, points, order,
                                             blocks):
     nodes, d = math.prod(points), len(points)
-    monkeypatch.setattr(geometry, "_BLOCK_BYTES",
+    monkeypatch.setattr(grids, "_BLOCK_BYTES",
                         cube_bytes(BLOCKS[blocks](nodes), d))
     gamma, df, ric, hess = ricci_and_hessian(grid_of(points), order, nodes)
     assert_within_ulps(ric, *einsum_ricci(gamma, order), d)
@@ -201,7 +202,7 @@ def test_contractions_do_not_depend_on_the_block_size(monkeypatch, points,
     grid = grid_of(points)
     results = []
     for size in [1, 7, nodes - 1, nodes + 5]:
-        monkeypatch.setattr(geometry, "_BLOCK_BYTES", cube_bytes(size, d))
+        monkeypatch.setattr(grids, "_BLOCK_BYTES", cube_bytes(size, d))
         results.append(ricci_and_hessian(grid, order, nodes)[2:])
     for ric, hess in results[1:]:
         assert_bitwise(ric, results[0][0])
@@ -213,7 +214,7 @@ def test_family_maxima_equal_whole_grid_maxima(monkeypatch, nodes):
     # blocks of `nodes` nodes of the cube operands (and 27x as many of the
     # scalar pair)
     shape, m, d = (8, 9), 2, 3
-    monkeypatch.setattr(verify, "_BLOCK_BYTES", cube_bytes(nodes, d))
+    monkeypatch.setattr(grids, "_BLOCK_BYTES", cube_bytes(nodes, d))
     rng = np.random.default_rng(nodes)
     a, b = rng.standard_normal((2,) + shape + (d, d, d))
     s, t = rng.standard_normal((2,) + shape)

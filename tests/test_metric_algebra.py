@@ -1,12 +1,13 @@
 """The nodewise metric algebra against LAPACK.
 
-At d <= 3 the inverse (``geometry.inverse_metric``), the determinant
-under the volume density (``geometry.volume_density``) and the
-positive-definiteness check of ``SymTensorField(..., is_metric=True)``
-are the closed forms of the grids module; from d = 4 on they are
-LAPACK's.  With eps the float64 unit roundoff and the Frobenius condition
-estimate kappa = ||g|| ||g^-1|| of a node, the closed forms are held to
-LAPACK at every node within
+A metric field ``SymTensorField(..., is_metric=True)`` holds its
+determinant, which its inverse (``geometry.inverse_metric``) and its
+volume density (``geometry.volume_density``) read.  At d <= 3 the
+positive-definiteness check, the determinant (the product of the check's
+pivots) and the inverse are the closed forms of the grids module; from
+d = 4 on they are LAPACK's.  With eps the float64 unit roundoff and
+the Frobenius condition estimate kappa = ||g|| ||g^-1|| of a node, the
+closed forms are held to LAPACK at every node within
 
 * inverse: ||inv - np.linalg.inv||_F <= 2 d eps kappa ||np.linalg.inv||_F;
 * determinant: |det - np.linalg.det| <= 4 d eps (kappa + |log det|) |det|.
