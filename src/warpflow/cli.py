@@ -454,11 +454,15 @@ def cmd_verify_curvature(args) -> int:
     for family, row in finest.items():
         if row.error <= _ABS_FLOOR:
             continue  # at the roundoff floor: converged, order meaningless
-        if row.error > max_final or math.isnan(row.order) \
-                or row.order < min_order:
+        missed = []
+        if row.error > max_final:
+            missed.append(f"final error <= {_fmt(max_final)}")
+        if math.isnan(row.order) or row.order < min_order:
+            missed.append(f"order >= {_fmt(min_order)}")
+        if missed:
             ok = False
             print(f"[FAIL] {family}: final error {_fmt(row.error)}, "
-                  f"order {_fmt(row.order)} (need >= {_fmt(min_order)})")
+                  f"order {_fmt(row.order)} (need {' and '.join(missed)})")
         else:
             print(f"[PASS] {family}: final error {_fmt(row.error)}, "
                   f"order {_fmt(row.order)}")
@@ -484,18 +488,20 @@ def cmd_verify_identity(args) -> int:
     ok = True
     for (label, constants), rows in zip(runs, rows_by_run):
         final = rows[-1]
-        converged = abs(final.residual) <= _ABS_FLOOR
-        order_ok = not math.isnan(final.order) and final.order >= min_order
-        bounded = abs(final.residual) <= max_final
-        if (converged or order_ok) and bounded:
-            print(f"[PASS] identity {label}: final residual "
-                  f"{_fmt(final.residual)}, order {_fmt(final.order)}")
-        else:
+        missed = []
+        if not (abs(final.residual) <= _ABS_FLOOR or final.order >= min_order):
+            missed.append(f"order >= {_fmt(min_order)} or |residual| <= "
+                          f"{_fmt(_ABS_FLOOR)}")
+        if not abs(final.residual) <= max_final:
+            missed.append(f"|residual| <= {_fmt(max_final)}")
+        if missed:
             ok = False
             print(f"[FAIL] identity {label}: final residual "
                   f"{_fmt(final.residual)}, order {_fmt(final.order)} "
-                  f"(need >= {_fmt(min_order)} or |residual| <= "
-                  f"{_fmt(min(max_final, _ABS_FLOOR))})")
+                  f"(need {'; '.join(missed)})")
+        else:
+            print(f"[PASS] identity {label}: final residual "
+                  f"{_fmt(final.residual)}, order {_fmt(final.order)}")
         for r in rows:
             all_rows.append([label, r.level, r.h, r.lam, r.S_tilde, r.F_lam,
                              r.vol_N, r.total_scalar_N, r.warp_coupling,

@@ -160,7 +160,7 @@ def _advance(terms: StateTerms, f: ScalarField, dt: float, lam: float,
     grid = terms.g.grid
 
     def rhs(at: StateTerms) -> tuple[np.ndarray, np.ndarray]:
-        dg = -2.0 * gradient_tensor(at, lam).values
+        dg = -2.0 * gradient_tensor(at, lam)
         return dg, 0.5 * np.einsum("...ij,...ij->...", at.bundle.inverse, dg)
 
     def slope(c, y):

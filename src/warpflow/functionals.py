@@ -101,22 +101,22 @@ def F_lambda(terms: geometry.StateTerms, lam: float) -> float:
 
 
 def gradient_tensor(terms: geometry.StateTerms,
-                    lam: float) -> SymTensorField:
-    """S_lam = Ric + hess f + lam df (x) df, which drives the flow."""
+                    lam: float) -> np.ndarray:
+    """S_lam = Ric + hess f + lam df (x) df, which drives the flow, as a
+    (..., d, d) array symmetric to the bit: each term is."""
     # lam df_i df_j rounds differently as (lam df_i) df_j and as
     # (lam df_j) df_i, so both triangles take the lower index first.
     axes = np.arange(terms.g.grid.dim)
     lo, hi = np.minimum.outer(axes, axes), np.maximum.outer(axes, axes)
     quad = (lam * terms.df)[..., lo] * terms.df[..., hi]
-    return SymTensorField(terms.g.grid,
-                          terms.bundle.ricci.values + terms.hess + quad)
+    return terms.bundle.ricci.values + terms.hess + quad
 
 
 def dissipation_integral(terms: geometry.StateTerms, lam: float) -> float:
     """D = 2 int |S_lam|^2 e^{-f} dmu >= 0, the norm contracting both
     index pairs with g (the only choice consistent with the
     first-variation pairing)."""
-    s_lam = gradient_tensor(terms, lam).values
+    s_lam = gradient_tensor(terms, lam)
     inv = terms.bundle.inverse
     up = np.einsum("...ik,...jl,...kl->...ij", inv, inv, s_lam)
     norm_sq = np.einsum("...ij,...ij->...", up, s_lam)
@@ -127,7 +127,7 @@ def completed_covector(terms: geometry.StateTerms,
                        lam: float) -> np.ndarray:
     """S_lam + lam (lap f - |grad f|^2) g, the covector of the
     constrained variation (see ``first_variation_check``)."""
-    s_lam = gradient_tensor(terms, lam).values
+    s_lam = gradient_tensor(terms, lam)
     if lam == 0.0:
         return s_lam
     return s_lam + (lam * (terms.lap - terms.grad_sq))[..., None, None] \

@@ -27,7 +27,8 @@ Discrete quirks worth knowing:
   an O(h^2) antisymmetric part from the d_b Gamma^a_{ad} term, whose
   arguments depend on position through the inverse metric.  The result is
   symmetrized and the discarded part is reported; a large value means the
-  fields are under-resolved.
+  fields are under-resolved.  The Hessian is symmetrized too, since
+  D_j D_l f and D_l D_j f agree to roundoff; ``hessian`` returns an array.
 * ``curvature_bundle`` is the only curvature entry point: one pass that
   inverts the metric once, contracts the scalar from the symmetrized
   Ricci matrix and returns the whole stack, the inverse included.
@@ -74,7 +75,7 @@ import numpy as np
 
 from .errors import MetricDegeneracyError
 from .grids import (Christoffel3Field, GridSpec, ScalarField, SymTensorField,
-                    diff_array, metric_inverse, node_blocks)
+                    diff_array, metric_inverse, node_blocks, symmetric_part)
 
 __all__ = [
     "CurvatureBundle",
@@ -262,8 +263,9 @@ def gradient_components(f: ScalarField, order: int = 2) -> np.ndarray:
 
 
 def hessian(df: np.ndarray, gamma: Christoffel3Field,
-            order: int = 2) -> SymTensorField:
-    """Covariant Hessian (nabla^2 f)_{jl} = D_j D_l f - Gamma^k_{jl} D_k f.
+            order: int = 2) -> np.ndarray:
+    """Covariant Hessian (nabla^2 f)_{jl} = D_j D_l f - Gamma^k_{jl} D_k f,
+    symmetrized, as a (..., d, d) array.
 
     Takes the first partials df = ``gradient_components(f, order)`` and
     the connection, not f and the metric: the Hessian never needs g
@@ -282,7 +284,7 @@ def hessian(df: np.ndarray, gamma: Christoffel3Field,
     flat_gam = gamma.values.reshape(-1, d, d, d)
     for blk in _node_blocks(grid):
         flat_out[blk] -= _lower_contract(flat_df[blk], flat_gam[blk])
-    return SymTensorField.from_matrix(grid, out, symmetrize=True)
+    return symmetric_part(out)
 
 
 def volume_density(g: SymTensorField) -> ScalarField:
@@ -317,7 +319,7 @@ class StateTerms:
            order: int = 2) -> "StateTerms":
         bundle = curvature_bundle(g, order)
         df = gradient_components(f, order)
-        hess = hessian(df, bundle.christoffel, order).values
+        hess = hessian(df, bundle.christoffel, order)
         return cls(g=g, f=f, bundle=bundle, df=df, hess=hess)
 
     @cached_property

@@ -17,7 +17,8 @@ Conventions, fixed once for the whole package:
   in the geometry module.
 * Tensor fields store grid axes first and component axes last, so a metric
   on a d-dimensional grid with shape ``shape`` is the full symmetric
-  matrix array ``shape + (d, d)``, symmetric to the bit and read-only.
+  matrix array ``shape + (d, d)``: the array the field was given,
+  symmetric to the bit and frozen.  ``symmetric_part`` is the one projection.
 * All field values are float64 and finite; metrics are checked for
   positive definiteness node by node when flagged with ``is_metric``,
   and a metric field holds its nodewise determinant (``det``).
@@ -33,7 +34,7 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -46,6 +47,7 @@ __all__ = [
     "SymTensorField",
     "Christoffel3Field",
     "metric_inverse",
+    "symmetric_part",
     "node_blocks",
     "integrate",
     "diff_array",
@@ -157,37 +159,35 @@ class SymTensorField:
     """A symmetric rank-2 tensor field, stored as the full matrix array
     ``grid.shape + (d, d)``.
 
-    The constructor rejects values that are not symmetric to near
-    roundoff (relative 1e-10) and stores their symmetric part
-    0.5 (A + A^T) in a new read-only array, so the stored matrices are
-    symmetric to the bit and cannot be written through ``values`` or
-    ``matrix()``.  With ``is_metric=True`` the constructor additionally
-    verifies positive definiteness at every node, by the signs of the
-    LDL^T pivots at d <= 3 and a blocked Cholesky factorization from
-    d = 4 on, and reports the first offending node and its smallest
-    eigenvalue on failure.  A metric holds its determinant ``det``: at
-    d <= 3 the product of the pivots the check took, from d = 4 on
-    LAPACK's, taken on first read.
+    The constructor rejects values unless they are symmetric to the bit,
+    roundoff asymmetry included, and stores the array itself (converted
+    only if not C-contiguous float64), frozen: ``values``, ``matrix()``
+    and the caller's own reference are all read-only.  With
+    ``is_metric=True`` the constructor additionally verifies positive
+    definiteness at every node, by the signs of the LDL^T pivots at
+    d <= 3 and a blocked Cholesky factorization from d = 4 on, and
+    reports the first offending node and its smallest eigenvalue on
+    failure.  A metric holds its determinant ``det``: at d <= 3 the
+    product of the pivots the check took, from d = 4 on LAPACK's, taken
+    on first read.
     """
 
     grid: GridSpec
     values: np.ndarray
     is_metric: bool = False
-    # Set only by from_matrix(..., symmetrize=True): project unchecked.
-    _symmetrize: InitVar[bool] = False
 
-    def __post_init__(self, _symmetrize: bool):
+    def __post_init__(self):
         d = self.grid.dim
-        arr = _validated_values(self.grid, self.values, (d, d),
-                                "symmetric tensor")
-        if not _symmetrize:
-            _require_symmetric(arr)
-        sym = np.add(arr, np.swapaxes(arr, -1, -2), order="C")
-        sym *= 0.5
-        sym.flags.writeable = False
-        self.values = sym
+        arr = np.ascontiguousarray(_validated_values(
+            self.grid, self.values, (d, d), "symmetric tensor"))
+        if any(not np.array_equal(arr[..., i, j], arr[..., j, i])
+               for i in range(d) for j in range(i + 1, d)):
+            raise ValueError("matrix is not symmetric to the bit; "
+                             "from_matrix(..., symmetrize=True) projects")
+        arr.flags.writeable = False
+        self.values = arr
         if self.is_metric:
-            det = _require_spd(self.grid, sym)
+            det = _require_spd(self.grid, arr)
             if det is not None:
                 det.flags.writeable = False
                 self.det = det
@@ -196,9 +196,9 @@ class SymTensorField:
     def from_matrix(cls, grid: GridSpec, mat, is_metric: bool = False,
                     symmetrize: bool = False) -> "SymTensorField":
         """The field of a full (..., d, d) array; with ``symmetrize`` set,
-        an asymmetric input is projected onto its symmetric part instead
-        of rejected."""
-        return cls(grid, mat, is_metric, symmetrize)
+        of its ``symmetric_part`` instead."""
+        return cls(grid, symmetric_part(mat) if symmetrize else mat,
+                   is_metric)
 
     def matrix(self) -> np.ndarray:
         """The stored (..., d, d) array itself: read-only, not a copy."""
@@ -213,18 +213,12 @@ class SymTensorField:
         return det
 
 
-def _require_symmetric(arr: np.ndarray):
-    """Raise ValueError unless the (..., d, d) array is symmetric to
-    1e-10 relative, comparing one (i, j) pair at a time so no full-size
-    temporary is made."""
-    d = arr.shape[-1]
-    asym = max((float(np.abs(arr[..., i, j] - arr[..., j, i]).max())
-                for i in range(d) for j in range(i + 1, d)), default=0.0)
-    scale = max(1.0, float(arr.max()), -float(arr.min()))
-    if asym > 1e-10 * scale:
-        raise ValueError(
-            f"matrix is not symmetric (max asymmetry {asym:.3e}); "
-            "pass symmetrize=True to project")
+def symmetric_part(mat: np.ndarray) -> np.ndarray:
+    """0.5 (A + A^T) of a (..., d, d) array as a new C-contiguous array:
+    the one projection, for raw Ricci and the Hessian."""
+    sym = np.add(mat, np.swapaxes(mat, -1, -2), order="C")
+    sym *= 0.5
+    return sym
 
 
 # Largest matrix size whose nodewise determinant, inverse and

@@ -405,7 +405,8 @@ def _closed_ricci_blocks(pg: ProductGeometry, c: WarpedConstants,
     bracket = p.lap - block_coeff * p.grad_sq
     mm = p.bundle.ricci.values + hess_coeff * p.hess
     mm += 0.5 * c.A * bracket[..., None, None] * pg.g.values
-    mm += df_quadratic * p.df[..., :, None] * p.df[..., None, :]
+    # Z (df_i df_j), since (Z df_i) df_j and (Z df_j) df_i may round apart
+    mm += df_quadratic * (p.df[..., :, None] * p.df[..., None, :])
 
     warp = 0.5 * c.B * np.exp((c.A - c.B) * pg.f.values) * bracket
 
@@ -413,7 +414,7 @@ def _closed_ricci_blocks(pg: ProductGeometry, c: WarpedConstants,
     full[..., :m, :m] = _lift_m(pg, mm)
     full[..., m:, m:] = _lift_n(pg, pg.n_bundle.ricci.values) \
         + _lift_m(pg, warp)[..., None, None] * _lift_n(pg, pg.h.values)
-    return SymTensorField.from_matrix(grid, full, symmetrize=True)
+    return SymTensorField.from_matrix(grid, full)
 
 
 def closed_scalar_curvature(pg: ProductGeometry, c: WarpedConstants,

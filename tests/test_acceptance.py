@@ -7,7 +7,8 @@ indented supporting numbers:
 1. constants algebra — residuals, theta roots, the coupling maximum;
 2. closed-form curvature vs the generic finite-difference oracle on
    refinement ladders for three dimension pairs, flat and curved second
-   factor;
+   factor, and the oracle's scalar against the exact scalar curvature of
+   a conformally flat 3d metric with unequal spacings;
 3. the product-action identity on flat-N, curved-N, and coupled-family
    ladders;
 4. constrained first variation: numeric directional derivatives against
@@ -179,12 +180,49 @@ def test_criterion_2_curvature_closed_forms():
                        f"{zeros} identically-zero families"
                        f"{'' if case_ok else '  <-- FAILED'}")
 
+    # A stencil-free anchor for the oracle itself: a conformal metric
+    # g = e^{2 phi} delta with trig phi has the exact scalar curvature
+    # R = -e^{-2 phi} (2 (d-1) lap phi + (d-2)(d-1) |grad phi|^2), with
+    # lap phi and grad phi written out by hand.  Every axis has its own
+    # spacing, so a stencil that reads the wrong axis's spacing shows.
+    periods = (TWO_PI, 1.5 * TWO_PI, 2.0 * TWO_PI)
+    levels = ((12, 16, 20), (24, 32, 40))
+
+    def anchor_error(points, order):
+        grid = GridSpec(points, periods)
+        d = grid.dim
+        phi, lap, grad_sq = (np.zeros(grid.shape) for _ in range(3))
+        for i, (x, L) in enumerate(zip(grid.meshes(), periods)):
+            w = TWO_PI / L
+            arg = w * x + 0.25 * math.pi * (i + 1)
+            phi = phi + 0.1 * np.sin(arg)
+            lap = lap - 0.1 * w * w * np.sin(arg)
+            grad_sq = grad_sq + (0.1 * w * np.cos(arg)) ** 2
+        g = SymTensorField(grid, np.exp(2.0 * phi)[..., None, None]
+                           * np.eye(d), is_metric=True)
+        exact = -np.exp(-2.0 * phi) * (2 * (d - 1) * lap
+                                       + (d - 2) * (d - 1) * grad_sq)
+        scalar = geometry.curvature_bundle(g, order).scalar.values
+        return float(np.abs(scalar - exact).max())
+
+    for order, need in ((2, 1.9), (4, 3.3)):
+        coarse, fine = (anchor_error(p, order) for p in levels)
+        rate = math.log2(coarse / fine)
+        anchor_ok = rate >= need
+        ok &= anchor_ok
+        details.append(
+            f"anchor e^(2 phi) delta, 3d {levels[0]} -> {levels[1]}, "
+            f"stencil order {order}: oracle scalar err {coarse:.3e} -> "
+            f"{fine:.3e}, order {rate:.3f} (need >= {need})"
+            f"{'' if anchor_ok else '  <-- FAILED'}")
+
     elapsed = time.time() - t0
     ok &= elapsed < 300.0
     details.append(f"all 12 component families per ladder; wall time "
                    f"{elapsed:.1f}s (budget 300s)")
     _gate(ok, "criterion 2: closed-form curvature matches the generic "
-              "oracle (err <= 1e-3 at 64/axis, order >= 1.8)", details)
+              "oracle (err <= 1e-3 at 64/axis, order >= 1.8), and the "
+              "oracle matches an exact scalar curvature", details)
 
 
 # ------------------------------------------------------------ criterion 3
@@ -285,7 +323,7 @@ def test_criterion_4_first_variation():
     dg = random_sym_tensor(pg.grid_m, rng, 0.3)
     [res] = first_variation_check(pg, [c], dg)
     inv = geometry.inverse_metric(pg.g)
-    s_naive = gradient_tensor(StateTerms.at(pg.g, pg.f, 4), 0.5).values
+    s_naive = gradient_tensor(StateTerms.at(pg.g, pg.f, 4), 0.5)
     pairing = np.einsum("...ik,...jl,...ij,...kl->...",
                         inv, inv, s_naive, dg.values)
     weight = ScalarField(pg.grid_m, np.exp(-pg.f.values)

@@ -1,6 +1,7 @@
 """End-to-end command line behavior: config validation, exit codes,
 reproducible CSV output, and the shipped sample configs."""
 
+import configparser
 import math
 import os
 import subprocess
@@ -283,6 +284,43 @@ def test_identity_flat_config(tmp_path, capsys):
                "--out", str(tmp_path / "id.csv")])
     assert rc == 0
     assert "[FAIL]" not in capsys.readouterr().out
+
+
+def with_tolerance(tmp_path, name, key, value):
+    """A copy of a shipped config with one [tolerances] key set."""
+    cfg = configparser.ConfigParser()
+    cfg.read(CONFIGS / name)
+    cfg["tolerances"][key] = value
+    path = tmp_path / name
+    with open(path, "w") as fh:
+        cfg.write(fh)
+    return path
+
+
+def test_curvature_fail_line_names_the_missed_bound(tmp_path, capsys):
+    # the quick ladder converges at order ~1.9 >= 1.5 but its final
+    # errors exceed 1e-9: the line names that bound, not the order one
+    cfg = with_tolerance(tmp_path, "curvature-quick.ini",
+                         "max_final_error", "1e-9")
+    rc = main(["verify-curvature", "--config", str(cfg),
+               "--out", str(tmp_path / "curv.csv")])
+    fails = [l for l in capsys.readouterr().out.splitlines()
+             if l.startswith("[FAIL]")]
+    assert rc == 1 and fails
+    for line in fails:
+        assert line.endswith("(need final error <= 1.0000000000000001e-09)")
+        assert "order >=" not in line
+
+
+def test_identity_fail_line_names_the_missed_bound(tmp_path, capsys):
+    cfg = with_tolerance(tmp_path, "identity-torus.ini",
+                         "max_final_residual", "1e-9")
+    rc = main(["verify-identity", "--config", str(cfg),
+               "--out", str(tmp_path / "id.csv")])
+    [line] = capsys.readouterr().out.splitlines()
+    assert rc == 1 and line.startswith("[FAIL] identity branch=plus: ")
+    assert line.endswith("(need |residual| <= 1.0000000000000001e-09)")
+    assert "order >=" not in line
 
 
 @pytest.mark.parametrize("seed", ["7", "1"])

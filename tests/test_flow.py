@@ -91,7 +91,7 @@ def test_flat_constant_pair_is_a_fixed_point():
     g = recipes.flat_metric(grid)
     f = ScalarField.constant(grid, 0.7)
     state = FlowState.initial(g, f)
-    assert np.all(gradient_tensor(StateTerms.at(g, f), 0.3).values == 0.0)
+    assert np.all(gradient_tensor(StateTerms.at(g, f), 0.3) == 0.0)
     traj = run_coupled(state, FlowConfig(dt=1e-3, t_end=5e-3,
                                          integrator="rk4", lam=0.3))
     final = traj[-1]
@@ -406,11 +406,11 @@ def test_rate_at_nonzero_coupling_needs_completed_covector():
     lap = geometry.laplace_beltrami(f, terms.bundle.inverse,
                                    geometry.volume_density(g))
     completed = SymTensorField(
-        grid, s.values
+        grid, s
         + (lam * (lap.values - terms.grad_sq))[..., None, None] * g.values)
     inv = terms.bundle.inverse
     pair = np.einsum("...ik,...jl,...ij,...kl->...",
-                     inv, inv, completed.values, s.values)
+                     inv, inv, completed.values, s)
     predicted = 2.0 * integrate(ScalarField(grid, pair), terms.weight)
     assert abs(rc.numeric_rate / predicted - 1.0) < 5e-4
 

@@ -103,7 +103,7 @@ def test_gradient_tensor_and_dissipation_at_fixed_point():
     grid = circle(32)
     f0 = ScalarField.constant(grid, 0.0)
     terms = StateTerms.at(recipes.flat_metric(grid), f0)
-    assert np.all(gradient_tensor(terms, 0.7).values == 0.0)
+    assert np.all(gradient_tensor(terms, 0.7) == 0.0)
     assert dissipation_integral(terms, 0.7) == 0.0
 
 
@@ -129,7 +129,7 @@ def test_one_state_record_serves_every_formula(monkeypatch):
     f = recipes.mixed_sine_scalar(grid, 0.3)
     own = StateTerms.at(g, f)
     expected = (F_lambda(own, 0.0), F_lambda(own, 0.5),
-                gradient_tensor(own, 0.5).values,
+                gradient_tensor(own, 0.5),
                 dissipation_integral(own, 0.5))
     passes = []
     bundle = geometry.curvature_bundle
@@ -143,7 +143,7 @@ def test_one_state_record_serves_every_formula(monkeypatch):
                          f)
     terms = pg.m_pieces
     got = (F_lambda(terms, 0.0), F_lambda(terms, 0.5),
-           gradient_tensor(terms, 0.5).values, dissipation_integral(terms, 0.5))
+           gradient_tensor(terms, 0.5), dissipation_integral(terms, 0.5))
     assert pg.m_pieces is terms and len(passes) == 1
     assert got[0] == expected[0] and got[1] == expected[1]
     assert np.array_equal(got[2], expected[2])
@@ -151,7 +151,7 @@ def test_one_state_record_serves_every_formula(monkeypatch):
     assert np.array_equal(completed_covector(terms, 0.5),
                           completed_covector(own, 0.5))
     assert np.array_equal(completed_covector(terms, 0.0),
-                          gradient_tensor(terms, 0.0).values)
+                          gradient_tensor(terms, 0.0))
 
 
 def test_lazy_state_record_matches_the_eager_terms():
@@ -327,7 +327,7 @@ def test_variation_covector_needs_trace_completion():
     [res] = first_variation_check(pg, lambda_to_constants(2, 1, lam)[:1], dg)
 
     terms = StateTerms.at(pg.g, pg.f, pg.order)
-    s_naive = gradient_tensor(terms, lam).values
+    s_naive = gradient_tensor(terms, lam)
     inv = terms.bundle.inverse
     pairing = np.einsum("...ik,...jl,...ij,...kl->...",
                         inv, inv, s_naive, dg.values)
@@ -346,7 +346,7 @@ def test_variation_trace_term_inert_at_lambda_zero():
     [res] = first_variation_check(pg, lambda_to_constants(2, 1, 0.0)[:1], dg)
 
     terms = StateTerms.at(pg.g, pg.f, pg.order)
-    s_naive = gradient_tensor(terms, 0.0).values
+    s_naive = gradient_tensor(terms, 0.0)
     inv = terms.bundle.inverse
     pairing = np.einsum("...ik,...jl,...ij,...kl->...",
                         inv, inv, s_naive, dg.values)

@@ -184,7 +184,7 @@ def test_hessian_flat_equals_plain_second_derivatives():
             manual = diff_array(diff_array(f.values, grid, j), grid, i)
             manual = 0.5 * (manual
                             + diff_array(diff_array(f.values, grid, i), grid, j))
-            assert np.allclose(hess.values[..., i, j], manual, atol=1e-13)
+            assert np.allclose(hess[..., i, j], manual, atol=1e-13)
 
 
 def test_hessian_trace_matches_laplacian_flat_then_converges():
@@ -192,7 +192,7 @@ def test_hessian_trace_matches_laplacian_flat_then_converges():
     f = recipes.sine_scalar(grid, 0.5)
     flat = recipes.flat_metric(grid)
     gamma = geometry.curvature_bundle(flat).christoffel
-    trace = np.einsum("...ii->...", hessian(f, gamma).values)
+    trace = np.einsum("...ii->...", hessian(f, gamma))
     lap = laplacian(f, flat)
     assert np.allclose(trace, lap.values, atol=1e-12)
 
@@ -203,7 +203,7 @@ def test_hessian_trace_matches_laplacian_flat_then_converges():
     f = recipes.sine_scalar(grid, 0.5)
     bundle = geometry.curvature_bundle(g)
     tr = np.einsum("...ij,...ij->...", bundle.inverse,
-                   hessian(f, bundle.christoffel).values)
+                   hessian(f, bundle.christoffel))
     assert np.allclose(tr, laplacian(f, g).values,
                        atol=1e-13)
 
@@ -216,7 +216,7 @@ def test_hessian_trace_matches_laplacian_flat_then_converges():
         f = recipes.sine_scalar(grid, 0.5)
         bundle = geometry.curvature_bundle(g)
         tr = np.einsum("...ij,...ij->...", bundle.inverse,
-                       hessian(f, bundle.christoffel).values)
+                       hessian(f, bundle.christoffel))
         return float(np.abs(tr - laplacian(f, g).values).max())
 
     g32, g64 = gap(32), gap(64)

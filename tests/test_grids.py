@@ -11,11 +11,12 @@ from warpflow.flow import FlowConfig, FlowState, step
 from warpflow.functionals import gradient_tensor
 from warpflow.geometry import StateTerms
 from warpflow.grids import (GridSpec, ScalarField, SymTensorField,
-                            diff_array, filter_array, integrate)
+                            diff_array, filter_array, integrate,
+                            symmetric_part)
 from warpflow.verify import FieldSpec, StudySpec, build_product_geometry
 from warpflow.warped import (assemble_product_metric, christoffel_closed_form,
-                             ricci_closed_ansatz, ricci_closed_general,
-                             solve_perelman_constants)
+                             lambda_to_constants, ricci_closed_ansatz,
+                             ricci_closed_general, solve_perelman_constants)
 
 TAU = 2.0 * math.pi
 
@@ -65,18 +66,35 @@ def test_scalar_field_validation():
     assert np.array_equal(f.values, np.sin(grid.coordinates(0)))
 
 
-def test_sym_tensor_storage_is_full_symmetric_and_read_only():
-    # a symmetric input is stored bit for bit, as a new array
+def test_sym_tensor_keeps_and_freezes_the_array_it_is_given():
+    # a C-contiguous float64 symmetric input is stored without a copy
     grid = GridSpec((8, 10), (TAU, 3.0))
     rng = np.random.default_rng(0)
-    mat = rng.standard_normal(grid.shape + (2, 2))
-    mat = mat + np.swapaxes(mat, -1, -2)
-    for t in (SymTensorField(grid, mat),
-              SymTensorField.from_matrix(grid, mat)):
-        assert np.array_equal(t.values, mat) and t.values is not mat
-    assert mat.flags.writeable
+    for make in (SymTensorField, SymTensorField.from_matrix):
+        mat = rng.standard_normal(grid.shape + (2, 2))
+        mat = mat + np.swapaxes(mat, -1, -2)
+        t = make(grid, mat)
+        assert t.values is mat and np.shares_memory(t.values, mat)
+        # frozen: neither the field's reference nor the caller's writes
+        for ref in (t.values, mat):
+            with pytest.raises(ValueError):
+                ref[0, 0, 0, 1] = 1.0
+    # any other input is converted, once, to C-contiguous float64
+    ints = np.zeros(grid.shape + (2, 2), dtype=int)
+    strided = np.asfortranarray(rng.standard_normal(grid.shape + (2, 2)))
+    strided = strided + np.swapaxes(strided, -1, -2)
+    for raw in (ints, strided):
+        t = SymTensorField(grid, raw)
+        assert not np.shares_memory(t.values, raw)
+        assert t.values.dtype == np.float64 and t.values.flags.c_contiguous
+        assert np.array_equal(t.values, raw) and raw.flags.writeable
+        assert not t.values.flags.writeable
 
+
+def test_sym_tensor_storage_is_full_symmetric_and_read_only():
     # every producer stores the full (..., d, d) matrix, symmetric to the bit
+    grid = GridSpec((8, 10), (TAU, 3.0))
+    rng = np.random.default_rng(0)
     g = recipes.random_spd_metric(grid, rng, 0.3)
     f = recipes.mixed_sine_scalar(grid, 0.3)
     bundle = geometry.curvature_bundle(g)
@@ -87,13 +105,14 @@ def test_sym_tensor_storage_is_full_symmetric_and_read_only():
     rk4 = step(FlowState.initial(g, f),
                FlowConfig(dt=1e-4, t_end=1e-4, lam=0.5, integrator="rk4",
                           filter_cutoff=0.75))
+    # off the special locus the general form's Z = 0.30000000000000004 is
+    # no power of two, so Z df_i df_j must not round by index order
+    off_locus = lambda_to_constants(2, 1, 0.3)[0]
     fields = [recipes.flat_metric(grid), recipes.conformal_metric(grid, 0.1),
               recipes.random_sym_tensor(grid, rng), g, bundle.ricci,
-              geometry.hessian(geometry.gradient_components(f),
-                               bundle.christoffel),
-              gradient_tensor(StateTerms.at(g, f), 0.5),
               assemble_product_metric(pg, c),
               ricci_closed_general(pg, c)[0],
+              ricci_closed_general(pg, off_locus)[0],
               ricci_closed_ansatz(pg, c)[0], rk4.g]
     for t in fields:
         d = t.grid.dim
@@ -103,6 +122,14 @@ def test_sym_tensor_storage_is_full_symmetric_and_read_only():
         assert t.matrix() is t.values
         with pytest.raises(ValueError):
             t.matrix()[(0,) * (d + 2)] = 1.0
+
+    # the Hessian and S_lam are plain arrays, symmetric to the bit
+    for arr in (geometry.hessian(geometry.gradient_components(f),
+                                 bundle.christoffel),
+                gradient_tensor(StateTerms.at(g, f), 0.5),
+                gradient_tensor(StateTerms.at(g, f), 0.3)):
+        assert isinstance(arr, np.ndarray) and arr.shape == grid.shape + (2, 2)
+        assert np.array_equal(arr, np.swapaxes(arr, -1, -2))
 
     # both Christoffel producers write Gamma^k_{ij} symmetric in (i, j)
     # to the bit, which no constructor checks
@@ -122,11 +149,20 @@ def test_sym_tensor_rejects_asymmetric_unless_projected():
     t = SymTensorField.from_matrix(grid, mat, symmetrize=True)
     assert np.all(t.values[..., 0, 1] == 0.5)
     assert np.all(t.values[..., 1, 0] == 0.5)
-    # asymmetry at roundoff passes the check and is projected away
+    assert mat.flags.writeable and not np.shares_memory(t.values, mat)
+    # asymmetry at roundoff is asymmetry: it raises, at one node too
     mat[..., 1, 0] = 1.0 + 1e-12
-    t = SymTensorField(grid, mat)
-    assert np.all(t.values[..., 0, 1] == 0.5 * (1.0 + (1.0 + 1e-12)))
+    with pytest.raises(ValueError):
+        SymTensorField(grid, mat)
+    mat[..., 1, 0] = 1.0
+    mat[7, 3, 1, 0] = 1.0 + 1e-12
+    with pytest.raises(ValueError):
+        SymTensorField(grid, mat)
+    # the projection is the symmetric part, in one operation order
+    t = SymTensorField.from_matrix(grid, mat, symmetrize=True)
+    assert t.values[7, 3, 0, 1] == 0.5 * (1.0 + (1.0 + 1e-12))
     assert np.array_equal(t.values[..., 0, 1], t.values[..., 1, 0])
+    assert np.array_equal(symmetric_part(mat), t.values)
 
 
 def test_metric_flag_requires_spd():

@@ -19,6 +19,10 @@ Exits 1 when an exit code or a verdict line (a printed line up to its
 first colon, e.g. ``[PASS] scalar_general`` or ``error``, with every
 decimal number in it masked, so that ``[PASS] coupled run complete,
 constraint drift 5.36e-10`` compares as a verdict) differs, else 0.
+A config under ``configs/`` that REV does not have (``git cat-file -e
+REV:configs/NAME.ini`` fails) is one a change adds, often to show a
+defect it fixes: its rows are marked "new at change" and still run on
+both trees, but do not count toward the exit status.
 Standard library only.
 """
 
@@ -41,6 +45,15 @@ COMMANDS = {"curvature": "verify-curvature", "identity": "verify-identity",
             "variation": "verify-variation", "flow": "flow"}
 SEEDS = (1, 2)
 THREADS = ("1", None)
+
+
+def new_at_change(rev: str, ini: Path) -> bool:
+    """Whether ``ini`` is a file of ``configs/`` that REV does not have."""
+    if ini.resolve().parent != ROOT / "configs":
+        return False
+    return subprocess.run(["git", "cat-file", "-e",
+                           f"{rev}:configs/{ini.name}"], cwd=ROOT,
+                          capture_output=True).returncode != 0
 
 
 def extract_src(rev: str, into: Path) -> Path:
@@ -122,18 +135,19 @@ def bench_inis(into: Path) -> list[tuple[str, Path]]:
     return labelled
 
 
-def runs(inis: list[tuple[str, Path]]):
-    """(label, argv, threads) of every run, in order."""
+def runs(inis: list[tuple[str, Path]], new: set[Path]):
+    """(label, argv, threads, whether the INI is in ``new``) of every run,
+    in order."""
     for threads in THREADS:
         tag = "1 thread" if threads else "default threads"
         yield f"constants --m 3 --n 1, {tag}", \
-            ["constants", "--m", "3", "--n", "1"], threads
+            ["constants", "--m", "3", "--n", "1"], threads, False
         for name, ini in inis:
             command = COMMANDS[ini.stem.split("-")[0]]
             for seed in SEEDS:
                 yield (f"{name}, seed {seed}, {tag}",
                        [command, "--config", str(ini.resolve()),
-                        "--seed", str(seed)], threads)
+                        "--seed", str(seed)], threads, ini in new)
 
 
 def main(argv=None) -> int:
@@ -148,16 +162,19 @@ def main(argv=None) -> int:
     print("| run | exit (base, change) | same lines | CSV | "
           "largest relative difference (column) |")
     print("| --- | --- | --- | --- | --- |")
+    new = {ini for _, ini in inis if new_at_change(args.base, ini)}
     differs = False
     with tempfile.TemporaryDirectory() as tmp:
         base_src = extract_src(args.base, Path(tmp) / "base")
         if args.bench:
             inis += bench_inis(Path(tmp) / "bench")
         out = Path(tmp) / "out.csv"
-        for label, cli_argv, threads in runs(inis):
+        for label, cli_argv, threads, is_new in runs(inis, new):
             code_b, lines_b, csv_b = run(base_src, cli_argv, threads, out)
             code_c, lines_c, csv_c = run(ROOT / "src", cli_argv, threads, out)
-            if code_b != code_c or verdicts(lines_b) != verdicts(lines_c):
+            if is_new:
+                label += " (new at change)"
+            elif code_b != code_c or verdicts(lines_b) != verdicts(lines_c):
                 differs = True
             if csv_b is None or csv_c is None:
                 csv, gap = ("none" if csv_b is None and csv_c is None
