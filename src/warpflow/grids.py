@@ -22,20 +22,21 @@ Conventions, fixed once for the whole package:
 * All field values are float64 and finite; metrics are checked for
   positive definiteness node by node when flagged with ``is_metric``,
   and a metric field holds its nodewise determinant (``det``).
-* The nodewise algebra of a metric (its positive-definiteness check, its
-  determinant and its inverse) is taken in closed form up to
-  ``_CLOSED_FORM_DIM`` = 3, where LAPACK's per-call setup costs more than
-  the arithmetic of a few thousand small matrices; from d = 4 on it goes
-  through LAPACK.  This module alone makes that choice: the geometry
-  module's inverse reads ``metric_inverse`` and its volume density reads
-  ``det``.
+* The nodewise algebra of a metric is one LDL^T factorization, taken in
+  blocks of ``_FACTOR_NODES`` nodes on component-major planes: its
+  pivots are the positive-definiteness check and their product is the
+  determinant, at every d.  The inverse is the adjugate over that
+  determinant up to ``_CLOSED_FORM_DIM`` = 3, and L^-T D^-1 L^-1 from
+  d = 4 on.  No LAPACK routine is on this path.  This module alone makes
+  these choices: the geometry module's inverse reads ``metric_inverse``
+  and its volume density reads ``det``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -164,12 +165,10 @@ class SymTensorField:
     only if not C-contiguous float64), frozen: ``values``, ``matrix()``
     and the caller's own reference are all read-only.  With
     ``is_metric=True`` the constructor additionally verifies positive
-    definiteness at every node, by the signs of the LDL^T pivots at
-    d <= 3 and a blocked Cholesky factorization from d = 4 on, and
+    definiteness at every node, by the signs of the LDL^T pivots, and
     reports the first offending node and its smallest eigenvalue on
-    failure.  A metric holds its determinant ``det``: at d <= 3 the
-    product of the pivots the check took, from d = 4 on LAPACK's, taken
-    on first read.
+    failure.  A metric holds its determinant ``det``, read-only: the
+    product of the pivots the check took.
     """
 
     grid: GridSpec
@@ -187,10 +186,8 @@ class SymTensorField:
         arr.flags.writeable = False
         self.values = arr
         if self.is_metric:
-            det = _require_spd(self.grid, arr)
-            if det is not None:
-                det.flags.writeable = False
-                self.det = det
+            self.det = _require_spd(self.grid, arr)
+            self.det.flags.writeable = False
 
     @classmethod
     def from_matrix(cls, grid: GridSpec, mat, is_metric: bool = False,
@@ -204,14 +201,6 @@ class SymTensorField:
         """The stored (..., d, d) array itself: read-only, not a copy."""
         return self.values
 
-    @cached_property
-    def det(self) -> np.ndarray:
-        """The determinant at each node, read-only: LAPACK's, taken on
-        first read, unless a metric's check took it."""
-        det = np.linalg.det(self.values)
-        det.flags.writeable = False
-        return det
-
 
 def symmetric_part(mat: np.ndarray) -> np.ndarray:
     """0.5 (A + A^T) of a (..., d, d) array as a new C-contiguous array:
@@ -221,45 +210,95 @@ def symmetric_part(mat: np.ndarray) -> np.ndarray:
     return sym
 
 
-# Largest matrix size whose nodewise determinant, inverse and
-# positive-definiteness check are taken in closed form.
+# Largest matrix size whose nodewise inverse is the adjugate over the
+# determinant; from d = 4 on L^-T D^-1 L^-1 costs less.
 _CLOSED_FORM_DIM = 3
 
+# Nodes per block of the LDL^T factorization: a block's component planes
+# and every temporary of the recurrence stay in cache.
+_FACTOR_NODES = 4096
 
-def _small_pivots(mats: np.ndarray) -> list[np.ndarray]:
-    """The pivots p_1..p_d of the LDL^T factorization of each symmetric
-    (..., d, d) node matrix, d <= 3: p_k is the k-th leading principal
-    minor over the (k-1)-th, the square of the k-th diagonal entry of the
-    Cholesky factor.  p_1 is a read-only view of the entries.  A pivot
-    that leaves the float range comes out inf or NaN, silently, for the
-    caller's guard to see."""
-    d = mats.shape[-1]
-    a = mats[..., 0, 0]
-    if d == 1:
-        return [a]
+
+def _ldl(planes: np.ndarray, d: int) -> tuple[list, list]:
+    """The LDL^T factorization of a block of symmetric d x d node
+    matrices, given as component-major planes (``planes[i * d + k]`` holds
+    the (i, k) entries): the pivots p_k = w[k][k] and the multipliers
+    l[i][k] = w[i][k] / p_k, i > k, of the recurrence
+
+        w[i][k] = a[i][k] - sum_{p<k} w[k][p] (w[i][p] / p_p),   i >= k.
+
+    p_k is the k-th leading principal minor over the (k-1)-th, the square
+    of the k-th diagonal entry of the Cholesky factor.  p_1 is a view of
+    the planes.  A pivot that leaves the float range comes out inf or
+    NaN, silently, for the caller's guard to see."""
+    w = [[planes[i * d + k] for k in range(i + 1)] for i in range(d)]
+    l = [[None] * d for _ in range(d)]
     with np.errstate(all="ignore"):
-        b, e = mats[..., 0, 1], mats[..., 1, 1]
-        l10 = b / a
-        p2 = e - b * l10
-        if d == 2:
-            return [a, p2]
-        c, f, i = mats[..., 0, 2], mats[..., 1, 2], mats[..., 2, 2]
-        l20 = c / a
-        t = f - b * l20                     # p_2 times L's (2, 1) entry
-        return [a, p2, i - c * l20 - t * (t / p2)]
+        for k in range(d):
+            for i in range(k, d):
+                for p in range(k):
+                    w[i][k] = w[i][k] - w[k][p] * l[i][p]
+            for i in range(k + 1, d):
+                l[i][k] = w[i][k] / w[k][k]
+    return [w[k][k] for k in range(d)], l
 
 
-def metric_inverse(g: SymTensorField) -> tuple[np.ndarray, np.ndarray | bool]:
-    """Inverse of each node matrix of a metric, and where it is lost: at
-    d <= 3 the adjugate over ``g.det``, lost where det under- or
-    overflowed; from d = 4 on LAPACK's.  Each cofactor is divided by det
-    as it is written, and (i, j) and (j, i) share one, so the result is
-    symmetric to the bit.  Out-of-range values come out inf or NaN."""
+def _ldl_blocks(mats: np.ndarray):
+    """Each block of ``_FACTOR_NODES`` flattened nodes of a (..., d, d)
+    array, as its slice and the ``_ldl`` factors of its nodes.  A block's
+    factors are dropped when the next one is taken, so none outlives it."""
+    d = mats.shape[-1]
+    nodes = mats.reshape(-1, d * d)
+    for start in range(0, len(nodes), _FACTOR_NODES):
+        blk = slice(start, start + _FACTOR_NODES)
+        yield blk, _ldl(np.ascontiguousarray(nodes[blk].T), d)
+
+
+def _ldl_inverse(pivots: list, l: list, d: int) -> np.ndarray:
+    """L^-T D^-1 L^-1 from one block's ``_ldl`` factors, as (d * d, n)
+    planes.  With m = L^-1 (unit lower triangular),
+
+        inv[i][j] = sum_{k>=j} (m[k][i] / p_k) m[k][j],   i <= j,
+
+    and (i, j) and (j, i) are written from one value, so the inverse is
+    symmetric to the bit."""
+    m = [[None] * d for _ in range(d)]
+    for j in range(d):
+        for i in range(j + 1, d):
+            s = l[i][j]
+            for k in range(j + 1, i):
+                s = s + l[i][k] * m[k][j]
+            m[i][j] = -s
+    r = [1.0 / p for p in pivots]
+    x = [[m[k][i] * r[k] for i in range(k)] for k in range(d)]
+    out = np.empty((d * d,) + pivots[0].shape)
+    for j in range(d):
+        for i in range(j + 1):
+            s = r[j] if i == j else x[j][i]
+            for k in range(j + 1, d):
+                s = s + x[k][i] * m[k][j]
+            out[i * d + j] = out[j * d + i] = s
+    return out
+
+
+def metric_inverse(g: SymTensorField) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of each node matrix of a metric, and where it is lost:
+    where ``g.det`` under- or overflowed.  At d <= 3 it is the adjugate
+    over ``g.det``, each cofactor divided by det as it is written; from
+    d = 4 on each block of nodes is factored again and its inverse is
+    L^-T D^-1 L^-1.  Either way (i, j) and (j, i) share one value, so the
+    result is symmetric to the bit.  Out-of-range values come out inf or
+    NaN."""
     mats, d = g.values, g.grid.dim
-    if d > _CLOSED_FORM_DIM:
-        return np.linalg.inv(mats), False
     det = g.det
+    lost = ~np.isfinite(det) | (det == 0.0)
     out = np.empty(mats.shape)
+    if d > _CLOSED_FORM_DIM:
+        flat = out.reshape(-1, d * d)
+        with np.errstate(all="ignore"):
+            for blk, (pivots, l) in _ldl_blocks(mats):
+                flat[blk] = _ldl_inverse(pivots, l, d).T
+        return out, lost
 
     def m(i, j):
         return mats[..., i, j]
@@ -279,32 +318,25 @@ def metric_inverse(g: SymTensorField) -> tuple[np.ndarray, np.ndarray | bool]:
             for j in range(i, d):
                 np.divide(cofactor(i, j), det, out=out[..., i, j])
                 out[..., j, i] = out[..., i, j]
-    return out, ~np.isfinite(det) | (det == 0.0)
+    return out, lost
 
 
-def _require_spd(grid: GridSpec, mats: np.ndarray) -> np.ndarray | None:
-    """Raise MetricDegeneracyError unless every node matrix is symmetric
-    positive definite.  At d <= 3 the test is that every pivot is
+def _require_spd(grid: GridSpec, mats: np.ndarray) -> np.ndarray:
+    """The determinant of each node matrix, the product of its LDL^T
+    pivots; raise MetricDegeneracyError unless every node matrix is
+    symmetric positive definite.  The test is that every pivot is
     positive and finite, which is that every leading principal minor is:
-    the Cholesky factorization's own test, in closed form, and their
-    product, the determinant, is returned.  From d = 4 on the
-    factorization is LAPACK's; its factors are discarded, so they are
-    taken 4096 nodes at a time: no full-size copy of the field is made."""
-    nodes = mats.reshape(-1, grid.dim, grid.dim)
-    if grid.dim <= _CLOSED_FORM_DIM:
-        pivots = _small_pivots(nodes)
-        if all(np.all((p > 0.0) & (p < np.inf)) for p in pivots):
-            with np.errstate(all="ignore"):
-                return math.prod(pivots).reshape(grid.shape)
+    the Cholesky factorization's own test."""
+    det = np.empty(math.prod(grid.shape))
+    for blk, (pivots, _) in _ldl_blocks(mats):
+        if not all(np.all((p > 0.0) & (p < np.inf)) for p in pivots):
+            break
+        with np.errstate(all="ignore"):
+            det[blk] = math.prod(pivots)
     else:
-        try:
-            for start in range(0, len(nodes), 4096):
-                np.linalg.cholesky(nodes[start:start + 4096])
-            return
-        except np.linalg.LinAlgError:
-            pass
+        return det.reshape(grid.shape)
     # Slow path only on failure: locate the first bad node for the report.
-    eigs = np.linalg.eigvalsh(nodes)
+    eigs = np.linalg.eigvalsh(mats.reshape(-1, grid.dim, grid.dim))
     bad = np.nonzero(eigs[:, 0] <= 0.0)[0]
     flat = int(bad[0]) if bad.size else int(np.argmin(eigs[:, 0]))
     node = tuple(int(c) for c in np.unravel_index(flat, grid.shape))

@@ -81,9 +81,10 @@ def test_inverse_metric_roundtrip_and_guard():
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_metric_determinant_is_taken_once(monkeypatch, d):
-    # at d <= 3 the positive-definiteness check's pivots give the
-    # determinant; from d = 4 on LAPACK's is taken on its first read.
-    # Either way the inverse and every density read that one determinant.
+    # the positive-definiteness check's pivots give the determinant, at
+    # every d, and the inverse and every density read that one
+    # determinant.  From d = 4 on the inverse factors each block again
+    # for L^-T D^-1 L^-1, and takes no determinant.
     calls = []
 
     def counted(fn, name):
@@ -92,14 +93,14 @@ def test_metric_determinant_is_taken_once(monkeypatch, d):
             return fn(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(grids, "_small_pivots",
-                        counted(grids._small_pivots, "pivots"))
+    monkeypatch.setattr(grids, "_ldl", counted(grids._ldl, "pivots"))
     monkeypatch.setattr(np.linalg, "det", counted(np.linalg.det, "det"))
     g = recipes.random_spd_metric(torus(8, dim=d), np.random.default_rng(d),
-                                  amplitude=0.3)
-    inv = geometry.inverse_metric(g)
+                                  amplitude=0.3)   # one block of nodes
     rho = [geometry.volume_density(g).values for _ in range(2)]
-    assert calls == (["pivots"] if d <= 3 else ["det"])
+    assert calls == ["pivots"]
+    inv = geometry.inverse_metric(g)
+    assert calls == ["pivots"] * (1 if d <= 3 else 2)
     assert np.array_equal(rho[0], rho[1])
     assert np.array_equal(rho[0], np.sqrt(g.det))
     assert not g.det.flags.writeable      # shared by every reader

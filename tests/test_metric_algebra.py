@@ -2,21 +2,24 @@
 
 A metric field ``SymTensorField(..., is_metric=True)`` holds its
 determinant, which its inverse (``geometry.inverse_metric``) and its
-volume density (``geometry.volume_density``) read.  At d <= 3 the
-positive-definiteness check, the determinant (the product of the check's
-pivots) and the inverse are the closed forms of the grids module; from
-d = 4 on they are LAPACK's.  With eps the float64 unit roundoff and
-the Frobenius condition estimate kappa = ||g|| ||g^-1|| of a node, the
-closed forms are held to LAPACK at every node within
+volume density (``geometry.volume_density``) read.  At every d the
+positive-definiteness check is the sign test of the LDL^T pivots, taken
+in blocks of nodes, and the determinant is their product; the inverse is
+the adjugate over it at d <= 3 and L^-T D^-1 L^-1 from d = 4 on.  No
+LAPACK routine is called on that path, so LAPACK is the reference here.
+With eps the float64 unit roundoff and the Frobenius condition estimate
+kappa = ||g|| ||g^-1|| of a node, the factorization is held to LAPACK at
+every node within
 
 * inverse: ||inv - np.linalg.inv||_F <= 2 d eps kappa ||np.linalg.inv||_F;
 * determinant: |det - np.linalg.det| <= 4 d eps (kappa + |log det|) |det|.
   The log term is the reference's own roundoff: numpy forms the
   determinant as the exponential of the summed logs of the LU pivots.
 
-A failed check reports what the LAPACK path reported: the first node
-whose smallest eigenvalue is not positive, or the node of the largest
-condition estimate, and that node's smallest eigenvalue.
+A failed check reports what a LAPACK Cholesky check and inverse would
+lead to: the first node whose smallest eigenvalue is not positive, or
+the node of the largest condition estimate, and that node's smallest
+eigenvalue.
 """
 
 import math
@@ -25,7 +28,7 @@ import warnings
 import numpy as np
 import pytest
 
-from warpflow import geometry
+from warpflow import geometry, grids
 from warpflow.errors import MetricDegeneracyError
 from warpflow.grids import GridSpec, SymTensorField
 
@@ -78,7 +81,7 @@ def assert_matches_lapack(g):
 
 @st.composite
 def spd_fields(draw):
-    d = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 5))
     nodes = draw(st.integers(1, 600))
     log_cond = draw(st.floats(0.0, 11.0))
     log_scale = draw(st.floats(-3.0, 3.0))
@@ -95,7 +98,9 @@ def test_closed_forms_match_lapack_on_random_spd_fields(g):
 
 @pytest.mark.parametrize("spectrum", [(1.0, 1.5e-12), (1.0, 0.5, 2e-12),
                                       (1.0, 2e-12, 2e-12),
-                                      (3.0, 8e-12, 5e-12)])
+                                      (3.0, 8e-12, 5e-12),
+                                      (1.0, 0.5, 0.3, 2e-12),
+                                      (3.0, 8e-12, 5e-12, 1.0)])
 def test_closed_forms_near_the_condition_limit(spectrum):
     # just inside CONDITION_LIMIT, with one or two small eigenvalues
     g = metric_of(rotated(np.array([spectrum] * 5), len(spectrum)))
@@ -105,7 +110,8 @@ def test_closed_forms_near_the_condition_limit(spectrum):
 
 
 @pytest.mark.parametrize("spectrum", [(1.0, 5e-13), (1.0, 0.5, 5e-13),
-                                      (1.0, 5e-13, 5e-13)])
+                                      (1.0, 5e-13, 5e-13),
+                                      (1.0, 0.5, 0.3, 5e-13)])
 def test_just_past_the_condition_limit_is_refused(spectrum):
     g = metric_of(rotated(np.array([spectrum]), 0))
     assert geometry.CONDITION_LIMIT < float(
@@ -115,28 +121,29 @@ def test_just_past_the_condition_limit_is_refused(spectrum):
     assert err.value.node == (0,) * len(spectrum)
 
 
+@pytest.mark.parametrize("d", [3, 4])
 @pytest.mark.parametrize("scale", [1e-110, 1e110, 1e200])
-def test_determinant_out_of_float_range_is_refused(scale):
+def test_determinant_out_of_float_range_is_refused(scale, d):
     # positive definite, but the determinant under- or overflows: the
     # inverse would be zeros or NaNs, so the guard refuses it, and no
     # floating-point warning escapes on the way
-    d = 3
     grid = GridSpec((8,) * d, (1.0,) * d)
     vals = np.broadcast_to(np.eye(d), grid.shape + (d, d)).copy()
-    vals[7, 7, 6] *= scale
+    node = (7,) * (d - 1) + (6,)
+    vals[node] *= scale
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         g = SymTensorField(grid, vals, is_metric=True)
         with pytest.raises(MetricDegeneracyError) as err:
             geometry.inverse_metric(g)
-    assert err.value.node == (7, 7, 6)
+    assert err.value.node == node
     assert err.value.eigenvalue == scale
     assert "condition estimate inf" in str(err.value)
 
 
-# Grids of 4100 and 4352 nodes: LAPACK's check ran in blocks of 4096, so
-# these bad nodes sat in its ragged last block.
-RAGGED = {1: (4100,), 3: (16, 16, 17)}
+# Grids of 4100, 4352 and 4608 nodes: the check runs in blocks of 4096,
+# so the bad nodes past node 4096 sit in its ragged last block.
+RAGGED = {1: (4100,), 3: (16, 16, 17), 4: (8, 8, 8, 9)}
 
 
 def field_with(d, bad):
@@ -176,6 +183,12 @@ SPD_CASES = [
     (3, {(15, 15, 16): np.diag([1.0, 1.0, 0.0])}),
     (3, {(15, 15, 16): np.diag([1.0, 1.0, 0.0]),
          (15, 15, 12): rotated(np.array([[2.0, 1.0, -0.25]]), 2)[0]}),
+    (4, {(7, 5, 3, 8): rotated(np.array([[1.0, 2.0, -1e-3, 0.5]]), 6)[0]}),
+    (4, {(7, 7, 7, 8): np.diag([1.0, 1.0, 1.0, 0.0])}),
+    (4, {(7, 6, 0, 0): np.diag([1.0, 0.0, 1.0, 1.0]),
+         (7, 7, 7, 1): rotated(np.array([[3.0, -2.0, 1.0, 1.0]]), 7)[0]}),
+    (4, {(0, 0, 0, 5): np.diag([1.0, 1.0, -1e-300, 1.0]),
+         (7, 6, 2, 2): np.diag([-3.0, 1.0, 1.0, 1.0])}),
 ]
 
 
@@ -198,6 +211,9 @@ CONDITION_CASES = [
     (3, {(15, 15, 13): rotated(np.array([[1.0, 1.0, 1e-13]]), 3)[0]}),
     (3, {(2, 3, 4): rotated(np.array([[1.0, 1e-13, 1e-13]]), 4)[0],
          (15, 15, 13): rotated(np.array([[1.0, 2.0, 1e-14]]), 5)[0]}),
+    (4, {(7, 6, 5, 4): rotated(np.array([[1.0, 1.0, 0.5, 1e-13]]), 8)[0]}),
+    (4, {(2, 3, 4, 5): rotated(np.array([[1.0, 1e-13, 1.0, 1e-13]]), 9)[0],
+         (7, 7, 1, 8): rotated(np.array([[1.0, 2.0, 3.0, 1e-14]]), 10)[0]}),
 ]
 
 
@@ -211,8 +227,8 @@ def test_condition_report_matches_the_lapack_path(d, bad):
     assert (err.value.node, err.value.eigenvalue) == (node, lam)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
-def test_lapack_only_from_d_4(monkeypatch, d):
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_no_lapack_on_the_metric_path(monkeypatch, d):
     calls = []
 
     def counted(name):
@@ -223,12 +239,28 @@ def test_lapack_only_from_d_4(monkeypatch, d):
             return lapack(*args, **kwargs)
         return call
 
+    mats = rotated(np.ones((1, d)) + np.arange(d), d)
     for name in ("inv", "det", "cholesky"):
         monkeypatch.setattr(np.linalg, name, counted(name))
-    g = metric_of(rotated(np.ones((1, d)) + np.arange(d), d))
+    g = metric_of(mats)
     geometry.inverse_metric(g)
     geometry.volume_density(g)
-    if d <= 3:
-        assert calls == []
-    else:
-        assert sorted(set(calls)) == ["cholesky", "det", "inv"]
+    assert calls == []
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_factorization_is_the_same_for_any_block_size(monkeypatch, d):
+    # every node is factored on its own, so where a block ends changes
+    # no bit of the determinant or the inverse
+    grid = GridSpec((8,) * (d - 1) + (9,), (1.0,) * d)
+    spectra = 10.0 ** np.random.default_rng(d).uniform(
+        -4.0, 4.0, (math.prod(grid.shape), d))
+    vals = rotated(spectra, d).reshape(grid.shape + (d, d))
+    results = []
+    for block in (4096, 1000):
+        monkeypatch.setattr(grids, "_FACTOR_NODES", block)
+        g = SymTensorField(grid, vals, is_metric=True)
+        results.append((g.det, geometry.inverse_metric(g)))
+    (det, inv), (det2, inv2) = results
+    assert np.array_equal(det, det2) and np.array_equal(inv, inv2)
+    assert np.array_equal(inv, np.swapaxes(inv, -1, -2))
