@@ -44,24 +44,24 @@ Discrete quirks worth knowing:
   the order-4 stencil's one temporary, plus one block's worth, which is
   what lets 4d product grids with a few million nodes fit in a small
   container.
-* The three contractions that read the cube are batched matrix products
-  over a block's nodes: Gamma^p_{ad} Gamma^a_{bp} as
-  (d, d^2) @ (d^2, d), and Gamma^p_{bd} Gamma^a_{ap} and Hessian's
-  Gamma^k_{jl} D_k f as (1, d) @ (d, d^2).  Each node's products go
-  through BLAS, independently of the other nodes, so where a block ends
-  changes no bit.  They are not bitwise equal to the einsum formulas
-  they stand for: the sums run in another order, and differ from them by
-  a few ulps of the summed magnitudes.
-* A metric field holds its determinant, and the inverse and the volume
-  density both read it.  At d <= 3, the flows' and the M-grid pieces'
-  sizes, it is the product of the LDL^T pivots that the grids module's
-  positive-definiteness check took, and the inverse is the adjugate over
-  it: a few thousand 2x2 or 3x3 matrices cost LAPACK more in per-call
-  setup than in arithmetic.  These closed forms are not bitwise equal to
+* Of the three contractions that read the cube, Gamma^p_{ad} Gamma^a_{bp}
+  is a batched matrix product over a block's nodes, (d, d^2) @ (d^2, d),
+  and Gamma^p_{bd} Gamma^a_{ap} and the Hessian's Gamma^k_{jl} D_k f are
+  one einsum over the block, sum_p v_p Gamma^p_{ij}.  Each node's sums
+  run independently of the other nodes, so where a block ends changes no
+  bit.  The matrix product is not bitwise equal to the einsum formula it
+  stands for: its sums run in another order, and differ from it by a few
+  ulps of the summed magnitudes.
+* A metric field holds its determinant, the product of the LDL^T pivots
+  that the grids module's positive-definiteness check took, and the
+  inverse and the volume density both read it.  At d <= 3, the flows'
+  and the M-grid pieces' sizes, the inverse is the adjugate over it; from
+  d = 4 on, the product metrics' sizes, it is L^-T D^-1 L^-1 of the same
+  factorization, taken again block by block.  No LAPACK routine is on
+  this path: numpy calls LAPACK once per node matrix, and for a small
+  matrix the call costs more than its arithmetic.  These results are not bitwise equal to
   LAPACK's LU results: they differ from them by a few ulps times the
-  condition estimate.  From d = 4 on, where they stop paying, the inverse
-  and the determinant are LAPACK's, the determinant taken only when a
-  density is asked for.  The grids module alone makes that choice.
+  condition estimate.  The grids module alone makes these choices.
 """
 
 from __future__ import annotations
@@ -115,8 +115,9 @@ def _require_metric(g: SymTensorField):
 def inverse_metric(g: SymTensorField) -> np.ndarray:
     """Nodewise inverse of a metric, with a conditioning guard.
 
-    Returns a full (..., d, d) array: at d <= 3 the adjugate over the
-    determinant, from d = 4 on LAPACK's inverse.  If the Frobenius
+    Returns a full (..., d, d) array, symmetric to the bit: at d <= 3 the
+    adjugate over the determinant, from d = 4 on L^-T D^-1 L^-1 of the
+    metric's LDL^T factorization.  If the Frobenius
     condition estimate ||g|| * ||g^-1|| exceeds CONDITION_LIMIT anywhere,
     or is not finite, the metric is declared numerically non-invertible
     and the report carries the worst node and its smallest eigenvalue.
@@ -150,10 +151,9 @@ def _node_blocks(grid: GridSpec) -> list[slice]:
 
 
 def _lower_contract(v: np.ndarray, gam: np.ndarray) -> np.ndarray:
-    """sum_p v_p Gamma^p_{ij} on a block of nodes, one (1, d) @ (d, d^2)
-    product per node: (n, d) and (n, d, d, d) -> (n, d, d)."""
-    n, d = v.shape
-    return np.matmul(v[:, None, :], gam.reshape(n, d, d * d)).reshape(n, d, d)
+    """sum_p v_p Gamma^p_{ij} on a block of nodes: (n, d) and
+    (n, d, d, d) -> (n, d, d)."""
+    return np.einsum("np,npij->nij", v, gam)
 
 
 def _christoffel(g: SymTensorField, inv: np.ndarray,
