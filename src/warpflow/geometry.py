@@ -59,9 +59,10 @@ Discrete quirks worth knowing:
   d = 4 on, the product metrics' sizes, it is L^-T D^-1 L^-1 of the same
   factorization, taken again block by block.  No LAPACK routine is on
   this path: numpy calls LAPACK once per node matrix, and for a small
-  matrix the call costs more than its arithmetic.  These results are not bitwise equal to
-  LAPACK's LU results: they differ from them by a few ulps times the
-  condition estimate.  The grids module alone makes these choices.
+  matrix the call costs more than its arithmetic.  These results are not
+  bitwise equal to LAPACK's LU results: they differ from them by a few
+  ulps times the condition estimate.  The grids module alone makes these
+  choices.
 """
 
 from __future__ import annotations

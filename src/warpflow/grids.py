@@ -254,7 +254,7 @@ def _ldl_blocks(mats: np.ndarray):
         yield blk, _ldl(np.ascontiguousarray(nodes[blk].T), d)
 
 
-def _ldl_inverse(pivots: list, l: list, d: int) -> np.ndarray:
+def _ldl_inverse(pivots: list, l: list) -> np.ndarray:
     """L^-T D^-1 L^-1 from one block's ``_ldl`` factors, as (d * d, n)
     planes.  With m = L^-1 (unit lower triangular),
 
@@ -262,6 +262,7 @@ def _ldl_inverse(pivots: list, l: list, d: int) -> np.ndarray:
 
     and (i, j) and (j, i) are written from one value, so the inverse is
     symmetric to the bit."""
+    d = len(pivots)
     m = [[None] * d for _ in range(d)]
     for j in range(d):
         for i in range(j + 1, d):
@@ -297,7 +298,7 @@ def metric_inverse(g: SymTensorField) -> tuple[np.ndarray, np.ndarray]:
         flat = out.reshape(-1, d * d)
         with np.errstate(all="ignore"):
             for blk, (pivots, l) in _ldl_blocks(mats):
-                flat[blk] = _ldl_inverse(pivots, l, d).T
+                flat[blk] = _ldl_inverse(pivots, l).T
         return out, lost
 
     def m(i, j):
