@@ -32,8 +32,12 @@ take one level, and a flow's t_end must be a whole number of steps of
 dt.  A value outside its domain (a NaN gate bound or a non-finite
 coupling included), a recipe field that comes out non-finite, or an
 --out that is not a file in an existing directory (checked before the
-run) is invalid input.  Exit codes: 0 all checks passed, 1 a
-tolerance or stability check failed, 2 invalid input.  Each distinct
+run) is invalid input.  A field the run computes that comes out
+non-finite (a warp factor e^{-Af} or a product density out of float
+range: ``NonFiniteFieldError``) is a failed run, as a degenerate metric
+is; the mapping is by exception type.  Exit codes: 0 all checks passed,
+1 a tolerance or stability check failed or a computed field left the
+float range, 2 invalid input.  Each distinct
 warning a run raises is printed once on stderr as a ``warning:
 <message>`` line, ahead of any ``error:`` or ``failure:`` line.
 
@@ -56,7 +60,8 @@ import numpy as np
 
 from . import verify
 from .errors import (ConfigError, ConstantsError, FlowDivergenceError,
-                     GridMismatchError, MetricDegeneracyError)
+                     GridMismatchError, MetricDegeneracyError,
+                     NonFiniteFieldError)
 from .flow import FlowConfig, FlowState, monotonicity_report, run_coupled, \
     run_decoupled
 from .grids import GridSpec, ScalarField, SymTensorField, filter_array
@@ -380,9 +385,14 @@ def _parse_flow(cfg, seed):
     f = sine_scalar(grid, f_amplitude, f_mode)
     high = _ints(cfg, "fields", "f_high_modes", None)
     if high is not None:
-        extra = high_mode_scalar(
-            grid, _finite(cfg, "fields", "f_high_amplitude", 0.3), tuple(high))
-        f = ScalarField(grid, f.values + extra.values)
+        amplitude = _finite(cfg, "fields", "f_high_amplitude", 0.3)
+        # a sum of modes too tall for float64 is reported once, below
+        with np.errstate(over="ignore"):
+            try:
+                extra = high_mode_scalar(grid, amplitude, tuple(high))
+                f = ScalarField(grid, f.values + extra.values)
+            except NonFiniteFieldError as exc:
+                raise ConfigError(f"f: {exc}") from exc
     if flow_cfg.filter_cutoff < 1.0:
         # a filtered run lives in the resolved subspace; project the
         # initial data into it too, or the first step's truncation shows
@@ -677,7 +687,8 @@ def main(argv=None) -> int:
         except (ConfigError, ConstantsError, GridMismatchError,
                 configparser.Error) as exc:
             code, failure = 2, [f"error: {exc}"]
-        except (FlowDivergenceError, MetricDegeneracyError) as exc:
+        except (FlowDivergenceError, MetricDegeneracyError,
+                NonFiniteFieldError) as exc:
             code, failure = 1, [f"failure: {exc}"]
     # each distinct warning once, as a CLI line, ahead of the failure
     for line in [*dict.fromkeys(f"warning: {w.message}" for w in caught),

@@ -32,6 +32,13 @@ class MetricDegeneracyError(WarpflowError):
         self.time = time
 
 
+class NonFiniteFieldError(WarpflowError, ValueError):
+    """A field's values came out NaN or infinite: a computed quantity,
+    such as a warp factor e^{-Af}, left the float range.  Also a
+    ValueError, so a recipe's own check can still read it as invalid
+    input."""
+
+
 class FlowDivergenceError(WarpflowError):
     """A flow run left the trusted regime (unbounded growth or non-finite
     values) and was halted.

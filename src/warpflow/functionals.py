@@ -6,8 +6,11 @@ Three integrals drive everything:
 * F_lam(g, f, lam) = int (R + (lam+1)|grad f|^2) e^{-f} dmu   on M,
 * S(gt)            = int Rt dmut                     on the product,
 
-with dmu = sqrt(det g) dx.  For warping constants on the constraint
-line with coupling lam, the product action splits as
+with dmu = sqrt(det g) dx and dmut the volume density of the warped
+metric gt, taken from its two diagonal blocks by
+``warped.product_volume_density`` (see ``einstein_hilbert_S``).  For
+warping constants on the constraint line with coupling lam, the product
+action splits as
 
     S(gt) = Vol(N, h) * F_lam(g, f, lam)
             + (int_M e^{(B-A-1)f} dmu) * (int_N R^N dsigma),
@@ -50,7 +53,7 @@ import numpy as np
 from . import geometry
 from .grids import ScalarField, SymTensorField, integrate
 from .warped import (ProductGeometry, WarpedConstants,
-                     assemble_product_metric, closed_scalar_curvature)
+                     closed_scalar_curvature, product_volume_density)
 
 __all__ = [
     "FunctionalReport",
@@ -137,12 +140,14 @@ def completed_covector(terms: geometry.StateTerms,
 def einstein_hilbert_S(pg: ProductGeometry, c: WarpedConstants) -> float:
     """Total scalar curvature int Rt dmut of the warped metric over the
     product grid, with Rt from the closed general formula (valid off the
-    special locus too) and the measure from the volume density of the
-    assembled metric, so the integral genuinely exercises the product
-    measure factor."""
-    gt = assemble_product_metric(pg, c)
-    return integrate(closed_scalar_curvature(pg, c),
-                     geometry.volume_density(gt))
+    special locus too) and dmut from ``warped.product_volume_density``:
+    the square root of the product metric's determinant, taken as the
+    product of its LDL^T pivots from its two diagonal blocks, bitwise the
+    density of the assembled metric.  The measure is still generic pivot
+    arithmetic, not the closed form e^{-(Am+Bn)f/2} sqrt(det g det h), so
+    the integral genuinely exercises the product measure factor."""
+    rho = product_volume_density(pg, c)
+    return integrate(closed_scalar_curvature(pg, c), rho)
 
 
 def _n_integrals(pg: ProductGeometry) -> tuple[float, float]:

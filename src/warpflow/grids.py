@@ -19,17 +19,21 @@ Conventions, fixed once for the whole package:
   on a d-dimensional grid with shape ``shape`` is the full symmetric
   matrix array ``shape + (d, d)``: the array the field was given,
   symmetric to the bit and frozen.  ``symmetric_part`` is the one projection.
-* All field values are float64 and finite; metrics are checked for
+* All field values are float64 and finite (a constructor raises
+  ``NonFiniteFieldError`` otherwise); metrics are checked for
   positive definiteness node by node when flagged with ``is_metric``,
   and a metric field holds its nodewise determinant (``det``).
 * The nodewise algebra of a metric is one LDL^T factorization, taken in
   blocks of ``_FACTOR_NODES`` nodes on component-major planes: its
   pivots are the positive-definiteness check and their product is the
-  determinant, at every d.  The inverse is the adjugate over that
-  determinant up to ``_CLOSED_FORM_DIM`` = 3, and L^-T D^-1 L^-1 from
-  d = 4 on.  No LAPACK routine is on this path.  This module alone makes
-  these choices: the geometry module's inverse reads ``metric_inverse``
-  and its volume density reads ``det``.
+  determinant, at every d.  ``ldl_determinant`` is that check and
+  product for any (..., k, k) stack, and continues a leading diagonal
+  block's determinant, so a block-diagonal metric's determinant can be
+  taken block by block, bitwise equal to the whole one's.  The inverse
+  is the adjugate over the determinant up to ``_CLOSED_FORM_DIM`` = 3,
+  and L^-T D^-1 L^-1 from d = 4 on.  No LAPACK routine is on this path.
+  This module alone makes these choices: the geometry module's inverse
+  reads ``metric_inverse`` and its volume density reads ``det``.
 """
 
 from __future__ import annotations
@@ -40,7 +44,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import GridMismatchError, MetricDegeneracyError
+from .errors import (GridMismatchError, MetricDegeneracyError,
+                     NonFiniteFieldError)
 
 __all__ = [
     "GridSpec",
@@ -48,6 +53,7 @@ __all__ = [
     "SymTensorField",
     "Christoffel3Field",
     "metric_inverse",
+    "ldl_determinant",
     "symmetric_part",
     "node_blocks",
     "integrate",
@@ -127,7 +133,7 @@ def _validated_values(grid: GridSpec, values, comp_shape: tuple[int, ...],
     if arr.shape != want:
         raise ValueError(f"{what} values must have shape {want}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} contains non-finite values")
+        raise NonFiniteFieldError(f"{what} contains non-finite values")
     return arr
 
 
@@ -179,15 +185,13 @@ class SymTensorField:
         d = self.grid.dim
         arr = np.ascontiguousarray(_validated_values(
             self.grid, self.values, (d, d), "symmetric tensor"))
-        if any(not np.array_equal(arr[..., i, j], arr[..., j, i])
-               for i in range(d) for j in range(i + 1, d)):
-            raise ValueError("matrix is not symmetric to the bit; "
-                             "from_matrix(..., symmetrize=True) projects")
+        if self.is_metric:
+            self.det = ldl_determinant(arr)     # checks the symmetry too
+            self.det.flags.writeable = False
+        else:
+            _require_symmetric(arr)
         arr.flags.writeable = False
         self.values = arr
-        if self.is_metric:
-            self.det = _require_spd(self.grid, arr)
-            self.det.flags.writeable = False
 
     @classmethod
     def from_matrix(cls, grid: GridSpec, mat, is_metric: bool = False,
@@ -322,25 +326,50 @@ def metric_inverse(g: SymTensorField) -> tuple[np.ndarray, np.ndarray]:
     return out, lost
 
 
-def _require_spd(grid: GridSpec, mats: np.ndarray) -> np.ndarray:
-    """The determinant of each node matrix, the product of its LDL^T
-    pivots; raise MetricDegeneracyError unless every node matrix is
-    symmetric positive definite.  The test is that every pivot is
-    positive and finite, which is that every leading principal minor is:
-    the Cholesky factorization's own test."""
-    det = np.empty(math.prod(grid.shape))
+def _require_symmetric(mats: np.ndarray):
+    """Raise ValueError unless a (..., k, k) array is symmetric to the
+    bit, roundoff asymmetry included."""
+    k = mats.shape[-1]
+    if any(not np.array_equal(mats[..., i, j], mats[..., j, i])
+           for i in range(k) for j in range(i + 1, k)):
+        raise ValueError("matrix is not symmetric to the bit; "
+                         "from_matrix(..., symmetrize=True) projects")
+
+
+def ldl_determinant(mats: np.ndarray,
+                    lead: np.ndarray | None = None) -> np.ndarray:
+    """The determinant of each node matrix of a finite (..., k, k) stack,
+    the product of its LDL^T pivots p_1 ... p_k; with ``lead``, an array
+    of the node shape, the product continued from it, lead p_1 ... p_k in
+    that order.  Raise ValueError unless the stack is symmetric to the
+    bit, and MetricDegeneracyError unless every node matrix is positive
+    definite.  The test is that every pivot is positive and finite, which
+    is that every leading principal minor is: the Cholesky
+    factorization's own test.
+
+    The pivots of a block-diagonal matrix are its blocks' pivots, bit for
+    bit (every multiplier across two blocks is 0 / p = 0), so the call on
+    the last diagonal block with ``lead`` the determinant of the blocks
+    before it returns the whole matrix's determinant to the bit."""
+    _require_symmetric(mats)
+    shape = mats.shape[:-2]
+    det = np.empty(math.prod(shape))
+    if lead is not None:
+        lead = np.broadcast_to(lead, shape).reshape(-1)
     for blk, (pivots, _) in _ldl_blocks(mats):
         if not all(np.all((p > 0.0) & (p < np.inf)) for p in pivots):
             break
         with np.errstate(all="ignore"):
-            det[blk] = math.prod(pivots)
+            det[blk] = math.prod(pivots,
+                                 start=1 if lead is None else lead[blk])
     else:
-        return det.reshape(grid.shape)
+        return det.reshape(shape)
     # Slow path only on failure: locate the first bad node for the report.
-    eigs = np.linalg.eigvalsh(mats.reshape(-1, grid.dim, grid.dim))
+    k = mats.shape[-1]
+    eigs = np.linalg.eigvalsh(mats.reshape(-1, k, k))
     bad = np.nonzero(eigs[:, 0] <= 0.0)[0]
     flat = int(bad[0]) if bad.size else int(np.argmin(eigs[:, 0]))
-    node = tuple(int(c) for c in np.unravel_index(flat, grid.shape))
+    node = tuple(int(c) for c in np.unravel_index(flat, shape))
     lam = float(eigs[flat, 0])
     raise MetricDegeneracyError(
         f"metric is not positive definite at node {node} "

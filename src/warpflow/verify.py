@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, recipes
-from .errors import ConfigError
+from .errors import ConfigError, NonFiniteFieldError
 from .flow import FlowConfig, FlowState, conserved_measure_check, run_coupled
 from .functionals import first_variation_check, theorem_identity_residual
 from .grids import (GridSpec, ScalarField, SymTensorField, integrate,
@@ -131,10 +131,17 @@ def build_product_geometry(spec: StudySpec, level: int = 0,
                         geometry.volume_density(h))
         h = SymTensorField(grid_n, vol ** (-2.0 / grid_n.dim) * h.values,
                            is_metric=True)
-    if len(spec.f_modes) > 1:
-        f = recipes.mixed_sine_scalar(grid_m, spec.f_amplitude, spec.f_modes)
-    else:
-        f = recipes.sine_scalar(grid_m, spec.f_amplitude, spec.f_modes[0])
+    # a sum of modes too tall for float64 is reported once, below
+    with np.errstate(over="ignore"):
+        try:
+            if len(spec.f_modes) > 1:
+                f = recipes.mixed_sine_scalar(grid_m, spec.f_amplitude,
+                                              spec.f_modes)
+            else:
+                f = recipes.sine_scalar(grid_m, spec.f_amplitude,
+                                        spec.f_modes[0])
+        except NonFiniteFieldError as exc:
+            raise ConfigError(f"f: {exc}") from exc
     return ProductGeometry(grid_m, grid_n, g, h, f, spec.order)
 
 

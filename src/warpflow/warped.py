@@ -20,7 +20,9 @@ module implements
 
 * the assembly of gt as an honest metric field on the (m+n)-dimensional
   product grid, so the generic finite-difference pipeline can be run on
-  it as an independent check;
+  it as an independent check, and the volume density of gt, bitwise the
+  assembled metric's, taken from its two diagonal blocks without
+  assembling it (the action integral needs only the density);
 
 * the closed-form Christoffel symbols, Ricci blocks and scalar curvature,
   both for arbitrary (A, B) and in the reduced form valid on the special
@@ -48,8 +50,9 @@ from functools import cached_property
 import numpy as np
 
 from . import geometry
-from .errors import ConstantsError
-from .grids import Christoffel3Field, GridSpec, ScalarField, SymTensorField
+from .errors import ConstantsError, NonFiniteFieldError
+from .grids import (Christoffel3Field, GridSpec, ScalarField, SymTensorField,
+                    ldl_determinant)
 
 __all__ = [
     "WarpedConstants",
@@ -61,6 +64,7 @@ __all__ = [
     "solve_perelman_constants",
     "lambda_to_constants",
     "assemble_product_metric",
+    "product_volume_density",
     "christoffel_closed_form",
     "closed_scalar_curvature",
     "ricci_closed_general",
@@ -313,20 +317,50 @@ def _lift_n(pg: ProductGeometry, arr: np.ndarray) -> np.ndarray:
     return np.broadcast_to(view, sm + sn + comp)
 
 
+def _diagonal_blocks(pg: ProductGeometry, c: WarpedConstants
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The two diagonal blocks of the warped metric: e^{-Af} g on the M
+    grid and e^{-Bf} h on the product grid, with f extended constantly
+    along the N directions.  Both the assembled metric and its volume
+    density take their entries from here."""
+    _dims(pg, c)
+    gm = np.exp(-c.A * pg.f.values)[..., None, None] * pg.g.values
+    hn = _lift_m(pg, np.exp(-c.B * pg.f.values))[..., None, None] \
+        * _lift_n(pg, pg.h.values)
+    return gm, hn
+
+
 def assemble_product_metric(pg: ProductGeometry,
                             c: WarpedConstants) -> SymTensorField:
     """The block metric e^{-Af} g (+) e^{-Bf} h as a field on the product
     grid, with f extended constantly along the N directions."""
-    m, n = _dims(pg, c)
-    d = m + n
+    gm, hn = _diagonal_blocks(pg, c)
+    m, d = c.m, c.m + c.n
     grid = pg.product_grid
-    gm = np.exp(-c.A * pg.f.values)[..., None, None] * pg.g.values
-    hn = np.exp(-c.B * pg.f.values)
     full = np.zeros(grid.shape + (d, d))
     full[..., :m, :m] = _lift_m(pg, gm)
-    full[..., m:, m:] = _lift_m(pg, hn)[..., None, None] \
-        * _lift_n(pg, pg.h.values)
+    full[..., m:, m:] = hn
     return SymTensorField.from_matrix(grid, full, is_metric=True)
+
+
+def product_volume_density(pg: ProductGeometry,
+                           c: WarpedConstants) -> ScalarField:
+    """sqrt(det gt) of the warped metric on the product grid, bitwise
+    equal to the volume density of ``assemble_product_metric(pg, c)``,
+    without assembling it.
+
+    The determinant is still generic pivot arithmetic, not the closed
+    form e^{-(Am+Bn)f} det g det h: the pivots of e^{-Af} g, taken on the
+    M grid, are continued by the pivots of e^{-Bf} h on the product grid
+    (``grids.ldl_determinant``), which are the assembled metric's own
+    pivots bit for bit.  Each block gets every check the assembled metric
+    gets: finite entries, both blocks before either block's pivots, then
+    bitwise symmetry and positive, finite pivots."""
+    gm, hn = _diagonal_blocks(pg, c)
+    if not (np.all(np.isfinite(gm)) and np.all(np.isfinite(hn))):
+        raise NonFiniteFieldError("warped metric contains non-finite values")
+    det = ldl_determinant(hn, lead=_lift_m(pg, ldl_determinant(gm)))
+    return ScalarField(pg.product_grid, np.sqrt(det))
 
 
 def christoffel_closed_form(pg: ProductGeometry,

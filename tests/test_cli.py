@@ -234,6 +234,9 @@ MALFORMED = [
     ("verify-identity", _DIMS + "[fields]\ng = conformal-bump\n"
                         "g_amplitude = 1e3\n"),
     ("flow", "[fields]\ng = conformal-bump\ng_amplitude = 1e3\n"),
+    ("verify-identity", _DIMS + "[fields]\nf_amplitude = 1e308\n"
+                        "f_modes = 1 2\n"),
+    ("flow", "[fields]\nf_high_modes = 5 6 7\nf_high_amplitude = 1e308\n"),
 ]
 
 
@@ -286,15 +289,21 @@ def test_identity_flat_config(tmp_path, capsys):
     assert "[FAIL]" not in capsys.readouterr().out
 
 
-def with_tolerance(tmp_path, name, key, value):
-    """A copy of a shipped config with one [tolerances] key set."""
+def edited_config(tmp_path, name, values):
+    """A copy of a shipped config with ``values``, {section: {key: value}},
+    set."""
     cfg = configparser.ConfigParser()
     cfg.read(CONFIGS / name)
-    cfg["tolerances"][key] = value
+    cfg.read_dict(values)
     path = tmp_path / name
     with open(path, "w") as fh:
         cfg.write(fh)
     return path
+
+
+def with_tolerance(tmp_path, name, key, value):
+    """A copy of a shipped config with one [tolerances] key set."""
+    return edited_config(tmp_path, name, {"tolerances": {key: value}})
 
 
 def test_curvature_fail_line_names_the_missed_bound(tmp_path, capsys):
@@ -321,6 +330,28 @@ def test_identity_fail_line_names_the_missed_bound(tmp_path, capsys):
     assert rc == 1 and line.startswith("[FAIL] identity branch=plus: ")
     assert line.endswith("(need |residual| <= 1.0000000000000001e-09)")
     assert "order >=" not in line
+
+
+@pytest.mark.parametrize("command,name,values", [
+    ("verify-identity", "identity-lambda.ini",
+     {"grid": {"m_points": "8 12", "n_points": "8 8"},
+      "fields": {"f_amplitude": "30"}}),
+    ("verify-variation", "variation.ini", {"fields": {"f_amplitude": "300"}}),
+    ("verify-curvature", "curvature-quick.ini",
+     {"fields": {"f_amplitude": "300"}}),
+])
+def test_warp_out_of_float_range_is_a_failure(tmp_path, capfd, command,
+                                              name, values):
+    # e^{-Af} g, e^{-Bf} h or the product density leave the float range:
+    # a failed run, not a traceback
+    rc = main([command, "--config", str(edited_config(tmp_path, name, values)),
+               "--seed", "1",
+               "--out", str(tmp_path / "out.csv")])
+    lines = capfd.readouterr().err.splitlines()
+    assert rc == 1
+    assert lines[-1].startswith("failure: ")
+    assert all(l.startswith("warning: ") for l in lines[:-1])
+    assert "non-finite" in lines[-1]
 
 
 @pytest.mark.parametrize("seed", ["7", "1"])

@@ -22,18 +22,19 @@ the node of the largest condition estimate, and that node's smallest
 eigenvalue.
 """
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from warpflow import geometry, grids
-from warpflow.errors import MetricDegeneracyError
-from warpflow.grids import GridSpec, SymTensorField
+from warpflow import geometry, grids, recipes, warped
+from warpflow.errors import MetricDegeneracyError, NonFiniteFieldError
+from warpflow.grids import GridSpec, ScalarField, SymTensorField
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 EPS = np.finfo(float).eps
 
@@ -264,3 +265,91 @@ def test_factorization_is_the_same_for_any_block_size(monkeypatch, d):
     (det, inv), (det2, inv2) = results
     assert np.array_equal(det, det2) and np.array_equal(inv, inv2)
     assert np.array_equal(inv, np.swapaxes(inv, -1, -2))
+
+
+# ------------------------------------------------ the warped product's density
+
+def test_ldl_determinant_continues_a_leading_block():
+    # the pivots of a block-diagonal matrix are its blocks' pivots, bit
+    # for bit, so the second block's pivots continue the first block's
+    # determinant to the whole matrix's, here over a ragged last block
+    spectra = 10.0 ** np.random.default_rng(11).uniform(-3.0, 3.0, (4100, 5))
+    first, second = rotated(spectra[:, :2], 1), rotated(spectra[:, 2:], 2)
+    full = np.zeros((4100, 5, 5))
+    full[:, :2, :2], full[:, 2:, 2:] = first, second
+    det = grids.ldl_determinant(second, lead=grids.ldl_determinant(first))
+    assert np.array_equal(det, grids.ldl_determinant(full))
+    with pytest.raises(ValueError, match="not symmetric to the bit"):
+        grids.ldl_determinant(full + np.triu(np.full((5, 5), 1e-12), 1))
+    second[4097] = np.diag([1.0, -1.0, 1.0])
+    with pytest.raises(MetricDegeneracyError) as err:
+        grids.ldl_determinant(second, lead=det)
+    assert (err.value.node, err.value.eigenvalue) == ((4097,), -1.0)
+
+
+PRODUCT_DIMS = [(1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]
+
+
+def warped_case(m, n, points, seed, f_amplitude, lam, root):
+    """Random-spd g and h on grids of ``points`` nodes per axis (M axes
+    first), a two-mode f, and the constants of coupling ``lam`` at index
+    ``root`` of its roots, taken cyclically."""
+    rng = np.random.default_rng(seed)
+    grid_m = GridSpec(points[:m], (2.0 * math.pi,) * m)
+    grid_n = GridSpec(points[m:], (2.0 * math.pi,) * n)
+    g = recipes.random_spd_metric(grid_m, rng, 0.5)
+    h = recipes.random_spd_metric(grid_n, rng, 0.5)
+    f = recipes.mixed_sine_scalar(grid_m, f_amplitude, (1, 2))
+    roots = warped.lambda_to_constants(m, n, lam)
+    return (warped.ProductGeometry(grid_m, grid_n, g, h, f),
+            roots[root % len(roots)])
+
+
+@st.composite
+def warped_cases(draw):
+    m, n = draw(st.sampled_from(PRODUCT_DIMS))
+    points = tuple(draw(st.integers(8, 10)) for _ in range(m + n))
+    return warped_case(m, n, points, draw(st.integers(0, 2**32 - 1)),
+                       draw(st.floats(0.0, 12.0)),
+                       draw(st.sampled_from([-0.5, 0.0, 0.5])),
+                       draw(st.integers(0, 1)))
+
+
+def densities(pg, c):
+    """The product density by blocks and that of the assembled metric,
+    each as its values or as the type of the error it raised."""
+    out = []
+    for density in (lambda: warped.product_volume_density(pg, c),
+                    lambda: geometry.volume_density(
+                        warped.assemble_product_metric(pg, c))):
+        try:
+            out.append(density().values)
+        except (MetricDegeneracyError, NonFiniteFieldError) as exc:
+            out.append(type(exc))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(warped_cases())
+@example(warped_case(1, 3, (9, 8, 8, 8), 0, 2.0, 0.5, 1))    # 4608 nodes
+@example(warped_case(3, 1, (10, 9, 8, 8), 1, 1.0, -0.5, 0))  # 5760 nodes
+def test_product_density_is_the_assembled_density_bit_for_bit(case):
+    with np.errstate(over="ignore"):
+        by_blocks, assembled = densities(*case)
+    if isinstance(assembled, np.ndarray):
+        assert np.array_equal(by_blocks, assembled)
+    else:
+        assert by_blocks is assembled
+
+
+@pytest.mark.parametrize("m,n", PRODUCT_DIMS)
+def test_underflowing_warp_is_refused_by_both_routes(m, n):
+    # f = 900 at its peak: e^{-Af} g underflows to a zero block there
+    pg, c = warped_case(m, n, (8,) * (m + n), 3, 0.1, 0.0, 0)
+    pg = dataclasses.replace(pg, f=ScalarField(
+        pg.grid_m, 900.0 / c.A * (pg.f.values > 0.0)))
+    for density in (warped.product_volume_density,
+                    lambda pg, c: geometry.volume_density(
+                        warped.assemble_product_metric(pg, c))):
+        with pytest.raises(MetricDegeneracyError):
+            density(pg, c)

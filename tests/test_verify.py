@@ -276,3 +276,37 @@ def test_volume_density_once_per_flow_snapshot(monkeypatch, tmp_path):
         "constraint_tol = 1e-8\n")
     assert len(seen) == 41
     assert sum(seen.values()) == 42
+
+
+@pytest.mark.parametrize("command,per_run", [("verify-identity", 0),
+                                             ("verify-variation", 0),
+                                             ("verify-curvature", 2)])
+def test_only_the_oracle_assembles_the_product_metric(monkeypatch, tmp_path,
+                                                      command, per_run):
+    # the action's measure comes from the warped metric's two diagonal
+    # blocks: no metric field on the product grid (dim 3 here) and no
+    # assembly, except the one product metric per level that the
+    # curvature oracle differentiates (two levels here)
+    from warpflow.cli import main
+    from warpflow.grids import SymTensorField
+    metrics, assembled = Counter(), []
+    post_init, assemble = (SymTensorField.__post_init__,
+                           warped.assemble_product_metric)
+
+    def counted_post_init(self):
+        metrics[self.grid.dim] += self.is_metric
+        post_init(self)
+
+    def counted_assemble(*args):
+        assembled.append(args)
+        return assemble(*args)
+
+    monkeypatch.setattr(SymTensorField, "__post_init__", counted_post_init)
+    monkeypatch.setattr(warped, "assemble_product_metric", counted_assemble)
+    monkeypatch.setattr(verify, "assemble_product_metric", counted_assemble)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(_PASS_CONFIGS[command])
+    assert main([command, "--config", str(cfg), "--seed", "1",
+                 "--out", str(tmp_path / "out.csv")]) in (0, 1)
+    assert metrics[2] > 0
+    assert metrics[3] == len(assembled) == per_run
