@@ -340,6 +340,7 @@ def assemble_product_metric(pg: ProductGeometry,
     full = np.zeros(grid.shape + (d, d))
     full[..., :m, :m] = _lift_m(pg, gm)
     full[..., m:, m:] = hn
+    del gm, hn      # copied into full: not resident through its check
     return SymTensorField.from_matrix(grid, full, is_metric=True)
 
 

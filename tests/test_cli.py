@@ -344,8 +344,8 @@ def test_warp_out_of_float_range_is_a_failure(tmp_path, capfd, command,
                                               name, values):
     # e^{-Af} g, e^{-Bf} h or the product density leave the float range:
     # a failed run, not a traceback
-    rc = main([command, "--config", str(edited_config(tmp_path, name, values)),
-               "--seed", "1",
+    cfg = edited_config(tmp_path, name, values)
+    rc = main([command, "--config", str(cfg), "--seed", "1",
                "--out", str(tmp_path / "out.csv")])
     lines = capfd.readouterr().err.splitlines()
     assert rc == 1

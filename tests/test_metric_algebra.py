@@ -20,6 +20,12 @@ A failed check reports what a LAPACK Cholesky check and inverse would
 lead to: the first node whose smallest eigenvalue is not positive, or
 the node of the largest condition estimate, and that node's smallest
 eigenvalue.
+
+The warped product's volume density (``warped.product_volume_density``)
+takes the same pivots from the metric's two diagonal blocks, continuing
+the first block's determinant over the second's pivots
+(``grids.ldl_determinant``); it is held to the density of the assembled
+metric bit for bit, and to the same refusals.
 """
 
 import dataclasses
@@ -344,7 +350,7 @@ def test_product_density_is_the_assembled_density_bit_for_bit(case):
 
 @pytest.mark.parametrize("m,n", PRODUCT_DIMS)
 def test_underflowing_warp_is_refused_by_both_routes(m, n):
-    # f = 900 at its peak: e^{-Af} g underflows to a zero block there
+    # A f = 900 on half of M: e^{-Af} g underflows to a zero block there
     pg, c = warped_case(m, n, (8,) * (m + n), 3, 0.1, 0.0, 0)
     pg = dataclasses.replace(pg, f=ScalarField(
         pg.grid_m, 900.0 / c.A * (pg.f.values > 0.0)))
