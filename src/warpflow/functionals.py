@@ -146,6 +146,7 @@ def einstein_hilbert_S(pg: ProductGeometry, c: WarpedConstants) -> float:
     density of the assembled metric.  The measure is still generic pivot
     arithmetic, not the closed form e^{-(Am+Bn)f/2} sqrt(det g det h), so
     the integral genuinely exercises the product measure factor."""
+    # the density first, so that its checks report a warp out of range
     rho = product_volume_density(pg, c)
     return integrate(closed_scalar_curvature(pg, c), rho)
 
