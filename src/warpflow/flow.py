@@ -22,7 +22,7 @@ integrated backward from terminal data, i.e. forward in s = T - t where
 it is an ordinary heat equation.  The two formulations differ by a
 diffeomorphism, which the action functionals cannot see, so their F(t)
 curves must agree; the tests use exactly that.  Both take their steps
-with one explicit Euler/RK4 routine, at second-order stencils.
+with one explicit Euler/RK4 routine, at the stencil order of their grid.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ one oracle pass per (g, f) state, shared by every quantity a caller
 reads at that state.  A product geometry memoises the record of its
 (g, f) as ``pg.m_pieces``, so the identity and the variation take their
 M side, density included, from the same record as the closed forms, at
-the geometry's stencil order.  The product-side functions take the
+the stencil order of its grids.  The product-side functions take the
 warping constants next to the geometry; the first variation takes a list
 of them, so every coupling's action is evaluated on one set of perturbed
 geometries.

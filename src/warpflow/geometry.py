@@ -32,10 +32,10 @@ Discrete quirks worth knowing:
 * ``curvature_bundle`` is the only curvature entry point: one pass that
   inverts the metric once, contracts the scalar from the symmetrized
   Ricci matrix and returns the whole stack, the inverse included.
-* ``StateTerms.at(g, f, order)`` is the only record of a (g, f) state:
-  one bundle, df and hess f.  What only some readers need (|grad f|^2,
-  lap f, df raised, sqrt(det g) and e^{-f} sqrt(det g)) is computed on
-  first use, once per record.
+* ``StateTerms.at(g, f)``, g and f on one grid (so at one order), is
+  the only record of a (g, f) state: one bundle, df and hess f.  What
+  only some readers need (|grad f|^2, lap f, df raised, sqrt(det g) and
+  e^{-f} sqrt(det g)) is computed on first use, once per record.
 * Every kernel that reads or writes the Christoffel cube sweeps the
   flattened nodes in the grids module's ``node_blocks`` of the cube, so
   each block is worked on while it sits in cache and every temporary of
@@ -157,8 +157,7 @@ def _lower_contract(v: np.ndarray, gam: np.ndarray) -> np.ndarray:
     return np.einsum("np,npij->nij", v, gam)
 
 
-def _christoffel(g: SymTensorField, inv: np.ndarray,
-                 order: int) -> Christoffel3Field:
+def _christoffel(g: SymTensorField, inv: np.ndarray) -> Christoffel3Field:
     """Christoffel symbols from the metric and its inverse.
 
     Built one derivative axis at a time: with D_a = d/dx^a,
@@ -175,7 +174,7 @@ def _christoffel(g: SymTensorField, inv: np.ndarray,
     flat_inv = inv.reshape(-1, d, d)
     for a in range(d):
         # D_a g_{ij}, the only derivative array alive
-        da = diff_array(g.values, grid, a, order).reshape(-1, d, d)
+        da = diff_array(g.values, grid, a).reshape(-1, d, d)
         for blk in _node_blocks(grid):
             o, ib, dab = flat_out[blk], flat_inv[blk], da[blk]
             half_raised = 0.5 * np.matmul(ib, dab)  # (1/2) g^{kl} D_a g_{lj}
@@ -187,7 +186,7 @@ def _christoffel(g: SymTensorField, inv: np.ndarray,
     return Christoffel3Field(grid, out)
 
 
-def _ricci_matrix(gamma: Christoffel3Field, order: int) -> np.ndarray:
+def _ricci_matrix(gamma: Christoffel3Field) -> np.ndarray:
     """Raw (unsymmetrized) Ricci as a full matrix array."""
     grid = gamma.grid
     d = grid.dim
@@ -197,9 +196,9 @@ def _ricci_matrix(gamma: Christoffel3Field, order: int) -> np.ndarray:
         trace += gam[..., a, a, :]
     ric = np.zeros(grid.shape + (d, d))
     for a in range(d):
-        ric += diff_array(gam[..., a, :, :], grid, a, order)
+        ric += diff_array(gam[..., a, :, :], grid, a)
     for b in range(d):
-        ric[..., b, :] -= diff_array(trace, grid, b, order)
+        ric[..., b, :] -= diff_array(trace, grid, b)
     flat_gam = gam.reshape(-1, d, d, d)
     flat_trace, flat_ric = trace.reshape(-1, d), ric.reshape(-1, d, d)
     for blk in _node_blocks(grid):
@@ -213,8 +212,8 @@ def _ricci_matrix(gamma: Christoffel3Field, order: int) -> np.ndarray:
     return ric
 
 
-def _symmetrized_ricci(gamma: Christoffel3Field,
-                       order: int) -> tuple[SymTensorField, float]:
+def _symmetrized_ricci(gamma: Christoffel3Field
+                       ) -> tuple[SymTensorField, float]:
     """Ricci as a symmetric field, plus the max-norm of the
     antisymmetric residue discarded to get there.
 
@@ -227,7 +226,7 @@ def _symmetrized_ricci(gamma: Christoffel3Field,
     a warning flags likely under-resolution.
     """
     grid = gamma.grid
-    raw = _ricci_matrix(gamma, order)
+    raw = _ricci_matrix(gamma)
     asym = float(np.abs(raw - np.swapaxes(raw, -1, -2)).max())
     ric = SymTensorField.from_matrix(grid, raw, symmetrize=True)
     del raw
@@ -241,36 +240,35 @@ def _symmetrized_ricci(gamma: Christoffel3Field,
     return ric, asym
 
 
-def curvature_bundle(g: SymTensorField, order: int = 2) -> CurvatureBundle:
+def curvature_bundle(g: SymTensorField) -> CurvatureBundle:
     """Full curvature stack of one metric via the generic pipeline.  The
     metric is inverted once, and the symmetrized Ricci matrix feeds both
     the scalar and the bundle."""
     inv = inverse_metric(g)
-    gamma = _christoffel(g, inv, order)
-    ric, asym = _symmetrized_ricci(gamma, order)
+    gamma = _christoffel(g, inv)
+    ric, asym = _symmetrized_ricci(gamma)
     scal = np.einsum("...bd,...bd->...", inv, ric.values)
     return CurvatureBundle(christoffel=gamma, ricci=ric,
                            scalar=ScalarField(g.grid, scal), inverse=inv,
                            ricci_asymmetry=asym)
 
 
-def gradient_components(f: ScalarField, order: int = 2) -> np.ndarray:
+def gradient_components(f: ScalarField) -> np.ndarray:
     """All first partials of a scalar, stacked as (..., d)."""
     grid = f.grid
     out = np.empty(grid.shape + (grid.dim,))
     for a in range(grid.dim):
-        out[..., a] = diff_array(f.values, grid, a, order)
+        out[..., a] = diff_array(f.values, grid, a)
     return out
 
 
-def hessian(df: np.ndarray, gamma: Christoffel3Field,
-            order: int = 2) -> np.ndarray:
+def hessian(df: np.ndarray, gamma: Christoffel3Field) -> np.ndarray:
     """Covariant Hessian (nabla^2 f)_{jl} = D_j D_l f - Gamma^k_{jl} D_k f,
     symmetrized, as a (..., d, d) array.
 
-    Takes the first partials df = ``gradient_components(f, order)`` and
-    the connection, not f and the metric: the Hessian never needs g
-    itself, and callers already hold both.
+    Takes the first partials df = ``gradient_components(f)`` and the
+    connection, not f and the metric: the Hessian never needs g itself,
+    and callers already hold both.
     """
     grid = gamma.grid
     d = grid.dim
@@ -280,7 +278,7 @@ def hessian(df: np.ndarray, gamma: Christoffel3Field,
     for l in range(d):
         dl = df[..., l]
         for j in range(d):
-            out[..., j, l] = diff_array(dl, grid, j, order)
+            out[..., j, l] = diff_array(dl, grid, j)
     flat_out, flat_df = out.reshape(-1, d, d), df.reshape(-1, d)
     flat_gam = gamma.values.reshape(-1, d, d, d)
     for blk in _node_blocks(grid):
@@ -316,11 +314,12 @@ class StateTerms:
     hess: np.ndarray
 
     @classmethod
-    def at(cls, g: SymTensorField, f: ScalarField,
-           order: int = 2) -> "StateTerms":
-        bundle = curvature_bundle(g, order)
-        df = gradient_components(f, order)
-        hess = hessian(df, bundle.christoffel, order)
+    def at(cls, g: SymTensorField, f: ScalarField) -> "StateTerms":
+        if f.grid != g.grid:
+            raise ValueError("g and f live on different grids")
+        bundle = curvature_bundle(g)
+        df = gradient_components(f)
+        hess = hessian(df, bundle.christoffel)
         return cls(g=g, f=f, bundle=bundle, df=df, hess=hess)
 
     @cached_property
@@ -348,8 +347,8 @@ class StateTerms:
         return measure_density(self.f, self.rho)
 
 
-def laplace_beltrami(f: ScalarField, inv: np.ndarray, rho: ScalarField,
-                     order: int = 2) -> ScalarField:
+def laplace_beltrami(f: ScalarField, inv: np.ndarray,
+                     rho: ScalarField) -> ScalarField:
     """Laplace-Beltrami operator in divergence form,
 
         (Delta f) = rho^{-1} D_i ( rho g^{ij} D_j f ),   rho = sqrt(det g).
@@ -368,9 +367,9 @@ def laplace_beltrami(f: ScalarField, inv: np.ndarray, rho: ScalarField,
     if rho.grid != grid or inv.shape != grid.shape + (grid.dim, grid.dim):
         raise ValueError("scalar and metric live on different grids")
     rho = rho.values
-    df = gradient_components(f, order)
+    df = gradient_components(f)
     flux = rho[..., None] * np.einsum("...ij,...j->...i", inv, df)
     div = np.zeros(grid.shape)
     for i in range(grid.dim):
-        div += diff_array(flux[..., i], grid, i, order)
+        div += diff_array(flux[..., i], grid, i)
     return ScalarField(grid, div / rho)

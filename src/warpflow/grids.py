@@ -10,11 +10,12 @@ Conventions, fixed once for the whole package:
   spaced nodes per axis; node coordinates are k * L_i / N_i.  On a periodic
   uniform grid the trapezoid rule is a plain node sum times the cell
   volume, and that is what ``integrate`` computes.
-* Derivatives are periodic central differences of order 2 or 4.  Second
-  derivatives are always compositions of two first-derivative applications,
-  never a dedicated wide stencil.  The composed operator is what makes the
-  discrete integration-by-parts identity exact, see ``laplace_beltrami``
-  in the geometry module.
+* Derivatives are periodic central differences of ``GridSpec.order``,
+  2 or 4, read only by ``diff_array``, so fields made at different
+  orders cannot be mixed.  Second derivatives are always compositions
+  of two first-derivative applications, never a dedicated wide stencil.
+  The composed operator is what makes the discrete integration-by-parts
+  identity exact, see ``laplace_beltrami`` in the geometry module.
 * Tensor fields store grid axes first and component axes last, so a metric
   on a d-dimensional grid with shape ``shape`` is the full symmetric
   matrix array ``shape + (d, d)``: the array the field was given,
@@ -24,7 +25,7 @@ Conventions, fixed once for the whole package:
   positive definiteness node by node when flagged with ``is_metric``,
   and a metric field holds its nodewise determinant (``det``).
 * The nodewise algebra of a metric is one LDL^T factorization, taken in
-  blocks of ``_FACTOR_NODES`` nodes on component-major planes: its
+  the ``node_blocks`` of the matrices on component-major planes: its
   pivots are the positive-definiteness check and their product is the
   determinant, at every d.  ``ldl_determinant`` is that check and
   product for any (..., k, k) stack, and continues a leading diagonal
@@ -74,10 +75,13 @@ class GridSpec:
         the Nyquist frequency).
     periods : tuple of float
         Axis lengths L_i > 0.
+    order : int
+        Stencil order of every derivative taken on the grid, 2 or 4.
     """
 
     points: tuple[int, ...]
     periods: tuple[float, ...]
+    order: int = 2
 
     def __post_init__(self):
         pts = tuple(int(p) for p in self.points)
@@ -93,6 +97,8 @@ class GridSpec:
             raise ValueError(f"every axis needs at least 8 points, got {pts}")
         if any(not np.isfinite(L) or L <= 0 for L in pers):
             raise ValueError(f"periods must be positive and finite, got {pers}")
+        if self.order not in (2, 4):
+            raise ValueError(f"stencil order must be 2 or 4, got {self.order}")
 
     @property
     def dim(self) -> int:
@@ -218,11 +224,6 @@ def symmetric_part(mat: np.ndarray) -> np.ndarray:
 # determinant; from d = 4 on L^-T D^-1 L^-1 costs less.
 _CLOSED_FORM_DIM = 3
 
-# Nodes per block of the LDL^T factorization: a block's component planes
-# and every temporary of the recurrence stay in cache.
-_FACTOR_NODES = 4096
-
-
 def _ldl(planes: np.ndarray, d: int) -> tuple[list, list]:
     """The LDL^T factorization of a block of symmetric d x d node
     matrices, given as component-major planes (``planes[i * d + k]`` holds
@@ -248,13 +249,12 @@ def _ldl(planes: np.ndarray, d: int) -> tuple[list, list]:
 
 
 def _ldl_blocks(mats: np.ndarray):
-    """Each block of ``_FACTOR_NODES`` flattened nodes of a (..., d, d)
-    array, as its slice and the ``_ldl`` factors of its nodes.  A block's
-    factors are dropped when the next one is taken, so none outlives it."""
+    """Each of the ``node_blocks`` of a (..., d, d) array, as its slice
+    and the ``_ldl`` factors of its nodes.  A block's factors are
+    dropped when the next one is taken, so none outlives it."""
     d = mats.shape[-1]
     nodes = mats.reshape(-1, d * d)
-    for start in range(0, len(nodes), _FACTOR_NODES):
-        blk = slice(start, start + _FACTOR_NODES)
+    for blk in node_blocks(len(nodes), 8 * d * d):
         yield blk, _ldl(np.ascontiguousarray(nodes[blk].T), d)
 
 
@@ -427,25 +427,22 @@ def _periodic_runs(n: int, shifts: tuple[int, ...]) -> tuple:
                  for lo, hi in zip(cuts, cuts[1:]))
 
 
-def diff_array(values: np.ndarray, grid: GridSpec, axis: int,
-               order: int = 2) -> np.ndarray:
+def diff_array(values: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:
     """Periodic central difference along one grid axis of an array whose
     leading axes are the grid axes.  Trailing component axes pass through.
 
-    Every node sees the operations of the textbook formulas
-    (v[i+1] - v[i-1]) / (2h) and
+    Every node sees the operations of the grid order's textbook formula,
+    (v[i+1] - v[i-1]) / (2h) or
     (-v[i+2] + 8 v[i+1] - 8 v[i-1] + v[i-2]) / (12h), in that order; the
     shifted operands are read as periodic slices and the result is
     written into one output array.
     """
     grid._check_axis(axis)
     h = grid.spacing[axis]
-    if order not in (2, 4):
-        raise ValueError(f"stencil order must be 2 or 4, got {order}")
     values = np.asarray(values)
     out = np.empty(values.shape, np.result_type(values, 1.0))
     lead = (slice(None),) * axis
-    if order == 2:
+    if grid.order == 2:
         for run, (p1, m1) in _periodic_runs(values.shape[axis], (1, -1)):
             np.subtract(values[lead + (p1,)], values[lead + (m1,)],
                         out=out[lead + (run,)])

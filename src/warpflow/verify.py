@@ -96,7 +96,7 @@ class StudySpec:
     """One refinement ladder and the recipes each of its levels is built
     from.  ``levels`` pairs the M and N point counts of every level;
     ``f_modes`` is one sine mode or several (see mixed_sine_scalar);
-    ``order`` is its geometries' stencil order; ``seed`` drives random-spd."""
+    ``order`` is the stencil order of its grids; ``seed`` drives random-spd."""
 
     levels: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     period_m: float = 2.0 * math.pi
@@ -122,8 +122,8 @@ def build_product_geometry(spec: StudySpec, level: int = 0,
     if rng is None and spec.seed is not None:
         rng = np.random.default_rng(spec.seed)
     points_m, points_n = spec.levels[level]
-    grid_m = GridSpec(points_m, (spec.period_m,) * len(points_m))
-    grid_n = GridSpec(points_n, (spec.period_n,) * len(points_n))
+    grid_m = GridSpec(points_m, (spec.period_m,) * len(points_m), spec.order)
+    grid_n = GridSpec(points_n, (spec.period_n,) * len(points_n), spec.order)
     g = build_metric(grid_m, spec.g_spec, rng)
     h = build_metric(grid_n, spec.h_spec, rng)
     if normalize_n:
@@ -142,7 +142,7 @@ def build_product_geometry(spec: StudySpec, level: int = 0,
                                         spec.f_modes[0])
         except NonFiniteFieldError as exc:
             raise ConfigError(f"f: {exc}") from exc
-    return ProductGeometry(grid_m, grid_n, g, h, f, spec.order)
+    return ProductGeometry(grid_m, grid_n, g, h, f)
 
 
 @dataclass
@@ -227,7 +227,7 @@ def curvature_study(constants: WarpedConstants,
         pg = build_product_geometry(spec, level)
         hs.append(max(pg.grid_m.spacing))
         gt = assemble_product_metric(pg, constants)
-        bundle = geometry.curvature_bundle(gt, pg.order)
+        bundle = geometry.curvature_bundle(gt)
         # the compared fields only: the bundle's inverse, kept alive,
         # would raise the study's peak memory
         oracle_chr, oracle = bundle.christoffel, (bundle.ricci, bundle.scalar)

@@ -31,8 +31,8 @@ module implements
 Nothing here reuses the generic curvature contractions: the closed forms
 are separate arithmetic by design, so a comparison between the two
 pipelines is a real cross-check rather than a tautology.  The generic
-pipeline runs on the factor grids only, once per geometry, at the
-stencil order it carries, memoised on the frozen ``ProductGeometry``:
+pipeline runs on the factor grids only, once per geometry, at their
+shared stencil order, memoised on the frozen ``ProductGeometry``:
 the ``geometry.StateTerms`` record of (g, f) as ``m_pieces`` and the
 curvature of h as ``n_bundle``.  The geometry (g, h, f) does not depend
 on the coupling: the closed forms take ``(pg, constants)``, and every
@@ -246,11 +246,11 @@ def lambda_to_constants(m: int, n: int, lam: float) -> list[WarpedConstants]:
 @dataclass(frozen=True)
 class ProductGeometry:
     """All the data defining one warped product: the two factor grids,
-    the factor metrics g (on M) and h (on N), the scalar f on M, and the
-    stencil order of every oracle pass and derivative taken on it.  The
-    warping constants are not part of it: they only pick the point (A, B)
-    on the constraint line, so every coupling reads the same geometry and
-    the closed forms take the constants as an argument.  Frozen, so the
+    at one stencil order that the product grid inherits, the factor
+    metrics g (on M) and h (on N) and the scalar f on M.  The warping
+    constants are not part of it: they only pick the point (A, B) on the
+    constraint line, so every coupling reads the same geometry and the
+    closed forms take the constants as an argument.  Frozen, so the
     coupling-free factor pieces memoised on it cannot go stale."""
 
     grid_m: GridSpec
@@ -258,9 +258,10 @@ class ProductGeometry:
     g: SymTensorField
     h: SymTensorField
     f: ScalarField
-    order: int = 2
 
     def __post_init__(self):
+        if self.grid_m.order != self.grid_n.order:
+            raise ValueError("M and N grids of different stencil orders")
         if self.g.grid != self.grid_m or not self.g.is_metric:
             raise ValueError("g must be a metric field on the M grid")
         if self.h.grid != self.grid_n or not self.h.is_metric:
@@ -271,19 +272,18 @@ class ProductGeometry:
 
     @property
     def product_grid(self) -> GridSpec:
-        return GridSpec(self.grid_m.points + self.grid_n.points,
-                        self.grid_m.periods + self.grid_n.periods)
+        m, n = self.grid_m, self.grid_n
+        return GridSpec(m.points + n.points, m.periods + n.periods, m.order)
 
     @cached_property
     def m_pieces(self) -> geometry.StateTerms:
-        """The record of (g, f) at the geometry's order, made on first
-        use and shared by every caller."""
-        return geometry.StateTerms.at(self.g, self.f, self.order)
+        """The record of (g, f), made on first use, shared by every caller."""
+        return geometry.StateTerms.at(self.g, self.f)
 
     @cached_property
     def n_bundle(self) -> geometry.CurvatureBundle:
         """The oracle curvature of h, computed on first use."""
-        return geometry.curvature_bundle(self.h, self.order)
+        return geometry.curvature_bundle(self.h)
 
     def with_m(self, g: SymTensorField, f: ScalarField) -> "ProductGeometry":
         """This geometry with (g, f) on M, sharing its pass over h."""
@@ -361,6 +361,9 @@ def product_volume_density(pg: ProductGeometry,
     if not (np.all(np.isfinite(gm)) and np.all(np.isfinite(hn))):
         raise NonFiniteFieldError("warped metric contains non-finite values")
     det = ldl_determinant(hn, lead=_lift_m(pg, ldl_determinant(gm)))
+    if not np.all(np.isfinite(det)):
+        raise NonFiniteFieldError(
+            "the warped product's volume density contains non-finite values")
     return ScalarField(pg.product_grid, np.sqrt(det))
 
 

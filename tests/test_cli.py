@@ -253,6 +253,16 @@ def test_malformed_config_exits_2_without_traceback(tmp_path, capfd,
     assert "Traceback" not in err
 
 
+def test_unknown_stencil_order_is_invalid_input(tmp_path, capfd):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(_DIMS + "[grid]\norder = 3\n")
+    rc = main(["verify-curvature", "--config", str(cfg),
+               "--out", str(tmp_path / "out.csv")])
+    assert rc == 2
+    assert capfd.readouterr().err == \
+        "error: grid.order must be 2 or 4, got 3\n"
+
+
 # ------------------------------------------------------- shipped configs
 
 COMMANDS = {"curvature": "verify-curvature", "identity": "verify-identity",
@@ -332,18 +342,20 @@ def test_identity_fail_line_names_the_missed_bound(tmp_path, capsys):
     assert "order >=" not in line
 
 
-@pytest.mark.parametrize("command,name,values", [
+@pytest.mark.parametrize("command,name,values,quantity", [
     ("verify-identity", "identity-lambda.ini",
      {"grid": {"m_points": "8 12", "n_points": "8 8"},
-      "fields": {"f_amplitude": "30"}}),
-    ("verify-variation", "variation.ini", {"fields": {"f_amplitude": "300"}}),
+      "fields": {"f_amplitude": "30"}},
+     "the warped product's volume density"),
+    ("verify-variation", "variation.ini", {"fields": {"f_amplitude": "300"}},
+     "warped metric"),
     ("verify-curvature", "curvature-quick.ini",
-     {"fields": {"f_amplitude": "300"}}),
+     {"fields": {"f_amplitude": "300"}}, None),
 ])
 def test_warp_out_of_float_range_is_a_failure(tmp_path, capfd, command,
-                                              name, values):
+                                              name, values, quantity):
     # e^{-Af} g, e^{-Bf} h or the product density leave the float range:
-    # a failed run, not a traceback
+    # a failed run, not a traceback, whose line names the quantity
     cfg = edited_config(tmp_path, name, values)
     rc = main([command, "--config", str(cfg), "--seed", "1",
                "--out", str(tmp_path / "out.csv")])
@@ -352,6 +364,8 @@ def test_warp_out_of_float_range_is_a_failure(tmp_path, capfd, command,
     assert lines[-1].startswith("failure: ")
     assert all(l.startswith("warning: ") for l in lines[:-1])
     assert "non-finite" in lines[-1]
+    if quantity is not None:
+        assert quantity in lines[-1]
 
 
 @pytest.mark.parametrize("seed", ["7", "1"])

@@ -326,7 +326,7 @@ def test_variation_covector_needs_trace_completion():
     pg, dg = variation_setup()
     [res] = first_variation_check(pg, lambda_to_constants(2, 1, lam)[:1], dg)
 
-    terms = StateTerms.at(pg.g, pg.f, pg.order)
+    terms = StateTerms.at(pg.g, pg.f)
     s_naive = gradient_tensor(terms, lam)
     inv = terms.bundle.inverse
     pairing = np.einsum("...ik,...jl,...ij,...kl->...",
@@ -345,7 +345,7 @@ def test_variation_trace_term_inert_at_lambda_zero():
     pg, dg = variation_setup()
     [res] = first_variation_check(pg, lambda_to_constants(2, 1, 0.0)[:1], dg)
 
-    terms = StateTerms.at(pg.g, pg.f, pg.order)
+    terms = StateTerms.at(pg.g, pg.f)
     s_naive = gradient_tensor(terms, 0.0)
     inv = terms.bundle.inverse
     pairing = np.einsum("...ik,...jl,...ij,...kl->...",

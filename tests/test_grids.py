@@ -21,8 +21,8 @@ from warpflow.warped import (assemble_product_metric, christoffel_closed_form,
 TAU = 2.0 * math.pi
 
 
-def line(n=64, L=TAU):
-    return GridSpec((n,), (L,))
+def line(n=64, L=TAU, order=2):
+    return GridSpec((n,), (L,), order)
 
 
 # ----------------------------------------------------------------- GridSpec
@@ -200,9 +200,9 @@ def test_first_derivative_discrete_eigenvalue():
 
 def test_derivative_convergence_orders():
     def err(n, order):
-        grid = line(n)
+        grid = line(n, order=order)
         x = grid.coordinates(0)
-        df = diff_array(np.exp(np.sin(x)), grid, 0, order)
+        df = diff_array(np.exp(np.sin(x)), grid, 0)
         exact = np.cos(x) * np.exp(np.sin(x))
         return float(np.abs(df - exact).max())
 
@@ -220,14 +220,15 @@ def test_derivative_uses_each_axis_spacing():
     k = [TAU / L for L in periods]
 
     def errors(scale, order):
-        grid = GridSpec(tuple(scale * n for n in (8, 10, 12)), periods)
+        grid = GridSpec(tuple(scale * n for n in (8, 10, 12)), periods,
+                        order)
         x, y, z = grid.meshes()
         f = np.exp(0.3 * (np.sin(k[0] * x) + np.cos(k[1] * y)
                           + np.sin(k[2] * z)))
         exact = (0.3 * k[0] * np.cos(k[0] * x) * f,
                  -0.3 * k[1] * np.sin(k[1] * y) * f,
                  0.3 * k[2] * np.cos(k[2] * z) * f)
-        return [float(np.abs(diff_array(f, grid, a, order) - exact[a]).max())
+        return [float(np.abs(diff_array(f, grid, a) - exact[a]).max())
                 for a in range(3)]
 
     for order in (2, 4):
@@ -254,26 +255,25 @@ def test_second_derivative_is_composition_and_commutes():
     assert np.allclose(ab, ba, atol=1e-12)
 
 
-def test_diff_array_rejects_unknown_order():
-    grid = line(16)
+def test_grid_rejects_unknown_order_and_diff_array_unknown_axis():
+    with pytest.raises(ValueError, match="stencil order must be 2 or 4"):
+        GridSpec((16,), (TAU,), order=3)
     with pytest.raises(ValueError):
-        diff_array(np.zeros(16), grid, 0, order=3)
-    with pytest.raises(ValueError):
-        diff_array(np.zeros(16), grid, 1)
+        diff_array(np.zeros(16), line(16), 1)
 
 
 def test_summation_by_parts_to_roundoff():
     # sum u (Dv) = -sum (Du) v exactly: the periodic central stencil is
     # antisymmetric under the plain node sum.  This identity is why all
     # second derivatives are built by composing it.
-    grid = GridSpec((16, 12), (TAU, 3.0))
     rng = np.random.default_rng(11)
-    u = rng.standard_normal(grid.shape)
-    v = rng.standard_normal(grid.shape)
+    u = rng.standard_normal((16, 12))
+    v = rng.standard_normal((16, 12))
     for order in (2, 4):
+        grid = GridSpec((16, 12), (TAU, 3.0), order)
         for axis in (0, 1):
-            left = np.sum(u * diff_array(v, grid, axis, order))
-            right = -np.sum(diff_array(u, grid, axis, order) * v)
+            left = np.sum(u * diff_array(v, grid, axis))
+            right = -np.sum(diff_array(u, grid, axis) * v)
             assert left == pytest.approx(right, abs=1e-12)
 
 
@@ -295,6 +295,18 @@ def test_integrate_weight_grid_mismatch():
     w = ScalarField.constant(line(32), 1.0)
     with pytest.raises(GridMismatchError):
         integrate(f, w)
+
+
+def test_fields_at_different_stencil_orders_do_not_mix():
+    # the order is part of the grid: equal points and periods at orders
+    # 2 and 4 are two grids, so their fields are not combined
+    assert line(16) != line(16, order=4)
+    f = recipes.sine_scalar(line(16), 0.3)
+    f4 = ScalarField(line(16, order=4), f.values)
+    with pytest.raises(GridMismatchError):
+        integrate(f, f4)
+    with pytest.raises(ValueError, match="different grids"):
+        StateTerms.at(recipes.flat_metric(line(16, order=4)), f)
 
 
 # ------------------------------------------------------------------- filter

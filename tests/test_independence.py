@@ -10,7 +10,10 @@ two share no code beyond the grid primitives.  So:
   compares against: ``curvature_bundle``, ``StateTerms`` and
   ``CurvatureBundle``;
 * no module imports, or reads off an imported module, a name that
-  another module keeps private (a leading underscore).
+  another module keeps private (a leading underscore);
+* the stencil order is a field of ``grids.GridSpec``: no function
+  outside ``grids`` takes an ``order`` parameter, so no call can pick an
+  order of its own.
 """
 
 import ast
@@ -77,3 +80,14 @@ def test_no_module_reads_another_modules_private_names(module):
             private = {attr for attr in attributes_read(module, name)
                        if attr.startswith("_") and not attr.startswith("__")}
             assert not private, (name, private)
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "grids"])
+def test_only_grids_reads_the_stencil_order(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = {a.arg for a in (*args.posonlyargs, *args.args,
+                                      *args.kwonlyargs)}
+            assert "order" not in params, (module, node.name)

@@ -26,10 +26,11 @@ from warpflow import geometry, grids, recipes, verify
 from warpflow.grids import Christoffel3Field, GridSpec, ScalarField, diff_array
 
 
-def roll_diff(values, grid, axis, order):
-    """The periodic central difference written with np.roll."""
+def roll_diff(values, grid, axis):
+    """The periodic central difference of the grid's order written with
+    np.roll."""
     h = grid.spacing[axis]
-    if order == 2:
+    if grid.order == 2:
         return (np.roll(values, -1, axis)
                 - np.roll(values, 1, axis)) / (2.0 * h)
     return (-np.roll(values, -2, axis) + 8.0 * np.roll(values, -1, axis)
@@ -37,13 +38,13 @@ def roll_diff(values, grid, axis, order):
             ) / (12.0 * h)
 
 
-def loop_christoffel(g, inv, order):
+def loop_christoffel(g, inv):
     """Gamma^k_{ij} assembled on the whole grid, one k at a time."""
     grid = g.grid
     d = grid.dim
     out = np.zeros(grid.shape + (d, d, d))
     for a in range(d):
-        da = roll_diff(g.values, grid, a, order)
+        da = roll_diff(g.values, grid, a)
         half_raised = 0.5 * np.matmul(inv, da)
         out[..., :, a, :] += half_raised
         out[..., :, :, a] += half_raised
@@ -58,8 +59,9 @@ def assert_bitwise(actual, expected):
     assert np.array_equal(np.signbit(actual), np.signbit(expected))
 
 
-def grid_of(points):
-    return GridSpec(points, tuple(1.0 + 0.7 * i for i in range(len(points))))
+def grid_of(points, order=2):
+    return GridSpec(points, tuple(1.0 + 0.7 * i for i in range(len(points))),
+                    order)
 
 
 SHAPES = [(8,), (13,), (8, 11), (9, 8, 10), (8, 9, 8, 10)]
@@ -68,7 +70,7 @@ SHAPES = [(8,), (13,), (8, 11), (9, 8, 10), (8, 9, 8, 10)]
 @pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("points", SHAPES)
 def test_diff_array_matches_roll_formula(points, order):
-    grid = grid_of(points)
+    grid = grid_of(points, order)
     d = grid.dim
     rng = np.random.default_rng(len(points) + order)
     scalar = rng.standard_normal(points)
@@ -79,8 +81,8 @@ def test_diff_array_matches_roll_formula(points, order):
         for values in (scalar, metric,            # trailing component axes
                        cube[..., d - 1, :, :],    # strided, like gam[..., a]
                        cube[..., :, 0, :]):
-            assert_bitwise(diff_array(values, grid, axis, order),
-                           roll_diff(values, grid, axis, order))
+            assert_bitwise(diff_array(values, grid, axis),
+                           roll_diff(values, grid, axis))
 
 
 def cube_bytes(nodes, d):
@@ -102,11 +104,11 @@ def test_christoffel_matches_whole_grid_loop(monkeypatch, points, order,
     nodes = math.prod(points)
     monkeypatch.setattr(grids, "_BLOCK_BYTES",
                         cube_bytes(BLOCKS[blocks](nodes), len(points)))
-    grid = grid_of(points)
+    grid = grid_of(points, order)
     g = recipes.random_spd_metric(grid, np.random.default_rng(nodes), 0.3)
     inv = geometry.inverse_metric(g)
-    assert_bitwise(geometry._christoffel(g, inv, order).values,
-                   loop_christoffel(g, inv, order))
+    assert_bitwise(geometry._christoffel(g, inv).values,
+                   loop_christoffel(g, inv))
 
 
 @pytest.mark.parametrize("order", [2, 4])
@@ -116,14 +118,14 @@ def test_christoffel_matches_at_the_module_block_size(order):
     for points in ((block_1d + 1,), (8, 9, 8, 10)):
         block = grids._BLOCK_BYTES // cube_bytes(1, len(points))
         assert math.prod(points) % block != 0
-        grid = grid_of(points)
+        grid = grid_of(points, order)
         g = recipes.random_spd_metric(grid, np.random.default_rng(order), 0.3)
         inv = geometry.inverse_metric(g)
-        assert_bitwise(geometry._christoffel(g, inv, order).values,
-                       loop_christoffel(g, inv, order))
+        assert_bitwise(geometry._christoffel(g, inv).values,
+                       loop_christoffel(g, inv))
 
 
-def einsum_ricci(gamma, order):
+def einsum_ricci(gamma):
     """The raw Ricci with its contractions as einsum formulas, and at
     every node the sum of the absolute values of its terms."""
     grid = gamma.grid
@@ -132,9 +134,9 @@ def einsum_ricci(gamma, order):
     trace = np.einsum("...aab->...b", gam)
     deriv = np.zeros(grid.shape + (d, d))
     for a in range(d):
-        deriv += roll_diff(gam[..., a, :, :], grid, a, order)
+        deriv += roll_diff(gam[..., a, :, :], grid, a)
     for b in range(d):
-        deriv[..., b, :] -= roll_diff(trace, grid, b, order)
+        deriv[..., b, :] -= roll_diff(trace, grid, b)
     ric = (deriv + np.einsum("...pbd,...p->...bd", gam, trace)
            - np.einsum("...pad,...abp->...bd", gam, gam))
     mag = (np.abs(deriv)
@@ -143,7 +145,7 @@ def einsum_ricci(gamma, order):
     return ric, mag
 
 
-def einsum_hessian(df, gamma, order):
+def einsum_hessian(df, gamma):
     """The symmetrized covariant Hessian with Gamma^k_{jl} D_k f as an
     einsum, and the sum of the absolute values of its terms."""
     grid = gamma.grid
@@ -151,7 +153,7 @@ def einsum_hessian(df, gamma, order):
     second = np.empty(grid.shape + (d, d))
     for l in range(d):
         for j in range(d):
-            second[..., j, l] = roll_diff(df[..., l], grid, j, order)
+            second[..., j, l] = roll_diff(df[..., l], grid, j)
     raw = second - np.einsum("...kjl,...k->...jl", gamma.values, df)
     mag = np.abs(second) + np.einsum("...kjl,...k->...jl",
                                      np.abs(gamma.values), np.abs(df))
@@ -172,13 +174,13 @@ def random_cube(grid, rng):
     return Christoffel3Field(grid, rng.standard_normal(grid.shape + (d,) * 3))
 
 
-def ricci_and_hessian(grid, order, seed):
+def ricci_and_hessian(grid, seed):
     rng = np.random.default_rng(seed)
     gamma = random_cube(grid, rng)
     f = ScalarField(grid, rng.standard_normal(grid.shape))
-    df = geometry.gradient_components(f, order)
-    return (gamma, df, geometry._ricci_matrix(gamma, order),
-            geometry.hessian(df, gamma, order))
+    df = geometry.gradient_components(f)
+    return (gamma, df, geometry._ricci_matrix(gamma),
+            geometry.hessian(df, gamma))
 
 
 @pytest.mark.parametrize("order", [2, 4])
@@ -189,9 +191,9 @@ def test_contractions_match_einsum_formulas(monkeypatch, points, order,
     nodes, d = math.prod(points), len(points)
     monkeypatch.setattr(grids, "_BLOCK_BYTES",
                         cube_bytes(BLOCKS[blocks](nodes), d))
-    gamma, df, ric, hess = ricci_and_hessian(grid_of(points), order, nodes)
-    assert_within_ulps(ric, *einsum_ricci(gamma, order), d)
-    assert_within_ulps(hess, *einsum_hessian(df, gamma, order), d)
+    gamma, df, ric, hess = ricci_and_hessian(grid_of(points, order), nodes)
+    assert_within_ulps(ric, *einsum_ricci(gamma), d)
+    assert_within_ulps(hess, *einsum_hessian(df, gamma), d)
 
 
 @pytest.mark.parametrize("order", [2, 4])
@@ -199,11 +201,11 @@ def test_contractions_match_einsum_formulas(monkeypatch, points, order,
 def test_contractions_do_not_depend_on_the_block_size(monkeypatch, points,
                                                       order):
     nodes, d = math.prod(points), len(points)
-    grid = grid_of(points)
+    grid = grid_of(points, order)
     results = []
     for size in [1, 7, nodes - 1, nodes + 5]:
         monkeypatch.setattr(grids, "_BLOCK_BYTES", cube_bytes(size, d))
-        results.append(ricci_and_hessian(grid, order, nodes)[2:])
+        results.append(ricci_and_hessian(grid, nodes)[2:])
     for ric, hess in results[1:]:
         assert_bitwise(ric, results[0][0])
         assert_bitwise(hess, results[0][1])

@@ -148,9 +148,10 @@ def test_determinant_out_of_float_range_is_refused(scale, d):
     assert "condition estimate inf" in str(err.value)
 
 
-# Grids of 4100, 4352 and 4608 nodes: the check runs in blocks of 4096,
-# so the bad nodes past node 4096 sit in its ragged last block.
-RAGGED = {1: (4100,), 3: (16, 16, 17), 4: (8, 8, 8, 9)}
+# Grids of 32772, 4352 and 4608 nodes: the check runs in the node blocks
+# of its d x d matrices, 32768, 3640 and 2048 nodes at d = 1, 3 and 4, so
+# the bad nodes past the last whole block sit in its ragged last block.
+RAGGED = {1: (32772,), 3: (16, 16, 17), 4: (8, 8, 8, 9)}
 
 
 def field_with(d, bad):
@@ -182,10 +183,10 @@ def lapack_condition_report(g):
 
 
 SPD_CASES = [
-    (1, {(4098,): [[-0.5]]}),
-    (1, {(4097,): [[0.0]]}),
-    (1, {(4097,): [[0.0]], (4099,): [[-2.0]]}),
-    (1, {(17,): [[-1e-300]], (4098,): [[-3.0]]}),
+    (1, {(32770,): [[-0.5]]}),
+    (1, {(32769,): [[0.0]]}),
+    (1, {(32769,): [[0.0]], (32771,): [[-2.0]]}),
+    (1, {(17,): [[-1e-300]], (32770,): [[-3.0]]}),
     (3, {(15, 15, 10): rotated(np.array([[1.0, -1e-3, 2.0]]), 1)[0]}),
     (3, {(15, 15, 16): np.diag([1.0, 1.0, 0.0])}),
     (3, {(15, 15, 16): np.diag([1.0, 1.0, 0.0]),
@@ -214,7 +215,7 @@ CONDITION_CASES = [
     # at d = 1 the estimate is 1 wherever it is finite: the guard fires
     # only where an entry's square leaves the float range, which made a
     # NaN estimate that the LAPACK path let slip past
-    (1, {(4098,): [[1e-200]]}),
+    (1, {(32770,): [[1e-200]]}),
     (3, {(15, 15, 13): rotated(np.array([[1.0, 1.0, 1e-13]]), 3)[0]}),
     (3, {(2, 3, 4): rotated(np.array([[1.0, 1e-13, 1e-13]]), 4)[0],
          (15, 15, 13): rotated(np.array([[1.0, 2.0, 1e-14]]), 5)[0]}),
@@ -265,7 +266,7 @@ def test_factorization_is_the_same_for_any_block_size(monkeypatch, d):
     vals = rotated(spectra, d).reshape(grid.shape + (d, d))
     results = []
     for block in (4096, 1000):
-        monkeypatch.setattr(grids, "_FACTOR_NODES", block)
+        monkeypatch.setattr(grids, "_BLOCK_BYTES", block * 8 * d * d)
         g = SymTensorField(grid, vals, is_metric=True)
         results.append((g.det, geometry.inverse_metric(g)))
     (det, inv), (det2, inv2) = results

@@ -145,9 +145,9 @@ def test_constants_validation():
 # ----------------------------------------------------------- product setup
 
 def build(m_pts, n_pts, g_amp=0.15, h_amp=0.1, f_amp=0.2,
-          flat_h=False, f=None):
-    grid_m = GridSpec(m_pts, (TAU,) * len(m_pts))
-    grid_n = GridSpec(n_pts, (TAU,) * len(n_pts))
+          flat_h=False, f=None, order=2):
+    grid_m = GridSpec(m_pts, (TAU,) * len(m_pts), order)
+    grid_n = GridSpec(n_pts, (TAU,) * len(n_pts), order)
     g = recipes.conformal_metric(grid_m, g_amp)
     h = recipes.flat_metric(grid_n) if flat_h \
         else recipes.conformal_metric(grid_n, h_amp)
@@ -176,6 +176,9 @@ def test_product_geometry_validation():
     bare = SymTensorField(grid_m, g.values.copy())
     with pytest.raises(ValueError):
         ProductGeometry(grid_m, grid_n, bare, h, f)
+    grid_n4 = GridSpec((8,), (TAU,), order=4)
+    with pytest.raises(ValueError, match="different stencil orders"):
+        ProductGeometry(grid_m, grid_n4, g, recipes.flat_metric(grid_n4), f)
 
 
 def test_assembled_metric_blocks():
@@ -304,24 +307,25 @@ def test_product_geometry_is_frozen_and_memo_is_transparent():
         assert np.array_equal(a.values, b.values)
 
 
-def test_product_geometry_carries_its_stencil_order():
-    # every piece is the oracle pass at the geometry's own order, bit for
-    # bit, and a study's geometry takes its spec's order
+def test_product_geometry_runs_at_its_grids_stencil_order():
+    # every piece is the oracle pass at the factor grids' order, bit for
+    # bit, the product grid inherits that order, and a study's grids take
+    # its spec's order
     from warpflow.verify import FieldSpec, StudySpec, build_product_geometry
     base = build((8, 8), (8,))
-    pg = dataclasses.replace(base, order=4)
-    assert (base.order, pg.order) == (2, 4)
-    for got, want in ((pg.m_pieces.bundle, geometry.curvature_bundle(pg.g, 4)),
-                      (pg.n_bundle, geometry.curvature_bundle(pg.h, 4))):
+    pg = build((8, 8), (8,), order=4)
+    assert (base.product_grid.order, pg.product_grid.order) == (2, 4)
+    for got, want in ((pg.m_pieces.bundle, geometry.curvature_bundle(pg.g)),
+                      (pg.n_bundle, geometry.curvature_bundle(pg.h))):
         assert np.array_equal(got.christoffel.values, want.christoffel.values)
         assert np.array_equal(got.ricci.values, want.ricci.values)
         assert np.array_equal(got.scalar.values, want.scalar.values)
         assert np.array_equal(got.inverse, want.inverse)
-    assert np.array_equal(pg.m_pieces.df,
-                          geometry.gradient_components(pg.f, 4))
+    assert np.array_equal(pg.m_pieces.df, geometry.gradient_components(pg.f))
     assert not np.array_equal(pg.m_pieces.df, base.m_pieces.df)
     spec = StudySpec((((8, 8), (8,)),), g_spec=FieldSpec("flat"), order=4)
-    assert build_product_geometry(spec).order == 4
+    built = build_product_geometry(spec)
+    assert (built.grid_m.order, built.grid_n.order) == (4, 4)
 
 
 def test_standalone_scalar_matches_bundle():
