@@ -180,9 +180,9 @@ def test_criterion_2_curvature_closed_forms():
                        f"{zeros} identically-zero families"
                        f"{'' if case_ok else '  <-- FAILED'}")
 
-    # An order-4 leg: its finest errors, near 1e-8, sit far below what a
-    # defect of 1e-6 in a closed form adds, so such a defect stalls the
-    # convergence.  Every live family must converge at order >= 3.5 on
+    # An order-4 leg: its finest Christoffel errors, near 2e-8, sit far
+    # below what a defect of 1e-6 in a closed form adds, so such a defect
+    # stalls the convergence.  Every live family must converge at order >= 3.5 on
     # every refinement pair.
     levels = ladder([((p, p), (8,)) for p in (16, 32, 64, 128)])
     rows = curvature_study(solve_perelman_constants(2, 1), StudySpec(

@@ -83,7 +83,7 @@ def test_no_module_reads_another_modules_private_names(module):
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "grids"])
-def test_only_grids_reads_the_stencil_order(module):
+def test_no_function_outside_grids_takes_an_order(module):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text())
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
