@@ -283,10 +283,12 @@ def _f_profile(cfg, multi_mode: bool) -> tuple[float, tuple[int, ...]]:
     return amplitude, tuple(modes)
 
 
-def _grid(points: tuple[int, ...], period: float) -> GridSpec:
-    """A grid from config values; its own validation becomes a ConfigError."""
+def _grid(points: tuple[int, ...], period: float, **fields) -> GridSpec:
+    """A grid from config values, with any further ``GridSpec`` fields
+    (the stencil order) passed through; its own validation becomes a
+    ConfigError."""
     try:
-        return GridSpec(points, (period,) * len(points))
+        return GridSpec(points, (period,) * len(points), **fields)
     except ValueError as exc:
         raise ConfigError(f"[grid] {exc}") from exc
 
@@ -308,17 +310,15 @@ def _study_spec(cfg, m: int, n: int, g_default: str, seed: int | None,
     period_n = _float(cfg, "grid", "n_period", 2.0 * math.pi)
     levels = tuple(((pm,) * m, (pn,) * n)
                    for pm, pn in zip(m_counts, n_counts))
+    order = _int(cfg, "grid", "order", 2)
     for points_m, points_n in levels:
-        _grid(points_m, period_m)
-        _grid(points_n, period_n)
+        _grid(points_m, period_m, order=order)
+        _grid(points_n, period_n, order=order)
     g_spec = _field_spec(cfg, "g", g_default, 0.2, m)
     h_spec = _field_spec(cfg, "h", "flat", 0.1, n)
     if seed is None and "random-spd" in (g_spec.name, h_spec.name):
         raise ConfigError("a random-spd recipe is in use: pass --seed")
     f_amplitude, f_modes = _f_profile(cfg, multi_mode=True)
-    order = _int(cfg, "grid", "order", 2)
-    if order not in (2, 4):
-        raise ConfigError(f"grid.order must be 2 or 4, got {order}")
     return StudySpec(levels, period_m, period_n, g_spec, h_spec,
                      f_amplitude, f_modes, order, seed)
 

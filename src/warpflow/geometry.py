@@ -28,7 +28,8 @@ Discrete quirks worth knowing:
   arguments depend on position through the inverse metric.  The result is
   symmetrized and the discarded part is reported; a large value means the
   fields are under-resolved.  The Hessian is symmetrized too, since
-  D_j D_l f and D_l D_j f agree to roundoff; ``hessian`` returns an array.
+  D_j D_l f and D_l D_j f agree to roundoff; ``StateTerms`` holds it as
+  an array.
 * ``curvature_bundle`` is the only curvature entry point: one pass that
   inverts the metric once, contracts the scalar from the symmetrized
   Ricci matrix and returns the whole stack, the inverse included.
@@ -39,19 +40,22 @@ Discrete quirks worth knowing:
 * Every kernel that reads or writes the Christoffel cube sweeps the
   flattened nodes in the grids module's ``node_blocks`` of the cube, so
   each block is worked on while it sits in cache and every temporary of
-  a sweep is block-sized.  The cube is assembled one derivative axis at
-  a time, with one D_a g array alive: peak memory is the cube, D_a g and
-  the order-4 stencil's one temporary, plus one block's worth, which is
-  what lets 4d product grids with a few million nodes fit in a small
-  container.
-* Of the three contractions that read the cube, Gamma^p_{ad} Gamma^a_{bp}
-  is a batched matrix product over a block's nodes, (d, d^2) @ (d^2, d),
-  and Gamma^p_{bd} Gamma^a_{ap} and the Hessian's Gamma^k_{jl} D_k f are
+  a sweep is block-sized.  The cube is built in its own storage: each
+  D_a g is written into the cube's slot a, then one sweep turns every
+  block into its Christoffel symbols in place, raising the connection
+  of the first kind with one batched matrix product.  Peak memory is
+  the cube, one D_a g and the order-4 stencil's one temporary, plus one
+  block's worth, which is what lets 4d product grids with a few million
+  nodes fit in a small container.
+* The raising g^{kl} S_{lij} is a batched matrix product over a block's
+  nodes, (d, d) @ (d, d^2).  Of the three contractions that read the
+  cube, Gamma^p_{ad} Gamma^a_{bp} is one too, (d, d^2) @ (d^2, d), and
+  Gamma^p_{bd} Gamma^a_{ap} and the Hessian's Gamma^k_{jl} D_k f are
   one einsum over the block, sum_p v_p Gamma^p_{ij}.  Each node's sums
   run independently of the other nodes, so where a block ends changes no
-  bit.  The matrix product is not bitwise equal to the einsum formula it
-  stands for: its sums run in another order, and differ from it by a few
-  ulps of the summed magnitudes.
+  bit.  The matrix products are not bitwise equal to the einsum formulas
+  they stand for: their sums run in another order, and differ from them
+  by a few ulps of the summed magnitudes.
 * A metric field holds its determinant, the product of the LDL^T pivots
   that the grids module's positive-definiteness check took, and the
   inverse and the volume density both read it.  At d <= 3, the flows'
@@ -83,7 +87,6 @@ __all__ = [
     "StateTerms",
     "inverse_metric",
     "curvature_bundle",
-    "hessian",
     "laplace_beltrami",
     "volume_density",
     "measure_density",
@@ -158,31 +161,40 @@ def _lower_contract(v: np.ndarray, gam: np.ndarray) -> np.ndarray:
 
 
 def _christoffel(g: SymTensorField, inv: np.ndarray) -> Christoffel3Field:
-    """Christoffel symbols from the metric and its inverse.
-
-    Built one derivative axis at a time: with D_a = d/dx^a,
+    """Christoffel symbols from the metric and its inverse, with
+    D_a = d/dx^a:
 
         Gamma^k_{ij} = (1/2) g^{kl} (D_i g_{jl} + D_j g_{il} - D_l g_{ij})
 
-    The accumulation order is identical for the (i, j) and (j, i) entries,
-    so the stored array is symmetric to the bit.
+    Each D_a g_{ij} is written into slot a of the cube, as entry
+    (a, i, j), and one sweep of the node blocks turns each block into its
+    Christoffel symbols in place.  With Y_{lij} = D_i g_{jl}, the block
+    with its entry (i, j, l) moved to (l, i, j),
+
+        S_{lij} = Y_{lij} + Y_{lji} - D_l g_{ij}
+
+    is twice the connection of the first kind, and R = g^{-1} S is one
+    batched product over the block's nodes.  The block becomes
+    (R + R^T) / 4, with R^T the (i, j) transpose: R is symmetric in
+    (i, j) in exact arithmetic, and the sum makes it so to the bit,
+    whatever order the product's sums ran in.
     """
     grid = g.grid
     d = grid.dim
-    out = np.zeros(grid.shape + (d, d, d))
+    out = np.empty(grid.shape + (d, d, d))
+    for a in range(d):
+        out[..., a, :, :] = diff_array(g.values, grid, a)
     flat_out = out.reshape(-1, d, d, d)
     flat_inv = inv.reshape(-1, d, d)
-    for a in range(d):
-        # D_a g_{ij}, the only derivative array alive
-        da = diff_array(g.values, grid, a).reshape(-1, d, d)
-        for blk in _node_blocks(grid):
-            o, ib, dab = flat_out[blk], flat_inv[blk], da[blk]
-            half_raised = 0.5 * np.matmul(ib, dab)  # (1/2) g^{kl} D_a g_{lj}
-            o[:, :, a, :] += half_raised            # D_i term at i = a
-            o[:, :, :, a] += half_raised            # D_j term at j = a
-            # -(1/2) g^{ka} D_a g_{ij}, for every k at once
-            o -= (0.5 * ib[:, :, a])[:, :, None, None] * dab[:, None]
-        del da
+    for blk in _node_blocks(grid):
+        o = flat_out[blk]
+        n = o.shape[0]
+        y = np.ascontiguousarray(o.transpose(0, 3, 1, 2))  # D_i g_{jl}
+        s = y + y.transpose(0, 1, 3, 2)
+        s -= o
+        r = np.matmul(flat_inv[blk], s.reshape(n, d, d * d)).reshape(o.shape)
+        np.add(r, r.transpose(0, 1, 3, 2), out=o)
+        o *= 0.25
     return Christoffel3Field(grid, out)
 
 
@@ -262,23 +274,20 @@ def gradient_components(f: ScalarField) -> np.ndarray:
     return out
 
 
-def hessian(df: np.ndarray, gamma: Christoffel3Field) -> np.ndarray:
+def _hessian(df: np.ndarray, gamma: Christoffel3Field) -> np.ndarray:
     """Covariant Hessian (nabla^2 f)_{jl} = D_j D_l f - Gamma^k_{jl} D_k f,
     symmetrized, as a (..., d, d) array.
 
     Takes the first partials df = ``gradient_components(f)`` and the
-    connection, not f and the metric: the Hessian never needs g itself,
-    and callers already hold both.
+    connection, not f and the metric: the Hessian never needs g itself.
+    df is a bare array, so nothing here sees its stencil order;
+    ``StateTerms.at``, the one caller, takes both from one grid.
     """
     grid = gamma.grid
     d = grid.dim
-    if df.shape != grid.shape + (d,):
-        raise ValueError("scalar and connection live on different grids")
     out = np.empty(grid.shape + (d, d))
-    for l in range(d):
-        dl = df[..., l]
-        for j in range(d):
-            out[..., j, l] = diff_array(dl, grid, j)
+    for j in range(d):
+        out[..., j, :] = diff_array(df, grid, j)     # D_j D_l f, every l
     flat_out, flat_df = out.reshape(-1, d, d), df.reshape(-1, d)
     flat_gam = gamma.values.reshape(-1, d, d, d)
     for blk in _node_blocks(grid):
@@ -319,7 +328,7 @@ class StateTerms:
             raise ValueError("g and f live on different grids")
         bundle = curvature_bundle(g)
         df = gradient_components(f)
-        hess = hessian(df, bundle.christoffel)
+        hess = _hessian(df, bundle.christoffel)
         return cls(g=g, f=f, bundle=bundle, df=df, hess=hess)
 
     @cached_property

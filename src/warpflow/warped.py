@@ -322,11 +322,14 @@ def _diagonal_blocks(pg: ProductGeometry, c: WarpedConstants
     """The two diagonal blocks of the warped metric: e^{-Af} g on the M
     grid and e^{-Bf} h on the product grid, with f extended constantly
     along the N directions.  Both the assembled metric and its volume
-    density take their entries from here."""
+    density take their entries from here, so both refuse a block out of
+    float range with the same ``NonFiniteFieldError``."""
     _dims(pg, c)
     gm = np.exp(-c.A * pg.f.values)[..., None, None] * pg.g.values
     hn = _lift_m(pg, np.exp(-c.B * pg.f.values))[..., None, None] \
         * _lift_n(pg, pg.h.values)
+    if not (np.all(np.isfinite(gm)) and np.all(np.isfinite(hn))):
+        raise NonFiniteFieldError("warped metric contains non-finite values")
     return gm, hn
 
 
@@ -358,8 +361,6 @@ def product_volume_density(pg: ProductGeometry,
     gets: finite entries, both blocks before either block's pivots, then
     bitwise symmetry and positive, finite pivots."""
     gm, hn = _diagonal_blocks(pg, c)
-    if not (np.all(np.isfinite(gm)) and np.all(np.isfinite(hn))):
-        raise NonFiniteFieldError("warped metric contains non-finite values")
     det = ldl_determinant(hn, lead=_lift_m(pg, ldl_determinant(gm)))
     if not np.all(np.isfinite(det)):
         raise NonFiniteFieldError(

@@ -260,7 +260,7 @@ def test_unknown_stencil_order_is_invalid_input(tmp_path, capfd):
                "--out", str(tmp_path / "out.csv")])
     assert rc == 2
     assert capfd.readouterr().err == \
-        "error: grid.order must be 2 or 4, got 3\n"
+        "error: [grid] stencil order must be 2 or 4, got 3\n"
 
 
 # ------------------------------------------------------- shipped configs
@@ -350,7 +350,7 @@ def test_identity_fail_line_names_the_missed_bound(tmp_path, capsys):
     ("verify-variation", "variation.ini", {"fields": {"f_amplitude": "300"}},
      "warped metric"),
     ("verify-curvature", "curvature-quick.ini",
-     {"fields": {"f_amplitude": "300"}}, None),
+     {"fields": {"f_amplitude": "300"}}, "warped metric"),
 ])
 def test_warp_out_of_float_range_is_a_failure(tmp_path, capfd, command,
                                               name, values, quantity):
@@ -364,8 +364,7 @@ def test_warp_out_of_float_range_is_a_failure(tmp_path, capfd, command,
     assert lines[-1].startswith("failure: ")
     assert all(l.startswith("warning: ") for l in lines[:-1])
     assert "non-finite" in lines[-1]
-    if quantity is not None:
-        assert quantity in lines[-1]
+    assert quantity in lines[-1]
 
 
 @pytest.mark.parametrize("seed", ["7", "1"])

@@ -124,8 +124,7 @@ def test_sym_tensor_storage_is_full_symmetric_and_read_only():
             t.matrix()[(0,) * (d + 2)] = 1.0
 
     # the Hessian and S_lam are plain arrays, symmetric to the bit
-    for arr in (geometry.hessian(geometry.gradient_components(f),
-                                 bundle.christoffel),
+    for arr in (StateTerms.at(g, f).hess,
                 gradient_tensor(StateTerms.at(g, f), 0.5),
                 gradient_tensor(StateTerms.at(g, f), 0.3)):
         assert isinstance(arr, np.ndarray) and arr.shape == grid.shape + (2, 2)

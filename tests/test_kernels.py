@@ -1,20 +1,22 @@
 """The blocked kernels against the whole-grid formulas they replace.
 
 ``grids.diff_array`` reads its shifted operands as periodic slices into
-one output array, ``geometry._christoffel`` sweeps the flattened nodes in
-blocks, and ``verify._family_maxima`` takes its max-norms block by block;
-both sweeps cut their blocks with ``grids.node_blocks``, whose one block
-size ``grids._BLOCK_BYTES`` the tests below vary.
-Every node sees the same floating-point operations in the same order, so
-these three are held to the plain formula bit for bit (sign of zero
-included), whatever the shape, the strides or where the blocks end.
+one output array, and ``verify._family_maxima`` takes its max-norms
+block by block, cutting its blocks with ``grids.node_blocks``, whose one
+block size ``grids._BLOCK_BYTES`` the tests below vary.  Every node sees
+the same floating-point operations in the same order, so these two are
+held to the plain formula bit for bit (sign of zero included), whatever
+the shape, the strides or where the blocks end.
 
-The oracle's three contractions of the Christoffel cube (the two Ricci
-terms and Hessian's Gamma^k_{jl} D_k f) are batched matrix products over
+``geometry._christoffel`` raises the connection of the first kind with
+one batched matrix product per node block, and the oracle's three
+contractions of the Christoffel cube (the two Ricci terms and the
+Hessian's Gamma^k_{jl} D_k f) are batched matrix products or einsums over
 the same node blocks.  Their sums run in another order than the einsum
 formulas they stand for, so they are held to those formulas within
 8 d^2 ulps of the summed magnitudes at every node, and to themselves bit
-for bit wherever the blocks end.
+for bit wherever the blocks end.  The Christoffel cube is also held to
+bitwise symmetry in its lower indices.
 """
 
 import math
@@ -38,19 +40,19 @@ def roll_diff(values, grid, axis):
             ) / (12.0 * h)
 
 
-def loop_christoffel(g, inv):
-    """Gamma^k_{ij} assembled on the whole grid, one k at a time."""
+def first_kind_christoffel(g, inv):
+    """Gamma^k_{ij} = (1/2) g^{kl} (D_i g_{jl} + D_j g_{il} - D_l g_{ij}) as
+    einsums on the whole grid, and at every entry the sum of the
+    absolute values of its terms."""
     grid = g.grid
-    d = grid.dim
-    out = np.zeros(grid.shape + (d, d, d))
-    for a in range(d):
-        da = roll_diff(g.values, grid, a)
-        half_raised = 0.5 * np.matmul(inv, da)
-        out[..., :, a, :] += half_raised
-        out[..., :, :, a] += half_raised
-        for k in range(d):
-            out[..., k, :, :] -= 0.5 * inv[..., k, a, None, None] * da
-    return out
+    dg = np.stack([roll_diff(g.values, grid, a) for a in range(grid.dim)],
+                  axis=-3)                       # (a, i, j): D_a g_{ij}
+    d_i = np.einsum("...ijl->...lij", dg)        # D_i g_{jl}
+    d_j = np.einsum("...jil->...lij", dg)        # D_j g_{il}
+    gamma = 0.5 * np.einsum("...kl,...lij->...kij", inv, d_i + d_j - dg)
+    mag = 0.5 * np.einsum("...kl,...lij->...kij", np.abs(inv),
+                          np.abs(d_i) + np.abs(d_j) + np.abs(dg))
+    return gamma, mag
 
 
 def assert_bitwise(actual, expected):
@@ -96,19 +98,25 @@ BLOCKS = {"below_one": lambda nodes: nodes + 5,
           "ragged": lambda nodes: 7}
 
 
+def christoffel_at_block_size(g, nodes):
+    """``_christoffel`` of g and its inverse, swept in blocks of ``nodes``
+    nodes."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grids, "_BLOCK_BYTES", cube_bytes(nodes, g.grid.dim))
+        return geometry._christoffel(g, geometry.inverse_metric(g)).values
+
+
 @pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("points", SHAPES[:1] + SHAPES[2:])
 @pytest.mark.parametrize("blocks", sorted(BLOCKS))
-def test_christoffel_matches_whole_grid_loop(monkeypatch, points, order,
-                                             blocks):
-    nodes = math.prod(points)
-    monkeypatch.setattr(grids, "_BLOCK_BYTES",
-                        cube_bytes(BLOCKS[blocks](nodes), len(points)))
+def test_christoffel_matches_first_kind_formula(points, order, blocks):
+    nodes, d = math.prod(points), len(points)
     grid = grid_of(points, order)
     g = recipes.random_spd_metric(grid, np.random.default_rng(nodes), 0.3)
-    inv = geometry.inverse_metric(g)
-    assert_bitwise(geometry._christoffel(g, inv).values,
-                   loop_christoffel(g, inv))
+    gamma = christoffel_at_block_size(g, BLOCKS[blocks](nodes))
+    assert_within_ulps(gamma, *first_kind_christoffel(
+        g, geometry.inverse_metric(g)), d)
+    assert_bitwise(gamma, christoffel_at_block_size(g, nodes))
 
 
 @pytest.mark.parametrize("order", [2, 4])
@@ -116,13 +124,25 @@ def test_christoffel_matches_at_the_module_block_size(order):
     # one block plus one node, and a d = 4 grid that is no multiple of it
     block_1d = grids._BLOCK_BYTES // cube_bytes(1, 1)
     for points in ((block_1d + 1,), (8, 9, 8, 10)):
-        block = grids._BLOCK_BYTES // cube_bytes(1, len(points))
-        assert math.prod(points) % block != 0
+        nodes, d = math.prod(points), len(points)
+        assert nodes % (grids._BLOCK_BYTES // cube_bytes(1, d)) != 0
         grid = grid_of(points, order)
         g = recipes.random_spd_metric(grid, np.random.default_rng(order), 0.3)
         inv = geometry.inverse_metric(g)
-        assert_bitwise(geometry._christoffel(g, inv).values,
-                       loop_christoffel(g, inv))
+        gamma = geometry._christoffel(g, inv).values
+        assert_within_ulps(gamma, *first_kind_christoffel(g, inv), d)
+        assert_bitwise(gamma, christoffel_at_block_size(g, nodes))
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("points", SHAPES[1:])
+def test_christoffel_is_symmetric_in_its_lower_indices(points, order):
+    # the sweep symmetrizes each block; no product is trusted to return
+    # the (i, j) and (j, i) columns alike
+    grid = grid_of(points, order)
+    g = recipes.random_spd_metric(grid, np.random.default_rng(order), 0.5)
+    gamma = geometry._christoffel(g, geometry.inverse_metric(g)).values
+    assert np.array_equal(gamma, np.swapaxes(gamma, -1, -2))
 
 
 def einsum_ricci(gamma):
@@ -180,7 +200,7 @@ def ricci_and_hessian(grid, seed):
     f = ScalarField(grid, rng.standard_normal(grid.shape))
     df = geometry.gradient_components(f)
     return (gamma, df, geometry._ricci_matrix(gamma),
-            geometry.hessian(df, gamma))
+            geometry._hessian(df, gamma))
 
 
 @pytest.mark.parametrize("order", [2, 4])
