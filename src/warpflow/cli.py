@@ -26,6 +26,7 @@ silently change an experiment.  The conditional keys:
   [fields] f_mode             only without f_modes (flow takes no f_modes)
   [fields] f_high_amplitude   only with f_high_modes
   [flow] constraint_tol       only in coupled mode
+  [flow] filter_cutoff        only in coupled mode
 
 verify-variation runs at one resolution, so its m_points and n_points
 take one level, and a flow's t_end must be a whole number of steps of
@@ -62,9 +63,8 @@ from . import verify
 from .errors import (ConfigError, ConstantsError, FlowDivergenceError,
                      GridMismatchError, MetricDegeneracyError,
                      NonFiniteFieldError)
-from .flow import FlowConfig, FlowState, monotonicity_report, run_coupled, \
-    run_decoupled
-from .grids import GridSpec, ScalarField, SymTensorField, filter_array
+from .flow import FlowConfig, monotonicity_report, run_coupled, run_decoupled
+from .grids import GridSpec, ScalarField
 from .recipes import high_mode_scalar, sine_scalar
 from .verify import FieldSpec, StudySpec
 from .warped import (WarpedConstants, c1_residual, c2_residual,
@@ -365,17 +365,19 @@ def _parse_variation(cfg, seed):
 
 
 def _parse_flow(cfg, seed):
+    mode = cfg.get("flow", "mode", "coupled", _one_of("coupled", "decoupled"),
+                   "coupled or decoupled")
+    coupled = mode == "coupled"
     flow_cfg = FlowConfig(
         dt=_float(cfg, "flow", "dt", 1e-4),
         t_end=_float(cfg, "flow", "t_end", 1e-2),
         lam=_float(cfg, "flow", "lambda", 0.0),
         integrator=cfg.get("flow", "integrator", "euler"),
-        filter_cutoff=_float(cfg, "flow", "filter_cutoff", 1.0),
+        filter_cutoff=(_float(cfg, "flow", "filter_cutoff", 1.0)
+                       if coupled else 1.0),
         snapshot_stride=_int(cfg, "flow", "snapshot_stride", 1))
-    mode = cfg.get("flow", "mode", "coupled", _one_of("coupled", "decoupled"),
-                   "coupled or decoupled")
     constraint_tol = (_tolerance(cfg, "flow", "constraint_tol", math.inf)
-                      if mode == "coupled" else math.inf)
+                      if coupled else math.inf)
     grid = _grid(tuple(_ints(cfg, "grid", "points", [48])),
                  _float(cfg, "grid", "period", 2.0 * math.pi))
     rng = np.random.default_rng(seed) if seed is not None else None
@@ -393,22 +395,7 @@ def _parse_flow(cfg, seed):
                 f = ScalarField(grid, f.values + extra.values)
             except NonFiniteFieldError as exc:
                 raise ConfigError(f"f: {exc}") from exc
-    if flow_cfg.filter_cutoff < 1.0:
-        # a filtered run lives in the resolved subspace; project the
-        # initial data into it too, or the first step's truncation shows
-        # up as a spurious O(1) transient in the conserved density
-        f = ScalarField(grid, filter_array(f.values, grid,
-                                           flow_cfg.filter_cutoff))
-        g = SymTensorField(grid, filter_array(g.values, grid,
-                                              flow_cfg.filter_cutoff),
-                           is_metric=True)
-    return flow_cfg, mode, FlowState.initial(g, f), constraint_tol
-
-
-_PARSERS = {"verify-curvature": _parse_curvature,
-            "verify-identity": _parse_identity,
-            "verify-variation": _parse_variation,
-            "flow": _parse_flow}
+    return flow_cfg, mode, g, f, constraint_tol
 
 
 def _parse(command: str, path: str, seed: int | None):
@@ -416,12 +403,17 @@ def _parse(command: str, path: str, seed: int | None):
     Every key is looked up only where its value takes effect, so any
     section or key the parse did not look up is a ConfigError."""
     cfg = _Config(path)
-    spec = _PARSERS[command](cfg, seed)
+    spec = _COMMANDS[command][0](cfg, seed)
     cfg.reject_unread(command)
     return cfg, spec
 
 
 # ---------------------------------------------------------------- commands
+#
+# A config command's run takes the fields of its parsed spec, prints its
+# verdict lines, and returns (passed, title, notes, columns, rows): the
+# table's first comment line, after the command name, and the comment
+# lines after the config echo and the seed.
 
 def cmd_constants(args) -> int:
     m, n = args.m, args.n
@@ -449,10 +441,7 @@ def cmd_constants(args) -> int:
     return 0
 
 
-def cmd_verify_curvature(args) -> int:
-    cfg, (label, constants, spec, min_order, max_final) = _parse(
-        "verify-curvature", args.config, args.seed)
-
+def _run_curvature(label, constants, spec, min_order, max_final):
     rows = verify.curvature_study(constants, spec)
 
     n_levels = len(spec.levels)
@@ -476,21 +465,15 @@ def cmd_verify_curvature(args) -> int:
         else:
             print(f"[PASS] {family}: final error {_fmt(row.error)}, "
                   f"order {_fmt(row.order)}")
-    comments = [f"verify-curvature {label} m={constants.m} n={constants.n}",
-                *cfg.echo(),
-                f"seed {spec.seed}",
-                f"tolerances: min_order={_fmt(min_order)} "
-                f"max_final_error={_fmt(max_final)} "
-                f"abs_floor={_fmt(_ABS_FLOOR)}"]
-    _write_table(args.out, comments,
-                 ["family", "level", "h", "error", "order"],
-                 [[r.family, r.level, r.h, r.error, r.order] for r in rows])
-    return 0 if ok else 1
+    return (ok, f"{label} m={constants.m} n={constants.n}",
+            [f"tolerances: min_order={_fmt(min_order)} "
+             f"max_final_error={_fmt(max_final)} "
+             f"abs_floor={_fmt(_ABS_FLOOR)}"],
+            ["family", "level", "h", "error", "order"],
+            [[r.family, r.level, r.h, r.error, r.order] for r in rows])
 
 
-def cmd_verify_identity(args) -> int:
-    cfg, (runs, spec, normalize_n, min_order, max_final) = _parse(
-        "verify-identity", args.config, args.seed)
+def _run_identity(runs, spec, normalize_n, min_order, max_final):
     rows_by_run = verify.identity_study([c for _, c in runs], spec,
                                         normalize_n)
 
@@ -516,23 +499,16 @@ def cmd_verify_identity(args) -> int:
             all_rows.append([label, r.level, r.h, r.lam, r.S_tilde, r.F_lam,
                              r.vol_N, r.total_scalar_N, r.warp_coupling,
                              r.residual, r.order])
-    comments = [f"verify-identity m={constants.m} n={constants.n}",
-                *cfg.echo(),
-                f"seed {spec.seed}",
-                f"tolerances: min_order={_fmt(min_order)} "
-                f"max_final_residual={_fmt(max_final)} "
-                f"abs_floor={_fmt(_ABS_FLOOR)}"]
-    _write_table(args.out, comments,
-                 ["run", "level", "h", "lambda", "S_tilde", "F_lambda",
-                  "vol_N", "total_scalar_N", "warp_coupling", "residual",
-                  "order"],
-                 all_rows)
-    return 0 if ok else 1
+    return (ok, f"m={constants.m} n={constants.n}",
+            [f"tolerances: min_order={_fmt(min_order)} "
+             f"max_final_residual={_fmt(max_final)} "
+             f"abs_floor={_fmt(_ABS_FLOOR)}"],
+            ["run", "level", "h", "lambda", "S_tilde", "F_lambda", "vol_N",
+             "total_scalar_N", "warp_coupling", "residual", "order"],
+            all_rows)
 
 
-def cmd_verify_variation(args) -> int:
-    cfg, (runs, spec, directions, eps, amplitude, max_rel) = _parse(
-        "verify-variation", args.config, args.seed)
+def _run_variation(runs, spec, directions, eps, amplitude, max_rel):
     rows_by_run = verify.variation_study([c for _, c in runs], spec,
                                          directions, amplitude, eps)
 
@@ -550,27 +526,18 @@ def cmd_verify_variation(args) -> int:
         for r in rows:
             all_rows.append([r.lam, r.direction, r.numeric, r.closed,
                              r.rel_mismatch, r.richardson_gap])
-    comments = [f"verify-variation m={constants.m} n={constants.n}",
-                *cfg.echo(),
-                f"seed {spec.seed}",
-                f"tolerances: max_rel_mismatch={_fmt(max_rel)} "
-                f"eps={_fmt(eps)}"]
-    _write_table(args.out, comments,
-                 ["lambda", "direction", "numeric", "closed",
-                  "rel_mismatch", "richardson_gap"],
-                 all_rows)
-    return 0 if ok else 1
+    return (ok, f"m={constants.m} n={constants.n}",
+            [f"tolerances: max_rel_mismatch={_fmt(max_rel)} "
+             f"eps={_fmt(eps)}"],
+            ["lambda", "direction", "numeric", "closed", "rel_mismatch",
+             "richardson_gap"],
+            all_rows)
 
 
-def cmd_flow(args) -> int:
-    cfg, (flow_cfg, mode, state0, constraint_tol) = _parse(
-        "flow", args.config, args.seed)
+def _run_flow(flow_cfg, mode, g, f, constraint_tol):
     lam = flow_cfg.lam
-
-    if mode == "coupled":
-        trajectory = run_coupled(state0, flow_cfg)
-    else:
-        trajectory = run_decoupled(state0.g, state0.f, flow_cfg)
+    trajectory = (run_coupled if mode == "coupled" else run_decoupled)(
+        g, f, flow_cfg)
 
     table = monotonicity_report(trajectory, lam)
     rows = []
@@ -611,20 +578,32 @@ def cmd_flow(args) -> int:
             ok = False
             print("[FAIL] decoupled run: functional decreased between "
                   "snapshots")
-    comments = [f"flow mode={mode} integrator={flow_cfg.integrator} "
+    return (ok, f"mode={mode} integrator={flow_cfg.integrator} "
                 f"lambda={_fmt(lam)} dt={_fmt(flow_cfg.dt)} "
                 f"t_end={_fmt(flow_cfg.t_end)} "
                 f"filter_cutoff={_fmt(flow_cfg.filter_cutoff)}",
-                *cfg.echo(),
-                f"seed {args.seed}",
-                f"constraint drift {_fmt(drift)} (tol {_fmt(constraint_tol)})",
-                "columns: time, functional, centered dF/dt, dissipation, "
-                "ratio (dF/dt)/D, sign of dF/dt, max relative drift of "
-                "e^-f sqrt(det g) from t=0, min metric eigenvalue"]
-    _write_table(args.out, comments,
-                 ["t", "F_lambda", "dF_dt", "dissipation", "ratio", "sign",
-                  "constraint_dev", "min_metric_eig"],
-                 rows)
+            [f"constraint drift {_fmt(drift)} (tol {_fmt(constraint_tol)})",
+             "columns: time, functional, centered dF/dt, dissipation, "
+             "ratio (dF/dt)/D, sign of dF/dt, max relative drift of "
+             "e^-f sqrt(det g) from t=0, min metric eigenvalue"],
+            ["t", "F_lambda", "dF_dt", "dissipation", "ratio", "sign",
+             "constraint_dev", "min_metric_eig"],
+            rows)
+
+
+_COMMANDS = {"verify-curvature": (_parse_curvature, _run_curvature),
+             "verify-identity": (_parse_identity, _run_identity),
+             "verify-variation": (_parse_variation, _run_variation),
+             "flow": (_parse_flow, _run_flow)}
+
+
+def cmd_config(args) -> int:
+    """Any command of ``_COMMANDS``: parse its config, run it, and write
+    its table; exit 0 if every check passed, else 1."""
+    cfg, spec = _parse(args.command, args.config, args.seed)
+    ok, title, notes, columns, rows = _COMMANDS[args.command][1](*spec)
+    _write_table(args.out, [f"{args.command} {title}", *cfg.echo(),
+                            f"seed {args.seed}", *notes], columns, rows)
     return 0 if ok else 1
 
 
@@ -647,15 +626,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_constants)
 
-    for name, func in (("verify-curvature", cmd_verify_curvature),
-                       ("verify-identity", cmd_verify_identity),
-                       ("verify-variation", cmd_verify_variation),
-                       ("flow", cmd_flow)):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_config)
     return parser
 
 

@@ -11,7 +11,9 @@ trace makes the constraint delta f = tr_g(delta g)/2 hold to roundoff at
 every step, so any drift of the density e^{-f} sqrt(det g) is purely the
 time integrator's.  The f equation contains a backward heat operator, so
 coupled runs are short-horizon verification tools: band-limited data, a
-spectral filter, small t_end.  The companion guard rails (growth cap,
+spectral filter, small t_end.  The filter policy lives here alone: with
+``filter_cutoff < 1`` the run projects its start into the resolved band
+and filters every step.  The companion guard rails (growth cap,
 positive-definiteness halt) treat divergence as a detected outcome, not
 a crash.
 
@@ -19,10 +21,12 @@ Decoupled mode (``run_decoupled``) is the numerically sound formulation:
 the metric runs forward under dg/dt = -2 Ric alone, and f is recovered
 from u = e^{-f} solving the conjugate equation du/dt = -lap u + R u,
 integrated backward from terminal data, i.e. forward in s = T - t where
-it is an ordinary heat equation.  The two formulations differ by a
-diffeomorphism, which the action functionals cannot see, so their F(t)
-curves must agree; the tests use exactly that.  Both take their steps
-with one explicit Euler/RK4 routine, at the stencil order of their grid.
+it is an ordinary heat equation; it filters nothing and refuses a
+cutoff.  The two formulations differ by a diffeomorphism, which the
+action functionals cannot see, so their F(t) curves must agree; the
+tests use exactly that.  Both runners take (g, f, config), build their
+own start, and take their steps with one explicit Euler/RK4 routine, at
+the stencil order of their grid.
 """
 
 from __future__ import annotations
@@ -124,6 +128,10 @@ class FlowConfig:
     def n_steps(self) -> int:
         return round(self.t_end / self.dt)
 
+    def is_snapshot(self, k: int) -> bool:
+        """Whether the state after step k (0 .. n_steps) is kept."""
+        return k % self.snapshot_stride == 0 or k == self.n_steps
+
 
 def _stability_bound(g: SymTensorField, inv: np.ndarray) -> float:
     """Forward-Euler heat-operator estimate h_min^2 / (2 d max g^{ii}),
@@ -149,10 +157,10 @@ def _explicit_step(y: tuple[np.ndarray, ...], k1: tuple[np.ndarray, ...],
                  for v, a, b, c, d in zip(y, k1, k2, k3, k4))
 
 
-def _advance(terms: StateTerms, f: ScalarField, dt: float, lam: float,
+def _advance(terms: StateTerms, dt: float, lam: float,
              integrator: str) -> tuple[np.ndarray, np.ndarray]:
-    """One raw coupled step from the state (terms.g, f), whose record
-    ``terms`` serves the first stage (dt may be negative for probe
+    """One raw coupled step from the state (terms.g, terms.f), whose
+    record ``terms`` serves the first stage (dt may be negative for probe
     steps); returns unfiltered value arrays.  The slopes are
     dg = -2 S_lam as (..., d, d) matrices and df = (1/2) tr_g dg,
     computed from the same tensor so the constraint identity is exact by
@@ -167,16 +175,17 @@ def _advance(terms: StateTerms, f: ScalarField, dt: float, lam: float,
         return rhs(StateTerms.at(SymTensorField(grid, y[0], is_metric=True),
                                  ScalarField(grid, y[1])))
 
-    return _explicit_step((terms.g.values, f.values), rhs(terms), slope, dt,
-                          integrator)
+    return _explicit_step((terms.g.values, terms.f.values), rhs(terms),
+                          slope, dt, integrator)
 
 
-def _guard_growth(fv: np.ndarray, gv: np.ndarray, t: float):
-    if not (np.all(np.isfinite(fv)) and np.all(np.isfinite(gv))):
+def _guard_growth(gv: np.ndarray, t: float, fv: np.ndarray | None = None):
+    if not (np.all(np.isfinite(gv))
+            and (fv is None or np.all(np.isfinite(fv)))):
         raise FlowDivergenceError(
             f"non-finite values at t = {t:.6g}: the run has diverged",
             time=t, magnitude=math.inf)
-    peak = float(np.abs(fv).max())
+    peak = 0.0 if fv is None else float(np.abs(fv).max())
     if peak > F_CAP:
         raise FlowDivergenceError(
             f"|f| reached {peak:.3e} at t = {t:.6g} (cap {F_CAP}): "
@@ -197,13 +206,12 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
             StabilityWarning, stacklevel=2)
     t_next = state.t + config.dt
     try:
-        gv, fv = _advance(terms, state.f, config.dt, config.lam,
-                          config.integrator)
+        gv, fv = _advance(terms, config.dt, config.lam, config.integrator)
     except MetricDegeneracyError as exc:
         raise MetricDegeneracyError(
             f"metric degenerated during a step from t = {state.t:.6g}: {exc}",
             node=exc.node, eigenvalue=exc.eigenvalue, time=state.t) from exc
-    _guard_growth(fv, gv, t_next)
+    _guard_growth(gv, t_next, fv)
     if config.filter_cutoff < 1.0:
         fv = filter_array(fv, state.g.grid, config.filter_cutoff)
         gv = filter_array(gv, state.g.grid, config.filter_cutoff)
@@ -217,14 +225,24 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
                      rho0=state.rho0)
 
 
-def run_coupled(state0: FlowState, config: FlowConfig) -> list[FlowState]:
-    """Integrate the coupled system for n_steps, returning snapshots
-    every ``snapshot_stride`` steps plus the initial and final states."""
-    snapshots = [state0]
-    state = state0
-    for k in range(config.n_steps):
+def run_coupled(g: SymTensorField, f: ScalarField,
+                config: FlowConfig) -> list[FlowState]:
+    """Integrate the coupled system from (g, f) for n_steps, returning
+    snapshots every ``snapshot_stride`` steps plus the initial and final
+    states.  A filtered run lives in the resolved band, so with
+    ``filter_cutoff < 1`` it projects (g, f) into the band before rho0
+    is frozen; otherwise the first step's truncation would show up as a
+    spurious O(1) transient in the conserved density."""
+    cutoff = config.filter_cutoff
+    if cutoff < 1.0:
+        g = SymTensorField(g.grid, filter_array(g.values, g.grid, cutoff),
+                           is_metric=True)
+        f = ScalarField(f.grid, filter_array(f.values, f.grid, cutoff))
+    state = FlowState.initial(g, f)
+    snapshots = [state]
+    for k in range(1, config.n_steps + 1):
         state = step(state, config)
-        if (k + 1) % config.snapshot_stride == 0 or k + 1 == config.n_steps:
+        if config.is_snapshot(k):
             snapshots.append(state)
     return snapshots
 
@@ -243,26 +261,31 @@ def _conjugate_rhs(u: np.ndarray, terms: tuple) -> np.ndarray:
     return lap.values - scal * u
 
 
-def run_decoupled(g0: SymTensorField, f_terminal: ScalarField,
+def run_decoupled(g: SymTensorField, f: ScalarField,
                   config: FlowConfig) -> list[FlowState]:
     """The diffeomorphism-fixed formulation: metric forward, u backward.
 
-    Phase 1 integrates dg/dt = -2 Ric(g) from g0 over [0, T], storing the
-    metric at every step (memory O(n_steps) metric fields; runs here are
-    short).  Phase 2 sets u = e^{-f_terminal} at t = T and integrates the
-    conjugate equation backward to t = 0 against the stored metrics —
-    equivalently forward in s = T - t, where each step is an ordinary
-    heat step.  Snapshots pair g(t) with f(t) = -log u(t).
+    Phase 1 integrates dg/dt = -2 Ric(g) from g at t = 0 over [0, T],
+    storing the metric at every step (memory O(n_steps) metric fields;
+    runs here are short).  Phase 2 sets u = e^{-f} at t = T, f being
+    terminal data, and integrates the conjugate equation backward to
+    t = 0 against the stored metrics — equivalently forward in s = T - t,
+    where each step is an ordinary heat step.  Snapshots pair g(t) with
+    f(t) = -log u(t); u is kept only at the snapshot steps.
 
-    Restricted to lam = 0: the decoupling diffeomorphism is only known
-    for the plain system.
+    Restricted to lam = 0, since the decoupling diffeomorphism is only
+    known for the plain system, and to unfiltered runs, since the
+    spectral filter is a policy of the coupled integrator.
     """
     if config.lam != 0.0:
         raise ConfigError("decoupled mode is defined for lam = 0 only; "
                           "nonzero couplings run in coupled mode")
-    if f_terminal.grid != g0.grid:
-        raise ConfigError("terminal f and g0 live on different grids")
-    grid = g0.grid
+    if config.filter_cutoff < 1.0:
+        raise ConfigError("decoupled mode filters nothing; filter_cutoff "
+                          "< 1 runs in coupled mode")
+    if f.grid != g.grid:
+        raise ConfigError("terminal f and g live on different grids")
+    grid = g.grid
     dt = config.dt
     n = config.n_steps
 
@@ -273,9 +296,8 @@ def run_decoupled(g0: SymTensorField, f_terminal: ScalarField,
     # One oracle pass per stored metric feeds both phases: its Ricci is
     # the first stage of the step from it, its scalar and inverse the
     # backward sweep.
-    metrics = [g0]
+    metrics = [g]
     terms = []
-    g = g0
     for k in range(n):
         t = k * dt
         try:
@@ -283,7 +305,7 @@ def run_decoupled(g0: SymTensorField, f_terminal: ScalarField,
             terms.append(_sweep_terms(g, bundle))
             (gv,) = _explicit_step((g.values,), (-2.0 * bundle.ricci.values,),
                                    ricci_slope, dt, config.integrator)
-            _guard_growth(np.zeros(1), gv, t + dt)
+            _guard_growth(gv, t + dt)
             g = SymTensorField(grid, gv, is_metric=True)
         except MetricDegeneracyError as exc:
             raise MetricDegeneracyError(
@@ -292,8 +314,8 @@ def run_decoupled(g0: SymTensorField, f_terminal: ScalarField,
         metrics.append(g)
     terms.append(_sweep_terms(g, geometry.curvature_bundle(g)))
 
-    u_by_index = {n: np.exp(-f_terminal.values)}
-    u = u_by_index[n]
+    u = np.exp(-f.values)
+    kept = {n: u}
     for k in range(n, 0, -1):
         # One step backward in t = one forward heat step in s, taken
         # against the stored metric path: a stage at fraction c of the
@@ -315,18 +337,14 @@ def run_decoupled(g0: SymTensorField, f_terminal: ScalarField,
                 f"u = e^-f hit {low:.3e} integrating back to "
                 f"t = {(k - 1) * dt:.6g}; f is undefined there",
                 time=(k - 1) * dt, magnitude=low)
-        u_by_index[k - 1] = u
+        if config.is_snapshot(k - 1):
+            kept[k - 1] = u
 
-    f0 = ScalarField(grid, -np.log(u_by_index[0]))
-    base = FlowState.initial(metrics[0], f0)
-    states = [base]
-    for k in range(1, n + 1):
-        if k % config.snapshot_stride == 0 or k == n:
-            states.append(FlowState(
-                t=k * dt, g=metrics[k],
-                f=ScalarField(grid, -np.log(u_by_index[k])),
-                rho0=base.rho0))
-    return states
+    base = FlowState.initial(metrics[0], ScalarField(grid, -np.log(kept[0])))
+    return [base] + [
+        FlowState(t=k * dt, g=metrics[k],
+                  f=ScalarField(grid, -np.log(kept[k])), rho0=base.rho0)
+        for k in sorted(kept)[1:]]
 
 
 def conserved_measure_check(trajectory: list[FlowState]) -> float:
@@ -399,7 +417,7 @@ def instantaneous_rate(state: FlowState, lam: float, dt: float,
     terms = StateTerms.at(state.g, state.f)
     rates = []
     for signed_dt in (dt, -dt):
-        gv, fv = _advance(terms, state.f, signed_dt, lam, integrator)
+        gv, fv = _advance(terms, signed_dt, lam, integrator)
         probe = StateTerms.at(SymTensorField(grid, gv, is_metric=True),
                               ScalarField(grid, fv))
         rates.append(F_lambda(probe, lam))

@@ -240,7 +240,7 @@ def _symmetrized_ricci(gamma: Christoffel3Field
     grid = gamma.grid
     raw = _ricci_matrix(gamma)
     asym = float(np.abs(raw - np.swapaxes(raw, -1, -2)).max())
-    ric = SymTensorField.from_matrix(grid, raw, symmetrize=True)
+    ric = SymTensorField(grid, symmetric_part(raw))
     del raw
     h_max = max(grid.spacing)
     scale = max(1.0, float(np.abs(ric.values).max()))

@@ -163,9 +163,6 @@ class ScalarField:
         vals = np.broadcast_to(fn(*grid.meshes()), grid.shape).astype(float)
         return cls(grid, vals.copy())
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
-
 
 @dataclass(eq=False)
 class SymTensorField:
@@ -200,12 +197,10 @@ class SymTensorField:
         self.values = arr
 
     @classmethod
-    def from_matrix(cls, grid: GridSpec, mat, is_metric: bool = False,
-                    symmetrize: bool = False) -> "SymTensorField":
-        """The field of a full (..., d, d) array; with ``symmetrize`` set,
-        of its ``symmetric_part`` instead."""
-        return cls(grid, symmetric_part(mat) if symmetrize else mat,
-                   is_metric)
+    def from_matrix(cls, grid: GridSpec, mat,
+                    is_metric: bool = False) -> "SymTensorField":
+        """The field of a full (..., d, d) array."""
+        return cls(grid, mat, is_metric)
 
     def matrix(self) -> np.ndarray:
         """The stored (..., d, d) array itself: read-only, not a copy."""
@@ -333,7 +328,7 @@ def _require_symmetric(mats: np.ndarray):
     if any(not np.array_equal(mats[..., i, j], mats[..., j, i])
            for i in range(k) for j in range(i + 1, k)):
         raise ValueError("matrix is not symmetric to the bit; "
-                         "from_matrix(..., symmetrize=True) projects")
+                         "symmetric_part(mat) projects")
 
 
 def ldl_determinant(mats: np.ndarray,

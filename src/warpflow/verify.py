@@ -21,7 +21,7 @@ import numpy as np
 
 from . import geometry, recipes
 from .errors import ConfigError, NonFiniteFieldError
-from .flow import FlowConfig, FlowState, conserved_measure_check, run_coupled
+from .flow import FlowConfig, conserved_measure_check, run_coupled
 from .functionals import first_variation_check, theorem_identity_residual
 from .grids import (GridSpec, ScalarField, SymTensorField, integrate,
                     node_blocks)
@@ -362,15 +362,16 @@ class DriftRow:
     max_drift: float
 
 
-def drift_study(state0: FlowState, lam: float, integrator: str, t_end: float,
+def drift_study(g: SymTensorField, f: ScalarField, lam: float,
+                integrator: str, t_end: float,
                 dts: list[float]) -> tuple[list[DriftRow], float]:
-    """Run the coupled system to the same t_end at several time steps and
-    fit the drift-vs-dt slope (the integrator's order)."""
+    """Run the coupled system from (g, f) to the same t_end at several
+    time steps and fit the drift-vs-dt slope (the integrator's order)."""
     rows = []
     for dt in dts:
         cfg = FlowConfig(dt=dt, t_end=t_end, lam=lam, integrator=integrator,
                          snapshot_stride=10 ** 9)
-        traj = run_coupled(state0, cfg)
+        traj = run_coupled(g, f, cfg)
         rows.append(DriftRow(dt=dt, n_steps=cfg.n_steps,
                              max_drift=conserved_measure_check(traj)))
     slope = loglog_slope([r.dt for r in rows], [r.max_drift for r in rows])

@@ -10,7 +10,7 @@ indented supporting numbers:
    factor, and the oracle's scalar against the exact scalar curvature of
    a conformally flat 3d metric with unequal spacings;
 3. the product-action identity on flat-N, curved-N, and coupled-family
-   ladders;
+   ladders, and on flat and curved N of volume other than 1;
 4. constrained first variation: numeric directional derivatives against
    the closed covector, plus the documented failure of the uncorrected
    covector at nonzero coupling;
@@ -28,6 +28,7 @@ test.
 import math
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -256,11 +257,11 @@ def test_criterion_3_action_identity():
     # are smooth and the quadrature is spectral for trig data), so the
     # halving bound err(64) <= 5 * err(32)/4 has a wide margin.
     c21 = solve_perelman_constants(2, 1)
-    [rows] = identity_study(
-        [c21], StudySpec(
-            (((16, 16), (8,)), ((32, 32), (8,)), ((64, 64), (8,))),
-            TWO_PI, TWO_PI, FieldSpec("conformal-bump", 0.2, 1),
-            FieldSpec("flat"), 0.25, (1, 2)), normalize_n=True)
+    flat_n = StudySpec(
+        (((16, 16), (8,)), ((32, 32), (8,)), ((64, 64), (8,))),
+        TWO_PI, TWO_PI, FieldSpec("conformal-bump", 0.2, 1),
+        FieldSpec("flat"), 0.25, (1, 2))
+    [rows] = identity_study([c21], flat_n, normalize_n=True)
     res = [abs(r.residual) for r in rows]
     bound = 5.0 * (res[1] / 4.0)
     flat_ok = res[2] <= bound and all(r.order >= 1.8 for r in rows[1:])
@@ -271,13 +272,11 @@ def test_criterion_3_action_identity():
 
     # Curved second factor: the extra total-curvature term is live.
     c13 = solve_perelman_constants(1, 3)
-    [rows] = identity_study(
-        [c13], StudySpec(
-            (((32,), (8, 8, 8)), ((64,), (16, 16, 16)),
-             ((128,), (32, 32, 32))),
-            TWO_PI, TWO_PI, FieldSpec("flat"),
-            FieldSpec("conformal-bump", 0.15, 1), 0.25, (1, 2)),
-        normalize_n=True)
+    curved_n = StudySpec(
+        (((32,), (8, 8, 8)), ((64,), (16, 16, 16)), ((128,), (32, 32, 32))),
+        TWO_PI, TWO_PI, FieldSpec("flat"),
+        FieldSpec("conformal-bump", 0.15, 1), 0.25, (1, 2))
+    [rows] = identity_study([c13], curved_n, normalize_n=True)
     curved_ok = (rows[-1].order >= 1.8
                  and abs(rows[-1].total_scalar_N) > 1e-3
                  and abs(rows[-1].residual) < abs(rows[0].residual))
@@ -303,8 +302,26 @@ def test_criterion_3_action_identity():
                        f" final order {rows[-1].order:.2f}"
                        f"{'' if lam_ok else '  <-- FAILED'}")
 
+    # N left unnormalised, so the identity's Vol(N) factor is live: 2 pi
+    # on the flat circle, about 288 on the curved 3-torus.  Dropping
+    # that factor leaves an O(1) residual that does not converge.
+    for label, c, spec in (
+            ("flat N (2,1)", c21, flat_n),
+            ("curved N (1,3)", c13, replace(curved_n,
+                                            levels=curved_n.levels[:2]))):
+        [rows] = identity_study([c], spec, normalize_n=False)
+        vol_ok = (all(abs(r.vol_N - 1.0) > 1.0 for r in rows)
+                  and all(r.order >= 1.8 for r in rows[1:]))
+        ok &= vol_ok
+        details.append(
+            f"{label}, Vol(N) {rows[-1].vol_N:.2f}: residual "
+            f"{rows[0].residual:.3e} -> {rows[-1].residual:.3e}, orders "
+            + "/".join(f"{r.order:.2f}" for r in rows[1:])
+            + ("" if vol_ok else "  <-- FAILED"))
+
     _gate(ok, "criterion 3: action identity residual converges at order "
-              ">= 1.8 (flat N, curved N, coupled family incl. the max)",
+              ">= 1.8 (flat N, curved N, coupled family incl. the max, "
+              "Vol(N) != 1)",
           details)
 
 
@@ -383,13 +400,12 @@ def test_criterion_5_flow_bookkeeping():
 
     # (a) conserved-density drift shrinks at the integrator's order.
     grid = GridSpec((32, 32), (TWO_PI, TWO_PI))
-    state0 = FlowState.initial(conformal_metric(grid, 0.3, 1),
-                               mixed_sine_scalar(grid, 0.6, (1, 2)))
-    _, slope_e = drift_study(state0, 0.0, "euler", 1.6e-2,
+    g, f = conformal_metric(grid, 0.3, 1), mixed_sine_scalar(grid, 0.6, (1, 2))
+    _, slope_e = drift_study(g, f, 0.0, "euler", 1.6e-2,
                              [2e-3, 1e-3, 5e-4])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StabilityWarning)
-        _, slope_r = drift_study(state0, 0.0, "rk4", 1.6e-2,
+        _, slope_r = drift_study(g, f, 0.0, "rk4", 1.6e-2,
                                  [4e-3, 2e-3, 1e-3])
     drift_ok = 0.85 <= slope_e <= 1.15 and 3.6 <= slope_r <= 4.4
     ok &= drift_ok

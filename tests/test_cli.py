@@ -202,6 +202,7 @@ MALFORMED = [
     ("verify-variation", _DIMS + "[grid]\nm_points = 16 32\n"),
     ("flow", "[fields]\nf_high_amplitude = 0.4\n"),
     ("flow", "[flow]\nmode = decoupled\nconstraint_tol = 1e-10\n"),
+    ("flow", "[flow]\nmode = decoupled\nfilter_cutoff = 0.5\n"),
     # values outside their domain, caught before anything runs
     ("flow", "[flow]\nmode = mixed\n"),
     ("verify-variation", _DIMS + "[variation]\neps = 0\n"),

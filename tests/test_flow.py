@@ -65,12 +65,14 @@ def test_config_validation():
 
 
 def test_mode_cross_checks():
-    # the decoupled runner refuses a coupling and mismatched grids
+    # the decoupled runner refuses a coupling, a filter it would never
+    # apply, and mismatched grids
     grid = circle(16)
-    with pytest.raises(ConfigError):
-        run_decoupled(recipes.flat_metric(grid),
-                      recipes.sine_scalar(grid, 0.1),
-                      FlowConfig(dt=1e-4, t_end=1e-3, lam=0.5))
+    for refused in (dict(lam=0.5), dict(filter_cutoff=0.5)):
+        with pytest.raises(ConfigError):
+            run_decoupled(recipes.flat_metric(grid),
+                          recipes.sine_scalar(grid, 0.1),
+                          FlowConfig(dt=1e-4, t_end=1e-3, **refused))
     with pytest.raises(ConfigError):
         run_decoupled(recipes.flat_metric(grid),
                       recipes.sine_scalar(circle(32), 0.1),
@@ -79,8 +81,8 @@ def test_mode_cross_checks():
 
 def test_snapshot_stride_bookkeeping():
     state = initial_state(32)
-    traj = run_coupled(state, FlowConfig(dt=1e-3, t_end=7e-3,
-                                         snapshot_stride=3))
+    traj = run_coupled(state.g, state.f, FlowConfig(dt=1e-3, t_end=7e-3,
+                                                    snapshot_stride=3))
     assert [round(s.t / 1e-3) for s in traj] == [0, 3, 6, 7]
 
 
@@ -90,10 +92,9 @@ def test_flat_constant_pair_is_a_fixed_point():
     grid = circle(32)
     g = recipes.flat_metric(grid)
     f = ScalarField.constant(grid, 0.7)
-    state = FlowState.initial(g, f)
     assert np.all(gradient_tensor(StateTerms.at(g, f), 0.3) == 0.0)
-    traj = run_coupled(state, FlowConfig(dt=1e-3, t_end=5e-3,
-                                         integrator="rk4", lam=0.3))
+    traj = run_coupled(g, f, FlowConfig(dt=1e-3, t_end=5e-3,
+                                        integrator="rk4", lam=0.3))
     final = traj[-1]
     assert np.array_equal(final.g.values, g.values)
     assert np.array_equal(final.f.values, f.values)
@@ -181,8 +182,8 @@ def test_rk4_euler_gap_is_first_order_in_dt():
     state = initial_state(64)
     gaps = []
     for dt in (2e-4, 1e-4):
-        ends = [run_coupled(state, FlowConfig(dt=dt, t_end=t_end,
-                                              integrator=integ))[-1]
+        ends = [run_coupled(state.g, state.f, FlowConfig(dt=dt, t_end=t_end,
+                                                         integrator=integ))[-1]
                 for integ in ("euler", "rk4")]
         gaps.append(max(
             float(np.abs(ends[0].g.values - ends[1].g.values).max()),
@@ -206,9 +207,9 @@ def test_single_step_measure_drift_is_second_order():
 def test_trajectory_measure_drift():
     state = initial_state(64)
     for integ, bound in (("euler", 5e-8), ("rk4", 1e-12)):
-        traj = run_coupled(state, FlowConfig(dt=1e-4, t_end=2e-3,
-                                             integrator=integ,
-                                             snapshot_stride=5))
+        traj = run_coupled(state.g, state.f, FlowConfig(dt=1e-4, t_end=2e-3,
+                                                        integrator=integ,
+                                                        snapshot_stride=5))
         assert conserved_measure_check(traj) < bound
 
 
@@ -245,9 +246,9 @@ def test_decoupled_run_takes_one_oracle_pass_per_stored_metric(
 def test_monotonicity_report_takes_one_oracle_pass_per_snapshot(monkeypatch):
     from warpflow import geometry
     state = initial_state(32)
-    traj = run_coupled(state, FlowConfig(dt=1e-4, t_end=5e-4, lam=0.5,
-                                         integrator="euler",
-                                         snapshot_stride=2))
+    traj = run_coupled(state.g, state.f,
+                       FlowConfig(dt=1e-4, t_end=5e-4, lam=0.5,
+                                  integrator="euler", snapshot_stride=2))
     calls = []
     ricci_pass = geometry._symmetrized_ricci
 
@@ -340,21 +341,24 @@ def test_unresolved_run_diverges_and_filter_rescues_it():
     grid = circle(32)
     f0 = ScalarField(grid, recipes.sine_scalar(grid, 0.2).values
                      + recipes.high_mode_scalar(grid, 0.4, (9, 11, 13)).values)
-    state = FlowState.initial(recipes.flat_metric(grid), f0)
+    g0 = recipes.flat_metric(grid)
     t_end = 0.395  # 79 steps, about 0.01 L^2
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StabilityWarning)
         with pytest.raises((FlowDivergenceError, MetricDegeneracyError)) as ei:
-            run_coupled(state, FlowConfig(dt=5e-3, t_end=t_end,
-                                          integrator="euler",
-                                          filter_cutoff=1.0))
+            run_coupled(g0, f0, FlowConfig(dt=5e-3, t_end=t_end,
+                                           integrator="euler",
+                                           filter_cutoff=1.0))
         assert ei.value.time is not None and ei.value.time < t_end
-        traj = run_coupled(state, FlowConfig(dt=5e-3, t_end=t_end,
-                                             integrator="euler",
-                                             filter_cutoff=0.5,
-                                             snapshot_stride=10))
+        traj = run_coupled(g0, f0, FlowConfig(dt=5e-3, t_end=t_end,
+                                              integrator="euler",
+                                              filter_cutoff=0.5,
+                                              snapshot_stride=10))
     assert traj[-1].t == pytest.approx(t_end, rel=2e-2)
     assert float(np.abs(traj[-1].f.values).max()) < 1.0
+    # the filtered run starts from its data projected into the band
+    assert np.allclose(traj[0].f.values, recipes.sine_scalar(grid, 0.2).values,
+                       rtol=0.0, atol=1e-12)
 
 
 def test_decoupled_positivity_guard():
@@ -456,7 +460,7 @@ def test_decoupled_and_coupled_functionals_agree():
     cfg = FlowConfig(dt=1e-4, t_end=4e-3, integrator="rk4",
                      snapshot_stride=5)
     traj_d = run_decoupled(g0, recipes.sine_scalar(grid, 0.2), cfg)
-    traj_c = run_coupled(FlowState.initial(g0, traj_d[0].f), cfg)
+    traj_c = run_coupled(g0, traj_d[0].f, cfg)
     assert len(traj_d) == len(traj_c)
     for sd, sc in zip(traj_d, traj_c):
         assert sd.t == pytest.approx(sc.t, abs=1e-12)

@@ -145,7 +145,7 @@ def test_sym_tensor_rejects_asymmetric_unless_projected():
         SymTensorField(grid, mat)
     with pytest.raises(ValueError):
         SymTensorField.from_matrix(grid, mat)
-    t = SymTensorField.from_matrix(grid, mat, symmetrize=True)
+    t = SymTensorField(grid, symmetric_part(mat))
     assert np.all(t.values[..., 0, 1] == 0.5)
     assert np.all(t.values[..., 1, 0] == 0.5)
     assert mat.flags.writeable and not np.shares_memory(t.values, mat)
@@ -158,7 +158,7 @@ def test_sym_tensor_rejects_asymmetric_unless_projected():
     with pytest.raises(ValueError):
         SymTensorField(grid, mat)
     # the projection is the symmetric part, in one operation order
-    t = SymTensorField.from_matrix(grid, mat, symmetrize=True)
+    t = SymTensorField(grid, symmetric_part(mat))
     assert t.values[7, 3, 0, 1] == 0.5 * (1.0 + (1.0 + 1e-12))
     assert np.array_equal(t.values[..., 0, 1], t.values[..., 1, 0])
     assert np.array_equal(symmetric_part(mat), t.values)

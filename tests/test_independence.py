@@ -13,7 +13,10 @@ two share no code beyond the grid primitives.  So:
   another module keeps private (a leading underscore);
 * the stencil order is a field of ``grids.GridSpec``: no function
   outside ``grids`` takes an ``order`` parameter, so no call can pick an
-  order of its own.
+  order of its own;
+* a flow run's filter policy lives in ``flow``: no other module calls
+  ``grids.filter_array``, so the projected start and the filtered steps
+  are decided in one place.
 """
 
 import ast
@@ -80,6 +83,15 @@ def test_no_module_reads_another_modules_private_names(module):
             private = {attr for attr in attributes_read(module, name)
                        if attr.startswith("_") and not attr.startswith("__")}
             assert not private, (name, private)
+
+
+def test_only_the_flow_filters():
+    def called(module: str) -> set[str]:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        return {getattr(node.func, "id", getattr(node.func, "attr", None))
+                for node in ast.walk(tree) if isinstance(node, ast.Call)}
+
+    assert [m for m in MODULES if "filter_array" in called(m)] == ["flow"]
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "grids"])

@@ -9,7 +9,6 @@ import pytest
 
 from warpflow import geometry, recipes, verify, warped
 from warpflow.errors import ConfigError
-from warpflow.flow import FlowState
 from warpflow.grids import GridSpec, ScalarField, integrate
 from warpflow.verify import (FieldSpec, StudySpec, build_metric,
                              build_product_geometry, curvature_study,
@@ -176,10 +175,9 @@ def test_variation_study_smoke():
 
 def test_drift_study_recovers_euler_order():
     grid = GridSpec((24, 24), (TAU, TAU))
-    state = FlowState.initial(recipes.conformal_metric(grid, 0.3, 1),
-                              recipes.mixed_sine_scalar(grid, 0.6, (1, 2)))
-    rows, slope = drift_study(state, 0.0, "euler", 8e-3,
-                              [2e-3, 1e-3, 5e-4])
+    rows, slope = drift_study(recipes.conformal_metric(grid, 0.3, 1),
+                              recipes.mixed_sine_scalar(grid, 0.6, (1, 2)),
+                              0.0, "euler", 8e-3, [2e-3, 1e-3, 5e-4])
     assert [r.n_steps for r in rows] == [4, 8, 16]
     assert all(r.max_drift > 0 for r in rows)
     assert slope == pytest.approx(1.0, abs=0.15)
