@@ -80,6 +80,11 @@ class FlowState:
 
     @classmethod
     def initial(cls, g: SymTensorField, f: ScalarField) -> "FlowState":
+        """The state at t = 0.  g and f must share one grid, and that is
+        checked before rho0 is measured, where a mismatch would fail
+        inside numpy's broadcast instead."""
+        if g.grid != f.grid:
+            raise ValueError("state fields live on different grids")
         return cls(t=0.0, g=g, f=f,
                    rho0=measure_density(f, geometry.volume_density(g)))
 

@@ -36,14 +36,19 @@ shared stencil order, memoised on the frozen ``ProductGeometry``:
 the ``geometry.StateTerms`` record of (g, f) as ``m_pieces`` and the
 curvature of h as ``n_bundle``.  The geometry (g, h, f) does not depend
 on the coupling: the closed forms take ``(pg, constants)``, and every
-coupling of a command shares one geometry's factor passes.  Only
-``christoffel_closed_form`` builds the product-grid Christoffel cube;
-the closed Ricci routes return the pair (Ricci, scalar).
+coupling of a command shares one geometry's factor passes.  The closed
+connection is a block filler, ``christoffel_closed_filler``, that writes
+any run of whole M nodes from arrays on the M and N grids, so the
+curvature study compares it with the oracle block by block and never
+holds a closed product-grid cube; ``christoffel_closed_form`` is that
+filler run over every M node.
+The closed Ricci routes return the pair (Ricci, scalar).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -65,6 +70,7 @@ __all__ = [
     "lambda_to_constants",
     "assemble_product_metric",
     "product_volume_density",
+    "christoffel_closed_filler",
     "christoffel_closed_form",
     "closed_scalar_curvature",
     "ricci_closed_general",
@@ -368,11 +374,11 @@ def product_volume_density(pg: ProductGeometry,
     return ScalarField(pg.product_grid, np.sqrt(det))
 
 
-def christoffel_closed_form(pg: ProductGeometry,
-                            c: WarpedConstants) -> Christoffel3Field:
+def christoffel_closed_filler(pg: ProductGeometry, c: WarpedConstants
+                              ) -> Callable[[slice, np.ndarray], np.ndarray]:
     """Connection of the warped metric from the five closed component
-    families (everything from M-grid ingredients; no product-grid
-    differentiation):
+    families (everything from M-grid and N-grid ingredients; no
+    product-grid differentiation):
 
         Gt^k_{ij}         = G^k_{ij} - (A/2)(df_i d^k_j + df_j d^k_i
                                              - g^{kl} df_l g_{ij})
@@ -380,38 +386,61 @@ def christoffel_closed_form(pg: ProductGeometry,
         Gt^k_{alpha beta} = (B/2) e^{(A-B)f} g^{kl} df_l h_{alpha beta}
         Gt^gamma_{i beta} = -(B/2) df_i d^gamma_beta
         Gt^gamma_{alpha beta} = G^gamma_{alpha beta}
+
+    as a block filler: ``fill(rows, out)`` writes the connection at the
+    flattened M nodes ``rows`` times every N node into ``out``, of shape
+    (M nodes, N nodes, d, d, d), and returns it.  In the product grid's
+    C order each M node is a contiguous run of all the N nodes, so a
+    block of M nodes is a contiguous run of product nodes.  The M-grid
+    and N-grid arrays are made once, here; a fill allocates nothing.
     """
     m, n = _dims(pg, c)
     d = m + n
-    grid = pg.product_grid
+    nodes_m, nodes_n = math.prod(pg.grid_m.shape), math.prod(pg.grid_n.shape)
     p = pg.m_pieces
 
-    # M-family on the M grid first.
+    # What each M node contributes to all of its N nodes: the M-family,
+    # Gt^gamma_{i beta} in both lower-index orders (storage is the full
+    # cube) and the zero families.
     gmat = pg.g.values
-    mm = p.bundle.christoffel.values.copy()
+    m_part = np.zeros(pg.grid_m.shape + (d, d, d))
+    mm = m_part[..., :m, :m, :m]
+    mm[...] = p.bundle.christoffel.values
     half_a = 0.5 * c.A
     for k in range(m):
         mm[..., k, :, k] -= half_a * p.df
         mm[..., k, k, :] -= half_a * p.df
         mm[..., k, :, :] += half_a * p.df_raised[..., k, None, None] * gmat
-
-    out = np.zeros(grid.shape + (d, d, d))
-    out[..., :m, :m, :m] = _lift_m(pg, mm)
-
-    # Gt^k_{alpha beta}: M-vector times the N metric.
+    half_b_df = -0.5 * c.B * p.df
+    for gam in range(m, d):
+        m_part[..., gam, :m, gam] = half_b_df
+        m_part[..., gam, gam, :m] = half_b_df
+    m_part = m_part.reshape(nodes_m, 1, d, d, d)
+    # Gt^k_{alpha beta}: this M-vector times the N metric.
     warp = 0.5 * c.B * np.exp((c.A - c.B) * pg.f.values)
-    vec = warp[..., None] * p.df_raised                       # (..., m)
-    out[..., :m, m:, m:] = _lift_m(pg, vec)[..., :, None, None] \
-        * _lift_n(pg, pg.h.values)[..., None, :, :]
+    vec = (warp[..., None] * p.df_raised).reshape(nodes_m, 1, m, 1, 1)
+    h = pg.h.values.reshape(nodes_n, 1, n, n)
+    gam_n = pg.n_bundle.christoffel.values.reshape(nodes_n, n, n, n)
 
-    # Gt^gamma_{i beta} = -(B/2) df_i, diagonal in (gamma, beta); filled
-    # in both lower-index orders since storage is the full cube.
-    half_b_df = -0.5 * c.B * p.df                             # (..., m)
-    for gam in range(n):
-        out[..., m + gam, :m, m + gam] = _lift_m(pg, half_b_df)
-        out[..., m + gam, m + gam, :m] = _lift_m(pg, half_b_df)
+    def fill(rows: slice, out: np.ndarray) -> np.ndarray:
+        out[...] = m_part[rows]
+        np.multiply(vec[rows], h, out=out[..., :m, m:, m:])
+        out[..., m:, m:, m:] = gam_n
+        return out
 
-    out[..., m:, m:, m:] = _lift_n(pg, pg.n_bundle.christoffel.values)
+    return fill
+
+
+def christoffel_closed_form(pg: ProductGeometry,
+                            c: WarpedConstants) -> Christoffel3Field:
+    """The closed connection (``christoffel_closed_filler``) filled at
+    every M node, as a cube on the product grid."""
+    fill = christoffel_closed_filler(pg, c)
+    grid = pg.product_grid
+    d = grid.dim
+    nodes_m = math.prod(pg.grid_m.shape)
+    out = np.empty(grid.shape + (d, d, d))
+    fill(slice(0, nodes_m), out.reshape(nodes_m, -1, d, d, d))
     return Christoffel3Field(grid, out)
 
 

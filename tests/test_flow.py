@@ -39,9 +39,9 @@ def test_state_requires_metric_flag_and_shared_grid():
     g = recipes.flat_metric(grid)
     f = recipes.sine_scalar(grid, 0.1)
     bare = recipes.random_sym_tensor(grid, np.random.default_rng(0), 0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="is_metric"):
         FlowState.initial(bare, f)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="state fields live on different"):
         FlowState.initial(g, recipes.sine_scalar(circle(32), 0.1))
 
 

@@ -1,12 +1,15 @@
 """The blocked kernels against the whole-grid formulas they replace.
 
 ``grids.diff_array`` reads its shifted operands as periodic slices into
-one output array, and ``verify._family_maxima`` takes its max-norms
-block by block, cutting its blocks with ``grids.node_blocks``, whose one
-block size ``grids._BLOCK_BYTES`` the tests below vary.  Every node sees
-the same floating-point operations in the same order, so these two are
-held to the plain formula bit for bit (sign of zero included), whatever
-the shape, the strides or where the blocks end.
+one output array, ``verify._family_maxima`` takes its max-norms block by
+block, and ``verify.curvature_study`` fills the closed connection
+(``warped.christoffel_closed_filler``) in blocks of whole M nodes and
+compares it with the oracle one block at a time.  The blocks are cut by
+``grids.node_blocks``, whose one block size ``grids._BLOCK_BYTES`` the
+tests below vary.  Every node sees the same floating-point operations in
+the same order, so these are held to the plain formula bit for bit (sign
+of zero included), whatever the shape, the strides or where the blocks
+end.
 
 ``geometry._christoffel`` raises the connection of the first kind with
 one batched matrix product per node block, and the oracle's three
@@ -26,6 +29,9 @@ import pytest
 
 from warpflow import geometry, grids, recipes, verify
 from warpflow.grids import Christoffel3Field, GridSpec, ScalarField, diff_array
+from warpflow.verify import FieldSpec, StudySpec
+from warpflow.warped import (assemble_product_metric, christoffel_closed_filler,
+                             christoffel_closed_form, solve_perelman_constants)
 
 
 def roll_diff(values, grid, axis):
@@ -250,3 +256,102 @@ def test_family_maxima_equal_whole_grid_maxima(monkeypatch, nodes):
                     float(np.abs(a[..., p, r, p] - b[..., p, r, p]).max())),
         "abs": float(np.abs(b[..., p, r, r]).max()),
         "scalar": float(np.abs(s - t).max())}
+
+
+def lifted_closed_christoffel(pg, c):
+    """The closed connection assembled whole on the product grid: each
+    family an M-grid or N-grid array broadcast along the other factor's
+    axes, the zero families left at zero."""
+    m, n, d = c.m, c.n, c.m + c.n
+    sm, sn = pg.grid_m.shape, pg.grid_n.shape
+
+    def lift_m(arr):
+        comp = arr.shape[len(sm):]
+        return np.broadcast_to(arr.reshape(sm + (1,) * len(sn) + comp),
+                               sm + sn + comp)
+
+    def lift_n(arr):
+        comp = arr.shape[len(sn):]
+        return np.broadcast_to(arr.reshape((1,) * len(sm) + sn + comp),
+                               sm + sn + comp)
+
+    p = pg.m_pieces
+    mm = p.bundle.christoffel.values.copy()
+    half_a = 0.5 * c.A
+    for k in range(m):
+        mm[..., k, :, k] -= half_a * p.df
+        mm[..., k, k, :] -= half_a * p.df
+        mm[..., k, :, :] += half_a * p.df_raised[..., k, None, None] \
+            * pg.g.values
+    out = np.zeros(sm + sn + (d, d, d))
+    out[..., :m, :m, :m] = lift_m(mm)
+    vec = 0.5 * c.B * np.exp((c.A - c.B) * pg.f.values)[..., None] \
+        * p.df_raised
+    out[..., :m, m:, m:] = lift_m(vec)[..., :, None, None] \
+        * lift_n(pg.h.values)[..., None, :, :]
+    half_b_df = -0.5 * c.B * p.df
+    for gam in range(m, d):
+        out[..., gam, :m, gam] = lift_m(half_b_df)
+        out[..., gam, gam, :m] = lift_m(half_b_df)
+    out[..., m:, m:, m:] = lift_n(pg.n_bundle.christoffel.values)
+    return out
+
+
+CHR_FAMILIES = {
+    "chr_real_block": ["rrr"],
+    "chr_zero_mixed": ["prr", "rrp", "rpr"],
+    "chr_real_from_phantom": ["rpp"],
+    "chr_phantom_mixed": ["prp", "ppr"],
+    "chr_phantom_block": ["ppp"],
+}
+
+# (m, n) and one level's M and N points: every closed family is live
+PRODUCTS = [((2, 1), ((8, 9), (8,))), ((1, 3), ((10,), (8, 8, 9))),
+            ((2, 2), ((8, 9), (8, 10)))]
+
+# block sizes, in M nodes, for ``nodes_m`` M nodes; "half" is half of one
+# M node's bytes, so that a single M node exceeds a block
+M_BLOCKS = {"half": lambda nodes_m: 0.5, "ragged": lambda nodes_m: 7,
+            "whole": lambda nodes_m: nodes_m + 5}
+
+
+@pytest.mark.parametrize("blocks", sorted(M_BLOCKS))
+@pytest.mark.parametrize("dims, level", PRODUCTS)
+def test_streamed_christoffel_comparison_matches_whole_cubes(
+        monkeypatch, dims, level, blocks):
+    m, n = dims
+    d = m + n
+    c = solve_perelman_constants(m, n)
+    spec = StudySpec(levels=(level,), g_spec=FieldSpec("random-spd", 0.2),
+                     h_spec=FieldSpec("conformal-bump", 0.1, 1),
+                     f_modes=(1, 2), seed=m + 2 * n)
+    nodes_m, nodes_n = math.prod(level[0]), math.prod(level[1])
+    size = M_BLOCKS[blocks](nodes_m)
+    monkeypatch.setattr(grids, "_BLOCK_BYTES",
+                        int(size * nodes_n * 8 * d ** 3))
+    assert len(grids.node_blocks(nodes_m, nodes_n * 8 * d ** 3)) == \
+        math.ceil(nodes_m / max(1, size))
+
+    pg = verify.build_product_geometry(spec)
+    lifted = lifted_closed_christoffel(pg, c)
+    fill = christoffel_closed_filler(pg, c)
+    cube = np.full((nodes_m, nodes_n, d, d, d), np.nan)
+    for rows in grids.node_blocks(nodes_m, nodes_n * 8 * d ** 3):
+        fill(rows, cube[rows])
+    assert_bitwise(cube.reshape(lifted.shape), lifted)
+    closed = christoffel_closed_form(pg, c).values
+    assert_bitwise(closed, lifted)
+
+    rows = verify.curvature_study(c, spec)
+    oracle = geometry.curvature_bundle(
+        assemble_product_metric(pg, c)).christoffel.values
+    gap = np.abs(closed - oracle)
+    part = {"r": slice(None, m), "p": slice(m, None)}
+    for family, comps in CHR_FAMILIES.items():
+        whole = max(float(gap[(...,) + tuple(part[i] for i in comp)].max())
+                    for comp in comps)
+        # the oracle's zero family reads exact zeros; every other family
+        # is compared at nonzero errors
+        assert whole > 0.0 or family == "chr_zero_mixed"
+        (error,) = [r.error for r in rows if r.family == family]
+        assert error == whole, family

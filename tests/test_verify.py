@@ -101,9 +101,10 @@ def test_curvature_study_family_roster_and_convergence():
 
 
 def test_curvature_study_level_runs_each_stage_once(monkeypatch):
-    # one on-locus level: one closed Christoffel cube, three generic
-    # curvature stacks (the product oracle, g and h) and one state record
-    # of (g, f), shared by every closed form
+    # one on-locus level: no closed Christoffel cube (the closed
+    # connection is streamed block by block), three generic curvature
+    # stacks (the product oracle, g and h) and one state record of
+    # (g, f), shared by every closed form
     calls = Counter()
 
     def counted(key, fn):
@@ -112,9 +113,10 @@ def test_curvature_study_level_runs_each_stage_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    cube = counted("cube", warped.christoffel_closed_form)
-    monkeypatch.setattr(warped, "christoffel_closed_form", cube)
-    monkeypatch.setattr(verify, "christoffel_closed_form", cube)
+    def no_cube(*args, **kwargs):
+        raise AssertionError("the study built a closed Christoffel cube")
+
+    monkeypatch.setattr(warped, "christoffel_closed_form", no_cube)
     monkeypatch.setattr(geometry, "curvature_bundle",
                         counted("bundle", geometry.curvature_bundle))
     monkeypatch.setattr(geometry.StateTerms, "__init__",
@@ -124,7 +126,7 @@ def test_curvature_study_level_runs_each_stage_once(monkeypatch):
         g_spec=FieldSpec("conformal-bump", 0.1, 1),
         h_spec=FieldSpec("conformal-bump", 0.1, 1)))
     assert {r.family for r in rows} == ON_LOCUS_FAMILIES
-    assert calls == {"cube": 1, "bundle": 3, "record": 1}
+    assert calls == {"bundle": 3, "record": 1}
 
 
 def test_curvature_study_off_locus_drops_ansatz_rows():
