@@ -31,8 +31,9 @@ Discrete quirks worth knowing:
   D_j D_l f and D_l D_j f agree to roundoff; ``StateTerms`` holds it as
   an array.
 * ``curvature_bundle`` is the only curvature entry point: one pass that
-  inverts the metric once, contracts the scalar from the symmetrized
-  Ricci matrix and returns the whole stack, the inverse included.
+  inverts the metric once, builds the connection, and makes the
+  symmetrized Ricci, its residue and the scalar in one Ricci pass, and
+  returns the whole stack, the inverse included.
 * ``StateTerms.at(g, f)``, g and f on one grid (so at one order), is
   the only record of a (g, f) state: one bundle, df and hess f.  What
   only some readers need (|grad f|^2, lap f, df raised, sqrt(det g) and
@@ -43,10 +44,14 @@ Discrete quirks worth knowing:
   a sweep is block-sized.  The cube is built in its own storage: each
   D_a g is written into the cube's slot a, then one sweep turns every
   block into its Christoffel symbols in place, raising the connection
-  of the first kind with one batched matrix product.  Peak memory is
-  the cube, one D_a g and the order-4 stencil's one temporary, plus one
-  block's worth, which is what lets 4d product grids with a few million
-  nodes fit in a small container.
+  of the first kind with one batched matrix product.  Its peak is the
+  cube, the inverse, one D_a g and the order-4 stencil's one temporary,
+  plus one block's worth.  The Ricci pass runs its stencils in slabs of
+  whole planes cut by the same block size, so its peak is the cube, the
+  inverse, the Ricci array and the trace Gamma^a_{ab}, plus one slab's
+  and one block's worth: at 16^4, d = 4, the cube and 2.45 matrix fields
+  above the metric.  That is what lets 4d product grids with a few
+  million nodes fit in a small container.
 * The raising g^{kl} S_{lij} is a batched matrix product over a block's
   nodes, (d, d) @ (d, d^2).  Of the three contractions that read the
   cube, Gamma^p_{ad} Gamma^a_{bp} is one too, (d, d^2) @ (d^2, d), and
@@ -198,36 +203,35 @@ def _christoffel(g: SymTensorField, inv: np.ndarray) -> Christoffel3Field:
     return Christoffel3Field(grid, out)
 
 
-def _ricci_matrix(gamma: Christoffel3Field) -> np.ndarray:
-    """Raw (unsymmetrized) Ricci as a full matrix array."""
-    grid = gamma.grid
-    d = grid.dim
-    gam = gamma.values
-    trace = np.zeros(grid.shape + (d,))                # Gamma^a_{ab}
-    for a in range(d):
-        trace += gam[..., a, a, :]
-    ric = np.zeros(grid.shape + (d, d))
-    for a in range(d):
-        ric += diff_array(gam[..., a, :, :], grid, a)
-    for b in range(d):
-        ric[..., b, :] -= diff_array(trace, grid, b)
-    flat_gam = gam.reshape(-1, d, d, d)
-    flat_trace, flat_ric = trace.reshape(-1, d), ric.reshape(-1, d, d)
-    for blk in _node_blocks(grid):
-        gb, r = flat_gam[blk], flat_ric[blk]
-        r += _lower_contract(flat_trace[blk], gb)      # Gamma^p_{bd} Gamma^a_{ap}
-        # Gamma^p_{ad} Gamma^a_{bp}: rows (b) of Gamma^a_{bp} laid out as
-        # [b, (p, a)] against the cube's own [(p, a), d]
-        n = gb.shape[0]
-        r -= np.matmul(gb.transpose(0, 2, 3, 1).reshape(n, d, d * d),
-                       gb.reshape(n, d * d, d))
-    return ric
+def _stencil_slabs(grid: GridSpec) -> list[list[tuple]]:
+    """Per axis a, the grid cut into slabs of whole planes of another
+    axis (axis 1 for a = 0, axis 0 for the rest), each about
+    ``_BLOCK_BYTES`` of a matrix field, as index tuples over the grid
+    axes: a stencil along a reads nothing outside its own slab.  A 1d
+    grid is one slab."""
+    if grid.dim == 1:
+        return [[()]]
+    nodes, d = math.prod(grid.shape), grid.dim
+    across = {cut: [(slice(None),) * cut + (blk,) for blk in node_blocks(
+        grid.shape[cut], nodes // grid.shape[cut] * 8 * d * d)]
+        for cut in (0, 1)}
+    return [across[1 if a == 0 else 0] for a in range(d)]
 
 
-def _symmetrized_ricci(gamma: Christoffel3Field
-                       ) -> tuple[SymTensorField, float]:
-    """Ricci as a symmetric field, plus the max-norm of the
-    antisymmetric residue discarded to get there.
+def _ricci_pass(gamma: Christoffel3Field, inv: np.ndarray
+                ) -> tuple[SymTensorField, ScalarField, float]:
+    """Ricci as a symmetric field, the scalar curvature g^{bd} Ric_{bd}
+    and the max-norm of the antisymmetric residue discarded to get there,
+    from the connection and the metric's inverse.
+
+    The raw Ricci is built in one array: the stencils D_a Gamma^a_{bd}
+    run in slabs (``_stencil_slabs``) and are added in the order
+    a = 0 ... d-1, then the D_b Gamma^a_{ad} are subtracted, in slabs
+    too.  One sweep of the node blocks adds the two Gamma Gamma terms
+    and, per block, takes the max of |R - R^T|, writes (R + R^T) / 2 in
+    place, keeps the max of |Ric| and contracts the scalar.  Each node's
+    operations and their order do not depend on where a slab or a block
+    ends, so neither changes a bit.
 
     Only the D_b Gamma^a_{ad} term of the coordinate formula breaks exact
     discrete symmetry (its integrand depends on position through g^-1), so
@@ -238,31 +242,65 @@ def _symmetrized_ricci(gamma: Christoffel3Field
     a warning flags likely under-resolution.
     """
     grid = gamma.grid
-    raw = _ricci_matrix(gamma)
-    asym = float(np.abs(raw - np.swapaxes(raw, -1, -2)).max())
-    ric = SymTensorField(grid, symmetric_part(raw))
-    del raw
+    d = grid.dim
+    gam = gamma.values
+    trace = np.zeros(grid.shape + (d,))                # Gamma^a_{ab}
+    for a in range(d):
+        trace += gam[..., a, a, :]
+    ric = np.zeros(grid.shape + (d, d))
+    slabs = _stencil_slabs(grid)
+    for a in range(d):
+        gam_a = gam[..., a, :, :]
+        for s in slabs[a]:
+            o = ric[s]
+            o += diff_array(gam_a[s], grid, a)
+    for b in range(d):
+        ric_b = ric[..., b, :]
+        for s in slabs[b]:
+            o = ric_b[s]
+            o -= diff_array(trace[s], grid, b)
+    scal = np.empty(grid.shape)
+    flat_gam, flat_inv = gam.reshape(-1, d, d, d), inv.reshape(-1, d, d)
+    flat_trace, flat_ric = trace.reshape(-1, d), ric.reshape(-1, d, d)
+    flat_scal = scal.reshape(-1)
+    asym, size = [], []
+    for blk in _node_blocks(grid):
+        gb, r = flat_gam[blk], flat_ric[blk]
+        r += _lower_contract(flat_trace[blk], gb)      # Gamma^p_{bd} Gamma^a_{ap}
+        # Gamma^p_{ad} Gamma^a_{bp}: rows (b) of Gamma^a_{bp} laid out as
+        # [b, (p, a)] against the cube's own [(p, a), d]
+        n = gb.shape[0]
+        r -= np.matmul(gb.transpose(0, 2, 3, 1).reshape(n, d, d * d),
+                       gb.reshape(n, d * d, d))
+        rt = np.swapaxes(r, -1, -2)
+        t = r - rt
+        asym.append(np.abs(t, out=t).max())
+        np.add(r, rt, out=t)
+        t *= 0.5
+        r[...] = t
+        size.append(np.abs(t, out=t).max())
+        flat_scal[blk] = np.einsum("nbd,nbd->n", flat_inv[blk], r)
+    ric = SymTensorField(grid, ric)     # finite, so no max below is NaN
+    asym = float(max(asym))
     h_max = max(grid.spacing)
-    scale = max(1.0, float(np.abs(ric.values).max()))
+    scale = max(1.0, float(max(size)))
     if asym > ASYMMETRY_WARN_FACTOR * h_max**2 * scale:
         warnings.warn(
             f"Ricci antisymmetric residue {asym:.3e} exceeds the O(h^2) "
             f"budget for spacing {h_max:.3e}; fields look under-resolved",
             stacklevel=3)
-    return ric, asym
+    return ric, ScalarField(grid, scal), asym
 
 
 def curvature_bundle(g: SymTensorField) -> CurvatureBundle:
     """Full curvature stack of one metric via the generic pipeline.  The
-    metric is inverted once, and the symmetrized Ricci matrix feeds both
-    the scalar and the bundle."""
+    metric is inverted once, and one Ricci pass over the connection
+    returns the symmetrized Ricci and the scalar."""
     inv = inverse_metric(g)
     gamma = _christoffel(g, inv)
-    ric, asym = _symmetrized_ricci(gamma)
-    scal = np.einsum("...bd,...bd->...", inv, ric.values)
-    return CurvatureBundle(christoffel=gamma, ricci=ric,
-                           scalar=ScalarField(g.grid, scal), inverse=inv,
-                           ricci_asymmetry=asym)
+    ric, scal, asym = _ricci_pass(gamma, inv)
+    return CurvatureBundle(christoffel=gamma, ricci=ric, scalar=scal,
+                           inverse=inv, ricci_asymmetry=asym)
 
 
 def gradient_components(f: ScalarField) -> np.ndarray:

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -108,7 +108,7 @@ class GridSpec:
     def shape(self) -> tuple[int, ...]:
         return self.points
 
-    @property
+    @cached_property
     def spacing(self) -> tuple[float, ...]:
         return tuple(L / n for L, n in zip(self.periods, self.points))
 
@@ -409,22 +409,35 @@ def _same_grid(a, b, what: str):
         raise GridMismatchError(f"{what}: fields live on different grids")
 
 
+# The textbook stencil of each order: its shifts s, so that v[i + s] is
+# read, and the divisor of the spacing.
+_STENCILS = {2: ((1, -1), 2.0), 4: ((2, 1, -1, -2), 12.0)}
+
+
 @lru_cache(maxsize=None)
-def _periodic_runs(n: int, shifts: tuple[int, ...]) -> tuple:
-    """Split the nodes 0..n-1 of a periodic axis into runs on which no
-    i + s wraps around, for every shift s: each run's slice and, per
-    shift, the slice that holds the values at i + s over it.  Memoised
-    per (n, shifts), since every stencil call along an axis asks again."""
+def _stencil_plan(grid: GridSpec, axis: int) -> tuple[tuple, float]:
+    """The plan of every stencil along one axis of a grid: the nodes
+    0..n-1 of the axis split into runs on which no i + s wraps around,
+    for every shift s, as each run's index and, per shift, the index of
+    the values at i + s over it, each behind the axis prefix; and the
+    divisor of the grid order's formula.  Memoised per (grid, axis),
+    since every stencil call along an axis asks again."""
+    shifts, scale = _STENCILS[grid.order]
+    n = grid.points[axis]
+    lead = (slice(None),) * axis
     cuts = sorted({0, n} | {-s % n for s in shifts})
-    return tuple((slice(lo, hi),
-                  tuple(slice((lo + s) % n, (lo + s) % n + hi - lo)
+    runs = tuple((lead + (slice(lo, hi),),
+                  tuple(lead + (slice((lo + s) % n, (lo + s) % n + hi - lo),)
                         for s in shifts))
                  for lo, hi in zip(cuts, cuts[1:]))
+    return runs, scale * grid.spacing[axis]
 
 
 def diff_array(values: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:
     """Periodic central difference along one grid axis of an array whose
-    leading axes are the grid axes.  Trailing component axes pass through.
+    leading axes are the grid axes.  Trailing component axes pass
+    through, and so may a slab of the other grid axes: the stencil reads
+    only along ``axis``, whose length must be the grid's.
 
     Every node sees the operations of the grid order's textbook formula,
     (v[i+1] - v[i-1]) / (2h) or
@@ -433,25 +446,25 @@ def diff_array(values: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:
     written into one output array.
     """
     grid._check_axis(axis)
-    h = grid.spacing[axis]
+    runs, divisor = _stencil_plan(grid, axis)
     values = np.asarray(values)
+    if values.shape[axis] != grid.points[axis]:
+        raise ValueError(f"axis {axis} has {values.shape[axis]} nodes, "
+                         f"the grid {grid.points[axis]}")
     out = np.empty(values.shape, np.result_type(values, 1.0))
-    lead = (slice(None),) * axis
     if grid.order == 2:
-        for run, (p1, m1) in _periodic_runs(values.shape[axis], (1, -1)):
-            np.subtract(values[lead + (p1,)], values[lead + (m1,)],
-                        out=out[lead + (run,)])
-        out /= 2.0 * h
+        for run, (p1, m1) in runs:
+            np.subtract(values[p1], values[m1], out=out[run])
+        out /= divisor
         return out
     eight = 8.0 * values
-    for run, (p2, p1, m1, m2) in _periodic_runs(values.shape[axis],
-                                                (2, 1, -1, -2)):
-        o = out[lead + (run,)]
-        np.negative(values[lead + (p2,)], out=o)
-        o += eight[lead + (p1,)]
-        o -= eight[lead + (m1,)]
-        o += values[lead + (m2,)]
-    out /= 12.0 * h
+    for run, (p2, p1, m1, m2) in runs:
+        o = out[run]
+        np.negative(values[p2], out=o)
+        o += eight[p1]
+        o -= eight[m1]
+        o += values[m2]
+    out /= divisor
     return out
 
 
@@ -483,12 +496,24 @@ def filter_array(values: np.ndarray, grid: GridSpec, cutoff: float) -> np.ndarra
         return values.copy()
     dim = grid.dim
     spec = np.fft.fftn(values, axes=tuple(range(dim)))
-    for ax in range(dim):
-        n = grid.points[ax]
-        k = np.abs(np.fft.fftfreq(n) * n)
-        keep = k <= cutoff * (n // 2)
-        shape = [1] * spec.ndim
-        shape[ax] = n
-        spec = spec * keep.reshape(shape)
+    for keep in _filter_masks(grid.points, cutoff, spec.ndim):
+        spec = spec * keep
     out = np.fft.ifftn(spec, axes=tuple(range(dim))).real
     return np.ascontiguousarray(out)
+
+
+@lru_cache(maxsize=None)
+def _filter_masks(points: tuple[int, ...], cutoff: float,
+                  ndim: int) -> tuple[np.ndarray, ...]:
+    """Per grid axis, the read-only mask of the wavenumbers that
+    ``filter_array`` keeps, shaped to broadcast against an ``ndim``-axis
+    spectrum.  Memoised per (points, cutoff, ndim)."""
+    masks = []
+    for ax, n in enumerate(points):
+        k = np.abs(np.fft.fftfreq(n) * n)
+        shape = [1] * ndim
+        shape[ax] = n
+        keep = (k <= cutoff * (n // 2)).reshape(shape)
+        keep.flags.writeable = False
+        masks.append(keep)
+    return tuple(masks)

@@ -222,7 +222,7 @@ def test_decoupled_run_takes_one_oracle_pass_per_stored_metric(
     # backward sweep reuses each pass's inverse, so every inversion is
     # an oracle pass's own.
     from warpflow import geometry
-    calls = {"_symmetrized_ricci": 0, "inverse_metric": 0}
+    calls = {"_ricci_pass": 0, "inverse_metric": 0}
 
     def counting(name):
         fn = getattr(geometry, name)
@@ -240,7 +240,7 @@ def test_decoupled_run_takes_one_oracle_pass_per_stored_metric(
                          FlowConfig(dt=1e-4, t_end=5e-4,
                                     integrator=integrator))
     assert len(traj) == 6
-    assert calls == {"_symmetrized_ricci": passes, "inverse_metric": passes}
+    assert calls == {"_ricci_pass": passes, "inverse_metric": passes}
 
 
 def test_monotonicity_report_takes_one_oracle_pass_per_snapshot(monkeypatch):
@@ -250,13 +250,13 @@ def test_monotonicity_report_takes_one_oracle_pass_per_snapshot(monkeypatch):
                        FlowConfig(dt=1e-4, t_end=5e-4, lam=0.5,
                                   integrator="euler", snapshot_stride=2))
     calls = []
-    ricci_pass = geometry._symmetrized_ricci
+    ricci_pass = geometry._ricci_pass
 
     def counted(*args, **kwargs):
         calls.append(1)
         return ricci_pass(*args, **kwargs)
 
-    monkeypatch.setattr(geometry, "_symmetrized_ricci", counted)
+    monkeypatch.setattr(geometry, "_ricci_pass", counted)
     rows = monotonicity_report(traj, 0.5)
     assert len(rows) == len(traj) == 4
     assert len(calls) == len(traj)

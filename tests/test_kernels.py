@@ -18,11 +18,18 @@ Hessian's Gamma^k_{jl} D_k f) are batched matrix products or einsums over
 the same node blocks.  Their sums run in another order than the einsum
 formulas they stand for, so they are held to those formulas within
 8 d^2 ulps of the summed magnitudes at every node, and to themselves bit
-for bit wherever the blocks end.  The Christoffel cube is also held to
-bitwise symmetry in its lower indices.
+for bit wherever the blocks end.  ``geometry._ricci_pass`` also runs its
+stencils in slabs cut by the same block size, and symmetrizes, takes the
+residue and contracts the scalar block by block: its scalar is held to
+the whole-grid einsum bit for bit, and its Ricci, residue and scalar to
+themselves wherever the slabs and blocks end.  The Christoffel cube is
+also held to bitwise symmetry in its lower indices, and the oracle pass
+to a traced memory budget.
 """
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -201,11 +208,20 @@ def random_cube(grid, rng):
 
 
 def ricci_and_hessian(grid, seed):
+    """A random connection, a random symmetric stand-in for the inverse
+    metric and a random f's partials, with ``_ricci_pass`` of the first
+    two (its Ricci and scalar as arrays, and its residue) and the
+    Hessian."""
     rng = np.random.default_rng(seed)
     gamma = random_cube(grid, rng)
+    m = rng.standard_normal(grid.shape + (grid.dim,) * 2)
+    inv = m + np.swapaxes(m, -1, -2)
     f = ScalarField(grid, rng.standard_normal(grid.shape))
     df = geometry.gradient_components(f)
-    return (gamma, df, geometry._ricci_matrix(gamma),
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")    # a random cube is under-resolved
+        ric, scal, asym = geometry._ricci_pass(gamma, inv)
+    return (gamma, inv, df, ric.values, scal.values, asym,
             geometry._hessian(df, gamma))
 
 
@@ -217,8 +233,14 @@ def test_contractions_match_einsum_formulas(monkeypatch, points, order,
     nodes, d = math.prod(points), len(points)
     monkeypatch.setattr(grids, "_BLOCK_BYTES",
                         cube_bytes(BLOCKS[blocks](nodes), d))
-    gamma, df, ric, hess = ricci_and_hessian(grid_of(points, order), nodes)
-    assert_within_ulps(ric, *einsum_ricci(gamma), d)
+    gamma, inv, df, ric, scal, asym, hess = ricci_and_hessian(
+        grid_of(points, order), nodes)
+    raw, mag = einsum_ricci(gamma)
+    raw_t, mag_t = np.swapaxes(raw, -1, -2), np.swapaxes(mag, -1, -2)
+    assert_within_ulps(ric, 0.5 * (raw + raw_t), np.maximum(mag, mag_t), d)
+    assert abs(asym - float(np.abs(raw - raw_t).max())) \
+        <= 8 * d * d * np.finfo(float).eps * float((mag + mag_t).max())
+    assert_bitwise(scal, np.einsum("...bd,...bd->...", inv, ric))
     assert_within_ulps(hess, *einsum_hessian(df, gamma), d)
 
 
@@ -226,15 +248,36 @@ def test_contractions_match_einsum_formulas(monkeypatch, points, order,
 @pytest.mark.parametrize("points", SHAPES)
 def test_contractions_do_not_depend_on_the_block_size(monkeypatch, points,
                                                       order):
+    # the block size cuts the stencil slabs too: nodes // 10 makes ragged
+    # slabs of several planes
     nodes, d = math.prod(points), len(points)
     grid = grid_of(points, order)
     results = []
-    for size in [1, 7, nodes - 1, nodes + 5]:
+    for size in [1, 7, nodes // 10, nodes - 1, nodes + 5]:
         monkeypatch.setattr(grids, "_BLOCK_BYTES", cube_bytes(size, d))
-        results.append(ricci_and_hessian(grid, nodes)[2:])
-    for ric, hess in results[1:]:
-        assert_bitwise(ric, results[0][0])
-        assert_bitwise(hess, results[0][1])
+        results.append(ricci_and_hessian(grid, nodes)[3:])
+    for got in results[1:]:
+        for actual, expected in zip(got, results[0]):
+            assert_bitwise(np.asarray(actual), np.asarray(expected))
+
+
+def test_curvature_bundle_peak_memory():
+    # Above the metric, the pass holds the Christoffel cube, the inverse,
+    # the Ricci array and the trace Gamma^a_{ab} (a quarter of a matrix
+    # field at d = 4); every stencil and contraction temporary is slab- or
+    # block-sized.  Measured at 16^4: the cube plus 2.45 matrix fields.
+    # Whole-grid Ricci temporaries (a stencil's result, |R - R^T|) would
+    # add one field each: 4.0 fields before the pass was streamed.
+    grid = GridSpec((16,) * 4, (1.0, 1.7, 2.4, 3.1))
+    g = recipes.random_spd_metric(grid, np.random.default_rng(1), 0.3)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        bundle = geometry.curvature_bundle(g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= bundle.christoffel.values.nbytes + 3 * g.values.nbytes
 
 
 @pytest.mark.parametrize("nodes", [7, 71, 100_000])

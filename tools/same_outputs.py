@@ -14,8 +14,9 @@ into the temporary directory.
 
 One Markdown row per run: the two exit codes, whether stdout and stderr
 match line for line, whether the CSVs are byte-identical and, where they
-are not, the largest relative difference of a cell and its column.
-Exits 1 when an exit code or a verdict line (a printed line up to its
+are not, the largest relative difference of a cell and its column, and
+each run's peak RSS (``os.wait4``'s rusage), so that a memory change
+shows config by config.  The peak RSS is reported only.  Exits 1 when an exit code or a verdict line (a printed line up to its
 first colon, e.g. ``[PASS] scalar_general`` or ``error``, with every
 decimal number in it masked, so that ``[PASS] coupled run complete,
 constraint drift 5.36e-10`` compares as a verdict) differs, else 0.
@@ -66,18 +67,29 @@ def extract_src(rev: str, into: Path) -> Path:
 
 
 def run(src: Path, argv: list[str], threads: str | None,
-        out: Path) -> tuple[int, list[str], bytes | None]:
-    """Exit code, stdout and stderr lines, and the CSV of one CLI run."""
+        out: Path) -> tuple[int, list[str], bytes | None, float]:
+    """Exit code, stdout and stderr lines, the CSV and the peak RSS in MB
+    of one CLI run.  The child is reaped with ``os.wait4``, whose rusage
+    is that child's alone; its output goes to temporary files, so no pipe
+    fills while nothing reads it."""
     env = dict(os.environ, PYTHONPATH=str(src))
     env.pop("OPENBLAS_NUM_THREADS", None)
     if threads is not None:
         env["OPENBLAS_NUM_THREADS"] = threads
     out.unlink(missing_ok=True)
-    proc = subprocess.run([sys.executable, "-m", "warpflow", *argv,
-                           "--out", str(out)], env=env, cwd=out.parent,
-                          capture_output=True, text=True)
-    lines = proc.stdout.splitlines() + proc.stderr.splitlines()
-    return proc.returncode, lines, out.read_bytes() if out.exists() else None
+    with tempfile.TemporaryFile() as stdout, \
+            tempfile.TemporaryFile() as stderr:
+        proc = subprocess.Popen([sys.executable, "-m", "warpflow", *argv,
+                                 "--out", str(out)], env=env,
+                                cwd=out.parent, stdout=stdout, stderr=stderr)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        lines = []
+        for stream in (stdout, stderr):
+            stream.seek(0)
+            lines += stream.read().decode().splitlines()
+    return (proc.returncode, lines, out.read_bytes() if out.exists() else None,
+            usage.ru_maxrss / 1024)
 
 
 # a decimal number, such as a drift a verdict line reports
@@ -160,8 +172,8 @@ def main(argv=None) -> int:
     inis = [(f"{ini.parent.name}/{ini.name}", ini) for ini in
             args.inis or sorted((ROOT / "configs").glob("*.ini"))]
     print("| run | exit (base, change) | same lines | CSV | "
-          "largest relative difference (column) |")
-    print("| --- | --- | --- | --- | --- |")
+          "largest relative difference (column) | peak RSS MB (base, change) |")
+    print("| --- | --- | --- | --- | --- | --- |")
     new = {ini for _, ini in inis if new_at_change(args.base, ini)}
     differs = False
     with tempfile.TemporaryDirectory() as tmp:
@@ -170,8 +182,10 @@ def main(argv=None) -> int:
             inis += bench_inis(Path(tmp) / "bench")
         out = Path(tmp) / "out.csv"
         for label, cli_argv, threads, is_new in runs(inis, new):
-            code_b, lines_b, csv_b = run(base_src, cli_argv, threads, out)
-            code_c, lines_c, csv_c = run(ROOT / "src", cli_argv, threads, out)
+            code_b, lines_b, csv_b, rss_b = run(base_src, cli_argv, threads,
+                                                out)
+            code_c, lines_c, csv_c, rss_c = run(ROOT / "src", cli_argv,
+                                                threads, out)
             if is_new:
                 label += " (new at change)"
             elif code_b != code_c or verdicts(lines_b) != verdicts(lines_c):
@@ -185,8 +199,8 @@ def main(argv=None) -> int:
                 worst, column = largest_gap(csv_b, csv_c)
                 csv, gap = "differs", f"{worst:.1e} ({column})"
             print(f"| {label} | {code_b}, {code_c} | "
-                  f"{'yes' if lines_b == lines_c else 'no'} | {csv} | {gap} |",
-                  flush=True)
+                  f"{'yes' if lines_b == lines_c else 'no'} | {csv} | {gap} | "
+                  f"{rss_b:.1f}, {rss_c:.1f} |", flush=True)
     return 1 if differs else 0
 
 
