@@ -259,6 +259,10 @@ def test_grid_rejects_unknown_order_and_diff_array_unknown_axis():
         GridSpec((16,), (TAU,), order=3)
     with pytest.raises(ValueError):
         diff_array(np.zeros(16), line(16), 1)
+    # the stencil plan is the grid's: an axis of another length would
+    # leave nodes unwritten
+    with pytest.raises(ValueError, match="axis 0 has 24 nodes, the grid 16"):
+        diff_array(np.zeros(24), line(16), 0)
 
 
 def test_summation_by_parts_to_roundoff():

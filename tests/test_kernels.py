@@ -266,8 +266,8 @@ def test_curvature_bundle_peak_memory():
     # the Ricci array and the trace Gamma^a_{ab} (a quarter of a matrix
     # field at d = 4); every stencil and contraction temporary is slab- or
     # block-sized.  Measured at 16^4: the cube plus 2.45 matrix fields.
-    # Whole-grid Ricci temporaries (a stencil's result, |R - R^T|) would
-    # add one field each: 4.0 fields before the pass was streamed.
+    # Whole-grid Ricci temporaries (a stencil's result, R - R^T and its
+    # absolute value) would add one field each, 4.0 fields in all.
     grid = GridSpec((16,) * 4, (1.0, 1.7, 2.4, 3.1))
     g = recipes.random_spd_metric(grid, np.random.default_rng(1), 0.3)
     tracemalloc.start()
