@@ -30,10 +30,11 @@ silently change an experiment.  The conditional keys:
 
 verify-variation runs at one resolution, so its m_points and n_points
 take one level, and a flow's t_end must be a whole number of steps of
-dt.  A value outside its domain (a NaN gate bound or a non-finite
-coupling included), a recipe field that comes out non-finite, or an
---out that is not a file in an existing directory (checked before the
-run) is invalid input.  A field the run computes that comes out
+dt.  A value outside its domain (a NaN gate bound, a non-finite
+coupling or a negative --seed included), a config file that is not
+UTF-8, a recipe field that comes out non-finite, or an --out that is
+not a file in an existing directory (checked before the run) is invalid
+input.  A field the run computes that comes out
 non-finite (a warp factor e^{-Af} or a product density out of float
 range: ``NonFiniteFieldError``) is a failed run, as a degenerate metric
 is; the mapping is by exception type.  Exit codes: 0 all checks passed,
@@ -116,7 +117,12 @@ class _Config:
 
     def __init__(self, path: str):
         self._parser = configparser.ConfigParser(interpolation=None)
-        if not self._parser.read(path):
+        try:
+            found = self._parser.read(path, encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not valid UTF-8: "
+                              f"{exc.reason} at byte {exc.start}") from exc
+        if not found:
             raise ConfigError(f"config file not found: {path}")
         self._looked_up: set[tuple[str, str]] = set()
 
@@ -401,7 +407,10 @@ def _parse_flow(cfg, seed):
 def _parse(command: str, path: str, seed: int | None):
     """The config at ``path`` and ``command``'s typed spec parsed from it.
     Every key is looked up only where its value takes effect, so any
-    section or key the parse did not look up is a ConfigError."""
+    section or key the parse did not look up is a ConfigError, and so is
+    a seed that numpy's generator refuses."""
+    if seed is not None and seed < 0:
+        raise ConfigError(f"--seed must be a non-negative int, got {seed}")
     cfg = _Config(path)
     spec = _COMMANDS[command][0](cfg, seed)
     cfg.reject_unread(command)

@@ -44,13 +44,13 @@ Discrete quirks worth knowing:
   a sweep is block-sized.  The cube is built in its own storage: each
   D_a g is written into the cube's slot a, then one sweep turns every
   block into its Christoffel symbols in place, raising the connection
-  of the first kind with one batched matrix product.  Its peak is the
-  cube, the inverse, one D_a g and the order-4 stencil's one temporary,
-  plus one block's worth.  The Ricci pass runs its stencils in slabs of
-  whole planes cut by the same block size, so its peak is the cube, the
-  inverse, the Ricci array and the trace Gamma^a_{ab}, plus one slab's
-  and one block's worth: at 16^4, d = 4, the cube and 2.45 matrix fields
-  above the metric.  That is what lets 4d product grids with a few
+  of the first kind with one batched matrix product.  Both the cube's
+  stencils and the Ricci pass's run in slabs of whole planes cut by the
+  same block size, so at either stencil order the cube's peak is the
+  cube and the inverse, and the Ricci pass's the cube, the inverse, the
+  Ricci array and the trace Gamma^a_{ab}, each plus one slab's and one
+  block's worth: at 16^4, d = 4, the cube and 2.45 matrix fields above
+  the metric.  That is what lets 4d product grids with a few
   million nodes fit in a small container.
 * The raising g^{kl} S_{lij} is a batched matrix product over a block's
   nodes, (d, d) @ (d, d^2).  Of the three contractions that read the
@@ -172,9 +172,10 @@ def _christoffel(g: SymTensorField, inv: np.ndarray) -> Christoffel3Field:
         Gamma^k_{ij} = (1/2) g^{kl} (D_i g_{jl} + D_j g_{il} - D_l g_{ij})
 
     Each D_a g_{ij} is written into slot a of the cube, as entry
-    (a, i, j), and one sweep of the node blocks turns each block into its
-    Christoffel symbols in place.  With Y_{lij} = D_i g_{jl}, the block
-    with its entry (i, j, l) moved to (l, i, j),
+    (a, i, j), slab by slab (``_stencil_slabs``), and one sweep of the
+    node blocks turns each block into its Christoffel symbols in place.
+    With Y_{lij} = D_i g_{jl}, the block with its entry (i, j, l) moved
+    to (l, i, j),
 
         S_{lij} = Y_{lij} + Y_{lji} - D_l g_{ij}
 
@@ -187,8 +188,11 @@ def _christoffel(g: SymTensorField, inv: np.ndarray) -> Christoffel3Field:
     grid = g.grid
     d = grid.dim
     out = np.empty(grid.shape + (d, d, d))
+    slabs = _stencil_slabs(grid)
     for a in range(d):
-        out[..., a, :, :] = diff_array(g.values, grid, a)
+        out_a = out[..., a, :, :]
+        for slab in slabs[a]:
+            out_a[slab] = diff_array(g.values[slab], grid, a)
     flat_out = out.reshape(-1, d, d, d)
     flat_inv = inv.reshape(-1, d, d)
     for blk in _node_blocks(grid):

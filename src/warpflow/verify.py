@@ -9,7 +9,10 @@ errors plus measured convergence orders.  Orders are computed pairwise:
 Resolution ladders refine every *varying* axis by the same factor per
 level; axes along which all fields are constant may stay fixed (their
 stencil error is exactly zero), which is what keeps the 4-dimensional
-product studies inside a small container's memory budget.
+product studies inside a small container's memory budget.  The curvature
+study compares every closed field with the oracle in one sweep over
+blocks of whole M nodes (``_peak``), so it holds no closed Christoffel
+cube on the product grid.
 """
 
 from __future__ import annotations
@@ -156,83 +159,52 @@ class ConvergenceRow:
     order: float  # vs previous level; NaN on the first
 
 
-def _family_maxima(shape: tuple[int, ...],
-                   families: dict[str, list[tuple]]) -> dict[str, float]:
-    """Max-norm of each comparison family over the nodes of ``shape``:
-    the Ricci and scalar families, whose closed fields are built whole.
-
-    A family is a list of terms ``(a, b, comp)``: the max of |a - b| (of
-    |a| when ``b`` is None) over the component block ``comp`` of arrays
-    whose leading axes are the grid axes.  Each distinct (a, b) pair is
-    swept once, in the grids module's ``node_blocks`` of ``a``, keeping the
-    running max of every component, so each temporary is block-sized.
-    A max does not depend on how the nodes are split or grouped, so every
-    family's value is the whole-grid max to the bit.
-    """
-    nodes = math.prod(shape)
-    pairs = {(id(a), id(b)): (a, b)
-             for family in families.values() for a, b, _ in family}
-    peaks = {}
-    for key, (a, b) in pairs.items():
-        fa = a.reshape(nodes, -1)
-        fb = None if b is None else b.reshape(nodes, -1)
-        peak = np.zeros(fa.shape[1])
-        for blk in node_blocks(nodes, fa[0].nbytes):
-            if fb is None:
-                part = np.abs(fa[blk])
-            else:
-                part = np.subtract(fa[blk], fb[blk])
-                np.abs(part, out=part)
-            np.maximum(peak, part.max(axis=0), out=peak)
-        peaks[key] = peak.reshape(a.shape[len(shape):])
-    return {name: max(float(peaks[id(a), id(b)][comp].max())
-                      for a, b, comp in family)
-            for name, family in families.items()}
+# Each comparison family: the peak it is read off and that peak's
+# component blocks, r the indices of M and p those of N.  The zero
+# families' closed entries are exact zeros, and |0 - x| is |x| to the bit.
+_FAMILIES = {
+    "chr_real_block": ("chr", ["rrr"]),
+    "chr_zero_mixed": ("chr", ["prr", "rrp", "rpr"]),
+    "chr_real_from_phantom": ("chr", ["rpp"]),
+    "chr_phantom_mixed": ("chr", ["prp", "ppr"]),
+    "chr_phantom_block": ("chr", ["ppp"]),
+    "ricci_real_general": ("ricci_general", ["rr"]),
+    "ricci_phantom_general": ("ricci_general", ["pp"]),
+    "ricci_mixed_zero": ("ricci_general", ["rp"]),
+    "scalar_general": ("scalar_general", [""]),
+    "ricci_real_ansatz": ("ricci_ansatz", ["rr"]),
+    "ricci_phantom_ansatz": ("ricci_ansatz", ["pp"]),
+    "scalar_ansatz": ("scalar_ansatz", [""]),
+}
 
 
-def _chr_errors(pg: ProductGeometry, constants: WarpedConstants,
-                oracle_chr) -> dict[str, float]:
-    """Max-norm of each closed Christoffel component family against the
-    oracle's cube.  The sweep runs over the grids module's ``node_blocks``
-    of whole M nodes: each block is filled with the closed connection
-    (``christoffel_closed_filler``), becomes |closed - oracle| in place
-    and updates one running per-component max, so no closed product-grid
-    cube is built.  The two identically-zero families are read off the
-    same max: their closed entries are exact zeros, so |0 - x| is |x| to
-    the bit."""
-    m, d = constants.m, constants.m + constants.n
-    fill = christoffel_closed_filler(pg, constants)
-    oracle = oracle_chr.values.reshape(math.prod(pg.grid_m.shape), -1,
-                                       d, d, d)
+def _by_m_node(pg: ProductGeometry, values: np.ndarray) -> np.ndarray:
+    """An array whose leading axes are the product grid's, as (M nodes,
+    N nodes, components): a run of M nodes is a run of product nodes."""
+    sm, sn = pg.grid_m.shape, pg.grid_n.shape
+    return values.reshape((math.prod(sm), math.prod(sn))
+                          + values.shape[len(sm) + len(sn):])
+
+
+def _peak(fill, oracle: np.ndarray, pg: ProductGeometry) -> np.ndarray:
+    """The per-component max of |closed - oracle| over the product grid.
+
+    ``fill(rows, out)`` returns the closed field at the flattened M nodes
+    ``rows`` times every N node, written into ``out`` or not.  The sweep
+    runs over the grids module's ``node_blocks`` of whole M nodes in one
+    reused buffer, so no temporary is larger than a block.  A max does
+    not depend on how the nodes are split, so the peak is the whole-grid
+    max to the bit."""
+    oracle = _by_m_node(pg, oracle)
     blocks = node_blocks(len(oracle), oracle[0].nbytes)
     buf = np.empty_like(oracle[blocks[0]])
-    peak = np.zeros((d, d, d))
+    peak = np.zeros(oracle.shape[2:])
     for rows in blocks:
-        block = fill(rows, buf[:len(oracle[rows])])
-        np.subtract(block, oracle[rows], out=block)
+        block = buf[:len(oracle[rows])]
+        np.subtract(fill(rows, block), oracle[rows], out=block)
         np.abs(block, out=block)
         np.maximum(peak, block.max(axis=(0, 1)), out=peak)
-    r, p = slice(None, m), slice(m, None)
-    families = {
-        "chr_real_block": [(r, r, r)],
-        "chr_zero_mixed": [(p, r, r), (r, r, p), (r, p, r)],
-        "chr_real_from_phantom": [(r, p, p)],
-        "chr_phantom_mixed": [(p, r, p), (p, p, r)],
-        "chr_phantom_block": [(p, p, p)],
-    }
-    return {name: max(float(peak[comp].max()) for comp in comps)
-            for name, comps in families.items()}
-
-
-def _ricci_terms(closed, oracle, m: int) -> tuple[list, list, list]:
-    """The real and phantom Ricci blocks and the scalar of one closed
-    route against the oracle, both given as (ricci, scalar), as
-    ``_family_maxima`` terms."""
-    r, p = slice(None, m), slice(m, None)
-    (c_ric, c_scal), (o_ric, o_scal) = closed, oracle
-    cr, orr = c_ric.values, o_ric.values
-    return ([(cr, orr, (r, r))], [(cr, orr, (p, p))],
-            [(c_scal.values, o_scal.values, ())])
+    return peak
 
 
 def curvature_study(constants: WarpedConstants,
@@ -240,11 +212,17 @@ def curvature_study(constants: WarpedConstants,
     """Compare every closed-form curvature family against the generic
     pipeline run on the assembled product metric, across the ladder.
 
-    At each level the oracle's Christoffel cube is compared with the
-    closed connection filled block by block (``_chr_errors``) and then
-    dropped, before the closed Ricci routes are built; the Ricci and
-    scalar families are swept by ``_family_maxima``."""
+    At each level the closed connection is filled block by block
+    (``christoffel_closed_filler``) into ``_peak``'s sweep against the
+    oracle's cube, which is then dropped before the closed Ricci routes
+    are built; each of their Ricci and scalar fields is swept by
+    ``_peak`` as a filler that returns its rows.  Every family is a max
+    over component blocks of one peak (``_FAMILIES``)."""
     m = constants.m
+    part = {"r": slice(None, m), "p": slice(m, None)}
+    routes = {"general": ricci_closed_general}
+    if constants.on_special_locus:
+        routes["ansatz"] = ricci_closed_ansatz
     per_level: list[dict[str, float]] = []
     hs: list[float] = []
     for level in range(len(spec.levels)):
@@ -254,30 +232,24 @@ def curvature_study(constants: WarpedConstants,
         bundle = geometry.curvature_bundle(gt)
         # the compared fields only: the bundle's inverse, kept alive,
         # would raise the study's peak memory
-        oracle_chr, oracle = bundle.christoffel, (bundle.ricci, bundle.scalar)
+        oracle_chr = bundle.christoffel.values
+        oracle = {"ricci": bundle.ricci.values, "scalar": bundle.scalar.values}
         del bundle, gt
 
-        errors = _chr_errors(pg, constants, oracle_chr)
+        peaks = {"chr": _peak(christoffel_closed_filler(pg, constants),
+                              oracle_chr, pg)}
         del oracle_chr
-
-        shape = pg.product_grid.shape
-        gen = ricci_closed_general(pg, constants)
-        real, phantom, scalar = _ricci_terms(gen, oracle, m)
-        mixed = [(oracle[0].values, None, (slice(None, m), slice(m, None)))]
-        errors.update(_family_maxima(shape, {
-            "ricci_real_general": real, "ricci_phantom_general": phantom,
-            "ricci_mixed_zero": mixed, "scalar_general": scalar}))
-        del gen, real, phantom, scalar
-
-        if constants.on_special_locus:
-            ans = ricci_closed_ansatz(pg, constants)
-            real, phantom, scalar = _ricci_terms(ans, oracle, m)
-            errors.update(_family_maxima(shape, {
-                "ricci_real_ansatz": real, "ricci_phantom_ansatz": phantom,
-                "scalar_ansatz": scalar}))
-            del ans, real, phantom, scalar
+        for route, closed_forms in routes.items():
+            for kind, closed in zip(oracle, closed_forms(pg, constants)):
+                peaks[f"{kind}_{route}"] = _peak(
+                    lambda rows, out: _by_m_node(pg, closed.values)[rows],
+                    oracle[kind], pg)
+            del closed
         del oracle
-        per_level.append(errors)
+        per_level.append({
+            name: max(float(peaks[src][tuple(part[i] for i in comp)].max())
+                      for comp in comps)
+            for name, (src, comps) in _FAMILIES.items() if src in peaks})
 
     rows: list[ConvergenceRow] = []
     for family in per_level[0]:

@@ -40,9 +40,8 @@ coupling of a command shares one geometry's factor passes.  The closed
 connection is a block filler, ``christoffel_closed_filler``, that writes
 any run of whole M nodes from arrays on the M and N grids, so the
 curvature study compares it with the oracle block by block and never
-holds a closed product-grid cube; ``christoffel_closed_form`` is that
-filler run over every M node.
-The closed Ricci routes return the pair (Ricci, scalar).
+holds a closed product-grid cube.  The closed Ricci routes return the
+pair (Ricci, scalar), each built whole on the product grid.
 """
 
 from __future__ import annotations
@@ -56,8 +55,7 @@ import numpy as np
 
 from . import geometry
 from .errors import ConstantsError, NonFiniteFieldError
-from .grids import (Christoffel3Field, GridSpec, ScalarField, SymTensorField,
-                    ldl_determinant)
+from .grids import GridSpec, ScalarField, SymTensorField, ldl_determinant
 
 __all__ = [
     "WarpedConstants",
@@ -71,7 +69,6 @@ __all__ = [
     "assemble_product_metric",
     "product_volume_density",
     "christoffel_closed_filler",
-    "christoffel_closed_form",
     "closed_scalar_curvature",
     "ricci_closed_general",
     "ricci_closed_ansatz",
@@ -431,19 +428,6 @@ def christoffel_closed_filler(pg: ProductGeometry, c: WarpedConstants
     return fill
 
 
-def christoffel_closed_form(pg: ProductGeometry,
-                            c: WarpedConstants) -> Christoffel3Field:
-    """The closed connection (``christoffel_closed_filler``) filled at
-    every M node, as a cube on the product grid."""
-    fill = christoffel_closed_filler(pg, c)
-    grid = pg.product_grid
-    d = grid.dim
-    nodes_m = math.prod(pg.grid_m.shape)
-    out = np.empty(grid.shape + (d, d, d))
-    fill(slice(0, nodes_m), out.reshape(nodes_m, -1, d, d, d))
-    return Christoffel3Field(grid, out)
-
-
 def _require_locus(c: WarpedConstants, what: str):
     """Refuse off-locus constants for a formula only valid on the locus."""
     r1 = abs(c1_residual(c.m, c.n, c.A, c.B))
@@ -453,15 +437,14 @@ def _require_locus(c: WarpedConstants, what: str):
 
 
 def _closed_ricci_blocks(pg: ProductGeometry, c: WarpedConstants,
-                         hess_coeff: float, block_coeff: float,
-                         df_quadratic: float) -> SymTensorField:
+                         coeff: float, df_quadratic: float) -> SymTensorField:
     """Assemble both diagonal Ricci blocks of the warped metric from the
     pattern shared by the general and reduced forms:
 
-        M block:  Ric^M + hess_coeff * hess f
-                  + (A/2) g [lap f - block_coeff |grad f|^2]
+        M block:  Ric^M + coeff * hess f
+                  + (A/2) g [lap f - coeff |grad f|^2]
                   + df_quadratic * df (x) df
-        N block:  Ric^N + (B/2) e^{(A-B)f} h [lap f - block_coeff |grad f|^2]
+        N block:  Ric^N + (B/2) e^{(A-B)f} h [lap f - coeff |grad f|^2]
 
     with every scalar ingredient evaluated on the M grid.
     """
@@ -470,8 +453,8 @@ def _closed_ricci_blocks(pg: ProductGeometry, c: WarpedConstants,
     grid = pg.product_grid
     p = pg.m_pieces
 
-    bracket = p.lap - block_coeff * p.grad_sq
-    mm = p.bundle.ricci.values + hess_coeff * p.hess
+    bracket = p.lap - coeff * p.grad_sq
+    mm = p.bundle.ricci.values + coeff * p.hess
     mm += 0.5 * c.A * bracket[..., None, None] * pg.g.values
     # Z (df_i df_j), since (Z df_i) df_j and (Z df_j) df_i may round apart
     mm += df_quadratic * (p.df[..., :, None] * p.df[..., None, :])
@@ -536,7 +519,7 @@ def ricci_closed_general(pg: ProductGeometry, c: WarpedConstants
     """
     m, n = _dims(pg, c)
     c0 = 0.5 * (c.A * m + c.B * n) - c.A
-    return (_closed_ricci_blocks(pg, c, hess_coeff=c0, block_coeff=c0,
+    return (_closed_ricci_blocks(pg, c, coeff=c0,
                                  df_quadratic=z_value(m, n, c.A, c.B)),
             closed_scalar_curvature(pg, c))
 
@@ -555,6 +538,5 @@ def ricci_closed_ansatz(pg: ProductGeometry, c: WarpedConstants
     there, so running them would be meaningless.
     """
     _require_locus(c, "the reduced Ricci formula")
-    return (_closed_ricci_blocks(pg, c, hess_coeff=1.0, block_coeff=1.0,
-                                 df_quadratic=0.0),
+    return (_closed_ricci_blocks(pg, c, coeff=1.0, df_quadratic=0.0),
             closed_scalar_curvature(pg, c, reduced=True))

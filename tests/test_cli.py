@@ -238,19 +238,28 @@ MALFORMED = [
     ("verify-identity", _DIMS + "[fields]\nf_amplitude = 1e308\n"
                         "f_modes = 1 2\n"),
     ("flow", "[fields]\nf_high_modes = 5 6 7\nf_high_amplitude = 1e308\n"),
+    # a seed numpy's generator refuses, and a config that is not UTF-8
+    ("verify-variation --seed -1", _DIMS),
+    ("verify-curvature", b"[constants]\nm = 2\nn = \xff\n"),
 ]
 
 
-@pytest.mark.parametrize("command,text", MALFORMED)
+@pytest.mark.parametrize("argv,text", MALFORMED)
 def test_malformed_config_exits_2_without_traceback(tmp_path, capfd,
-                                                     command, text):
+                                                     argv, text):
+    # argv: the command, then any words that follow the usual ones (a
+    # later --seed wins); text: the config, written raw when bytes
     cfg = tmp_path / "bad.ini"
-    cfg.write_text(text)
+    if isinstance(text, bytes):
+        cfg.write_bytes(text)
+    else:
+        cfg.write_text(text)
+    command, *words = argv.split()
     rc = main([command, "--config", str(cfg), "--seed", "1",
-               "--out", str(tmp_path / "out.csv")])
+               "--out", str(tmp_path / "out.csv"), *words])
     err = capfd.readouterr().err
     assert rc == 2
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
 
 

@@ -14,7 +14,7 @@ from warpflow.grids import (GridSpec, ScalarField, SymTensorField,
                             diff_array, filter_array, integrate,
                             symmetric_part)
 from warpflow.verify import FieldSpec, StudySpec, build_product_geometry
-from warpflow.warped import (assemble_product_metric, christoffel_closed_form,
+from warpflow.warped import (assemble_product_metric, christoffel_closed_filler,
                              lambda_to_constants, ricci_closed_ansatz,
                              ricci_closed_general, solve_perelman_constants)
 
@@ -131,10 +131,12 @@ def test_sym_tensor_storage_is_full_symmetric_and_read_only():
         assert np.array_equal(arr, np.swapaxes(arr, -1, -2))
 
     # both Christoffel producers write Gamma^k_{ij} symmetric in (i, j)
-    # to the bit, which no constructor checks
-    for gamma in (bundle.christoffel, christoffel_closed_form(pg, c)):
-        assert np.array_equal(gamma.values,
-                              np.swapaxes(gamma.values, -1, -2))
+    # to the bit, which no constructor checks: the closed filler here at
+    # every M node in one call
+    closed = christoffel_closed_filler(pg, c)(
+        slice(0, 80), np.empty((80, 8, 3, 3, 3)))
+    for gamma in (bundle.christoffel.values, closed):
+        assert np.array_equal(gamma, np.swapaxes(gamma, -1, -2))
 
 
 def test_sym_tensor_rejects_asymmetric_unless_projected():

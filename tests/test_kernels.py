@@ -1,10 +1,10 @@
 """The blocked kernels against the whole-grid formulas they replace.
 
 ``grids.diff_array`` reads its shifted operands as periodic slices into
-one output array, ``verify._family_maxima`` takes its max-norms block by
-block, and ``verify.curvature_study`` fills the closed connection
-(``warped.christoffel_closed_filler``) in blocks of whole M nodes and
-compares it with the oracle one block at a time.  The blocks are cut by
+one output array, and ``verify.curvature_study`` takes every max-norm in
+one sweep, ``verify._peak``, over blocks of whole M nodes: it fills the
+closed connection (``warped.christoffel_closed_filler``) one block at a
+time, and reads the closed Ricci and scalar fields block by block.  The blocks are cut by
 ``grids.node_blocks``, whose one block size ``grids._BLOCK_BYTES`` the
 tests below vary.  Every node sees the same floating-point operations in
 the same order, so these are held to the plain formula bit for bit (sign
@@ -22,9 +22,10 @@ for bit wherever the blocks end.  ``geometry._ricci_pass`` also runs its
 stencils in slabs cut by the same block size, and symmetrizes, takes the
 residue and contracts the scalar block by block: its scalar is held to
 the whole-grid einsum bit for bit, and its Ricci, residue and scalar to
-themselves wherever the slabs and blocks end.  The Christoffel cube is
-also held to bitwise symmetry in its lower indices, and the oracle pass
-to a traced memory budget.
+themselves wherever the slabs and blocks end.  ``geometry._christoffel``
+runs its stencils in the same slabs.  The Christoffel cube is also held
+to bitwise symmetry in its lower indices, and the oracle pass to a
+traced memory budget at both stencil orders.
 """
 
 import math
@@ -38,7 +39,8 @@ from warpflow import geometry, grids, recipes, verify
 from warpflow.grids import Christoffel3Field, GridSpec, ScalarField, diff_array
 from warpflow.verify import FieldSpec, StudySpec
 from warpflow.warped import (assemble_product_metric, christoffel_closed_filler,
-                             christoffel_closed_form, solve_perelman_constants)
+                             ricci_closed_ansatz, ricci_closed_general,
+                             solve_perelman_constants)
 
 
 def roll_diff(values, grid, axis):
@@ -261,14 +263,17 @@ def test_contractions_do_not_depend_on_the_block_size(monkeypatch, points,
             assert_bitwise(np.asarray(actual), np.asarray(expected))
 
 
-def test_curvature_bundle_peak_memory():
+@pytest.mark.parametrize("order", [2, 4])
+def test_curvature_bundle_peak_memory(order):
     # Above the metric, the pass holds the Christoffel cube, the inverse,
     # the Ricci array and the trace Gamma^a_{ab} (a quarter of a matrix
     # field at d = 4); every stencil and contraction temporary is slab- or
-    # block-sized.  Measured at 16^4: the cube plus 2.45 matrix fields.
-    # Whole-grid Ricci temporaries (a stencil's result, R - R^T and its
-    # absolute value) would add one field each, 4.0 fields in all.
-    grid = GridSpec((16,) * 4, (1.0, 1.7, 2.4, 3.1))
+    # block-sized.  Measured at 16^4: the cube plus 2.45 matrix fields at
+    # either order.  Whole-grid Ricci temporaries (a stencil's result,
+    # R - R^T and its absolute value) would add one field each, 4.0 fields
+    # in all; a whole-grid D_a g with the order-4 stencil's 8 v beside it,
+    # 3.03.
+    grid = GridSpec((16,) * 4, (1.0, 1.7, 2.4, 3.1), order)
     g = recipes.random_spd_metric(grid, np.random.default_rng(1), 0.3)
     tracemalloc.start()
     try:
@@ -278,27 +283,6 @@ def test_curvature_bundle_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= bundle.christoffel.values.nbytes + 3 * g.values.nbytes
-
-
-@pytest.mark.parametrize("nodes", [7, 71, 100_000])
-def test_family_maxima_equal_whole_grid_maxima(monkeypatch, nodes):
-    # blocks of `nodes` nodes of the cube operands (and 27x as many of the
-    # scalar pair)
-    shape, m, d = (8, 9), 2, 3
-    monkeypatch.setattr(grids, "_BLOCK_BYTES", cube_bytes(nodes, d))
-    rng = np.random.default_rng(nodes)
-    a, b = rng.standard_normal((2,) + shape + (d, d, d))
-    s, t = rng.standard_normal((2,) + shape)
-    r, p = slice(None, m), slice(m, None)
-    got = verify._family_maxima(shape, {
-        "diff": [(a, b, (r, p, p)), (a, b, (p, r, p))],
-        "abs": [(b, None, (p, r, r))],
-        "scalar": [(s, t, ())]})
-    assert got == {
-        "diff": max(float(np.abs(a[..., r, p, p] - b[..., r, p, p]).max()),
-                    float(np.abs(a[..., p, r, p] - b[..., p, r, p]).max())),
-        "abs": float(np.abs(b[..., p, r, r]).max()),
-        "scalar": float(np.abs(s - t).max())}
 
 
 def lifted_closed_christoffel(pg, c):
@@ -340,12 +324,21 @@ def lifted_closed_christoffel(pg, c):
     return out
 
 
-CHR_FAMILIES = {
-    "chr_real_block": ["rrr"],
-    "chr_zero_mixed": ["prr", "rrp", "rpr"],
-    "chr_real_from_phantom": ["rpp"],
-    "chr_phantom_mixed": ["prp", "ppr"],
-    "chr_phantom_block": ["ppp"],
+# each family: the whole-grid gap it is read off and that gap's
+# component blocks, r the indices of M and p those of N
+FAMILIES = {
+    "chr_real_block": ("chr", ["rrr"]),
+    "chr_zero_mixed": ("chr", ["prr", "rrp", "rpr"]),
+    "chr_real_from_phantom": ("chr", ["rpp"]),
+    "chr_phantom_mixed": ("chr", ["prp", "ppr"]),
+    "chr_phantom_block": ("chr", ["ppp"]),
+    "ricci_real_general": ("ricci_general", ["rr"]),
+    "ricci_phantom_general": ("ricci_general", ["pp"]),
+    "ricci_mixed_zero": ("ricci_oracle", ["rp"]),
+    "scalar_general": ("scalar_general", [""]),
+    "ricci_real_ansatz": ("ricci_ansatz", ["rr"]),
+    "ricci_phantom_ansatz": ("ricci_ansatz", ["pp"]),
+    "scalar_ansatz": ("scalar_ansatz", [""]),
 }
 
 # (m, n) and one level's M and N points: every closed family is live
@@ -382,19 +375,25 @@ def test_streamed_christoffel_comparison_matches_whole_cubes(
     for rows in grids.node_blocks(nodes_m, nodes_n * 8 * d ** 3):
         fill(rows, cube[rows])
     assert_bitwise(cube.reshape(lifted.shape), lifted)
-    closed = christoffel_closed_form(pg, c).values
-    assert_bitwise(closed, lifted)
 
+    # every family of the study, the Ricci and scalar ones included, is
+    # the whole-grid max of its gap, to the bit and in the CSV's order
     rows = verify.curvature_study(c, spec)
-    oracle = geometry.curvature_bundle(
-        assemble_product_metric(pg, c)).christoffel.values
-    gap = np.abs(closed - oracle)
+    oracle = geometry.curvature_bundle(assemble_product_metric(pg, c))
+    gaps = {"chr": np.abs(lifted - oracle.christoffel.values),
+            "ricci_oracle": np.abs(oracle.ricci.values)}
+    for route, closed_forms in (("general", ricci_closed_general),
+                                ("ansatz", ricci_closed_ansatz)):
+        ricci, scalar = closed_forms(pg, c)
+        gaps[f"ricci_{route}"] = np.abs(ricci.values - oracle.ricci.values)
+        gaps[f"scalar_{route}"] = np.abs(scalar.values - oracle.scalar.values)
     part = {"r": slice(None, m), "p": slice(m, None)}
-    for family, comps in CHR_FAMILIES.items():
-        whole = max(float(gap[(...,) + tuple(part[i] for i in comp)].max())
-                    for comp in comps)
-        # the oracle's zero family reads exact zeros; every other family
-        # is compared at nonzero errors
-        assert whole > 0.0 or family == "chr_zero_mixed"
-        (error,) = [r.error for r in rows if r.family == family]
-        assert error == whole, family
+    assert [r.family for r in rows] == list(FAMILIES)
+    for row, (family, (gap, comps)) in zip(rows, FAMILIES.items()):
+        whole = max(float(gaps[gap][(...,) + tuple(part[i] for i in comp)]
+                          .max()) for comp in comps)
+        # the oracle's zero Christoffel family reads exact zeros, its
+        # mixed Ricci roundoff; every other family is compared at nonzero
+        # errors
+        assert whole > 0.0 or family in ("chr_zero_mixed", "ricci_mixed_zero")
+        assert row.error == whole, family

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from warpflow import geometry, recipes, verify, warped
+from warpflow import geometry, grids, recipes, verify, warped
 from warpflow.errors import ConfigError
 from warpflow.grids import GridSpec, ScalarField, integrate
 from warpflow.verify import (FieldSpec, StudySpec, build_metric,
@@ -18,15 +18,15 @@ from warpflow.warped import lambda_to_constants, solve_perelman_constants
 
 TAU = 2.0 * math.pi
 
-ON_LOCUS_FAMILIES = {
+# in the order of the CSV rows, which the reference outputs pin
+ON_LOCUS_FAMILIES = [
     "chr_real_block", "chr_zero_mixed", "chr_real_from_phantom",
     "chr_phantom_mixed", "chr_phantom_block",
     "ricci_real_general", "ricci_phantom_general", "ricci_mixed_zero",
     "scalar_general",
     "ricci_real_ansatz", "ricci_phantom_ansatz", "scalar_ansatz",
-}
-OFF_LOCUS_FAMILIES = ON_LOCUS_FAMILIES - {
-    "ricci_real_ansatz", "ricci_phantom_ansatz", "scalar_ansatz"}
+]
+OFF_LOCUS_FAMILIES = ON_LOCUS_FAMILIES[:-3]
 
 
 def test_measured_order_exact_powers():
@@ -85,7 +85,8 @@ def test_curvature_study_family_roster_and_convergence():
         period_m=2 * TAU, period_n=2 * TAU,
         g_spec=FieldSpec("conformal-bump", 0.1, 1),
         h_spec=FieldSpec("flat"), f_amplitude=0.2, f_modes=(1,)))
-    assert {r.family for r in rows} == ON_LOCUS_FAMILIES
+    assert [(r.family, r.level) for r in rows] == [
+        (family, level) for family in ON_LOCUS_FAMILIES for level in (0, 1)]
     by = {}
     for r in rows:
         by.setdefault(r.family, []).append(r)
@@ -102,10 +103,11 @@ def test_curvature_study_family_roster_and_convergence():
 
 def test_curvature_study_level_runs_each_stage_once(monkeypatch):
     # one on-locus level: no closed Christoffel cube (the closed
-    # connection is streamed block by block), three generic curvature
-    # stacks (the product oracle, g and h) and one state record of
-    # (g, f), shared by every closed form
+    # connection is filled one block of M nodes at a time, into one
+    # buffer), three generic curvature stacks (the product oracle, g and
+    # h) and one state record of (g, f), shared by every closed form
     calls = Counter()
+    outs = []
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -113,10 +115,17 @@ def test_curvature_study_level_runs_each_stage_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    def no_cube(*args, **kwargs):
-        raise AssertionError("the study built a closed Christoffel cube")
+    def seen_filler(pg, c):
+        fill = warped.christoffel_closed_filler(pg, c)
 
-    monkeypatch.setattr(warped, "christoffel_closed_form", no_cube)
+        def seen(rows, out):
+            outs.append(out)
+            return fill(rows, out)
+        return seen
+
+    # blocks of ten M nodes of the closed cube: 8 N nodes, d = 3
+    monkeypatch.setattr(grids, "_BLOCK_BYTES", 10 * 8 * 8 * 3 ** 3)
+    monkeypatch.setattr(verify, "christoffel_closed_filler", seen_filler)
     monkeypatch.setattr(geometry, "curvature_bundle",
                         counted("bundle", geometry.curvature_bundle))
     monkeypatch.setattr(geometry.StateTerms, "__init__",
@@ -125,8 +134,11 @@ def test_curvature_study_level_runs_each_stage_once(monkeypatch):
         levels=(((12, 12), (8,)),),
         g_spec=FieldSpec("conformal-bump", 0.1, 1),
         h_spec=FieldSpec("conformal-bump", 0.1, 1)))
-    assert {r.family for r in rows} == ON_LOCUS_FAMILIES
+    assert [r.family for r in rows] == ON_LOCUS_FAMILIES
     assert calls == {"bundle": 3, "record": 1}
+    assert [out.shape for out in outs] == \
+        [(10, 8, 3, 3, 3)] * 14 + [(4, 8, 3, 3, 3)]
+    assert all(np.shares_memory(out, outs[0]) for out in outs)
 
 
 def test_curvature_study_off_locus_drops_ansatz_rows():
@@ -135,7 +147,7 @@ def test_curvature_study_off_locus_drops_ansatz_rows():
         levels=(((12, 12), (8,)),),
         g_spec=FieldSpec("conformal-bump", 0.1, 1),
         h_spec=FieldSpec("flat")))
-    assert {r.family for r in rows} == OFF_LOCUS_FAMILIES
+    assert [r.family for r in rows] == OFF_LOCUS_FAMILIES
 
 
 def test_identity_study_row_shape():

@@ -11,7 +11,7 @@ from warpflow.errors import ConstantsError
 from warpflow.grids import GridSpec, ScalarField, SymTensorField
 from warpflow.warped import (ProductGeometry, WarpedConstants,
                              assemble_product_metric, c1_residual,
-                             c2_residual, christoffel_closed_form,
+                             c2_residual, christoffel_closed_filler,
                              closed_scalar_curvature, lambda_to_constants,
                              ricci_closed_ansatz, ricci_closed_general,
                              solve_perelman_constants, solve_theta, z_value)
@@ -165,7 +165,7 @@ def test_product_geometry_validation():
     f = recipes.sine_scalar(grid_m, 0.1)
     swapped = ProductGeometry(grid_n, grid_m, h, g,
                               recipes.sine_scalar(grid_n, 0.1))
-    for closed_form in (assemble_product_metric, christoffel_closed_form,
+    for closed_form in (assemble_product_metric, christoffel_closed_filler,
                         closed_scalar_curvature, ricci_closed_general,
                         ricci_closed_ansatz):
         with pytest.raises(ValueError):
@@ -211,6 +211,16 @@ def test_mixed_christoffel_and_ricci_vanish_in_oracle():
     assert np.abs(ric[..., :m, m:]).max() < 1e-15
 
 
+def closed_christoffel(pg, c):
+    """The closed connection filled at every M node in one call, as an
+    array on the product grid."""
+    nodes_m, d = math.prod(pg.grid_m.shape), c.m + c.n
+    out = np.empty(pg.product_grid.shape + (d, d, d))
+    christoffel_closed_filler(pg, c)(slice(0, nodes_m),
+                                     out.reshape(nodes_m, -1, d, d, d))
+    return out
+
+
 def test_closed_forms_reduce_to_blocks_when_f_vanishes():
     c = solve_perelman_constants(2, 2)
     grid_m = GridSpec((8, 8), (TAU, TAU))
@@ -218,16 +228,16 @@ def test_closed_forms_reduce_to_blocks_when_f_vanishes():
     pg = build((8, 8), (8, 8), f=f0)
     m = 2
 
-    chr_t = christoffel_closed_form(pg, c)
+    chr_t = closed_christoffel(pg, c)
     oracle_g = geometry.curvature_bundle(pg.g)
     oracle_h = geometry.curvature_bundle(pg.h)
-    assert np.allclose(chr_t.values[..., :m, :m, :m],
+    assert np.allclose(chr_t[..., :m, :m, :m],
                        oracle_g.christoffel.values[..., None, None, :, :, :],
                        atol=1e-14)
-    assert np.allclose(chr_t.values[..., m:, m:, m:],
+    assert np.allclose(chr_t[..., m:, m:, m:],
                        oracle_h.christoffel.values[None, None, ...],
                        atol=1e-14)
-    assert np.abs(chr_t.values[..., :m, m:, m:]).max() == 0.0
+    assert np.abs(chr_t[..., :m, m:, m:]).max() == 0.0
 
     ricci, scalar = ricci_closed_general(pg, c)
     ric_g = oracle_g.ricci.values
@@ -248,9 +258,9 @@ def test_closed_christoffel_tracks_oracle():
     def gap(n):
         c = solve_perelman_constants(2, 1)
         pg = build((n, n), (8,))
-        closed = christoffel_closed_form(pg, c)
+        closed = closed_christoffel(pg, c)
         oracle = geometry.curvature_bundle(assemble_product_metric(pg, c))
-        return float(np.abs(closed.values - oracle.christoffel.values).max())
+        return float(np.abs(closed - oracle.christoffel.values).max())
 
     g16, g32 = gap(16), gap(32)
     assert g16 < 2e-2
@@ -301,7 +311,7 @@ def test_product_geometry_is_frozen_and_memo_is_transparent():
         pg.f = recipes.sine_scalar(pg.grid_m, 0.3)
     # same fields, so the same numbers whether or not the memo was filled
     warm = ProductGeometry(pg.grid_m, pg.grid_n, pg.g, pg.h, pg.f)
-    christoffel_closed_form(warm, c)
+    christoffel_closed_filler(warm, c)
     fresh, reused = ricci_closed_general(pg, c), ricci_closed_general(warm, c)
     for a, b in zip(fresh, reused):
         assert np.array_equal(a.values, b.values)
