@@ -4,9 +4,9 @@
 one output array, and ``verify.curvature_study`` takes every max-norm in
 one sweep, ``verify._peak``, over blocks of whole M nodes: it fills the
 closed connection (``warped.christoffel_closed_filler``) one block at a
-time, and reads the closed Ricci and scalar fields block by block.  The blocks are cut by
-``grids.node_blocks``, whose one block size ``grids._BLOCK_BYTES`` the
-tests below vary.  Every node sees the same floating-point operations in
+time, and reads the closed Ricci and scalar fields block by block.  The
+blocks are cut by ``grids.node_blocks``, whose one block size
+``grids._BLOCK_BYTES`` the tests below vary.  Every node sees the same floating-point operations in
 the same order, so these are held to the plain formula bit for bit (sign
 of zero included), whatever the shape, the strides or where the blocks
 end.
