@@ -117,13 +117,19 @@ class _Config:
 
     def __init__(self, path: str):
         self._parser = configparser.ConfigParser(interpolation=None)
+        # opened here, since ``ConfigParser.read`` skips a path it cannot
+        # open, a directory or a symlink loop as much as a missing file
         try:
-            found = self._parser.read(path, encoding="utf-8")
+            with open(path, encoding="utf-8") as config:
+                self._parser.read_file(config, source=path)
+        except FileNotFoundError as exc:
+            raise ConfigError(f"config file not found: {path}") from exc
+        except OSError as exc:
+            raise ConfigError(f"config file {path} cannot be read: "
+                              f"{exc.strerror}") from exc
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid UTF-8: "
                               f"{exc.reason} at byte {exc.start}") from exc
-        if not found:
-            raise ConfigError(f"config file not found: {path}")
         self._looked_up: set[tuple[str, str]] = set()
 
     def get(self, section: str, key: str, default=None, convert=str,

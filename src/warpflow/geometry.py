@@ -38,29 +38,37 @@ Discrete quirks worth knowing:
   the only record of a (g, f) state: one bundle, df and hess f.  What
   only some readers need (|grad f|^2, lap f, df raised, sqrt(det g) and
   e^{-f} sqrt(det g)) is computed on first use, once per record.
-* Every kernel that reads or writes the Christoffel cube sweeps the
-  flattened nodes in the grids module's ``node_blocks`` of the cube, so
-  each block is worked on while it sits in cache and every temporary of
-  a sweep is block-sized.  The cube is built in its own storage: each
-  D_a g is written into the cube's slot a, then one sweep turns every
-  block into its Christoffel symbols in place, raising the connection
-  of the first kind with one batched matrix product.  Both the cube's
-  stencils and the Ricci pass's run in slabs of whole planes cut by the
-  same block size, so at either stencil order the cube's peak is the
-  cube and the inverse, and the Ricci pass's the cube, the inverse, the
+* The Christoffel cube stores Gamma^k_{ij} once per unordered pair
+  (i, j), packed by the grids module's ``pair_table``: d * d(d+1)/2
+  entries a node in place of d^3, symmetric in (i, j) by representation.
+  Every kernel that reads or writes the cube sweeps the flattened nodes
+  in the grids module's ``node_blocks`` of the cube, so each block is
+  worked on while it sits in cache and every temporary of a sweep,
+  unpacked ones included, is block-sized.  The cube is built in its own
+  storage: each D_a g, over the metric's distinct entries, is written
+  into the cube's slot a, then one sweep turns every block into its
+  Christoffel symbols in place, raising the connection of the first kind
+  with one batched matrix product.  Both the cube's stencils and the
+  Ricci pass's run in slabs of whole planes cut by the same block size,
+  so at either stencil order the cube's peak is the cube, the inverse
+  and the packed metric, and the Ricci pass's the cube, the inverse, the
   Ricci array and the trace Gamma^a_{ab}, each plus one slab's and one
-  block's worth: at 16^4, d = 4, the cube and 2.45 matrix fields above
-  the metric.  That is what lets 4d product grids with a few
-  million nodes fit in a small container.
-* The raising g^{kl} S_{lij} is a batched matrix product over a block's
-  nodes, (d, d) @ (d, d^2).  Of the three contractions that read the
-  cube, Gamma^p_{ad} Gamma^a_{bp} is one too, (d, d^2) @ (d^2, d), and
-  Gamma^p_{bd} Gamma^a_{ap} and the Hessian's Gamma^k_{jl} D_k f are
-  one einsum over the block, sum_p v_p Gamma^p_{ij}.  Each node's sums
-  run independently of the other nodes, so where a block ends changes no
-  bit.  The matrix products are not bitwise equal to the einsum formulas
-  they stand for: their sums run in another order, and differ from them
-  by a few ulps of the summed magnitudes.
+  block's worth: at 16^4, d = 4, the cube (2.5 matrix fields) and 2.44
+  matrix fields above the metric.  That is what lets 4d product grids
+  with a few million nodes fit in a small container.
+* The raising g^{kl} S_{l,p} is a batched matrix product over a block's
+  nodes, (d, d) @ (d, P), once per pair p.  Of the three contractions
+  that read the cube, Gamma^p_{ad} Gamma^a_{bp} is one too,
+  (d, d^2) @ (d^2, d), on the block unpacked; Gamma^p_{bd} Gamma^a_{ap}
+  is one einsum over the unpacked block, and the Hessian's
+  Gamma^k_{jl} D_k f one over the packed block, once per pair.  A
+  product's sums run in an order that depends on its operands' layout,
+  so every unpacked operand is a new C-contiguous array, as the unpacked
+  cube's own blocks were.  Each node's sums run independently of the
+  other nodes, so where a block ends changes no bit.  The matrix
+  products are not bitwise equal to the einsum formulas they stand for:
+  their sums run in another order, and differ from them by a few ulps
+  of the summed magnitudes.
 * A metric field holds its determinant, the product of the LDL^T pivots
   that the grids module's positive-definiteness check took, and the
   inverse and the volume density both read it.  At d <= 3, the flows'
@@ -79,13 +87,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import MetricDegeneracyError
 from .grids import (Christoffel3Field, GridSpec, ScalarField, SymTensorField,
-                    diff_array, metric_inverse, node_blocks, symmetric_part)
+                    diff_array, metric_inverse, node_blocks, pack_pairs,
+                    pair_table, stencil_slabs, symmetric_part)
 
 __all__ = [
     "CurvatureBundle",
@@ -156,13 +165,41 @@ def inverse_metric(g: SymTensorField) -> np.ndarray:
 def _node_blocks(grid: GridSpec) -> list[slice]:
     """The node blocks of the Christoffel cube, the one sweep of every
     kernel that reads it."""
-    return node_blocks(math.prod(grid.shape), 8 * grid.dim ** 3)
+    d = grid.dim
+    return node_blocks(math.prod(grid.shape), 8 * d * d * (d + 1) // 2)
 
 
-def _lower_contract(v: np.ndarray, gam: np.ndarray) -> np.ndarray:
-    """sum_p v_p Gamma^p_{ij} on a block of nodes: (n, d) and
-    (n, d, d, d) -> (n, d, d)."""
-    return np.einsum("np,npij->nij", v, gam)
+@lru_cache(maxsize=None)
+def _cube_index(d: int) -> dict[str, np.ndarray]:
+    """The entries of a packed node of the cube, (d, P) with P = d(d+1)/2,
+    that the kernels gather, each as flat indices k * P + p, p the
+    ``pair_table`` index of (i, j):
+
+    * "unpack": [k, i, j] -> Gamma^k_{ij}, the unpacked node;
+    * "rows": [b, (p, a)] -> Gamma^a_{bp};
+    * "first_kind": for a node that holds D_a g_q at a * P + q, D_i g_{jl}
+      at [l, p] and then D_j g_{il} at [l, p], p = (i, j).
+
+    Memoised per d."""
+    unpack = (np.arange(d)[:, None, None] * (d * (d + 1) // 2)
+              + pair_table(d))
+    rows, cols = np.triu_indices(d)
+    return {"unpack": unpack,
+            "rows": unpack.transpose(1, 2, 0).reshape(d, d * d),
+            "first_kind": np.stack((unpack[rows, cols].T,
+                                    unpack[cols, rows].T))}
+
+
+def _gathered(gam: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The entries ``index`` (``_cube_index``) of every node of a packed
+    array (..., d, P), as a new C-contiguous (...,) + index.shape array:
+    a product's sums run in an order that depends on the layout of its
+    operands."""
+    lead = gam.shape[:-2]
+    # every index is in range, and "wrap" skips the check that "raise"
+    # makes entry by entry
+    return gam.reshape(lead + (-1,)).take(
+        index.reshape(-1), axis=-1, mode="wrap").reshape(lead + index.shape)
 
 
 def _christoffel(g: SymTensorField, inv: np.ndarray) -> Christoffel3Field:
@@ -171,55 +208,39 @@ def _christoffel(g: SymTensorField, inv: np.ndarray) -> Christoffel3Field:
 
         Gamma^k_{ij} = (1/2) g^{kl} (D_i g_{jl} + D_j g_{il} - D_l g_{ij})
 
-    Each D_a g_{ij} is written into slot a of the cube, as entry
-    (a, i, j), slab by slab (``_stencil_slabs``), and one sweep of the
-    node blocks turns each block into its Christoffel symbols in place.
-    With Y_{lij} = D_i g_{jl}, the block with its entry (i, j, l) moved
-    to (l, i, j),
+    Each D_a g is taken over the metric's P = d(d+1)/2 distinct entries
+    and written into slot a of the cube, as entry (a, p) for the pair p,
+    slab by slab (``stencil_slabs``); then one sweep of the node blocks
+    turns each block into its Christoffel symbols in place.  Per block,
 
-        S_{lij} = Y_{lij} + Y_{lji} - D_l g_{ij}
+        S_{l,p} = D_i g_{jl} + D_j g_{il} - D_l g_{ij},   p = (i, j),
 
-    is twice the connection of the first kind, and R = g^{-1} S is one
-    batched product over the block's nodes.  The block becomes
-    (R + R^T) / 4, with R^T the (i, j) transpose: R is symmetric in
-    (i, j) in exact arithmetic, and the sum makes it so to the bit,
-    whatever order the product's sums ran in.
+    gathered from the block (``_cube_index``), is twice the
+    connection of the first kind, and g^{-1} S / 2 is one batched product
+    over the block's nodes, written once per pair.
     """
     grid = g.grid
     d = grid.dim
-    out = np.empty(grid.shape + (d, d, d))
-    slabs = _stencil_slabs(grid)
+    packed = pack_pairs(g.values)
+    npair = packed.shape[-1]
+    out = np.empty(grid.shape + (d, npair))
+    slabs = stencil_slabs(grid)
     for a in range(d):
-        out_a = out[..., a, :, :]
+        out_a = out[..., a, :]
         for slab in slabs[a]:
-            out_a[slab] = diff_array(g.values[slab], grid, a)
-    flat_out = out.reshape(-1, d, d, d)
+            out_a[slab] = diff_array(packed[slab], grid, a)
+    del packed
+    terms = _cube_index(d)["first_kind"]
+    flat_out = out.reshape(-1, d, npair)
     flat_inv = inv.reshape(-1, d, d)
     for blk in _node_blocks(grid):
         o = flat_out[blk]
-        n = o.shape[0]
-        y = np.ascontiguousarray(o.transpose(0, 3, 1, 2))  # D_i g_{jl}
-        s = y + y.transpose(0, 1, 3, 2)
+        t = _gathered(o, terms)
+        s = t[:, 0] + t[:, 1]
         s -= o
-        r = np.matmul(flat_inv[blk], s.reshape(n, d, d * d)).reshape(o.shape)
-        np.add(r, r.transpose(0, 1, 3, 2), out=o)
-        o *= 0.25
+        np.matmul(flat_inv[blk], s, out=o)
+        o *= 0.5
     return Christoffel3Field(grid, out)
-
-
-def _stencil_slabs(grid: GridSpec) -> list[list[tuple]]:
-    """Per axis a, the grid cut into slabs of whole planes of another
-    axis (axis 1 for a = 0, axis 0 for the rest), each about
-    ``_BLOCK_BYTES`` of a matrix field, as index tuples over the grid
-    axes: a stencil along a reads nothing outside its own slab.  A 1d
-    grid is one slab."""
-    if grid.dim == 1:
-        return [[()]]
-    nodes, d = math.prod(grid.shape), grid.dim
-    across = {cut: [(slice(None),) * cut + (blk,) for blk in node_blocks(
-        grid.shape[cut], nodes // grid.shape[cut] * 8 * d * d)]
-        for cut in (0, 1)}
-    return [across[1 if a == 0 else 0] for a in range(d)]
 
 
 def _ricci_pass(gamma: Christoffel3Field, inv: np.ndarray
@@ -228,14 +249,15 @@ def _ricci_pass(gamma: Christoffel3Field, inv: np.ndarray
     and the max-norm of the antisymmetric residue discarded to get there,
     from the connection and the metric's inverse.
 
-    The raw Ricci is built in one array: the stencils D_a Gamma^a_{bd}
-    run in slabs (``_stencil_slabs``) and are added in the order
-    a = 0 ... d-1, then the D_b Gamma^a_{ad} are subtracted, in slabs
-    too.  One sweep of the node blocks adds the two Gamma Gamma terms
-    and, per block, takes the max of |R - R^T|, writes (R + R^T) / 2 in
-    place, keeps the max of |Ric| and contracts the scalar.  Each node's
-    operations and their order do not depend on where a slab or a block
-    ends, so neither changes a bit.
+    The raw Ricci is built in one array: the stencils D_a Gamma^a_p run
+    over the cube's P pairs in slabs (``stencil_slabs``) and are added
+    in the order a = 0 ... d-1, their sum is unpacked to (b, d), then the
+    D_b Gamma^a_{ad} are subtracted, in slabs too.  One sweep of the node
+    blocks unpacks each block of the cube, adds the two Gamma Gamma terms
+    and takes the max of |R - R^T|, writes (R + R^T) / 2 in place, keeps
+    the max of |Ric| and contracts the scalar.  Each node's operations
+    and their order do not depend on where a slab or a block ends, so
+    neither changes a bit.
 
     Only the D_b Gamma^a_{ad} term of the coordinate formula breaks exact
     discrete symmetry (its integrand depends on position through g^-1), so
@@ -247,35 +269,48 @@ def _ricci_pass(gamma: Christoffel3Field, inv: np.ndarray
     """
     grid = gamma.grid
     d = grid.dim
-    gam = gamma.values
+    gam, table = gamma.values, pair_table(d)
+    nodes, npair = math.prod(grid.shape), gam.shape[-1]
     trace = np.zeros(grid.shape + (d,))                # Gamma^a_{ab}
     for a in range(d):
-        trace += gam[..., a, a, :]
+        trace += gam[..., a, table[a]]
+    # sum_a D_a Gamma^a_p is accumulated packed in the leading nodes * P
+    # entries of the Ricci array's own storage, then unpacked in place
+    # block by block, last block first: a block's nodes * d^2 entries
+    # start at or after every earlier block's packed ones, and its own
+    # are copied out before it is written.
     ric = np.zeros(grid.shape + (d, d))
-    slabs = _stencil_slabs(grid)
+    acc = ric.reshape(-1)[:nodes * npair].reshape(grid.shape + (npair,))
+    slabs = stencil_slabs(grid)
     for a in range(d):
-        gam_a = gam[..., a, :, :]
+        gam_a = gam[..., a, :]
         for s in slabs[a]:
-            o = ric[s]
+            o = acc[s]
             o += diff_array(gam_a[s], grid, a)
+    flat_acc, unpacked = acc.reshape(-1, npair), ric.reshape(-1, d * d)
+    for blk in reversed(_node_blocks(grid)):
+        unpacked[blk] = flat_acc[blk].take(table.reshape(-1), axis=1,
+                                           mode="wrap")
+    del acc, flat_acc
     for b in range(d):
         ric_b = ric[..., b, :]
         for s in slabs[b]:
             o = ric_b[s]
             o -= diff_array(trace[s], grid, b)
     scal = np.empty(grid.shape)
-    flat_gam, flat_inv = gam.reshape(-1, d, d, d), inv.reshape(-1, d, d)
+    flat_gam, flat_inv = gam.reshape(-1, d, npair), inv.reshape(-1, d, d)
     flat_trace, flat_ric = trace.reshape(-1, d), ric.reshape(-1, d, d)
     flat_scal = scal.reshape(-1)
+    index = _cube_index(d)
     asym, size = [], []
     for blk in _node_blocks(grid):
-        gb, r = flat_gam[blk], flat_ric[blk]
-        r += _lower_contract(flat_trace[blk], gb)      # Gamma^p_{bd} Gamma^a_{ap}
+        gb, r = _gathered(flat_gam[blk], index["unpack"]), flat_ric[blk]
+        # Gamma^p_{bd} Gamma^a_{ap}
+        r += np.einsum("np,npij->nij", flat_trace[blk], gb)
         # Gamma^p_{ad} Gamma^a_{bp}: rows (b) of Gamma^a_{bp} laid out as
-        # [b, (p, a)] against the cube's own [(p, a), d]
-        n = gb.shape[0]
-        r -= np.matmul(gb.transpose(0, 2, 3, 1).reshape(n, d, d * d),
-                       gb.reshape(n, d * d, d))
+        # [b, (p, a)] against the unpacked cube's own [(p, a), d]
+        r -= np.matmul(_gathered(flat_gam[blk], index["rows"]),
+                       gb.reshape(len(gb), d * d, d))
         rt = np.swapaxes(r, -1, -2)
         t = r - rt
         asym.append(np.abs(t, out=t).max())
@@ -330,10 +365,14 @@ def _hessian(df: np.ndarray, gamma: Christoffel3Field) -> np.ndarray:
     out = np.empty(grid.shape + (d, d))
     for j in range(d):
         out[..., j, :] = diff_array(df, grid, j)     # D_j D_l f, every l
-    flat_out, flat_df = out.reshape(-1, d, d), df.reshape(-1, d)
-    flat_gam = gamma.values.reshape(-1, d, d, d)
+    flat_out, flat_df = out.reshape(-1, d * d), df.reshape(-1, d)
+    flat_gam = gamma.values.reshape(-1, d, d * (d + 1) // 2)
+    unpack = pair_table(d).reshape(-1)
     for blk in _node_blocks(grid):
-        flat_out[blk] -= _lower_contract(flat_df[blk], flat_gam[blk])
+        # sum_k D_k f Gamma^k_p once per pair p, then unpacked
+        flat_out[blk] -= np.einsum("nk,nkp->np", flat_df[blk],
+                                   flat_gam[blk]).take(unpack, axis=1,
+                                                       mode="wrap")
     return symmetric_part(out)
 
 

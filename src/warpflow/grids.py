@@ -20,6 +20,9 @@ Conventions, fixed once for the whole package:
   on a d-dimensional grid with shape ``shape`` is the full symmetric
   matrix array ``shape + (d, d)``: the array the field was given,
   symmetric to the bit and frozen.  ``symmetric_part`` is the one projection.
+  A connection stores each unordered pair of its lower indices once,
+  packed by the one ``pair_table``, which both the oracle and the closed
+  forms read.
 * All field values are float64 and finite (a constructor raises
   ``NonFiniteFieldError`` otherwise); metrics are checked for
   positive definiteness node by node when flagged with ``is_metric``,
@@ -53,10 +56,13 @@ __all__ = [
     "ScalarField",
     "SymTensorField",
     "Christoffel3Field",
+    "pair_table",
+    "pack_pairs",
     "metric_inverse",
     "ldl_determinant",
     "symmetric_part",
     "node_blocks",
+    "stencil_slabs",
     "integrate",
     "diff_array",
     "filter_array",
@@ -372,13 +378,45 @@ def ldl_determinant(mats: np.ndarray,
         node=node, eigenvalue=lam)
 
 
+@lru_cache(maxsize=None)
+def pair_table(d: int) -> np.ndarray:
+    """The packed index of each lower-index pair of a d-dimensional
+    connection: a read-only (d, d) integer array, symmetric, whose (i, j)
+    and (j, i) entries are the index p of the pair i <= j in row-major
+    upper order, 0 ... d(d+1)/2 - 1.  ``values[..., pair_table(d)]``
+    unpacks the lower indices of a ``Christoffel3Field``, and
+    ``pack_pairs`` packs them.  Memoised per d."""
+    table = np.empty((d, d), dtype=np.intp)
+    rows, cols = np.triu_indices(d)
+    table[rows, cols] = table[cols, rows] = np.arange(len(rows))
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
+def _upper_index(d: int) -> np.ndarray:
+    """Entry (i, j), i <= j, of a flattened (d, d) matrix, as its index
+    i * d + j, in ``pair_table`` order."""
+    rows, cols = np.triu_indices(d)
+    return rows * d + cols
+
+
+def pack_pairs(mats: np.ndarray) -> np.ndarray:
+    """The entries (i, j), i <= j, of each matrix of a (..., d, d) array,
+    in ``pair_table`` order: a new C-contiguous (..., d(d+1)/2) array."""
+    d = mats.shape[-1]
+    # every index is in range, and "wrap" skips the check that "raise"
+    # makes entry by entry
+    return np.take(mats.reshape(mats.shape[:-2] + (d * d,)), _upper_index(d),
+                   axis=-1, mode="wrap")
+
+
 @dataclass(eq=False)
 class Christoffel3Field:
-    """Connection coefficients Gamma^k_{ij}, stored full as
-    ``shape + (d, d, d)`` with axes ordered (k, i, j).  Both producers,
-    the oracle and the closed form, write the (i, j) and (j, i) entries
-    with the same operations, so the lower indices are symmetric to the
-    bit by construction."""
+    """Connection coefficients Gamma^k_{ij}, stored once per unordered
+    lower-index pair as ``shape + (d, d(d+1)/2)``, axes ordered (k, p),
+    with p the ``pair_table`` index of (i, j): the lower indices are
+    symmetric by representation."""
 
     grid: GridSpec
     values: np.ndarray
@@ -386,7 +424,7 @@ class Christoffel3Field:
     def __post_init__(self):
         d = self.grid.dim
         self.values = _validated_values(
-            self.grid, self.values, (d, d, d), "christoffel field")
+            self.grid, self.values, (d, d * (d + 1) // 2), "christoffel field")
 
 
 # Bytes of an operand per block of a node sweep: 512 nodes of a d = 4
@@ -402,6 +440,29 @@ def node_blocks(nodes: int, node_bytes: int) -> list[slice]:
     it sits in cache and every temporary of a sweep is block-sized."""
     block = max(1, _BLOCK_BYTES // node_bytes)
     return [slice(s, s + block) for s in range(0, nodes, block)]
+
+
+def stencil_slabs(grid: GridSpec) -> tuple[tuple[tuple, ...], ...]:
+    """Per axis a, the grid cut into slabs of whole planes of another
+    axis (axis 1 for a = 0, axis 0 for the rest), each about
+    ``_BLOCK_BYTES`` of a matrix field, as index tuples over the grid
+    axes: a stencil along a reads nothing outside its own slab.  A 1d
+    grid is one slab.  Memoised per grid and block size, since every
+    pass over a grid asks again."""
+    return _slab_plan(grid, _BLOCK_BYTES)
+
+
+@lru_cache(maxsize=None)
+def _slab_plan(grid: GridSpec, block_bytes: int
+               ) -> tuple[tuple[tuple, ...], ...]:
+    # block_bytes keys the memo; node_blocks reads the same value
+    if grid.dim == 1:
+        return ((),),
+    nodes, d = math.prod(grid.shape), grid.dim
+    across = {cut: tuple((slice(None),) * cut + (blk,) for blk in node_blocks(
+        grid.shape[cut], nodes // grid.shape[cut] * 8 * d * d))
+        for cut in (0, 1)}
+    return tuple(across[1 if a == 0 else 0] for a in range(d))
 
 
 def _same_grid(a, b, what: str):

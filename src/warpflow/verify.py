@@ -27,7 +27,7 @@ from .errors import ConfigError, NonFiniteFieldError
 from .flow import FlowConfig, conserved_measure_check, run_coupled
 from .functionals import first_variation_check, theorem_identity_residual
 from .grids import (GridSpec, ScalarField, SymTensorField, integrate,
-                    node_blocks)
+                    node_blocks, pair_table)
 from .warped import (ProductGeometry, WarpedConstants,
                      assemble_product_metric, christoffel_closed_filler,
                      ricci_closed_ansatz, ricci_closed_general)
@@ -160,14 +160,16 @@ class ConvergenceRow:
 
 
 # Each comparison family: the peak it is read off and that peak's
-# component blocks, r the indices of M and p those of N.  The zero
-# families' closed entries are exact zeros, and |0 - x| is |x| to the bit.
+# component blocks, r the indices of M and p those of N; a connection's
+# lower-index pairs rr, rp (rp and pr are one packed block) or pp.  The
+# zero families' closed entries are exact zeros, and |0 - x| is |x| to
+# the bit.
 _FAMILIES = {
-    "chr_real_block": ("chr", ["rrr"]),
-    "chr_zero_mixed": ("chr", ["prr", "rrp", "rpr"]),
-    "chr_real_from_phantom": ("chr", ["rpp"]),
-    "chr_phantom_mixed": ("chr", ["prp", "ppr"]),
-    "chr_phantom_block": ("chr", ["ppp"]),
+    "chr_real_block": ("chr", [("r", "rr")]),
+    "chr_zero_mixed": ("chr", [("p", "rr"), ("r", "rp")]),
+    "chr_real_from_phantom": ("chr", [("r", "pp")]),
+    "chr_phantom_mixed": ("chr", [("p", "rp")]),
+    "chr_phantom_block": ("chr", [("p", "pp")]),
     "ricci_real_general": ("ricci_general", ["rr"]),
     "ricci_phantom_general": ("ricci_general", ["pp"]),
     "ricci_mixed_zero": ("ricci_general", ["rp"]),
@@ -219,7 +221,9 @@ def curvature_study(constants: WarpedConstants,
     ``_peak`` as a filler that returns its rows.  Every family is a max
     over component blocks of one peak (``_FAMILIES``)."""
     m = constants.m
-    part = {"r": slice(None, m), "p": slice(m, None)}
+    real, table = slice(None, m), pair_table(m + constants.n)
+    part = {"r": real, "p": slice(m, None), "rr": table[real, real],
+            "rp": table[real, m:], "pp": table[m:, m:]}
     routes = {"general": ricci_closed_general}
     if constants.on_special_locus:
         routes["ansatz"] = ricci_closed_ansatz

@@ -55,7 +55,8 @@ import numpy as np
 
 from . import geometry
 from .errors import ConstantsError, NonFiniteFieldError
-from .grids import GridSpec, ScalarField, SymTensorField, ldl_determinant
+from .grids import (GridSpec, ScalarField, SymTensorField, ldl_determinant,
+                    pack_pairs, pair_table)
 
 __all__ = [
     "WarpedConstants",
@@ -386,43 +387,47 @@ def christoffel_closed_filler(pg: ProductGeometry, c: WarpedConstants
 
     as a block filler: ``fill(rows, out)`` writes the connection at the
     flattened M nodes ``rows`` times every N node into ``out``, of shape
-    (M nodes, N nodes, d, d, d), and returns it.  In the product grid's
-    C order each M node is a contiguous run of all the N nodes, so a
-    block of M nodes is a contiguous run of product nodes.  The M-grid
-    and N-grid arrays are made once, here; a fill allocates nothing.
+    (M nodes, N nodes, d, P), packed by the grids module's
+    ``pair_table`` (P = d(d+1)/2), and returns it.  The pairs of two N
+    indices are the trailing n(n+1)/2, in the N connection's own order.
+    In the product grid's C order each M node is a contiguous run of all
+    the N nodes, so a block of M nodes is a contiguous run of product
+    nodes.  The M-grid and N-grid arrays are made once, here; a fill
+    allocates nothing.
     """
     m, n = _dims(pg, c)
     d = m + n
     nodes_m, nodes_n = math.prod(pg.grid_m.shape), math.prod(pg.grid_n.shape)
     p = pg.m_pieces
+    table = pair_table(d)
+    lead = table[m - 1, d - 1] + 1          # the pairs with an index in M
 
-    # What each M node contributes to all of its N nodes: the M-family,
-    # Gt^gamma_{i beta} in both lower-index orders (storage is the full
-    # cube) and the zero families.
+    # What each M node contributes to all of its N nodes, on the pairs
+    # with an index in M: the M-family, Gt^gamma_{i beta} and the zero
+    # families.
     gmat = pg.g.values
-    m_part = np.zeros(pg.grid_m.shape + (d, d, d))
-    mm = m_part[..., :m, :m, :m]
-    mm[...] = p.bundle.christoffel.values
+    mm = p.bundle.christoffel.values[..., pair_table(m)]
     half_a = 0.5 * c.A
     for k in range(m):
         mm[..., k, :, k] -= half_a * p.df
         mm[..., k, k, :] -= half_a * p.df
         mm[..., k, :, :] += half_a * p.df_raised[..., k, None, None] * gmat
+    m_part = np.zeros(pg.grid_m.shape + (d, lead))
+    m_part[..., :m, table[:m, :m]] = mm     # (i, j) and (j, i) alike
     half_b_df = -0.5 * c.B * p.df
     for gam in range(m, d):
-        m_part[..., gam, :m, gam] = half_b_df
-        m_part[..., gam, gam, :m] = half_b_df
-    m_part = m_part.reshape(nodes_m, 1, d, d, d)
+        m_part[..., gam, table[:m, gam]] = half_b_df
+    m_part = m_part.reshape(nodes_m, 1, d, lead)
     # Gt^k_{alpha beta}: this M-vector times the N metric.
     warp = 0.5 * c.B * np.exp((c.A - c.B) * pg.f.values)
-    vec = (warp[..., None] * p.df_raised).reshape(nodes_m, 1, m, 1, 1)
-    h = pg.h.values.reshape(nodes_n, 1, n, n)
-    gam_n = pg.n_bundle.christoffel.values.reshape(nodes_n, n, n, n)
+    vec = (warp[..., None] * p.df_raised).reshape(nodes_m, 1, m, 1)
+    h = pack_pairs(pg.h.values).reshape(nodes_n, 1, -1)
+    gam_n = pg.n_bundle.christoffel.values.reshape(nodes_n, n, -1)
 
     def fill(rows: slice, out: np.ndarray) -> np.ndarray:
-        out[...] = m_part[rows]
-        np.multiply(vec[rows], h, out=out[..., :m, m:, m:])
-        out[..., m:, m:, m:] = gam_n
+        out[..., :lead] = m_part[rows]
+        np.multiply(vec[rows], h, out=out[..., :m, lead:])
+        out[..., m:, lead:] = gam_n
         return out
 
     return fill

@@ -241,6 +241,10 @@ MALFORMED = [
     # a seed numpy's generator refuses, and a config that is not UTF-8
     ("verify-variation --seed -1", _DIMS),
     ("verify-curvature", b"[constants]\nm = 2\nn = \xff\n"),
+    # a config path that exists but is no readable file: a directory and
+    # a symlink to itself
+    ("verify-curvature", Path.mkdir),
+    ("verify-identity", lambda cfg: cfg.symlink_to(cfg)),
 ]
 
 
@@ -248,9 +252,12 @@ MALFORMED = [
 def test_malformed_config_exits_2_without_traceback(tmp_path, capfd,
                                                      argv, text):
     # argv: the command, then any words that follow the usual ones (a
-    # later --seed wins); text: the config, written raw when bytes
+    # later --seed wins); text: the config, written raw when bytes, or
+    # what makes its path
     cfg = tmp_path / "bad.ini"
-    if isinstance(text, bytes):
+    if callable(text):
+        text(cfg)
+    elif isinstance(text, bytes):
         cfg.write_bytes(text)
     else:
         cfg.write_text(text)
@@ -261,6 +268,7 @@ def test_malformed_config_exits_2_without_traceback(tmp_path, capfd,
     assert rc == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert "not found" not in err
 
 
 def test_unknown_stencil_order_is_invalid_input(tmp_path, capfd):

@@ -220,7 +220,8 @@ def test_decoupled_run_takes_one_oracle_pass_per_stored_metric(
     # step from it and the backward sweep; rk4 adds 3 stages per forward
     # step and one midpoint metric per backward step (5 * 5 + 1).  The
     # backward sweep reuses each pass's inverse, so every inversion is
-    # an oracle pass's own.
+    # an oracle pass's own.  A 2d metric, since no metric on a circle
+    # moves under Ricci flow.
     from warpflow import geometry
     calls = {"_ricci_pass": 0, "inverse_metric": 0}
 
@@ -234,13 +235,36 @@ def test_decoupled_run_takes_one_oracle_pass_per_stored_metric(
 
     for name in calls:
         monkeypatch.setattr(geometry, name, counting(name))
-    grid = circle(16)
+    grid = GridSpec((8, 8), (TAU, TAU))
     traj = run_decoupled(recipes.conformal_metric(grid, 0.1),
                          recipes.sine_scalar(grid, 0.2),
                          FlowConfig(dt=1e-4, t_end=5e-4,
                                     integrator=integrator))
     assert len(traj) == 6
     assert calls == {"_ricci_pass": passes, "inverse_metric": passes}
+
+
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+def test_decoupled_run_passes_a_metric_that_stands_still_once(
+        monkeypatch, integrator):
+    # a metric on a circle has Ricci exactly zero, so every stage, step
+    # and midpoint metric equals the first to the bit and reuses its pass
+    from warpflow import geometry
+    seen = []
+    bundle = geometry.curvature_bundle
+
+    def counted(g):
+        seen.append(g.values.copy())
+        return bundle(g)
+
+    monkeypatch.setattr(geometry, "curvature_bundle", counted)
+    grid = circle(16)
+    g0 = recipes.conformal_metric(grid, 0.1)
+    traj = run_decoupled(g0, recipes.sine_scalar(grid, 0.2),
+                         FlowConfig(dt=1e-4, t_end=5e-4,
+                                    integrator=integrator))
+    assert len(traj) == 6 and len(seen) == 1
+    assert all(np.array_equal(s.g.values, g0.values) for s in traj)
 
 
 def test_monotonicity_report_takes_one_oracle_pass_per_snapshot(monkeypatch):

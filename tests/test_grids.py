@@ -10,8 +10,9 @@ from warpflow.errors import GridMismatchError, MetricDegeneracyError
 from warpflow.flow import FlowConfig, FlowState, step
 from warpflow.functionals import gradient_tensor
 from warpflow.geometry import StateTerms
-from warpflow.grids import (GridSpec, ScalarField, SymTensorField,
-                            diff_array, filter_array, integrate,
+from warpflow.grids import (Christoffel3Field, GridSpec, ScalarField,
+                            SymTensorField, diff_array, filter_array,
+                            integrate, pack_pairs, pair_table,
                             symmetric_part)
 from warpflow.verify import FieldSpec, StudySpec, build_product_geometry
 from warpflow.warped import (assemble_product_metric, christoffel_closed_filler,
@@ -130,13 +131,42 @@ def test_sym_tensor_storage_is_full_symmetric_and_read_only():
         assert isinstance(arr, np.ndarray) and arr.shape == grid.shape + (2, 2)
         assert np.array_equal(arr, np.swapaxes(arr, -1, -2))
 
-    # both Christoffel producers write Gamma^k_{ij} symmetric in (i, j)
-    # to the bit, which no constructor checks: the closed filler here at
-    # every M node in one call
+    # both Christoffel producers store Gamma^k_{ij} once per unordered
+    # pair (i, j), so its lower indices are symmetric by representation:
+    # the closed filler here at every M node in one call
     closed = christoffel_closed_filler(pg, c)(
-        slice(0, 80), np.empty((80, 8, 3, 3, 3)))
-    for gamma in (bundle.christoffel.values, closed):
-        assert np.array_equal(gamma, np.swapaxes(gamma, -1, -2))
+        slice(0, 80), np.full((80, 8, 3, 6), np.nan))
+    assert bundle.christoffel.values.shape == grid.shape + (2, 3)
+    assert np.all(np.isfinite(closed))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_pair_table_round_trip(d):
+    # the pairs i <= j in row-major upper order, each both ways round,
+    # and pack_pairs the inverse of unpacking through the table
+    table = pair_table(d)
+    rows, cols = np.triu_indices(d)
+    assert table.shape == (d, d) and not table.flags.writeable
+    assert np.array_equal(table, table.T)
+    assert np.array_equal(table[rows, cols], np.arange(d * (d + 1) // 2))
+    mats = np.random.default_rng(d).standard_normal((3, 4, d, d))
+    mats = mats + np.swapaxes(mats, -1, -2)
+    packed = pack_pairs(mats)
+    assert packed.shape == (3, 4, d * (d + 1) // 2)
+    assert packed.flags.c_contiguous
+    assert np.array_equal(packed[..., table], mats)
+    assert np.array_equal(pack_pairs(packed[..., table]), packed)
+
+
+def test_christoffel_field_refuses_the_full_cube():
+    # only the packed shape (d, d(d+1)/2) is a connection; the full
+    # (d, d, d) cube of the old layout is refused at every d
+    for d in (1, 2, 3, 4):
+        grid = GridSpec((8,) * d, (TAU,) * d)
+        packed = np.zeros(grid.shape + (d, d * (d + 1) // 2))
+        assert Christoffel3Field(grid, packed).values.shape == packed.shape
+        with pytest.raises(ValueError, match="christoffel field"):
+            Christoffel3Field(grid, np.zeros(grid.shape + (d, d, d)))
 
 
 def test_sym_tensor_rejects_asymmetric_unless_projected():

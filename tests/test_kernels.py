@@ -11,21 +11,23 @@ the same order, so these are held to the plain formula bit for bit (sign
 of zero included), whatever the shape, the strides or where the blocks
 end.
 
-``geometry._christoffel`` raises the connection of the first kind with
-one batched matrix product per node block, and the oracle's three
-contractions of the Christoffel cube (the two Ricci terms and the
-Hessian's Gamma^k_{jl} D_k f) are batched matrix products or einsums over
-the same node blocks.  Their sums run in another order than the einsum
-formulas they stand for, so they are held to those formulas within
-8 d^2 ulps of the summed magnitudes at every node, and to themselves bit
-for bit wherever the blocks end.  ``geometry._ricci_pass`` also runs its
-stencils in slabs cut by the same block size, and symmetrizes, takes the
-residue and contracts the scalar block by block: its scalar is held to
-the whole-grid einsum bit for bit, and its Ricci, residue and scalar to
-themselves wherever the slabs and blocks end.  ``geometry._christoffel``
-runs its stencils in the same slabs.  The Christoffel cube is also held
-to bitwise symmetry in its lower indices, and the oracle pass to a
-traced memory budget at both stencil orders.
+The Christoffel cube stores Gamma^k_{ij} once per unordered pair (i, j),
+packed by ``grids.pair_table``; the tests unpack it through the table
+and check every (k, i, j).  ``geometry._christoffel`` raises the
+connection of the first kind with one batched matrix product per node
+block, and the oracle's three contractions of the Christoffel cube (the
+two Ricci terms and the Hessian's Gamma^k_{jl} D_k f) are batched matrix
+products or einsums over the same node blocks.  Their sums run in
+another order than the einsum formulas they stand for, so they are held
+to those formulas within 8 d^2 ulps of the summed magnitudes at every
+node, and to themselves bit for bit wherever the blocks end.
+``geometry._ricci_pass`` also runs its stencils in slabs cut by the same
+block size, unpacks their sum block by block, and symmetrizes, takes
+the residue and contracts the scalar block by block: its scalar is held
+to the whole-grid einsum bit for bit, and its Ricci, residue and scalar
+to themselves wherever the slabs and blocks end.
+``geometry._christoffel`` runs its stencils in the same slabs.  The
+oracle pass is held to a traced memory budget at both stencil orders.
 """
 
 import math
@@ -36,7 +38,8 @@ import numpy as np
 import pytest
 
 from warpflow import geometry, grids, recipes, verify
-from warpflow.grids import Christoffel3Field, GridSpec, ScalarField, diff_array
+from warpflow.grids import (Christoffel3Field, GridSpec, ScalarField,
+                            diff_array, pack_pairs, pair_table)
 from warpflow.verify import FieldSpec, StudySpec
 from warpflow.warped import (assemble_product_metric, christoffel_closed_filler,
                              ricci_closed_ansatz, ricci_closed_general,
@@ -102,9 +105,14 @@ def test_diff_array_matches_roll_formula(points, order):
                            roll_diff(values, grid, axis))
 
 
+def pairs(d):
+    return d * (d + 1) // 2
+
+
 def cube_bytes(nodes, d):
-    """The block size, in bytes, that makes blocks of ``nodes`` nodes."""
-    return nodes * 8 * d ** 3
+    """The block size, in bytes, that makes blocks of ``nodes`` nodes of
+    the packed cube."""
+    return nodes * 8 * d * pairs(d)
 
 
 # block sizes, in nodes, for a grid of ``nodes`` nodes
@@ -115,7 +123,7 @@ BLOCKS = {"below_one": lambda nodes: nodes + 5,
 
 def christoffel_at_block_size(g, nodes):
     """``_christoffel`` of g and its inverse, swept in blocks of ``nodes``
-    nodes."""
+    nodes, packed."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(grids, "_BLOCK_BYTES", cube_bytes(nodes, g.grid.dim))
         return geometry._christoffel(g, geometry.inverse_metric(g)).values
@@ -129,7 +137,8 @@ def test_christoffel_matches_first_kind_formula(points, order, blocks):
     grid = grid_of(points, order)
     g = recipes.random_spd_metric(grid, np.random.default_rng(nodes), 0.3)
     gamma = christoffel_at_block_size(g, BLOCKS[blocks](nodes))
-    assert_within_ulps(gamma, *first_kind_christoffel(
+    assert gamma.shape == grid.shape + (d, pairs(d))
+    assert_within_ulps(gamma[..., pair_table(d)], *first_kind_christoffel(
         g, geometry.inverse_metric(g)), d)
     assert_bitwise(gamma, christoffel_at_block_size(g, nodes))
 
@@ -145,27 +154,18 @@ def test_christoffel_matches_at_the_module_block_size(order):
         g = recipes.random_spd_metric(grid, np.random.default_rng(order), 0.3)
         inv = geometry.inverse_metric(g)
         gamma = geometry._christoffel(g, inv).values
-        assert_within_ulps(gamma, *first_kind_christoffel(g, inv), d)
+        assert_within_ulps(gamma[..., pair_table(d)],
+                           *first_kind_christoffel(g, inv), d)
         assert_bitwise(gamma, christoffel_at_block_size(g, nodes))
 
 
-@pytest.mark.parametrize("order", [2, 4])
-@pytest.mark.parametrize("points", SHAPES[1:])
-def test_christoffel_is_symmetric_in_its_lower_indices(points, order):
-    # the sweep symmetrizes each block; no product is trusted to return
-    # the (i, j) and (j, i) columns alike
-    grid = grid_of(points, order)
-    g = recipes.random_spd_metric(grid, np.random.default_rng(order), 0.5)
-    gamma = geometry._christoffel(g, geometry.inverse_metric(g)).values
-    assert np.array_equal(gamma, np.swapaxes(gamma, -1, -2))
-
-
 def einsum_ricci(gamma):
-    """The raw Ricci with its contractions as einsum formulas, and at
-    every node the sum of the absolute values of its terms."""
+    """The raw Ricci with its contractions as einsum formulas on the
+    unpacked cube, and at every node the sum of the absolute values of
+    its terms."""
     grid = gamma.grid
     d = grid.dim
-    gam = gamma.values
+    gam = gamma.values[..., pair_table(d)]
     trace = np.einsum("...aab->...b", gam)
     deriv = np.zeros(grid.shape + (d, d))
     for a in range(d):
@@ -185,13 +185,14 @@ def einsum_hessian(df, gamma):
     einsum, and the sum of the absolute values of its terms."""
     grid = gamma.grid
     d = grid.dim
+    gam = gamma.values[..., pair_table(d)]
     second = np.empty(grid.shape + (d, d))
     for l in range(d):
         for j in range(d):
             second[..., j, l] = roll_diff(df[..., l], grid, j)
-    raw = second - np.einsum("...kjl,...k->...jl", gamma.values, df)
-    mag = np.abs(second) + np.einsum("...kjl,...k->...jl",
-                                     np.abs(gamma.values), np.abs(df))
+    raw = second - np.einsum("...kjl,...k->...jl", gam, df)
+    mag = np.abs(second) + np.einsum("...kjl,...k->...jl", np.abs(gam),
+                                     np.abs(df))
     return (0.5 * (raw + np.swapaxes(raw, -1, -2)),
             np.maximum(mag, np.swapaxes(mag, -1, -2)))
 
@@ -203,10 +204,11 @@ def assert_within_ulps(actual, expected, mag, d):
 
 
 def random_cube(grid, rng):
-    """A connection with no symmetry at all, so that no swap of the lower
-    indices goes unseen."""
+    """A connection with no symmetry beyond its packed lower indices, so
+    that no swap of the upper index with a lower one goes unseen."""
     d = grid.dim
-    return Christoffel3Field(grid, rng.standard_normal(grid.shape + (d,) * 3))
+    return Christoffel3Field(grid,
+                             rng.standard_normal(grid.shape + (d, pairs(d))))
 
 
 def ricci_and_hessian(grid, seed):
@@ -265,14 +267,16 @@ def test_contractions_do_not_depend_on_the_block_size(monkeypatch, points,
 
 @pytest.mark.parametrize("order", [2, 4])
 def test_curvature_bundle_peak_memory(order):
-    # Above the metric, the pass holds the Christoffel cube, the inverse,
-    # the Ricci array and the trace Gamma^a_{ab} (a quarter of a matrix
-    # field at d = 4); every stencil and contraction temporary is slab- or
-    # block-sized.  Measured at 16^4: the cube plus 2.45 matrix fields at
-    # either order.  Whole-grid Ricci temporaries (a stencil's result,
-    # R - R^T and its absolute value) would add one field each, 4.0 fields
-    # in all; a whole-grid D_a g with the order-4 stencil's 8 v beside it,
-    # 3.03.
+    # Above the metric, the pass holds the packed Christoffel cube (2.5
+    # matrix fields at d = 4), the inverse, the Ricci array and the trace
+    # Gamma^a_{ab} (a quarter of a matrix field); every stencil, unpacking
+    # and contraction temporary is slab- or block-sized.  Measured at
+    # 16^4: the cube plus 2.44 matrix fields at either order; the bound
+    # allows 0.06 of a field (1 MB) more.  A whole-grid packed Ricci
+    # accumulator beside the Ricci array would add 0.63 of a field;
+    # whole-grid Ricci temporaries (a stencil's result, R - R^T and its
+    # absolute value) one field each; a whole-grid D_a g with the order-4
+    # stencil's 8 v beside it, 0.6.
     grid = GridSpec((16,) * 4, (1.0, 1.7, 2.4, 3.1), order)
     g = recipes.random_spd_metric(grid, np.random.default_rng(1), 0.3)
     tracemalloc.start()
@@ -282,7 +286,7 @@ def test_curvature_bundle_peak_memory(order):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= bundle.christoffel.values.nbytes + 3 * g.values.nbytes
+    assert peak <= bundle.christoffel.values.nbytes + 2.5 * g.values.nbytes
 
 
 def lifted_closed_christoffel(pg, c):
@@ -303,7 +307,7 @@ def lifted_closed_christoffel(pg, c):
                                sm + sn + comp)
 
     p = pg.m_pieces
-    mm = p.bundle.christoffel.values.copy()
+    mm = p.bundle.christoffel.values[..., pair_table(m)]
     half_a = 0.5 * c.A
     for k in range(m):
         mm[..., k, :, k] -= half_a * p.df
@@ -320,12 +324,14 @@ def lifted_closed_christoffel(pg, c):
     for gam in range(m, d):
         out[..., gam, :m, gam] = lift_m(half_b_df)
         out[..., gam, gam, :m] = lift_m(half_b_df)
-    out[..., m:, m:, m:] = lift_n(pg.n_bundle.christoffel.values)
+    out[..., m:, m:, m:] = lift_n(
+        pg.n_bundle.christoffel.values[..., pair_table(n)])
     return out
 
 
 # each family: the whole-grid gap it is read off and that gap's
-# component blocks, r the indices of M and p those of N
+# component blocks, r the indices of M and p those of N; the
+# connection's gap is taken on the unpacked cubes, at every (k, i, j)
 FAMILIES = {
     "chr_real_block": ("chr", ["rrr"]),
     "chr_zero_mixed": ("chr", ["prr", "rrp", "rpr"]),
@@ -363,24 +369,28 @@ def test_streamed_christoffel_comparison_matches_whole_cubes(
                      f_modes=(1, 2), seed=m + 2 * n)
     nodes_m, nodes_n = math.prod(level[0]), math.prod(level[1])
     size = M_BLOCKS[blocks](nodes_m)
-    monkeypatch.setattr(grids, "_BLOCK_BYTES",
-                        int(size * nodes_n * 8 * d ** 3))
-    assert len(grids.node_blocks(nodes_m, nodes_n * 8 * d ** 3)) == \
+    m_node = nodes_n * 8 * d * pairs(d)
+    monkeypatch.setattr(grids, "_BLOCK_BYTES", int(size * m_node))
+    assert len(grids.node_blocks(nodes_m, m_node)) == \
         math.ceil(nodes_m / max(1, size))
 
     pg = verify.build_product_geometry(spec)
     lifted = lifted_closed_christoffel(pg, c)
+    # the closed families are symmetric in their lower indices, so the
+    # packed filler loses nothing: it writes every pair, each bitwise
+    assert_bitwise(lifted, np.swapaxes(lifted, -1, -2))
     fill = christoffel_closed_filler(pg, c)
-    cube = np.full((nodes_m, nodes_n, d, d, d), np.nan)
-    for rows in grids.node_blocks(nodes_m, nodes_n * 8 * d ** 3):
+    cube = np.full((nodes_m, nodes_n, d, pairs(d)), np.nan)
+    for rows in grids.node_blocks(nodes_m, m_node):
         fill(rows, cube[rows])
-    assert_bitwise(cube.reshape(lifted.shape), lifted)
+    assert_bitwise(cube, pack_pairs(lifted).reshape(cube.shape))
 
     # every family of the study, the Ricci and scalar ones included, is
     # the whole-grid max of its gap, to the bit and in the CSV's order
     rows = verify.curvature_study(c, spec)
     oracle = geometry.curvature_bundle(assemble_product_metric(pg, c))
-    gaps = {"chr": np.abs(lifted - oracle.christoffel.values),
+    unpacked = oracle.christoffel.values[..., pair_table(d)]
+    gaps = {"chr": np.abs(lifted - unpacked),
             "ricci_oracle": np.abs(oracle.ricci.values)}
     for route, closed_forms in (("general", ricci_closed_general),
                                 ("ansatz", ricci_closed_ansatz)):

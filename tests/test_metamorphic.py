@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from warpflow import geometry, recipes
-from warpflow.grids import GridSpec, ScalarField, SymTensorField
+from warpflow.grids import GridSpec, ScalarField, SymTensorField, pair_table
 from warpflow.warped import (ProductGeometry, closed_scalar_curvature,
                              solve_perelman_constants)
 
@@ -55,6 +55,19 @@ def _permute(arr: np.ndarray, perm, ncomp: int) -> np.ndarray:
     return out
 
 
+def _permute_pairs(arr: np.ndarray, perm) -> np.ndarray:
+    """Relabel the grid axes and the (k, p) component axes of a packed
+    connection by one permutation, through the pair table: upper index
+    k and pair (i, j) of the relabelled field are upper index perm[k]
+    and pair (perm[i], perm[j]) of ``arr``."""
+    dim = len(perm)
+    rows, cols = np.triu_indices(dim)
+    out = np.take(np.transpose(arr, list(perm) + [dim, dim + 1]), perm,
+                  axis=dim)
+    perm = np.asarray(perm)
+    return np.take(out, pair_table(dim)[perm[rows], perm[cols]], axis=dim + 1)
+
+
 def _reflect(arr: np.ndarray, axis: int, dim: int, ncomp: int) -> np.ndarray:
     """x -> -x on grid axis ``axis`` of a field on ``dim`` grid axes:
     node k moves to node -k mod N, and each of the trailing ``ncomp``
@@ -74,8 +87,11 @@ def _assert_moved(actual: np.ndarray, expected: np.ndarray):
 
 
 def _bundle_arrays(g: SymTensorField):
+    """The oracle's connection, unpacked through the pair table to
+    Gamma^k_{ij} with three component axes, its Ricci and its scalar."""
     b = geometry.curvature_bundle(g)
-    return b.christoffel.values, b.ricci.values, b.scalar.values
+    return (b.christoffel.values[..., pair_table(g.grid.dim)],
+            b.ricci.values, b.scalar.values)
 
 
 @SETTINGS
@@ -97,9 +113,13 @@ def test_oracle_moves_with_axis_permutation(case):
     g = recipes.random_spd_metric(grid, np.random.default_rng(seed), 0.3)
     moved = SymTensorField(_permuted_grid(grid, perm),
                            _permute(g.values, perm, 2), is_metric=True)
-    for ncomp, before, after in zip((3, 2, 0), _bundle_arrays(g),
-                                    _bundle_arrays(moved)):
-        _assert_moved(after, _permute(before, perm, ncomp))
+    before, after = (geometry.curvature_bundle(g),
+                     geometry.curvature_bundle(moved))
+    _assert_moved(after.christoffel.values,
+                  _permute_pairs(before.christoffel.values, perm))
+    for ncomp, name in ((2, "ricci"), (0, "scalar")):
+        _assert_moved(getattr(after, name).values,
+                      _permute(getattr(before, name).values, perm, ncomp))
 
 
 @SETTINGS

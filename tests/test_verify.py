@@ -123,8 +123,9 @@ def test_curvature_study_level_runs_each_stage_once(monkeypatch):
             return fill(rows, out)
         return seen
 
-    # blocks of ten M nodes of the closed cube: 8 N nodes, d = 3
-    monkeypatch.setattr(grids, "_BLOCK_BYTES", 10 * 8 * 8 * 3 ** 3)
+    # blocks of ten M nodes of the closed cube: 8 N nodes, d = 3 and
+    # six lower-index pairs
+    monkeypatch.setattr(grids, "_BLOCK_BYTES", 10 * 8 * 8 * 3 * 6)
     monkeypatch.setattr(verify, "christoffel_closed_filler", seen_filler)
     monkeypatch.setattr(geometry, "curvature_bundle",
                         counted("bundle", geometry.curvature_bundle))
@@ -137,7 +138,7 @@ def test_curvature_study_level_runs_each_stage_once(monkeypatch):
     assert [r.family for r in rows] == ON_LOCUS_FAMILIES
     assert calls == {"bundle": 3, "record": 1}
     assert [out.shape for out in outs] == \
-        [(10, 8, 3, 3, 3)] * 14 + [(4, 8, 3, 3, 3)]
+        [(10, 8, 3, 6)] * 14 + [(4, 8, 3, 6)]
     assert all(np.shares_memory(out, outs[0]) for out in outs)
 
 

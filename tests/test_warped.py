@@ -8,7 +8,7 @@ import pytest
 
 from warpflow import geometry, recipes
 from warpflow.errors import ConstantsError
-from warpflow.grids import GridSpec, ScalarField, SymTensorField
+from warpflow.grids import GridSpec, ScalarField, SymTensorField, pair_table
 from warpflow.warped import (ProductGeometry, WarpedConstants,
                              assemble_product_metric, c1_residual,
                              c2_residual, christoffel_closed_filler,
@@ -203,7 +203,7 @@ def test_mixed_christoffel_and_ricci_vanish_in_oracle():
     c = solve_perelman_constants(2, 1)
     pg = build((8, 8), (8,))
     bundle = geometry.curvature_bundle(assemble_product_metric(pg, c))
-    chr_v = bundle.christoffel.values
+    chr_v = bundle.christoffel.values[..., pair_table(3)]
     m = 2
     assert np.abs(chr_v[..., m:, :m, :m]).max() == 0.0
     assert np.abs(chr_v[..., :m, :m, m:]).max() == 0.0
@@ -212,12 +212,13 @@ def test_mixed_christoffel_and_ricci_vanish_in_oracle():
 
 
 def closed_christoffel(pg, c):
-    """The closed connection filled at every M node in one call, as an
-    array on the product grid."""
+    """The closed connection filled at every M node in one call, as a
+    packed array on the product grid."""
     nodes_m, d = math.prod(pg.grid_m.shape), c.m + c.n
-    out = np.empty(pg.product_grid.shape + (d, d, d))
+    pairs = d * (d + 1) // 2
+    out = np.empty(pg.product_grid.shape + (d, pairs))
     christoffel_closed_filler(pg, c)(slice(0, nodes_m),
-                                     out.reshape(nodes_m, -1, d, d, d))
+                                     out.reshape(nodes_m, -1, d, pairs))
     return out
 
 
@@ -228,15 +229,16 @@ def test_closed_forms_reduce_to_blocks_when_f_vanishes():
     pg = build((8, 8), (8, 8), f=f0)
     m = 2
 
-    chr_t = closed_christoffel(pg, c)
+    chr_t = closed_christoffel(pg, c)[..., pair_table(4)]
     oracle_g = geometry.curvature_bundle(pg.g)
     oracle_h = geometry.curvature_bundle(pg.h)
-    assert np.allclose(chr_t[..., :m, :m, :m],
-                       oracle_g.christoffel.values[..., None, None, :, :, :],
-                       atol=1e-14)
-    assert np.allclose(chr_t[..., m:, m:, m:],
-                       oracle_h.christoffel.values[None, None, ...],
-                       atol=1e-14)
+    unpack = pair_table(2)
+    assert np.allclose(
+        chr_t[..., :m, :m, :m],
+        oracle_g.christoffel.values[..., None, None, :, unpack], atol=1e-14)
+    assert np.allclose(
+        chr_t[..., m:, m:, m:],
+        oracle_h.christoffel.values[None, None, ..., unpack], atol=1e-14)
     assert np.abs(chr_t[..., :m, m:, m:]).max() == 0.0
 
     ricci, scalar = ricci_closed_general(pg, c)
