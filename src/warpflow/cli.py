@@ -118,9 +118,11 @@ class _Config:
     def __init__(self, path: str):
         self._parser = configparser.ConfigParser(interpolation=None)
         # opened here, since ``ConfigParser.read`` skips a path it cannot
-        # open, a directory or a symlink loop as much as a missing file
+        # open, a directory or a symlink loop as much as a missing file;
+        # "utf-8-sig" drops a leading byte order mark, which the parser
+        # would take for part of the first line
         try:
-            with open(path, encoding="utf-8") as config:
+            with open(path, encoding="utf-8-sig") as config:
                 self._parser.read_file(config, source=path)
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {path}") from exc
@@ -130,6 +132,16 @@ class _Config:
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid UTF-8: "
                               f"{exc.reason} at byte {exc.start}") from exc
+        # the parser's own messages take several lines; one line each
+        except configparser.MissingSectionHeaderError as exc:
+            raise ConfigError(f"config file {path}, line {exc.lineno}: "
+                              f"{exc.line!r} comes before any [section] "
+                              f"header") from exc
+        except configparser.ParsingError as exc:
+            (lineno, line), *more = exc.errors    # line: a repr already
+            others = f" (and {len(more)} more)" if more else ""
+            raise ConfigError(f"config file {path}, line {lineno}: cannot "
+                              f"parse {line}{others}") from exc
         self._looked_up: set[tuple[str, str]] = set()
 
     def get(self, section: str, key: str, default=None, convert=str,

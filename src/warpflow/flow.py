@@ -117,6 +117,9 @@ class FlowConfig:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if not math.isfinite(self.t_end) or self.t_end < self.dt:
             raise ConfigError("t_end must cover at least one step")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ConfigError(f"t_end = {self.t_end!r} takes more steps of "
+                              f"dt = {self.dt!r} than a float can count")
         if abs(self.t_end - self.n_steps * self.dt) > 1e-9 * self.t_end:
             raise ConfigError(f"t_end = {self.t_end!r} is not a whole "
                               f"number of steps of dt = {self.dt!r}")

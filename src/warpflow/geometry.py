@@ -202,9 +202,10 @@ def _gathered(gam: np.ndarray, index: np.ndarray) -> np.ndarray:
         index.reshape(-1), axis=-1, mode="wrap").reshape(lead + index.shape)
 
 
-def _christoffel(g: SymTensorField, inv: np.ndarray) -> Christoffel3Field:
-    """Christoffel symbols from the metric and its inverse, with
-    D_a = d/dx^a:
+def _christoffel(packed: np.ndarray, grid: GridSpec,
+                 inv: np.ndarray) -> Christoffel3Field:
+    """Christoffel symbols from the metric, packed (``pack_pairs``), and
+    its inverse on ``grid``, with D_a = d/dx^a:
 
         Gamma^k_{ij} = (1/2) g^{kl} (D_i g_{jl} + D_j g_{il} - D_l g_{ij})
 
@@ -219,9 +220,7 @@ def _christoffel(g: SymTensorField, inv: np.ndarray) -> Christoffel3Field:
     connection of the first kind, and g^{-1} S / 2 is one batched product
     over the block's nodes, written once per pair.
     """
-    grid = g.grid
     d = grid.dim
-    packed = pack_pairs(g.values)
     npair = packed.shape[-1]
     out = np.empty(grid.shape + (d, npair))
     slabs = stencil_slabs(grid)
@@ -229,7 +228,6 @@ def _christoffel(g: SymTensorField, inv: np.ndarray) -> Christoffel3Field:
         out_a = out[..., a, :]
         for slab in slabs[a]:
             out_a[slab] = diff_array(packed[slab], grid, a)
-    del packed
     terms = _cube_index(d)["first_kind"]
     flat_out = out.reshape(-1, d, npair)
     flat_inv = inv.reshape(-1, d, d)
@@ -333,10 +331,16 @@ def _ricci_pass(gamma: Christoffel3Field, inv: np.ndarray
 
 def curvature_bundle(g: SymTensorField) -> CurvatureBundle:
     """Full curvature stack of one metric via the generic pipeline.  The
-    metric is inverted once, and one Ricci pass over the connection
+    metric is inverted once and packed, and then no longer read: the pass
+    drops its reference before the connection's cube is allocated, so a
+    caller that hands over its only reference, as the curvature study
+    does, frees the metric there.  One Ricci pass over the connection
     returns the symmetrized Ricci and the scalar."""
     inv = inverse_metric(g)
-    gamma = _christoffel(g, inv)
+    grid, packed = g.grid, pack_pairs(g.values)
+    del g
+    gamma = _christoffel(packed, grid, inv)
+    del packed
     ric, scal, asym = _ricci_pass(gamma, inv)
     return CurvatureBundle(christoffel=gamma, ricci=ric, scalar=scal,
                            inverse=inv, ricci_asymmetry=asym)

@@ -232,13 +232,16 @@ def curvature_study(constants: WarpedConstants,
     for level in range(len(spec.levels)):
         pg = build_product_geometry(spec, level)
         hs.append(max(pg.grid_m.spacing))
-        gt = assemble_product_metric(pg, constants)
-        bundle = geometry.curvature_bundle(gt)
+        # the assembled metric is passed unnamed: the bundle holds its
+        # only reference and drops it once it is packed, so the oracle
+        # pass peaks without it
+        bundle = geometry.curvature_bundle(
+            assemble_product_metric(pg, constants))
         # the compared fields only: the bundle's inverse, kept alive,
         # would raise the study's peak memory
         oracle_chr = bundle.christoffel.values
         oracle = {"ricci": bundle.ricci.values, "scalar": bundle.scalar.values}
-        del bundle, gt
+        del bundle
 
         peaks = {"chr": _peak(christoffel_closed_filler(pg, constants),
                               oracle_chr, pg)}

@@ -245,6 +245,13 @@ MALFORMED = [
     # a symlink to itself
     ("verify-curvature", Path.mkdir),
     ("verify-identity", lambda cfg: cfg.symlink_to(cfg)),
+    # lines the INI parser cannot read: a key before any section header,
+    # a value with no key and a key with no "="
+    ("verify-curvature", "m = 2\n" + _DIMS),
+    ("verify-identity", _DIMS + "= 3\n"),
+    ("flow", "[flow]\nintegrator rk4\n"),
+    # a step count too large for a float
+    ("flow", "[flow]\ndt = 1e-300\nt_end = 1e300\n"),
 ]
 
 
@@ -269,6 +276,24 @@ def test_malformed_config_exits_2_without_traceback(tmp_path, capfd,
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert "not found" not in err
+
+
+def test_unparsable_line_error_names_file_and_line(tmp_path, capfd):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(_DIMS + "= 3\n")
+    rc = main(["verify-curvature", "--config", str(cfg),
+               "--out", str(tmp_path / "out.csv")])
+    assert rc == 2
+    assert capfd.readouterr().err == \
+        f"error: config file {cfg}, line 4: cannot parse '= 3\\n'\n"
+
+
+def test_config_with_byte_order_mark_parses(tmp_path):
+    plain = CONFIGS / "curvature-quick.ini"
+    bom = tmp_path / plain.name
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert _parse("verify-curvature", str(bom), seed=1)[1] == \
+        _parse("verify-curvature", str(plain), seed=1)[1]
 
 
 def test_unknown_stencil_order_is_invalid_input(tmp_path, capfd):

@@ -27,7 +27,9 @@ the residue and contracts the scalar block by block: its scalar is held
 to the whole-grid einsum bit for bit, and its Ricci, residue and scalar
 to themselves wherever the slabs and blocks end.
 ``geometry._christoffel`` runs its stencils in the same slabs.  The
-oracle pass is held to a traced memory budget at both stencil orders.
+oracle pass is held to a traced memory budget at both stencil orders,
+and one level of the curvature study, which hands its product metric
+over to the pass, to the pass's floor.
 """
 
 import math
@@ -126,7 +128,8 @@ def christoffel_at_block_size(g, nodes):
     nodes, packed."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(grids, "_BLOCK_BYTES", cube_bytes(nodes, g.grid.dim))
-        return geometry._christoffel(g, geometry.inverse_metric(g)).values
+        return geometry._christoffel(pack_pairs(g.values), g.grid,
+                                     geometry.inverse_metric(g)).values
 
 
 @pytest.mark.parametrize("order", [2, 4])
@@ -153,7 +156,7 @@ def test_christoffel_matches_at_the_module_block_size(order):
         grid = grid_of(points, order)
         g = recipes.random_spd_metric(grid, np.random.default_rng(order), 0.3)
         inv = geometry.inverse_metric(g)
-        gamma = geometry._christoffel(g, inv).values
+        gamma = geometry._christoffel(pack_pairs(g.values), grid, inv).values
         assert_within_ulps(gamma[..., pair_table(d)],
                            *first_kind_christoffel(g, inv), d)
         assert_bitwise(gamma, christoffel_at_block_size(g, nodes))
@@ -287,6 +290,33 @@ def test_curvature_bundle_peak_memory(order):
     finally:
         tracemalloc.stop()
     assert peak <= bundle.christoffel.values.nbytes + 2.5 * g.values.nbytes
+
+
+@pytest.mark.parametrize("points_m,points_n", [((16, 16), (16, 16)),
+                                               ((16, 16, 16), (16,))])
+def test_curvature_study_level_peak_memory(points_m, points_n):
+    # The study hands the assembled product metric over to the oracle
+    # pass, which frees it once it is packed, so one level peaks at the
+    # Ricci pass's floor: the packed cube (2.5 matrix fields at d = 4),
+    # the inverse, the Ricci array and the trace (a quarter of a field),
+    # 4.75 fields.  Measured at 16^4: the floor plus 0.195 of a field on
+    # (2,2) and 0.233 on (3,1), slabs, blocks and the factor grids'
+    # pieces; the bound allows 0.3 (2.4 MB).  A metric kept alive through
+    # the pass adds a whole field.
+    m, n = len(points_m), len(points_n)
+    nodes, d = math.prod(points_m + points_n), m + n
+    field = nodes * d * d * 8
+    spec = StudySpec(levels=((points_m, points_n),),
+                     g_spec=FieldSpec("conformal-bump", 0.1, 1),
+                     h_spec=FieldSpec("conformal-bump", 0.1, 1))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        verify.curvature_study(solve_perelman_constants(m, n), spec)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= nodes * 8 * d * pairs(d) + 2.25 * field + 0.3 * field
 
 
 def lifted_closed_christoffel(pg, c):
