@@ -54,8 +54,15 @@ Discrete quirks worth knowing:
   and the packed metric, and the Ricci pass's the cube, the inverse, the
   Ricci array and the trace Gamma^a_{ab}, each plus one slab's and one
   block's worth: at 16^4, d = 4, the cube (2.5 matrix fields) and 2.44
-  matrix fields above the metric.  That is what lets 4d product grids
-  with a few million nodes fit in a small container.
+  matrix fields above the metric.  The pass reads the metric only to
+  invert and pack it, and drops its reference before the cube is
+  allocated; a caller that hands over its only reference, as the
+  curvature study does with the assembled product metric, frees it
+  there, and the pass then peaks at the Ricci pass's floor (4.75 matrix
+  fields at d = 4) and one slab's and block's worth, with no metric
+  beside them.  That is
+  what lets 4d product grids with a few million nodes fit in a small
+  container.
 * The raising g^{kl} S_{l,p} is a batched matrix product over a block's
   nodes, (d, d) @ (d, P), once per pair p.  Of the three contractions
   that read the cube, Gamma^p_{ad} Gamma^a_{bp} is one too,
