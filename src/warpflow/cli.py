@@ -330,6 +330,10 @@ def _study_spec(cfg, m: int, n: int, g_default: str, seed: int | None,
     if not ladder and len(m_counts) > 1:
         raise ConfigError("verify-variation runs at one resolution: "
                           "grid.m_points and grid.n_points take one level")
+    if any(fine <= coarse for coarse, fine in zip(m_counts, m_counts[1:])):
+        # a measured order needs a finer h at every level
+        raise ConfigError(f"grid.m_points must increase level by level, got "
+                          f"{' '.join(map(str, m_counts))}")
     period_m = _float(cfg, "grid", "m_period", 2.0 * math.pi)
     period_n = _float(cfg, "grid", "n_period", 2.0 * math.pi)
     levels = tuple(((pm,) * m, (pn,) * n)

@@ -197,6 +197,24 @@ def _cube_index(d: int) -> dict[str, np.ndarray]:
                                     unpack[cols, rows].T))}
 
 
+def _node_major(flat: np.ndarray, blk: slice) -> np.ndarray:
+    """The nodes ``blk`` of a cube's flattened planes (d, nodes, P) as
+    one C-contiguous (n, d, P) array, the layout every block sweep's
+    products read: a product's sums run in an order that depends on the
+    layout of its operands."""
+    return np.ascontiguousarray(flat[:, blk].transpose(1, 0, 2))
+
+
+def _stencil_sweep(grid: GridSpec) -> list[tuple[int, tuple]]:
+    """The (axis, slab) pairs of a pass of stencils along every grid
+    axis, in the order they run: every slab of axis 0, then slab by slab
+    every other axis, whose slabs are the same (``stencil_slabs``).  A
+    node sees the axes in the order 0 ... d-1."""
+    slabs = stencil_slabs(grid)
+    return ([(0, s) for s in slabs[0]]
+            + [(a, s) for s in slabs[-1] for a in range(1, grid.dim)])
+
+
 def _gathered(gam: np.ndarray, index: np.ndarray) -> np.ndarray:
     """The entries ``index`` (``_cube_index``) of every node of a packed
     array (..., d, P), as a new C-contiguous (...,) + index.shape array:
@@ -229,22 +247,22 @@ def _christoffel(packed: np.ndarray, grid: GridSpec,
     """
     d = grid.dim
     npair = packed.shape[-1]
-    out = np.empty(grid.shape + (d, npair))
+    out = np.empty((d,) + grid.shape + (npair,))
     slabs = stencil_slabs(grid)
     for a in range(d):
-        out_a = out[..., a, :]
         for slab in slabs[a]:
-            out_a[slab] = diff_array(packed[slab], grid, a)
+            out[a][slab] = diff_array(packed[slab], grid, a)
     terms = _cube_index(d)["first_kind"]
-    flat_out = out.reshape(-1, d, npair)
+    flat_out = out.reshape(d, -1, npair)
     flat_inv = inv.reshape(-1, d, d)
     for blk in _node_blocks(grid):
-        o = flat_out[blk]
+        o = _node_major(flat_out, blk)
         t = _gathered(o, terms)
         s = t[:, 0] + t[:, 1]
         s -= o
         np.matmul(flat_inv[blk], s, out=o)
         o *= 0.5
+        flat_out[:, blk] = o.transpose(1, 0, 2)
     return Christoffel3Field(grid, out)
 
 
@@ -278,7 +296,7 @@ def _ricci_pass(gamma: Christoffel3Field, inv: np.ndarray
     nodes, npair = math.prod(grid.shape), gam.shape[-1]
     trace = np.zeros(grid.shape + (d,))                # Gamma^a_{ab}
     for a in range(d):
-        trace += gam[..., a, table[a]]
+        trace += gam[a].take(table[a], axis=-1, mode="wrap")
     # sum_a D_a Gamma^a_p is accumulated packed in the leading nodes * P
     # entries of the Ricci array's own storage, then unpacked in place
     # block by block, last block first: a block's nodes * d^2 entries
@@ -286,35 +304,32 @@ def _ricci_pass(gamma: Christoffel3Field, inv: np.ndarray
     # are copied out before it is written.
     ric = np.zeros(grid.shape + (d, d))
     acc = ric.reshape(-1)[:nodes * npair].reshape(grid.shape + (npair,))
-    slabs = stencil_slabs(grid)
-    for a in range(d):
-        gam_a = gam[..., a, :]
-        for s in slabs[a]:
-            o = acc[s]
-            o += diff_array(gam_a[s], grid, a)
+    sweep = _stencil_sweep(grid)
+    for a, s in sweep:
+        o = acc[s]
+        o += diff_array(gam[a][s], grid, a)
     flat_acc, unpacked = acc.reshape(-1, npair), ric.reshape(-1, d * d)
     for blk in reversed(_node_blocks(grid)):
         unpacked[blk] = flat_acc[blk].take(table.reshape(-1), axis=1,
                                            mode="wrap")
     del acc, flat_acc
-    for b in range(d):
-        ric_b = ric[..., b, :]
-        for s in slabs[b]:
-            o = ric_b[s]
-            o -= diff_array(trace[s], grid, b)
+    for b, s in sweep:
+        o = ric[..., b, :][s]
+        o -= diff_array(trace[s], grid, b)
     scal = np.empty(grid.shape)
-    flat_gam, flat_inv = gam.reshape(-1, d, npair), inv.reshape(-1, d, d)
+    flat_gam, flat_inv = gam.reshape(d, -1, npair), inv.reshape(-1, d, d)
     flat_trace, flat_ric = trace.reshape(-1, d), ric.reshape(-1, d, d)
     flat_scal = scal.reshape(-1)
     index = _cube_index(d)
     asym, size = [], []
     for blk in _node_blocks(grid):
-        gb, r = _gathered(flat_gam[blk], index["unpack"]), flat_ric[blk]
+        node = _node_major(flat_gam, blk)
+        gb, r = _gathered(node, index["unpack"]), flat_ric[blk]
         # Gamma^p_{bd} Gamma^a_{ap}
         r += np.einsum("np,npij->nij", flat_trace[blk], gb)
         # Gamma^p_{ad} Gamma^a_{bp}: rows (b) of Gamma^a_{bp} laid out as
         # [b, (p, a)] against the unpacked cube's own [(p, a), d]
-        r -= np.matmul(_gathered(flat_gam[blk], index["rows"]),
+        r -= np.matmul(_gathered(node, index["rows"]),
                        gb.reshape(len(gb), d * d, d))
         rt = np.swapaxes(r, -1, -2)
         t = r - rt
@@ -377,13 +392,13 @@ def _hessian(df: np.ndarray, gamma: Christoffel3Field) -> np.ndarray:
     for j in range(d):
         out[..., j, :] = diff_array(df, grid, j)     # D_j D_l f, every l
     flat_out, flat_df = out.reshape(-1, d * d), df.reshape(-1, d)
-    flat_gam = gamma.values.reshape(-1, d, d * (d + 1) // 2)
+    flat_gam = gamma.values.reshape(d, -1, d * (d + 1) // 2)
     unpack = pair_table(d).reshape(-1)
     for blk in _node_blocks(grid):
         # sum_k D_k f Gamma^k_p once per pair p, then unpacked
-        flat_out[blk] -= np.einsum("nk,nkp->np", flat_df[blk],
-                                   flat_gam[blk]).take(unpack, axis=1,
-                                                       mode="wrap")
+        flat_out[blk] -= np.einsum(
+            "nk,nkp->np", flat_df[blk], _node_major(flat_gam, blk)).take(
+                unpack, axis=1, mode="wrap")
     return symmetric_part(out)
 
 

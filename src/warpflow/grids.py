@@ -138,10 +138,8 @@ class GridSpec:
             raise ValueError(f"axis {axis} out of range for {self.dim}d grid")
 
 
-def _validated_values(grid: GridSpec, values, comp_shape: tuple[int, ...],
-                      what: str) -> np.ndarray:
+def _validated_values(values, want: tuple[int, ...], what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
-    want = grid.shape + comp_shape
     if arr.shape != want:
         raise ValueError(f"{what} values must have shape {want}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -157,7 +155,8 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = _validated_values(self.grid, self.values, (), "scalar field")
+        self.values = _validated_values(self.values, self.grid.shape,
+                                        "scalar field")
 
     @classmethod
     def constant(cls, grid: GridSpec, value: float) -> "ScalarField":
@@ -183,7 +182,8 @@ class SymTensorField:
     definiteness at every node, by the signs of the LDL^T pivots, and
     reports the first offending node and its smallest eigenvalue on
     failure.  A metric holds its determinant ``det``, read-only: the
-    product of the pivots the check took.
+    product of the pivots the check took; from d = 4 on it also keeps the
+    check's pivots and multipliers, for ``metric_inverse``.
     """
 
     grid: GridSpec
@@ -193,9 +193,13 @@ class SymTensorField:
     def __post_init__(self):
         d = self.grid.dim
         arr = np.ascontiguousarray(_validated_values(
-            self.grid, self.values, (d, d), "symmetric tensor"))
+            self.values, self.grid.shape + (d, d), "symmetric tensor"))
         if self.is_metric:
-            self.det = ldl_determinant(arr)     # checks the symmetry too
+            # from d = 4 on metric_inverse reads the check's factors
+            self._ldl = (np.empty((d * (d + 1) // 2, arr.size // (d * d)))
+                         if d > _CLOSED_FORM_DIM else None)
+            # checks the symmetry too
+            self.det = ldl_determinant(arr, factors=self._ldl)
             self.det.flags.writeable = False
         else:
             _require_symmetric(arr)
@@ -249,6 +253,12 @@ def _ldl(planes: np.ndarray, d: int) -> tuple[list, list]:
     return [w[k][k] for k in range(d)], l
 
 
+def _lower_pairs(d: int) -> list[tuple[int, int]]:
+    """The multipliers' indices (i, j), j < i, of a d x d LDL^T
+    factorization, row by row."""
+    return [(i, j) for i in range(d) for j in range(i)]
+
+
 def _ldl_blocks(mats: np.ndarray):
     """Each of the ``node_blocks`` of a (..., d, d) array, as its slice
     and the ``_ldl`` factors of its nodes.  A block's factors are
@@ -291,19 +301,24 @@ def metric_inverse(g: SymTensorField) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of each node matrix of a metric, and where it is lost:
     where ``g.det`` under- or overflowed.  At d <= 3 it is the adjugate
     over ``g.det``, each cofactor divided by det as it is written; from
-    d = 4 on each block of nodes is factored again and its inverse is
-    L^-T D^-1 L^-1.  Either way (i, j) and (j, i) share one value, so the
-    result is symmetric to the bit.  Out-of-range values come out inf or
-    NaN."""
+    d = 4 on it is L^-T D^-1 L^-1, block by block, from the factors that
+    the metric's positive-definiteness check kept.  Either way (i, j) and
+    (j, i) share one value, so the result is symmetric to the bit.
+    Out-of-range values come out inf or NaN."""
     mats, d = g.values, g.grid.dim
     det = g.det
     lost = ~np.isfinite(det) | (det == 0.0)
     out = np.empty(mats.shape)
     if d > _CLOSED_FORM_DIM:
         flat = out.reshape(-1, d * d)
+        lower = _lower_pairs(d)
         with np.errstate(all="ignore"):
-            for blk, (pivots, l) in _ldl_blocks(mats):
-                flat[blk] = _ldl_inverse(pivots, l).T
+            for blk in node_blocks(len(flat), 8 * d * d):
+                rows = g._ldl[:, blk]
+                l = [[None] * d for _ in range(d)]
+                for row, (i, k) in zip(rows[d:], lower):
+                    l[i][k] = row
+                flat[blk] = _ldl_inverse(list(rows[:d]), l).T
         return out, lost
 
     def m(i, j):
@@ -337,12 +352,14 @@ def _require_symmetric(mats: np.ndarray):
                          "symmetric_part(mat) projects")
 
 
-def ldl_determinant(mats: np.ndarray,
-                    lead: np.ndarray | None = None) -> np.ndarray:
+def ldl_determinant(mats: np.ndarray, lead: np.ndarray | None = None,
+                    factors: np.ndarray | None = None) -> np.ndarray:
     """The determinant of each node matrix of a finite (..., k, k) stack,
     the product of its LDL^T pivots p_1 ... p_k; with ``lead``, an array
     of the node shape, the product continued from it, lead p_1 ... p_k in
-    that order.  Raise ValueError unless the stack is symmetric to the
+    that order.  With ``factors``, a (k(k+1)/2, nodes) array, each
+    block's pivots p_1 ... p_k and then its multipliers l[i][j], j < i,
+    in ``_lower_pairs`` order, are copied into its rows.  Raise ValueError unless the stack is symmetric to the
     bit, and MetricDegeneracyError unless every node matrix is positive
     definite.  The test is that every pivot is positive and finite, which
     is that every leading principal minor is: the Cholesky
@@ -357,12 +374,16 @@ def ldl_determinant(mats: np.ndarray,
     det = np.empty(math.prod(shape))
     if lead is not None:
         lead = np.broadcast_to(lead, shape).reshape(-1)
-    for blk, (pivots, _) in _ldl_blocks(mats):
+    for blk, (pivots, l) in _ldl_blocks(mats):
         if not all(np.all((p > 0.0) & (p < np.inf)) for p in pivots):
             break
         with np.errstate(all="ignore"):
             det[blk] = math.prod(pivots,
                                  start=1 if lead is None else lead[blk])
+        if factors is not None:
+            kept = pivots + [l[i][j] for i, j in _lower_pairs(len(pivots))]
+            for row, factor in zip(factors[:, blk], kept):
+                row[...] = factor
     else:
         return det.reshape(shape)
     # Slow path only on failure: locate the first bad node for the report.
@@ -414,17 +435,21 @@ def pack_pairs(mats: np.ndarray) -> np.ndarray:
 @dataclass(eq=False)
 class Christoffel3Field:
     """Connection coefficients Gamma^k_{ij}, stored once per unordered
-    lower-index pair as ``shape + (d, d(d+1)/2)``, axes ordered (k, p),
-    with p the ``pair_table`` index of (i, j): the lower indices are
-    symmetric by representation."""
+    lower-index pair as one C-contiguous ``(d,) + shape + (d(d+1)/2,)``
+    array, axes ordered (k, grid, p), with p the ``pair_table`` index of
+    (i, j): the lower indices are symmetric by representation, and
+    ``values[k]`` is Gamma^k as one contiguous field of packed pairs, so
+    a stencil reads or writes it in whole planes.  A node's entries
+    (k, p) are ``np.moveaxis(values, 0, -2)``, a view."""
 
     grid: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
         d = self.grid.dim
-        self.values = _validated_values(
-            self.grid, self.values, (d, d * (d + 1) // 2), "christoffel field")
+        self.values = np.ascontiguousarray(_validated_values(
+            self.values, (d,) + self.grid.shape + (d * (d + 1) // 2,),
+            "christoffel field"))
 
 
 # Bytes of an operand per block of a node sweep: 512 nodes of a d = 4

@@ -199,7 +199,8 @@ def _peak(fill, oracle: np.ndarray, pg: ProductGeometry) -> np.ndarray:
     max to the bit."""
     oracle = _by_m_node(pg, oracle)
     blocks = node_blocks(len(oracle), oracle[0].nbytes)
-    buf = np.empty_like(oracle[blocks[0]])
+    # C-contiguous in the fill's own layout, whatever the oracle's strides
+    buf = np.empty(oracle[blocks[0]].shape)
     peak = np.zeros(oracle.shape[2:])
     for rows in blocks:
         block = buf[:len(oracle[rows])]
@@ -239,7 +240,7 @@ def curvature_study(constants: WarpedConstants,
             assemble_product_metric(pg, constants))
         # the compared fields only: the bundle's inverse, kept alive,
         # would raise the study's peak memory
-        oracle_chr = bundle.christoffel.values
+        oracle_chr = np.moveaxis(bundle.christoffel.values, 0, -2)
         oracle = {"ricci": bundle.ricci.values, "scalar": bundle.scalar.values}
         del bundle
 

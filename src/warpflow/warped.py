@@ -406,7 +406,7 @@ def christoffel_closed_filler(pg: ProductGeometry, c: WarpedConstants
     # with an index in M: the M-family, Gt^gamma_{i beta} and the zero
     # families.
     gmat = pg.g.values
-    mm = p.bundle.christoffel.values[..., pair_table(m)]
+    mm = np.moveaxis(p.bundle.christoffel.values, 0, -2)[..., pair_table(m)]
     half_a = 0.5 * c.A
     for k in range(m):
         mm[..., k, :, k] -= half_a * p.df
@@ -422,7 +422,8 @@ def christoffel_closed_filler(pg: ProductGeometry, c: WarpedConstants
     warp = 0.5 * c.B * np.exp((c.A - c.B) * pg.f.values)
     vec = (warp[..., None] * p.df_raised).reshape(nodes_m, 1, m, 1)
     h = pack_pairs(pg.h.values).reshape(nodes_n, 1, -1)
-    gam_n = pg.n_bundle.christoffel.values.reshape(nodes_n, n, -1)
+    gam_n = np.moveaxis(pg.n_bundle.christoffel.values, 0, -2).reshape(
+        nodes_n, n, -1)
 
     def fill(rows: slice, out: np.ndarray) -> np.ndarray:
         out[..., :lead] = m_part[rows]

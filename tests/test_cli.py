@@ -177,6 +177,11 @@ MALFORMED = [
     ("verify-curvature", _DIMS + "[grid]\nm_period = -1\n"),
     ("verify-curvature", _DIMS + "[grid]\nm_points =\n"),
     ("verify-curvature", _DIMS + "[grid]\norder = 3\n"),
+    # a ladder that does not refine at every level
+    ("verify-curvature", _DIMS + "[grid]\nm_points = 12 12\n"),
+    ("verify-curvature", _DIMS + "[grid]\nm_points = 24 12\n"),
+    ("verify-identity", _DIMS + "[grid]\nm_points = 16 16\n"
+                        "n_points = 8 8\n"),
     ("verify-identity", _DIMS + "[identity]\nnormalize_n = maybe\n"),
     ("verify-identity", _DIMS + "root = 5\n[identity]\nlambdas = 0.5\n"),
     ("verify-identity", _DIMS + "root = -1\n[identity]\nlambdas = 0.5\n"),

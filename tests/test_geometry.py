@@ -83,8 +83,8 @@ def test_inverse_metric_roundtrip_and_guard():
 def test_metric_determinant_is_taken_once(monkeypatch, d):
     # the positive-definiteness check's pivots give the determinant, at
     # every d, and the inverse and every density read that one
-    # determinant.  From d = 4 on the inverse factors each block again
-    # for L^-T D^-1 L^-1, and takes no determinant.
+    # determinant.  From d = 4 on the inverse is L^-T D^-1 L^-1 of the
+    # factors the check kept: the metric is factored once at every d.
     calls = []
 
     def counted(fn, name):
@@ -102,7 +102,7 @@ def test_metric_determinant_is_taken_once(monkeypatch, d):
     rho = [geometry.volume_density(g).values for _ in range(2)]
     assert calls == ["pivots"] * blocks
     inv = geometry.inverse_metric(g)
-    assert calls == ["pivots"] * blocks * (1 if d <= 3 else 2)
+    assert calls == ["pivots"] * blocks
     assert np.array_equal(rho[0], rho[1])
     assert np.array_equal(rho[0], np.sqrt(g.det))
     assert not g.det.flags.writeable      # shared by every reader

@@ -136,7 +136,7 @@ def test_sym_tensor_storage_is_full_symmetric_and_read_only():
     # the closed filler here at every M node in one call
     closed = christoffel_closed_filler(pg, c)(
         slice(0, 80), np.full((80, 8, 3, 6), np.nan))
-    assert bundle.christoffel.values.shape == grid.shape + (2, 3)
+    assert bundle.christoffel.values.shape == (2,) + grid.shape + (3,)
     assert np.all(np.isfinite(closed))
 
 
@@ -159,11 +159,11 @@ def test_pair_table_round_trip(d):
 
 
 def test_christoffel_field_refuses_the_full_cube():
-    # only the packed shape (d, d(d+1)/2) is a connection; the full
-    # (d, d, d) cube of the old layout is refused at every d
+    # only the packed shape (d,) + grid + (d(d+1)/2,) is a connection;
+    # the full (d, d, d) cube of the old layout is refused at every d
     for d in (1, 2, 3, 4):
         grid = GridSpec((8,) * d, (TAU,) * d)
-        packed = np.zeros(grid.shape + (d, d * (d + 1) // 2))
+        packed = np.zeros((d,) + grid.shape + (d * (d + 1) // 2,))
         assert Christoffel3Field(grid, packed).values.shape == packed.shape
         with pytest.raises(ValueError, match="christoffel field"):
             Christoffel3Field(grid, np.zeros(grid.shape + (d, d, d)))

@@ -101,7 +101,7 @@ def test_diff_array_matches_roll_formula(points, order):
     cube = rng.standard_normal(points + (d, d, d))
     for axis in range(d):
         for values in (scalar, metric,            # trailing component axes
-                       cube[..., d - 1, :, :],    # strided, like gam[..., a]
+                       cube[..., d - 1, :, :],    # strided
                        cube[..., :, 0, :]):
             assert_bitwise(diff_array(values, grid, axis),
                            roll_diff(values, grid, axis))
@@ -109,6 +109,12 @@ def test_diff_array_matches_roll_formula(points, order):
 
 def pairs(d):
     return d * (d + 1) // 2
+
+
+def unpacked(cube):
+    """A packed cube (d,) + grid + (P,) as Gamma^k_{ij} with the grid
+    axes first, grid + (k, i, j)."""
+    return np.moveaxis(cube, 0, -2)[..., pair_table(len(cube))]
 
 
 def cube_bytes(nodes, d):
@@ -140,8 +146,8 @@ def test_christoffel_matches_first_kind_formula(points, order, blocks):
     grid = grid_of(points, order)
     g = recipes.random_spd_metric(grid, np.random.default_rng(nodes), 0.3)
     gamma = christoffel_at_block_size(g, BLOCKS[blocks](nodes))
-    assert gamma.shape == grid.shape + (d, pairs(d))
-    assert_within_ulps(gamma[..., pair_table(d)], *first_kind_christoffel(
+    assert gamma.shape == (d,) + grid.shape + (pairs(d),)
+    assert_within_ulps(unpacked(gamma), *first_kind_christoffel(
         g, geometry.inverse_metric(g)), d)
     assert_bitwise(gamma, christoffel_at_block_size(g, nodes))
 
@@ -157,9 +163,32 @@ def test_christoffel_matches_at_the_module_block_size(order):
         g = recipes.random_spd_metric(grid, np.random.default_rng(order), 0.3)
         inv = geometry.inverse_metric(g)
         gamma = geometry._christoffel(pack_pairs(g.values), grid, inv).values
-        assert_within_ulps(gamma[..., pair_table(d)],
-                           *first_kind_christoffel(g, inv), d)
+        assert_within_ulps(unpacked(gamma), *first_kind_christoffel(g, inv),
+                           d)
         assert_bitwise(gamma, christoffel_at_block_size(g, nodes))
+
+
+@pytest.mark.parametrize("points", SHAPES)
+def test_christoffel_values_are_one_plane_per_upper_index(points):
+    # values[k] is Gamma^k over the grid, its pairs packed last, as one
+    # C-contiguous field, so the stencils read and write whole planes; a
+    # connection given in another memory order is stored C-contiguous,
+    # and the node-major (grid, d, P) layout and the full cube are refused
+    nodes, d = math.prod(points), len(points)
+    grid = grid_of(points)
+    g = recipes.random_spd_metric(grid, np.random.default_rng(nodes), 0.3)
+    gamma = geometry.curvature_bundle(g).christoffel
+    for k in range(d):
+        assert gamma.values[k].shape == grid.shape + (pairs(d),)
+        assert gamma.values[k].flags.c_contiguous
+    node_major = np.moveaxis(gamma.values, 0, -2)
+    assert np.shares_memory(node_major, gamma.values)
+    again = Christoffel3Field(grid, np.moveaxis(node_major.copy(), -2, 0))
+    assert again.values.flags.c_contiguous
+    assert_bitwise(again.values, gamma.values)
+    for shape in (grid.shape + (d, pairs(d)), grid.shape + (d, d, d)):
+        with pytest.raises(ValueError, match="christoffel field"):
+            Christoffel3Field(grid, np.zeros(shape))
 
 
 def einsum_ricci(gamma):
@@ -168,7 +197,7 @@ def einsum_ricci(gamma):
     its terms."""
     grid = gamma.grid
     d = grid.dim
-    gam = gamma.values[..., pair_table(d)]
+    gam = unpacked(gamma.values)
     trace = np.einsum("...aab->...b", gam)
     deriv = np.zeros(grid.shape + (d, d))
     for a in range(d):
@@ -188,7 +217,7 @@ def einsum_hessian(df, gamma):
     einsum, and the sum of the absolute values of its terms."""
     grid = gamma.grid
     d = grid.dim
-    gam = gamma.values[..., pair_table(d)]
+    gam = unpacked(gamma.values)
     second = np.empty(grid.shape + (d, d))
     for l in range(d):
         for j in range(d):
@@ -210,8 +239,8 @@ def random_cube(grid, rng):
     """A connection with no symmetry beyond its packed lower indices, so
     that no swap of the upper index with a lower one goes unseen."""
     d = grid.dim
-    return Christoffel3Field(grid,
-                             rng.standard_normal(grid.shape + (d, pairs(d))))
+    return Christoffel3Field(
+        grid, rng.standard_normal((d,) + grid.shape + (pairs(d),)))
 
 
 def ricci_and_hessian(grid, seed):
@@ -337,7 +366,7 @@ def lifted_closed_christoffel(pg, c):
                                sm + sn + comp)
 
     p = pg.m_pieces
-    mm = p.bundle.christoffel.values[..., pair_table(m)]
+    mm = unpacked(p.bundle.christoffel.values)
     half_a = 0.5 * c.A
     for k in range(m):
         mm[..., k, :, k] -= half_a * p.df
@@ -354,8 +383,7 @@ def lifted_closed_christoffel(pg, c):
     for gam in range(m, d):
         out[..., gam, :m, gam] = lift_m(half_b_df)
         out[..., gam, gam, :m] = lift_m(half_b_df)
-    out[..., m:, m:, m:] = lift_n(
-        pg.n_bundle.christoffel.values[..., pair_table(n)])
+    out[..., m:, m:, m:] = lift_n(unpacked(pg.n_bundle.christoffel.values))
     return out
 
 
@@ -419,8 +447,7 @@ def test_streamed_christoffel_comparison_matches_whole_cubes(
     # the whole-grid max of its gap, to the bit and in the CSV's order
     rows = verify.curvature_study(c, spec)
     oracle = geometry.curvature_bundle(assemble_product_metric(pg, c))
-    unpacked = oracle.christoffel.values[..., pair_table(d)]
-    gaps = {"chr": np.abs(lifted - unpacked),
+    gaps = {"chr": np.abs(lifted - unpacked(oracle.christoffel.values)),
             "ricci_oracle": np.abs(oracle.ricci.values)}
     for route, closed_forms in (("general", ricci_closed_general),
                                 ("ansatz", ricci_closed_ansatz)):

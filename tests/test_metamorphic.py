@@ -90,7 +90,8 @@ def _bundle_arrays(g: SymTensorField):
     """The oracle's connection, unpacked through the pair table to
     Gamma^k_{ij} with three component axes, its Ricci and its scalar."""
     b = geometry.curvature_bundle(g)
-    return (b.christoffel.values[..., pair_table(g.grid.dim)],
+    return (np.moveaxis(b.christoffel.values, 0, -2)[
+        ..., pair_table(g.grid.dim)],
             b.ricci.values, b.scalar.values)
 
 
@@ -115,8 +116,9 @@ def test_oracle_moves_with_axis_permutation(case):
                            _permute(g.values, perm, 2), is_metric=True)
     before, after = (geometry.curvature_bundle(g),
                      geometry.curvature_bundle(moved))
-    _assert_moved(after.christoffel.values,
-                  _permute_pairs(before.christoffel.values, perm))
+    _assert_moved(np.moveaxis(after.christoffel.values, 0, -2),
+                  _permute_pairs(np.moveaxis(before.christoffel.values, 0, -2),
+                                 perm))
     for ncomp, name in ((2, "ricci"), (0, "scalar")):
         _assert_moved(getattr(after, name).values,
                       _permute(getattr(before, name).values, perm, ncomp))

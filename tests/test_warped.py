@@ -203,7 +203,7 @@ def test_mixed_christoffel_and_ricci_vanish_in_oracle():
     c = solve_perelman_constants(2, 1)
     pg = build((8, 8), (8,))
     bundle = geometry.curvature_bundle(assemble_product_metric(pg, c))
-    chr_v = bundle.christoffel.values[..., pair_table(3)]
+    chr_v = np.moveaxis(bundle.christoffel.values, 0, -2)[..., pair_table(3)]
     m = 2
     assert np.abs(chr_v[..., m:, :m, :m]).max() == 0.0
     assert np.abs(chr_v[..., :m, :m, m:]).max() == 0.0
@@ -233,12 +233,11 @@ def test_closed_forms_reduce_to_blocks_when_f_vanishes():
     oracle_g = geometry.curvature_bundle(pg.g)
     oracle_h = geometry.curvature_bundle(pg.h)
     unpack = pair_table(2)
-    assert np.allclose(
-        chr_t[..., :m, :m, :m],
-        oracle_g.christoffel.values[..., None, None, :, unpack], atol=1e-14)
-    assert np.allclose(
-        chr_t[..., m:, m:, m:],
-        oracle_h.christoffel.values[None, None, ..., unpack], atol=1e-14)
+    chr_g = np.moveaxis(oracle_g.christoffel.values, 0, -2)[..., unpack]
+    chr_h = np.moveaxis(oracle_h.christoffel.values, 0, -2)[..., unpack]
+    assert np.allclose(chr_t[..., :m, :m, :m],
+                       chr_g[..., None, None, :, :, :], atol=1e-14)
+    assert np.allclose(chr_t[..., m:, m:, m:], chr_h[None, None], atol=1e-14)
     assert np.abs(chr_t[..., :m, m:, m:]).max() == 0.0
 
     ricci, scalar = ricci_closed_general(pg, c)
@@ -262,7 +261,8 @@ def test_closed_christoffel_tracks_oracle():
         pg = build((n, n), (8,))
         closed = closed_christoffel(pg, c)
         oracle = geometry.curvature_bundle(assemble_product_metric(pg, c))
-        return float(np.abs(closed - oracle.christoffel.values).max())
+        return float(np.abs(
+            closed - np.moveaxis(oracle.christoffel.values, 0, -2)).max())
 
     g16, g32 = gap(16), gap(32)
     assert g16 < 2e-2
