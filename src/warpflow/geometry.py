@@ -41,28 +41,32 @@ Discrete quirks worth knowing:
 * The Christoffel cube stores Gamma^k_{ij} once per unordered pair
   (i, j), packed by the grids module's ``pair_table``: d * d(d+1)/2
   entries a node in place of d^3, symmetric in (i, j) by representation.
-  Every kernel that reads or writes the cube sweeps the flattened nodes
-  in the grids module's ``node_blocks`` of the cube, so each block is
-  worked on while it sits in cache and every temporary of a sweep,
-  unpacked ones included, is block-sized.  The cube is built in its own
-  storage: each D_a g, over the metric's distinct entries, is written
-  into the cube's slot a, then one sweep turns every block into its
-  Christoffel symbols in place, raising the connection of the first kind
-  with one batched matrix product.  Both the cube's stencils and the
-  Ricci pass's run in slabs of whole planes cut by the same block size,
-  so at either stencil order the cube's peak is the cube, the inverse
-  and the packed metric, and the Ricci pass's the cube, the inverse, the
-  Ricci array and the trace Gamma^a_{ab}, each plus one slab's and one
-  block's worth: at 16^4, d = 4, the cube (2.5 matrix fields) and 2.44
-  matrix fields above the metric.  The pass reads the metric only to
+  It is laid out by upper index, (k, grid, p): slot k is Gamma^k over
+  the grid as one C-contiguous field, so every stencil that writes or
+  reads the cube, D_a g into slot a and D_a Gamma^a out of it, runs on
+  whole contiguous planes.  The cube is built in its own storage: each
+  D_a g, over the metric's distinct entries, is written into slot a,
+  then one sweep of the grids module's ``node_blocks`` turns every block
+  into its Christoffel symbols, raising the connection of the first kind
+  with one batched matrix product, and writes it back.  Every sweep
+  that multiplies the cube's entries (that raising, the Ricci pass's
+  Gamma Gamma terms and the Hessian) reads a block as a new node-major
+  (n, d, P) copy, so each block is worked on while it sits in cache and
+  every temporary of a sweep, unpacked ones included, is block-sized.
+  The stencils of both passes run in slabs of whole planes cut by the
+  same block size, axis 0's first and then, slab by slab, every other
+  axis's, so at either stencil order the cube's peak is the cube, the
+  inverse and the packed metric, and the Ricci pass's the cube, the
+  inverse, the Ricci array and the trace Gamma^a_{ab}, each plus one
+  slab's and a few blocks' worth: at 16^4, d = 4, the cube (2.5 matrix
+  fields) and 2.47 matrix fields above the metric.  The pass reads the metric only to
   invert and pack it, and drops its reference before the cube is
   allocated; a caller that hands over its only reference, as the
   curvature study does with the assembled product metric, frees it
   there, and the pass then peaks at the Ricci pass's floor (4.75 matrix
   fields at d = 4) and one slab's and block's worth, with no metric
-  beside them.  That is
-  what lets 4d product grids with a few million nodes fit in a small
-  container.
+  beside them.  That is what lets 4d product grids with a few million
+  nodes fit in a small container.
 * The raising g^{kl} S_{l,p} is a batched matrix product over a block's
   nodes, (d, d) @ (d, P), once per pair p.  Of the three contractions
   that read the cube, Gamma^p_{ad} Gamma^a_{bp} is one too,
@@ -70,8 +74,8 @@ Discrete quirks worth knowing:
   is one einsum over the unpacked block, and the Hessian's
   Gamma^k_{jl} D_k f one over the packed block, once per pair.  A
   product's sums run in an order that depends on its operands' layout,
-  so every unpacked operand is a new C-contiguous array, as the unpacked
-  cube's own blocks were.  Each node's sums run independently of the
+  so every operand, the node-major block and each gather from it, is a
+  new C-contiguous array.  Each node's sums run independently of the
   other nodes, so where a block ends changes no bit.  The matrix
   products are not bitwise equal to the einsum formulas they stand for:
   their sums run in another order, and differ from them by a few ulps
@@ -81,7 +85,8 @@ Discrete quirks worth knowing:
   inverse and the volume density both read it.  At d <= 3, the flows'
   and the M-grid pieces' sizes, the inverse is the adjugate over it; from
   d = 4 on, the product metrics' sizes, it is L^-T D^-1 L^-1 of the same
-  factorization, taken again block by block.  No LAPACK routine is on
+  factorization, whose pivots and multipliers the metric keeps, so a
+  metric is factored once at every d.  No LAPACK routine is on
   this path: numpy calls LAPACK once per node matrix, and for a small
   matrix the call costs more than its arithmetic.  These results are not
   bitwise equal to LAPACK's LU results: they differ from them by a few
@@ -235,23 +240,23 @@ def _christoffel(packed: np.ndarray, grid: GridSpec,
         Gamma^k_{ij} = (1/2) g^{kl} (D_i g_{jl} + D_j g_{il} - D_l g_{ij})
 
     Each D_a g is taken over the metric's P = d(d+1)/2 distinct entries
-    and written into slot a of the cube, as entry (a, p) for the pair p,
-    slab by slab (``stencil_slabs``); then one sweep of the node blocks
-    turns each block into its Christoffel symbols in place.  Per block,
+    and written into slot a of the cube, as its plane a, slab by slab
+    (``_stencil_sweep``); then one sweep of the node blocks turns each
+    block into its Christoffel symbols.  Per block, copied node-major
+    (``_node_major``),
 
         S_{l,p} = D_i g_{jl} + D_j g_{il} - D_l g_{ij},   p = (i, j),
 
     gathered from the block (``_cube_index``), is twice the
     connection of the first kind, and g^{-1} S / 2 is one batched product
-    over the block's nodes, written once per pair.
+    over the block's nodes, written into the copy and then back into the
+    cube's planes.
     """
     d = grid.dim
     npair = packed.shape[-1]
     out = np.empty((d,) + grid.shape + (npair,))
-    slabs = stencil_slabs(grid)
-    for a in range(d):
-        for slab in slabs[a]:
-            out[a][slab] = diff_array(packed[slab], grid, a)
+    for a, slab in _stencil_sweep(grid):
+        out[a][slab] = diff_array(packed[slab], grid, a)
     terms = _cube_index(d)["first_kind"]
     flat_out = out.reshape(d, -1, npair)
     flat_inv = inv.reshape(-1, d, d)
@@ -273,10 +278,11 @@ def _ricci_pass(gamma: Christoffel3Field, inv: np.ndarray
     from the connection and the metric's inverse.
 
     The raw Ricci is built in one array: the stencils D_a Gamma^a_p run
-    over the cube's P pairs in slabs (``stencil_slabs``) and are added
-    in the order a = 0 ... d-1, their sum is unpacked to (b, d), then the
-    D_b Gamma^a_{ad} are subtracted, in slabs too.  One sweep of the node
-    blocks unpacks each block of the cube, adds the two Gamma Gamma terms
+    over the cube's planes a in slabs (``_stencil_sweep``) and are added
+    in the order a = 0 ... d-1 at each node, their sum is unpacked to
+    (b, d), then the D_b Gamma^a_{ad} are subtracted, in slabs too.  One
+    sweep of the node blocks copies each block of the cube node-major
+    (``_node_major``) and unpacks it, adds the two Gamma Gamma terms
     and takes the max of |R - R^T|, writes (R + R^T) / 2 in place, keeps
     the max of |Ric| and contracts the scalar.  Each node's operations
     and their order do not depend on where a slab or a block ends, so

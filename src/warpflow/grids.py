@@ -259,35 +259,26 @@ def _lower_pairs(d: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(d) for j in range(i)]
 
 
-def _ldl_blocks(mats: np.ndarray):
-    """Each of the ``node_blocks`` of a (..., d, d) array, as its slice
-    and the ``_ldl`` factors of its nodes.  A block's factors are
-    dropped when the next one is taken, so none outlives it."""
-    d = mats.shape[-1]
-    nodes = mats.reshape(-1, d * d)
-    for blk in node_blocks(len(nodes), 8 * d * d):
-        yield blk, _ldl(np.ascontiguousarray(nodes[blk].T), d)
-
-
-def _ldl_inverse(pivots: list, l: list) -> np.ndarray:
-    """L^-T D^-1 L^-1 from one block's ``_ldl`` factors, as (d * d, n)
-    planes.  With m = L^-1 (unit lower triangular),
+def _ldl_inverse(factors: np.ndarray, d: int) -> np.ndarray:
+    """L^-T D^-1 L^-1 from one block's rows (d(d+1)/2, n) of the factors
+    that ``ldl_determinant`` kept, as (d * d, n) planes.  With m = L^-1
+    (unit lower triangular),
 
         inv[i][j] = sum_{k>=j} (m[k][i] / p_k) m[k][j],   i <= j,
 
     and (i, j) and (j, i) are written from one value, so the inverse is
     symmetric to the bit."""
-    d = len(pivots)
+    l = dict(zip(_lower_pairs(d), factors[d:]))
     m = [[None] * d for _ in range(d)]
     for j in range(d):
         for i in range(j + 1, d):
-            s = l[i][j]
+            s = l[i, j]
             for k in range(j + 1, i):
-                s = s + l[i][k] * m[k][j]
+                s = s + l[i, k] * m[k][j]
             m[i][j] = -s
-    r = [1.0 / p for p in pivots]
+    r = [1.0 / p for p in factors[:d]]
     x = [[m[k][i] * r[k] for i in range(k)] for k in range(d)]
-    out = np.empty((d * d,) + pivots[0].shape)
+    out = np.empty((d * d,) + factors.shape[1:])
     for j in range(d):
         for i in range(j + 1):
             s = r[j] if i == j else x[j][i]
@@ -311,14 +302,9 @@ def metric_inverse(g: SymTensorField) -> tuple[np.ndarray, np.ndarray]:
     out = np.empty(mats.shape)
     if d > _CLOSED_FORM_DIM:
         flat = out.reshape(-1, d * d)
-        lower = _lower_pairs(d)
         with np.errstate(all="ignore"):
             for blk in node_blocks(len(flat), 8 * d * d):
-                rows = g._ldl[:, blk]
-                l = [[None] * d for _ in range(d)]
-                for row, (i, k) in zip(rows[d:], lower):
-                    l[i][k] = row
-                flat[blk] = _ldl_inverse(list(rows[:d]), l).T
+                flat[blk] = _ldl_inverse(g._ldl[:, blk], d).T
         return out, lost
 
     def m(i, j):
@@ -359,35 +345,39 @@ def ldl_determinant(mats: np.ndarray, lead: np.ndarray | None = None,
     of the node shape, the product continued from it, lead p_1 ... p_k in
     that order.  With ``factors``, a (k(k+1)/2, nodes) array, each
     block's pivots p_1 ... p_k and then its multipliers l[i][j], j < i,
-    in ``_lower_pairs`` order, are copied into its rows.  Raise ValueError unless the stack is symmetric to the
-    bit, and MetricDegeneracyError unless every node matrix is positive
-    definite.  The test is that every pivot is positive and finite, which
-    is that every leading principal minor is: the Cholesky
-    factorization's own test.
+    in ``_lower_pairs`` order, are copied into its rows.  Raise
+    ValueError unless the stack is symmetric to the bit, and
+    MetricDegeneracyError unless every node matrix is positive definite.
+    The test is that every pivot is positive and finite, which is that
+    every leading principal minor is: the Cholesky factorization's own
+    test.
 
     The pivots of a block-diagonal matrix are its blocks' pivots, bit for
     bit (every multiplier across two blocks is 0 / p = 0), so the call on
     the last diagonal block with ``lead`` the determinant of the blocks
     before it returns the whole matrix's determinant to the bit."""
     _require_symmetric(mats)
-    shape = mats.shape[:-2]
-    det = np.empty(math.prod(shape))
+    shape, k = mats.shape[:-2], mats.shape[-1]
+    nodes = mats.reshape(-1, k * k)
+    det = np.empty(len(nodes))
     if lead is not None:
         lead = np.broadcast_to(lead, shape).reshape(-1)
-    for blk, (pivots, l) in _ldl_blocks(mats):
+    # a block's planes and factors go when the next block is taken; the
+    # kept factors are copies, never views of a block's planes
+    for blk in node_blocks(len(nodes), 8 * k * k):
+        pivots, l = _ldl(np.ascontiguousarray(nodes[blk].T), k)
         if not all(np.all((p > 0.0) & (p < np.inf)) for p in pivots):
             break
         with np.errstate(all="ignore"):
             det[blk] = math.prod(pivots,
                                  start=1 if lead is None else lead[blk])
         if factors is not None:
-            kept = pivots + [l[i][j] for i, j in _lower_pairs(len(pivots))]
+            kept = pivots + [l[i][j] for i, j in _lower_pairs(k)]
             for row, factor in zip(factors[:, blk], kept):
                 row[...] = factor
     else:
         return det.reshape(shape)
     # Slow path only on failure: locate the first bad node for the report.
-    k = mats.shape[-1]
     eigs = np.linalg.eigvalsh(mats.reshape(-1, k, k))
     bad = np.nonzero(eigs[:, 0] <= 0.0)[0]
     flat = int(bad[0]) if bad.size else int(np.argmin(eigs[:, 0]))
