@@ -29,8 +29,8 @@ silently change an experiment.  The conditional keys:
   [flow] filter_cutoff        only in coupled mode
 
 verify-variation runs at one resolution, so its m_points and n_points
-take one level, and a flow's t_end must be a whole number of steps of
-dt.  A value outside its domain (a NaN gate bound, a non-finite
+take one level; a ladder's m_points must increase level by level; and
+a flow's t_end must be a whole number of steps of dt.  A value outside its domain (a NaN gate bound, a non-finite
 coupling or a negative --seed included), a config file that is not
 UTF-8, a recipe field that comes out non-finite, or an --out that is
 not a file in an existing directory (checked before the run) is invalid

@@ -12,8 +12,9 @@ of zero included), whatever the shape, the strides or where the blocks
 end.
 
 The Christoffel cube stores Gamma^k_{ij} once per unordered pair (i, j),
-packed by ``grids.pair_table``; the tests unpack it through the table
-and check every (k, i, j).  ``geometry._christoffel`` raises the
+packed by ``grids.pair_table``, and is laid out by upper index, one
+C-contiguous field per k; the tests unpack it through the table, node
+by node, and check every (k, i, j).  ``geometry._christoffel`` raises the
 connection of the first kind with one batched matrix product per node
 block, and the oracle's three contractions of the Christoffel cube (the
 two Ricci terms and the Hessian's Gamma^k_{jl} D_k f) are batched matrix
