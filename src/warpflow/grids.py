@@ -22,7 +22,7 @@ Conventions, fixed once for the whole package:
   symmetric to the bit and frozen.  ``symmetric_part`` is the one projection.
   A connection stores each unordered pair of its lower indices once,
   packed by the one ``pair_table``, which both the oracle and the closed
-  forms read.
+  forms read, and puts its upper index first: ``(d,) + shape + (P,)``.
 * All field values are float64 and finite (a constructor raises
   ``NonFiniteFieldError`` otherwise); metrics are checked for
   positive definiteness node by node when flagged with ``is_metric``,
@@ -35,7 +35,8 @@ Conventions, fixed once for the whole package:
   block's determinant, so a block-diagonal metric's determinant can be
   taken block by block, bitwise equal to the whole one's.  The inverse
   is the adjugate over the determinant up to ``_CLOSED_FORM_DIM`` = 3,
-  and L^-T D^-1 L^-1 from d = 4 on.  No LAPACK routine is on this path.
+  and L^-T D^-1 L^-1 from d = 4 on, from the pivots and multipliers the
+  check took, which the metric keeps.  No LAPACK routine is on this path.
   This module alone makes these choices: the geometry module's inverse
   reads ``metric_inverse`` and its volume density reads ``det``.
 """
