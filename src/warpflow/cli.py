@@ -207,6 +207,11 @@ def _finite(cfg, section, key, default):
     return _float(cfg, section, key, default, "a finite float", math.isfinite)
 
 
+def _positive(cfg, section, key, default):
+    return _float(cfg, section, key, default, "a finite float > 0",
+                  lambda value: 0.0 < value < math.inf)
+
+
 def _tolerance(cfg, section, key, default):
     """A gate's bound: any float but NaN, which would pass every check."""
     return _float(cfg, section, key, default, "a float, not nan",
@@ -386,9 +391,9 @@ def _parse_variation(cfg, seed):
                        _floats(cfg, "variation", "lambdas", [0.0])),
             _study_spec(cfg, m, n, "flat", seed, ladder=False),
             directions,
-            _float(cfg, "variation", "eps", 1e-4, "a finite float > 0",
-                   lambda eps: 0.0 < eps < math.inf),
-            _finite(cfg, "variation", "amplitude", 0.3),
+            _positive(cfg, "variation", "eps", 1e-4),
+            # at 0 every direction is zero and every row passes vacuously
+            _positive(cfg, "variation", "amplitude", 0.3),
             _tolerance(cfg, "tolerances", "max_rel_mismatch", 1e-4))
 
 

@@ -13,9 +13,10 @@ time integrator's.  The f equation contains a backward heat operator, so
 coupled runs are short-horizon verification tools: band-limited data, a
 spectral filter, small t_end.  The filter policy lives here alone: with
 ``filter_cutoff < 1`` the run projects its start into the resolved band
-and filters every step.  The companion guard rails (growth cap,
-positive-definiteness halt) treat divergence as a detected outcome, not
-a crash.
+and filters every step, f and the metric's d(d+1)/2 distinct entries
+stacked into one array and filtered in one transform.  The companion
+guard rails (growth cap, positive-definiteness halt) treat divergence as
+a detected outcome, not a crash.
 
 Decoupled mode (``run_decoupled``) is the numerically sound formulation:
 the metric runs forward under dg/dt = -2 Ric alone, and f is recovered
@@ -33,7 +34,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,7 +44,8 @@ from .errors import (ConfigError, FlowDivergenceError, MetricDegeneracyError,
                      StabilityWarning)
 from .functionals import F_lambda, dissipation_integral, gradient_tensor
 from .geometry import StateTerms, measure_density
-from .grids import ScalarField, SymTensorField, filter_array
+from .grids import (ScalarField, SymTensorField, filter_array, pack_pairs,
+                    pair_table)
 
 __all__ = [
     "FlowState",
@@ -62,15 +65,28 @@ F_CAP = 25.0  # |f| beyond this means e^{+-f} has left the trusted regime
 INTEGRATORS = ("euler", "rk4")
 
 
+class _Report(NamedTuple):
+    """What ``monotonicity_report`` reads of one state at one lam."""
+
+    lam: float
+    f_lam: float
+    dissipation: float
+    drift: float
+
+
 @dataclass(frozen=True, eq=False)
 class FlowState:
     """One snapshot of the evolving pair, plus the conserved density
-    rho0 = e^{-f} sqrt(det g) frozen at t = 0."""
+    rho0 = e^{-f} sqrt(det g) frozen at t = 0.  ``report`` is what
+    ``monotonicity_report`` reads of the state at the run's lam, as
+    floats, where the run built the state's ``StateTerms`` record: every
+    snapshot of a coupled run but the last.  It is None otherwise."""
 
     t: float
     g: SymTensorField
     f: ScalarField
     rho0: ScalarField
+    report: _Report | None = None
 
     def __post_init__(self):
         if not (self.g.grid == self.f.grid == self.rho0.grid):
@@ -97,6 +113,15 @@ class FlowState:
             weight = measure_density(self.f, geometry.volume_density(self.g))
         dev = np.abs(weight.values - self.rho0.values)
         return float((dev / self.rho0.values).max())
+
+    def reported(self, terms: StateTerms, lam: float) -> "FlowState":
+        """This state carrying the floats of its report at lam, read off
+        its record ``terms``: F_lam, D and the drift, which reads the
+        weight F_lam made.  The record itself is not kept."""
+        lam = float(lam)
+        return replace(self, report=_Report(
+            lam, F_lambda(terms, lam), dissipation_integral(terms, lam),
+            self.measure_drift(terms.weight)))
 
 
 @dataclass(frozen=True)
@@ -188,8 +213,8 @@ def _advance(terms: StateTerms, dt: float, lam: float,
 
 
 def _guard_growth(gv: np.ndarray, t: float, fv: np.ndarray | None = None):
-    if not (np.all(np.isfinite(gv))
-            and (fv is None or np.all(np.isfinite(fv)))):
+    if not (np.isfinite(gv).all()
+            and (fv is None or np.isfinite(fv).all())):
         raise FlowDivergenceError(
             f"non-finite values at t = {t:.6g}: the run has diverged",
             time=t, magnitude=math.inf)
@@ -200,12 +225,30 @@ def _guard_growth(gv: np.ndarray, t: float, fv: np.ndarray | None = None):
             "unbounded growth detected", time=t, magnitude=peak)
 
 
-def step(state: FlowState, config: FlowConfig) -> FlowState:
+def _band_limited(gv: np.ndarray, fv: np.ndarray, grid,
+                  cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """Metric and f value arrays projected into the resolved band, in
+    one ``filter_array`` call: f and the metric's d(d+1)/2 distinct
+    entries (``pack_pairs``) are filtered as one stacked array, and the
+    metric is unpacked through ``pair_table``, so it is symmetric to the
+    bit.  Each field comes out bitwise equal to ``filter_array`` of it
+    alone, on numpy's FFT, whose one-axis transforms run line by line;
+    the tests pin that."""
+    stacked = np.concatenate((fv[..., None], pack_pairs(gv)), axis=-1)
+    out = filter_array(stacked, grid, cutoff)
+    return (out[..., 1:].take(pair_table(grid.dim), axis=-1, mode="wrap"),
+            np.ascontiguousarray(out[..., 0]))
+
+
+def step(state: FlowState, config: FlowConfig,
+         terms: StateTerms | None = None) -> FlowState:
     """One time step of the coupled system, with optional low-pass
-    filtering of f and the metric components afterwards.  Halts with a
-    diagnostic if the metric leaves the positive cone or the run blows
-    up; never repairs silently."""
-    terms = StateTerms.at(state.g, state.f)
+    filtering of f and the metric components afterwards.  ``terms`` is
+    the record of (state.g, state.f) when the caller already holds it, as
+    ``run_coupled`` does.  Halts with a diagnostic if the metric leaves
+    the positive cone or the run blows up; never repairs silently."""
+    if terms is None:
+        terms = StateTerms.at(state.g, state.f)
     bound = _stability_bound(state.g, terms.bundle.inverse)
     if config.dt > bound:
         warnings.warn(
@@ -221,8 +264,7 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
             node=exc.node, eigenvalue=exc.eigenvalue, time=state.t) from exc
     _guard_growth(gv, t_next, fv)
     if config.filter_cutoff < 1.0:
-        fv = filter_array(fv, state.g.grid, config.filter_cutoff)
-        gv = filter_array(gv, state.g.grid, config.filter_cutoff)
+        gv, fv = _band_limited(gv, fv, state.g.grid, config.filter_cutoff)
     try:
         g_new = SymTensorField(state.g.grid, gv, is_metric=True)
     except MetricDegeneracyError as exc:
@@ -240,18 +282,29 @@ def run_coupled(g: SymTensorField, f: ScalarField,
     states.  A filtered run lives in the resolved band, so with
     ``filter_cutoff < 1`` it projects (g, f) into the band before rho0
     is frozen; otherwise the first step's truncation would show up as a
-    spurious O(1) transient in the conserved density."""
+    spurious O(1) transient in the conserved density.
+
+    The record of each state serves the first stage of the step from it
+    and, at a snapshot, the floats of its report at config.lam
+    (``FlowState.reported``), so ``monotonicity_report`` at that lam
+    takes no oracle pass but the last snapshot's; no record outlives its
+    step."""
+    if g.grid != f.grid:
+        raise ValueError("state fields live on different grids")
     cutoff = config.filter_cutoff
     if cutoff < 1.0:
-        g = SymTensorField(g.grid, filter_array(g.values, g.grid, cutoff),
-                           is_metric=True)
-        f = ScalarField(f.grid, filter_array(f.values, f.grid, cutoff))
+        gv, fv = _band_limited(g.values, f.values, g.grid, cutoff)
+        g = SymTensorField(g.grid, gv, is_metric=True)
+        f = ScalarField(f.grid, fv)
     state = FlowState.initial(g, f)
-    snapshots = [state]
-    for k in range(1, config.n_steps + 1):
-        state = step(state, config)
+    snapshots = []
+    for k in range(config.n_steps):
+        terms = StateTerms.at(state.g, state.f)
         if config.is_snapshot(k):
-            snapshots.append(state)
+            snapshots.append(state.reported(terms, config.lam))
+        state = step(state, config, terms)
+        del terms      # not alive beside the next state's record
+    snapshots.append(state)
     return snapshots
 
 
@@ -391,14 +444,19 @@ def monotonicity_report(trajectory: list[FlowState],
                         lam: float) -> list[MonotonicityRow]:
     """Tabulate F_lam along a trajectory against the dissipation
     integral.  The interesting claim is |dF/dt| = D; the sign of dF/dt
-    is reported as data, not asserted.  One oracle pass per snapshot
-    serves F_lam, D and the drift, which reads the weight F_lam made."""
-    values, dissipations, drifts = [], [], []
+    is reported as data, not asserted.  A snapshot's F_lam, D and drift
+    are the floats it carries (``FlowState.report``) when they were
+    taken at this lam, to the bit; otherwise one oracle pass serves all
+    three (``FlowState.reported``)."""
+    reports = []
     for state in trajectory:
-        terms = StateTerms.at(state.g, state.f)
-        values.append(F_lambda(terms, lam))
-        dissipations.append(dissipation_integral(terms, lam))
-        drifts.append(state.measure_drift(terms.weight))
+        report = state.report
+        # the same float, sign of zero included
+        if report is None or report.lam.hex() != float(lam).hex():
+            report = state.reported(StateTerms.at(state.g, state.f),
+                                    lam).report
+        reports.append(report)
+    values = [r.f_lam for r in reports]
     rows = []
     for i, state in enumerate(trajectory):
         if 0 < i < len(trajectory) - 1:
@@ -406,12 +464,12 @@ def monotonicity_report(trajectory: list[FlowState],
                     / (trajectory[i + 1].t - trajectory[i - 1].t))
         else:
             dfdt = math.nan
-        diss = dissipations[i]
+        diss = reports[i].dissipation
         ratio = dfdt / diss if diss > 0 and math.isfinite(dfdt) else math.nan
         sign = 0 if not math.isfinite(dfdt) else int(np.sign(dfdt))
         rows.append(MonotonicityRow(t=state.t, f_lam=values[i], df_dt=dfdt,
                                     dissipation=diss, ratio=ratio, sign=sign,
-                                    drift=drifts[i]))
+                                    drift=reports[i].drift))
     return rows
 
 

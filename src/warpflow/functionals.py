@@ -47,6 +47,7 @@ geometries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -107,12 +108,22 @@ def gradient_tensor(terms: geometry.StateTerms,
                     lam: float) -> np.ndarray:
     """S_lam = Ric + hess f + lam df (x) df, which drives the flow, as a
     (..., d, d) array symmetric to the bit: each term is."""
-    # lam df_i df_j rounds differently as (lam df_i) df_j and as
-    # (lam df_j) df_i, so both triangles take the lower index first.
-    axes = np.arange(terms.g.grid.dim)
-    lo, hi = np.minimum.outer(axes, axes), np.maximum.outer(axes, axes)
+    lo, hi = _ordered_pairs(terms.g.grid.dim)
     quad = (lam * terms.df)[..., lo] * terms.df[..., hi]
     return terms.bundle.ricci.values + terms.hess + quad
+
+
+@lru_cache(maxsize=None)
+def _ordered_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """min(i, j) and max(i, j) at every (i, j) of a (d, d) matrix, as
+    read-only index arrays.  lam df_i df_j rounds differently as
+    (lam df_i) df_j and as (lam df_j) df_i, so ``gradient_tensor`` takes
+    the lower index first in both triangles.  Memoised per d."""
+    axes = np.arange(d)
+    pairs = np.minimum.outer(axes, axes), np.maximum.outer(axes, axes)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
 
 
 def dissipation_integral(terms: geometry.StateTerms, lam: float) -> float:

@@ -48,10 +48,11 @@ Discrete quirks worth knowing:
   D_a g, over the metric's distinct entries, is written into slot a,
   then one sweep of the grids module's ``node_blocks`` turns every block
   into its Christoffel symbols, raising the connection of the first kind
-  with one batched matrix product, and writes it back.  Every sweep
-  that multiplies the cube's entries (that raising, the Ricci pass's
-  Gamma Gamma terms and the Hessian) reads a block as a new node-major
-  (n, d, P) copy, so each block is worked on while it sits in cache and
+  with one batched matrix product, and writes it back.  The two sweeps
+  that multiply the cube's entries by each other or by the inverse (that
+  raising and the Ricci pass's Gamma Gamma terms) read a block as a new
+  node-major (n, d, P) copy; the Hessian reads its block straight off
+  the cube's planes.  Each block is worked on while it sits in cache and
   every temporary of a sweep, unpacked ones included, is block-sized.
   The stencils of both passes run in slabs of whole planes cut by the
   same block size, axis 0's first and then, slab by slab, every other
@@ -72,11 +73,15 @@ Discrete quirks worth knowing:
   that read the cube, Gamma^p_{ad} Gamma^a_{bp} is one too,
   (d, d^2) @ (d^2, d), on the block unpacked; Gamma^p_{bd} Gamma^a_{ap}
   is one einsum over the unpacked block, and the Hessian's
-  Gamma^k_{jl} D_k f one over the packed block, once per pair.  A
+  Gamma^k_{jl} D_k f one over the block's planes, once per pair.  A
   product's sums run in an order that depends on its operands' layout,
-  so every operand, the node-major block and each gather from it, is a
-  new C-contiguous array.  Each node's sums run independently of the
-  other nodes, so where a block ends changes no bit.  The matrix
+  so every operand of the raising and the Ricci pass, the node-major
+  block and each gather from it, is a new C-contiguous array.  The
+  Hessian's einsum sums over the planes in the order it sums over a
+  node-major copy of them, bit for bit; numpy does not promise that, so
+  a test pins it at d = 1 ... 4 and several block sizes.  Each node's
+  sums run independently of the other nodes, so where a block ends
+  changes no bit.  The matrix
   products are not bitwise equal to the einsum formulas they stand for:
   their sums run in another order, and differ from them by a few ulps
   of the summed magnitudes.
@@ -106,7 +111,7 @@ import numpy as np
 from .errors import MetricDegeneracyError
 from .grids import (Christoffel3Field, GridSpec, ScalarField, SymTensorField,
                     diff_array, metric_inverse, node_blocks, pack_pairs,
-                    pair_table, stencil_slabs, symmetric_part)
+                    pair_table, stencil_sweep, symmetric_part)
 
 __all__ = [
     "CurvatureBundle",
@@ -174,7 +179,7 @@ def inverse_metric(g: SymTensorField) -> np.ndarray:
     return inv
 
 
-def _node_blocks(grid: GridSpec) -> list[slice]:
+def _node_blocks(grid: GridSpec) -> tuple[slice, ...]:
     """The node blocks of the Christoffel cube, the one sweep of every
     kernel that reads it."""
     d = grid.dim
@@ -204,20 +209,10 @@ def _cube_index(d: int) -> dict[str, np.ndarray]:
 
 def _node_major(flat: np.ndarray, blk: slice) -> np.ndarray:
     """The nodes ``blk`` of a cube's flattened planes (d, nodes, P) as
-    one C-contiguous (n, d, P) array, the layout every block sweep's
-    products read: a product's sums run in an order that depends on the
-    layout of its operands."""
+    one C-contiguous (n, d, P) array, the layout the raising's and the
+    Ricci pass's products read: a product's sums run in an order that
+    depends on the layout of its operands."""
     return np.ascontiguousarray(flat[:, blk].transpose(1, 0, 2))
-
-
-def _stencil_sweep(grid: GridSpec) -> list[tuple[int, tuple]]:
-    """The (axis, slab) pairs of a pass of stencils along every grid
-    axis, in the order they run: every slab of axis 0, then slab by slab
-    every other axis, whose slabs are the same (``stencil_slabs``).  A
-    node sees the axes in the order 0 ... d-1."""
-    slabs = stencil_slabs(grid)
-    return ([(0, s) for s in slabs[0]]
-            + [(a, s) for s in slabs[-1] for a in range(1, grid.dim)])
 
 
 def _gathered(gam: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -241,7 +236,7 @@ def _christoffel(packed: np.ndarray, grid: GridSpec,
 
     Each D_a g is taken over the metric's P = d(d+1)/2 distinct entries
     and written into slot a of the cube, as its plane a, slab by slab
-    (``_stencil_sweep``); then one sweep of the node blocks turns each
+    (``stencil_sweep``); then one sweep of the node blocks turns each
     block into its Christoffel symbols.  Per block, copied node-major
     (``_node_major``),
 
@@ -255,7 +250,7 @@ def _christoffel(packed: np.ndarray, grid: GridSpec,
     d = grid.dim
     npair = packed.shape[-1]
     out = np.empty((d,) + grid.shape + (npair,))
-    for a, slab in _stencil_sweep(grid):
+    for a, slab in stencil_sweep(grid):
         out[a][slab] = diff_array(packed[slab], grid, a)
     terms = _cube_index(d)["first_kind"]
     flat_out = out.reshape(d, -1, npair)
@@ -278,7 +273,7 @@ def _ricci_pass(gamma: Christoffel3Field, inv: np.ndarray
     from the connection and the metric's inverse.
 
     The raw Ricci is built in one array: the stencils D_a Gamma^a_p run
-    over the cube's planes a in slabs (``_stencil_sweep``) and are added
+    over the cube's planes a in slabs (``stencil_sweep``) and are added
     in the order a = 0 ... d-1 at each node, their sum is unpacked to
     (b, d), then the D_b Gamma^a_{ad} are subtracted, in slabs too.  One
     sweep of the node blocks copies each block of the cube node-major
@@ -310,7 +305,7 @@ def _ricci_pass(gamma: Christoffel3Field, inv: np.ndarray
     # are copied out before it is written.
     ric = np.zeros(grid.shape + (d, d))
     acc = ric.reshape(-1)[:nodes * npair].reshape(grid.shape + (npair,))
-    sweep = _stencil_sweep(grid)
+    sweep = stencil_sweep(grid)
     for a, s in sweep:
         o = acc[s]
         o += diff_array(gam[a][s], grid, a)
@@ -401,9 +396,10 @@ def _hessian(df: np.ndarray, gamma: Christoffel3Field) -> np.ndarray:
     flat_gam = gamma.values.reshape(d, -1, d * (d + 1) // 2)
     unpack = pair_table(d).reshape(-1)
     for blk in _node_blocks(grid):
-        # sum_k D_k f Gamma^k_p once per pair p, then unpacked
+        # sum_k D_k f Gamma^k_p once per pair p, read off the cube's
+        # planes, then unpacked
         flat_out[blk] -= np.einsum(
-            "nk,nkp->np", flat_df[blk], _node_major(flat_gam, blk)).take(
+            "nk,knp->np", flat_df[blk], flat_gam[:, blk]).take(
                 unpack, axis=1, mode="wrap")
     return symmetric_part(out)
 

@@ -63,7 +63,7 @@ __all__ = [
     "ldl_determinant",
     "symmetric_part",
     "node_blocks",
-    "stencil_slabs",
+    "stencil_sweep",
     "integrate",
     "diff_array",
     "filter_array",
@@ -143,7 +143,7 @@ def _validated_values(values, want: tuple[int, ...], what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.shape != want:
         raise ValueError(f"{what} values must have shape {want}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteFieldError(f"{what} contains non-finite values")
     return arr
 
@@ -333,7 +333,8 @@ def _require_symmetric(mats: np.ndarray):
     """Raise ValueError unless a (..., k, k) array is symmetric to the
     bit, roundoff asymmetry included."""
     k = mats.shape[-1]
-    if any(not np.array_equal(mats[..., i, j], mats[..., j, i])
+    # the two sides have one shape, and NaN compares unequal
+    if any(not (mats[..., i, j] == mats[..., j, i]).all()
            for i in range(k) for j in range(i + 1, k)):
         raise ValueError("matrix is not symmetric to the bit; "
                          "symmetric_part(mat) projects")
@@ -367,7 +368,7 @@ def ldl_determinant(mats: np.ndarray, lead: np.ndarray | None = None,
     # kept factors are copies, never views of a block's planes
     for blk in node_blocks(len(nodes), 8 * k * k):
         pivots, l = _ldl(np.ascontiguousarray(nodes[blk].T), k)
-        if not all(np.all((p > 0.0) & (p < np.inf)) for p in pivots):
+        if not all(((p > 0.0) & (p < np.inf)).all() for p in pivots):
             break
         with np.errstate(all="ignore"):
             det[blk] = math.prod(pivots,
@@ -449,36 +450,48 @@ class Christoffel3Field:
 _BLOCK_BYTES = 256 * 1024
 
 
-def node_blocks(nodes: int, node_bytes: int) -> list[slice]:
+def node_blocks(nodes: int, node_bytes: int) -> tuple[slice, ...]:
     """The flattened nodes 0..nodes-1 in blocks of ``_BLOCK_BYTES`` of an
     operand with ``node_bytes`` bytes per node, one node at least: the
     sweep of every blocked kernel, so that each block is worked on while
-    it sits in cache and every temporary of a sweep is block-sized."""
-    block = max(1, _BLOCK_BYTES // node_bytes)
-    return [slice(s, s + block) for s in range(0, nodes, block)]
+    it sits in cache and every temporary of a sweep is block-sized.
+    Memoised per size and block size, since every pass asks again."""
+    return _block_plan(nodes, node_bytes, _BLOCK_BYTES)
 
 
-def stencil_slabs(grid: GridSpec) -> tuple[tuple[tuple, ...], ...]:
-    """Per axis a, the grid cut into slabs of whole planes of another
-    axis (axis 1 for a = 0, axis 0 for the rest), each about
-    ``_BLOCK_BYTES`` of a matrix field, as index tuples over the grid
-    axes: a stencil along a reads nothing outside its own slab.  A 1d
-    grid is one slab.  Memoised per grid and block size, since every
-    pass over a grid asks again."""
-    return _slab_plan(grid, _BLOCK_BYTES)
+@lru_cache(maxsize=64)
+def _block_plan(nodes: int, node_bytes: int,
+                block_bytes: int) -> tuple[slice, ...]:
+    # block_bytes keys the memo
+    block = max(1, block_bytes // node_bytes)
+    return tuple(slice(s, s + block) for s in range(0, nodes, block))
+
+
+def stencil_sweep(grid: GridSpec) -> tuple[tuple[int, tuple], ...]:
+    """The (axis, slab) pairs of a pass of stencils along every grid
+    axis, in the order they run.  A slab is an index tuple over the grid
+    axes that cuts the grid into whole planes of another axis (axis 1
+    for axis 0, axis 0 for the rest), each about ``_BLOCK_BYTES`` of a
+    matrix field, so a stencil along an axis reads nothing outside its
+    slab; a 1d grid is one slab.  Every slab of axis 0 runs first, then
+    slab by slab every other axis, whose slabs are the same, so a node
+    sees the axes in the order 0 ... d-1.  Memoised per grid and block
+    size, since every pass over a grid asks again."""
+    return _sweep_plan(grid, _BLOCK_BYTES)
 
 
 @lru_cache(maxsize=None)
-def _slab_plan(grid: GridSpec, block_bytes: int
-               ) -> tuple[tuple[tuple, ...], ...]:
+def _sweep_plan(grid: GridSpec, block_bytes: int
+                ) -> tuple[tuple[int, tuple], ...]:
     # block_bytes keys the memo; node_blocks reads the same value
     if grid.dim == 1:
-        return ((),),
+        return ((0, ()),)
     nodes, d = math.prod(grid.shape), grid.dim
     across = {cut: tuple((slice(None),) * cut + (blk,) for blk in node_blocks(
         grid.shape[cut], nodes // grid.shape[cut] * 8 * d * d))
         for cut in (0, 1)}
-    return tuple(across[1 if a == 0 else 0] for a in range(d))
+    return tuple([(0, s) for s in across[1]]
+                 + [(a, s) for s in across[0] for a in range(1, d)])
 
 
 def _same_grid(a, b, what: str):

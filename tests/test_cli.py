@@ -215,6 +215,8 @@ MALFORMED = [
     ("verify-variation", _DIMS + "[variation]\neps = nan\n"),
     ("verify-variation", _DIMS + "[variation]\namplitude = nan\n"),
     ("verify-variation", _DIMS + "[variation]\namplitude = inf\n"),
+    # zero directions would pass every row vacuously
+    ("verify-variation", _DIMS + "[variation]\namplitude = 0\n"),
     ("verify-curvature", _DIMS + "[fields]\ng = random-spd\n"
                          "g_amplitude = 1.5\n"),
     ("verify-variation", _DIMS + "[fields]\ng = random-spd\n"

@@ -10,14 +10,14 @@ import pytest
 from warpflow import recipes
 from warpflow.errors import (ConfigError, FlowDivergenceError,
                              MetricDegeneracyError, StabilityWarning)
-from warpflow.flow import (FlowConfig, FlowState, _explicit_step,
-                           conserved_measure_check, instantaneous_rate,
+from warpflow.flow import (FlowConfig, FlowState, _band_limited,
+                           _explicit_step, conserved_measure_check, instantaneous_rate,
                            monotonicity_report, run_coupled, run_decoupled,
                            step)
 from warpflow.functionals import (F_lambda, dissipation_integral,
                                   gradient_tensor)
 from warpflow.geometry import StateTerms
-from warpflow.grids import GridSpec, ScalarField
+from warpflow.grids import GridSpec, ScalarField, filter_array
 
 TAU = 2.0 * math.pi
 
@@ -267,27 +267,86 @@ def test_decoupled_run_passes_a_metric_that_stands_still_once(
     assert all(np.array_equal(s.g.values, g0.values) for s in traj)
 
 
-def test_monotonicity_report_takes_one_oracle_pass_per_snapshot(monkeypatch):
+def counting_bundles(monkeypatch):
+    """A list that grows by one entry per oracle pass from here on."""
     from warpflow import geometry
-    state = initial_state(32)
-    traj = run_coupled(state.g, state.f,
-                       FlowConfig(dt=1e-4, t_end=5e-4, lam=0.5,
-                                  integrator="euler", snapshot_stride=2))
     calls = []
-    ricci_pass = geometry._ricci_pass
+    bundle = geometry.curvature_bundle
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return ricci_pass(*args, **kwargs)
+        return bundle(*args, **kwargs)
 
-    monkeypatch.setattr(geometry, "_ricci_pass", counted)
-    rows = monotonicity_report(traj, 0.5)
-    assert len(rows) == len(traj) == 4
-    assert len(calls) == len(traj)
+    monkeypatch.setattr(geometry, "curvature_bundle", counted)
+    return calls
+
+
+def plane_state(n=12):
+    grid = GridSpec((n, n), (TAU, TAU))
+    return FlowState.initial(
+        recipes.random_spd_metric(grid, np.random.default_rng(5), 0.1),
+        recipes.mixed_sine_scalar(grid, 0.2))
+
+
+def assert_rows_match_fresh_records(rows, traj, lam):
     records = [StateTerms.at(s.g, s.f) for s in traj]
-    assert [r.f_lam for r in rows] == [F_lambda(t, 0.5) for t in records]
+    assert [r.f_lam for r in rows] == [F_lambda(t, lam) for t in records]
     assert [r.dissipation for r in rows] \
-        == [dissipation_integral(t, 0.5) for t in records]
+        == [dissipation_integral(t, lam) for t in records]
+    assert [r.drift for r in rows] \
+        == [s.measure_drift(t.weight) for s, t in zip(traj, records)]
+
+
+@pytest.mark.parametrize("integrator, stages", [("euler", 1), ("rk4", 4)])
+def test_coupled_run_and_its_report_take_one_oracle_pass_per_stage_and_one_more(
+        monkeypatch, integrator, stages):
+    # 5 steps at stride 2 keep the states after steps 0, 2, 4 and 5.  The
+    # record of each state serves the first stage of the step from it and
+    # the floats of its report, so the report passes only the last one.
+    state = plane_state()
+    calls = counting_bundles(monkeypatch)
+    traj = run_coupled(state.g, state.f,
+                       FlowConfig(dt=1e-4, t_end=5e-4, lam=0.5,
+                                  integrator=integrator, filter_cutoff=2 / 3,
+                                  snapshot_stride=2))
+    rows = monotonicity_report(traj, 0.5)
+    assert [s.t for s in traj] == pytest.approx([0.0, 2e-4, 4e-4, 5e-4])
+    assert len(rows) == len(traj) == 4
+    assert len(calls) == 5 * stages + 1
+    assert_rows_match_fresh_records(rows, traj, 0.5)
+
+
+def test_report_at_another_lam_takes_one_oracle_pass_per_snapshot(
+        monkeypatch):
+    # the floats a snapshot carries serve only the lam they were taken at,
+    # to the bit: -0.0 is another lam than 0.0
+    state = plane_state()
+    for run_lam, lam in ((0.5, 0.25), (0.0, -0.0)):
+        traj = run_coupled(state.g, state.f,
+                           FlowConfig(dt=1e-4, t_end=5e-4, lam=run_lam,
+                                      integrator="euler", snapshot_stride=2))
+        calls = counting_bundles(monkeypatch)
+        rows = monotonicity_report(traj, lam)
+        assert len(calls) == len(traj) == 4
+        assert_rows_match_fresh_records(rows, traj, lam)
+        monkeypatch.undo()
+
+
+def test_snapshots_carry_only_floats_beyond_their_fields():
+    # a snapshot keeps no record and no array beyond g, f and rho0: 41
+    # kept records would add 8 MB to the benchmark's 32^2 flow
+    state = plane_state()
+    traj = run_coupled(state.g, state.f,
+                       FlowConfig(dt=1e-4, t_end=5e-4, lam=0.5,
+                                  integrator="rk4", snapshot_stride=2))
+    for snap in traj:
+        assert {name for name, value in vars(snap).items()
+                if not isinstance(value, (float, tuple, type(None)))} \
+            == {"g", "f", "rho0"}
+        assert snap.report is None or all(
+            type(value) is float for value in snap.report)
+    assert [s.report is None for s in traj] == [False] * 3 + [True]
+    assert {s.report.lam for s in traj[:-1]} == {0.5}
 
 
 def test_coupled_rk4_step_inverts_the_metric_four_times(monkeypatch):
@@ -346,6 +405,28 @@ def test_instantaneous_rate_takes_one_oracle_pass_at_the_state(
     rc = instantaneous_rate(state, 0.5, 1e-4, integrator=integrator)
     assert rc.dissipation == expected
     assert sum(at_state) == 1
+
+
+@pytest.mark.parametrize("cutoff", [0.5, 2 / 3, 0.9, 1e-3])
+@pytest.mark.parametrize("points", [(13,), (32,), (9, 17), (12, 12),
+                                    (32, 32), (9, 8, 10), (8, 8, 8)])
+def test_one_transform_filters_each_field_as_filter_array_does(points,
+                                                               cutoff):
+    # f and the metric's distinct entries share one stacked transform;
+    # numpy's FFT runs its one-axis transforms line by line, so each field
+    # comes out as filtering it alone does, bit for bit, sign of zero
+    # included, and the metric unpacked from its pairs is symmetric
+    grid = GridSpec(points, (TAU,) * len(points))
+    rng = np.random.default_rng(len(points))
+    g = recipes.random_spd_metric(grid, rng, 0.2).values
+    f = rng.standard_normal(points)
+    gv, fv = _band_limited(g, f, grid, cutoff)
+    for got, alone in ((gv, filter_array(g, grid, cutoff)),
+                       (fv, filter_array(f, grid, cutoff))):
+        assert got.flags.c_contiguous and got.shape == alone.shape
+        assert np.array_equal(got, alone)
+        assert np.array_equal(np.signbit(got), np.signbit(alone))
+    assert np.array_equal(gv, np.swapaxes(gv, -1, -2))
 
 
 # ------------------------------------------------------------------ guards

@@ -298,6 +298,41 @@ def test_contractions_do_not_depend_on_the_block_size(monkeypatch, points,
             assert_bitwise(np.asarray(actual), np.asarray(expected))
 
 
+def node_major_hessian(df, gamma):
+    """``_hessian`` with Gamma^k_{jl} D_k f summed over each block of the
+    cube copied C-contiguous and node-major, (n, d, P)."""
+    grid = gamma.grid
+    d = grid.dim
+    out = np.empty(grid.shape + (d, d))
+    for j in range(d):
+        out[..., j, :] = diff_array(df, grid, j)
+    flat_out, flat_df = out.reshape(-1, d * d), df.reshape(-1, d)
+    node_major = np.ascontiguousarray(
+        np.moveaxis(gamma.values, 0, -2)).reshape(-1, d, pairs(d))
+    for blk in geometry._node_blocks(grid):
+        flat_out[blk] -= np.einsum("nk,nkp->np", flat_df[blk],
+                                   node_major[blk])[:, pair_table(d).ravel()]
+    return grids.symmetric_part(out)
+
+
+@pytest.mark.parametrize("points", SHAPES)
+def test_hessian_on_the_planes_matches_the_node_major_einsum(monkeypatch,
+                                                             points):
+    # _hessian sums D_k f Gamma^k_p over the cube's strided planes; numpy
+    # does not promise that einsum runs those sums in the order it runs
+    # them over a node-major copy, so this pins it, wherever blocks end
+    nodes, d = math.prod(points), len(points)
+    grid = grid_of(points)
+    rng = np.random.default_rng(nodes)
+    gamma = random_cube(grid, rng)
+    df = geometry.gradient_components(
+        ScalarField(grid, rng.standard_normal(points)))
+    for size in [1, 7, nodes // 10, nodes - 1, nodes + 5]:
+        monkeypatch.setattr(grids, "_BLOCK_BYTES", cube_bytes(size, d))
+        assert_bitwise(geometry._hessian(df, gamma),
+                       node_major_hessian(df, gamma))
+
+
 @pytest.mark.parametrize("order", [2, 4])
 def test_curvature_bundle_peak_memory(order):
     # Above the metric, the pass holds the packed Christoffel cube (2.5

@@ -16,10 +16,14 @@ One Markdown row per run: the two exit codes, whether stdout and stderr
 match line for line, whether the CSVs are byte-identical and, where they
 are not, the largest relative difference of a cell and its column, and
 each run's peak RSS (``os.wait4``'s rusage), so that a memory change
-shows config by config.  The peak RSS is reported only.  Exits 1 when an exit code or a verdict line (a printed line up to its
-first colon, e.g. ``[PASS] scalar_general`` or ``error``, with every
-decimal number in it masked, so that ``[PASS] coupled run complete,
-constraint drift 5.36e-10`` compares as a verdict) differs, else 0.
+shows config by config.  The peak RSS is reported only.  A last line
+sums the table up: the runs compared, the CSVs byte-identical, the CSVs
+differing (a CSV that only one side wrote included) and the runs that
+wrote no CSV on either side.  Exits 1 when an exit code or a verdict
+line (a printed line up to its first colon, e.g. ``[PASS]
+scalar_general`` or ``error``, with every decimal number in it masked,
+so that ``[PASS] coupled run complete, constraint drift 5.36e-10``
+compares as a verdict) differs, else 0.
 A config under ``configs/`` that REV does not have (``git cat-file -e
 REV:configs/NAME.ini`` fails) is one a change adds, often to show a
 defect it fixes: its rows are marked "new at change" and still run on
@@ -176,6 +180,7 @@ def main(argv=None) -> int:
     print("| --- | --- | --- | --- | --- | --- |")
     new = {ini for _, ini in inis if new_at_change(args.base, ini)}
     differs = False
+    tally = {"identical": 0, "differs": 0, "one side only": 0, "none": 0}
     with tempfile.TemporaryDirectory() as tmp:
         base_src = extract_src(args.base, Path(tmp) / "base")
         if args.bench:
@@ -198,9 +203,14 @@ def main(argv=None) -> int:
             else:
                 worst, column = largest_gap(csv_b, csv_c)
                 csv, gap = "differs", f"{worst:.1e} ({column})"
+            tally[csv] += 1
             print(f"| {label} | {code_b}, {code_c} | "
                   f"{'yes' if lines_b == lines_c else 'no'} | {csv} | {gap} | "
                   f"{rss_b:.1f}, {rss_c:.1f} |", flush=True)
+    print(f"\n{sum(tally.values())} runs compared: {tally['identical']} "
+          f"CSVs byte-identical, "
+          f"{tally['differs'] + tally['one side only']} differing, "
+          f"{tally['none']} runs without a CSV")
     return 1 if differs else 0
 
 
