@@ -11,9 +11,9 @@ from warpflow import recipes
 from warpflow.errors import (ConfigError, FlowDivergenceError,
                              MetricDegeneracyError, StabilityWarning)
 from warpflow.flow import (FlowConfig, FlowState, _band_limited,
-                           _explicit_step, conserved_measure_check, instantaneous_rate,
-                           monotonicity_report, run_coupled, run_decoupled,
-                           step)
+                           _explicit_step, conserved_measure_check,
+                           instantaneous_rate, monotonicity_report,
+                           run_coupled, run_decoupled, step)
 from warpflow.functionals import (F_lambda, dissipation_integral,
                                   gradient_tensor)
 from warpflow.geometry import StateTerms
@@ -43,6 +43,10 @@ def test_state_requires_metric_flag_and_shared_grid():
         FlowState.initial(bare, f)
     with pytest.raises(ValueError, match="state fields live on different"):
         FlowState.initial(g, recipes.sine_scalar(circle(32), 0.1))
+    # before the start's one stacked transform reads both fields
+    with pytest.raises(ValueError, match="state fields live on different"):
+        run_coupled(g, recipes.sine_scalar(circle(32), 0.1),
+                    FlowConfig(dt=1e-4, t_end=1e-4, filter_cutoff=0.5))
 
 
 def test_config_validation():
