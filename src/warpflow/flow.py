@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -80,13 +80,15 @@ class FlowState:
     rho0 = e^{-f} sqrt(det g) frozen at t = 0.  ``report`` is what
     ``monotonicity_report`` reads of the state at the run's lam, as
     floats, where the run built the state's ``StateTerms`` record: every
-    snapshot of a coupled run but the last.  It is None otherwise."""
+    snapshot of a coupled run but the last.  It is None otherwise: no
+    caller sets it, and ``dataclasses.replace`` drops it, so a state
+    never carries the report of other fields."""
 
     t: float
     g: SymTensorField
     f: ScalarField
     rho0: ScalarField
-    report: _Report | None = None
+    report: _Report | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if not (self.g.grid == self.f.grid == self.rho0.grid):
@@ -119,9 +121,11 @@ class FlowState:
         its record ``terms``: F_lam, D and the drift, which reads the
         weight F_lam made.  The record itself is not kept."""
         lam = float(lam)
-        return replace(self, report=_Report(
+        state = replace(self)
+        object.__setattr__(state, "report", _Report(
             lam, F_lambda(terms, lam), dissipation_integral(terms, lam),
             self.measure_drift(terms.weight)))
+        return state
 
 
 @dataclass(frozen=True)
@@ -240,21 +244,25 @@ def _band_limited(gv: np.ndarray, fv: np.ndarray, grid,
             np.ascontiguousarray(out[..., 0]))
 
 
-def step(state: FlowState, config: FlowConfig,
-         terms: StateTerms | None = None) -> FlowState:
+def step(state: FlowState, config: FlowConfig) -> FlowState:
     """One time step of the coupled system, with optional low-pass
-    filtering of f and the metric components afterwards.  ``terms`` is
-    the record of (state.g, state.f) when the caller already holds it, as
-    ``run_coupled`` does.  Halts with a diagnostic if the metric leaves
-    the positive cone or the run blows up; never repairs silently."""
-    if terms is None:
-        terms = StateTerms.at(state.g, state.f)
+    filtering of f and the metric components afterwards.  Halts with a
+    diagnostic if the metric leaves the positive cone or the run blows
+    up; never repairs silently."""
+    return _step(state, config, StateTerms.at(state.g, state.f))
+
+
+def _step(state: FlowState, config: FlowConfig,
+          terms: StateTerms) -> FlowState:
+    """``step`` from the record ``terms`` of (state.g, state.f), which
+    ``run_coupled`` already holds; the stability warning names the line
+    that called ``step`` or ``run_coupled``."""
     bound = _stability_bound(state.g, terms.bundle.inverse)
     if config.dt > bound:
         warnings.warn(
             "dt exceeds the explicit-step stability estimate for the "
             "parabolic part; expect drift or divergence",
-            StabilityWarning, stacklevel=2)
+            StabilityWarning, stacklevel=3)
     t_next = state.t + config.dt
     try:
         gv, fv = _advance(terms, config.dt, config.lam, config.integrator)
@@ -302,7 +310,7 @@ def run_coupled(g: SymTensorField, f: ScalarField,
         terms = StateTerms.at(state.g, state.f)
         if config.is_snapshot(k):
             snapshots.append(state.reported(terms, config.lam))
-        state = step(state, config, terms)
+        state = _step(state, config, terms)
         del terms      # not alive beside the next state's record
     snapshots.append(state)
     return snapshots

@@ -505,15 +505,13 @@ _STENCILS = {2: ((1, -1), 2.0), 4: ((2, 1, -1, -2), 12.0)}
 
 
 @lru_cache(maxsize=None)
-def _stencil_plan(grid: GridSpec, axis: int) -> tuple[tuple, float, tuple]:
+def _stencil_plan(grid: GridSpec, axis: int) -> tuple[tuple, float]:
     """The plan of every stencil along one axis of a grid: the nodes
     0..n-1 of the axis split into runs on which no i + s wraps around,
     for every shift s, as each run's index and, per shift, the index of
-    the values at i + s over it, each behind the axis prefix; the
-    divisor of the grid order's formula; and the interior, the bounds
-    (lo, hi) of the run on which no i + s leaves 0..n-1 with the other
-    runs, or () if the axis is too short to have one.  Memoised per
-    (grid, axis), since every stencil call along an axis asks again."""
+    the values at i + s over it, each behind the axis prefix; and the
+    divisor of the grid order's formula.  Memoised per (grid, axis),
+    since every stencil call along an axis asks again."""
     shifts, scale = _STENCILS[grid.order]
     n = grid.points[axis]
     lead = (slice(None),) * axis
@@ -522,10 +520,7 @@ def _stencil_plan(grid: GridSpec, axis: int) -> tuple[tuple, float, tuple]:
                   tuple(lead + (slice((lo + s) % n, (lo + s) % n + hi - lo),)
                         for s in shifts))
                  for lo, hi in zip(cuts, cuts[1:]))
-    lo, hi = -min(shifts), n - max(shifts)
-    interior = ((lo, hi), tuple(run for run in runs if run[0][axis].start != lo)
-                ) if lo < hi else ()
-    return runs, scale * grid.spacing[axis], interior
+    return runs, scale * grid.spacing[axis]
 
 
 def diff_array(values: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:
@@ -538,45 +533,29 @@ def diff_array(values: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:
     (v[i+1] - v[i-1]) / (2h) or
     (-v[i+2] + 8 v[i+1] - 8 v[i-1] + v[i-2]) / (12h), in that order; the
     shifted operands are read as periodic slices and the result is
-    written into one output array.  On a C-contiguous operand along any
-    axis but the first, the interior runs of all lines are one flat run:
-    i + s is the flat index plus s strides of the axis wherever i + s
-    stays on the line, and the nodes where it does not are rewritten by
-    the other runs after it.
+    written into one output array.
     """
     grid._check_axis(axis)
-    runs, divisor, interior = _stencil_plan(grid, axis)
+    runs, divisor = _stencil_plan(grid, axis)
     values = np.asarray(values)
     if values.shape[axis] != grid.points[axis]:
         raise ValueError(f"axis {axis} has {values.shape[axis]} nodes, "
                          f"the grid {grid.points[axis]}")
     out = np.empty(values.shape, np.result_type(values, 1.0))
-    passes = [(out, values, runs)]
-    if axis > 0 and interior and values.flags.c_contiguous:
-        (lo, hi), edges = interior
-        stride = math.prod(values.shape[axis + 1:])
-        flat = slice(lo * stride, values.size - (grid.points[axis] - hi) * stride)
-        shifted = tuple(slice(flat.start + s * stride, flat.stop + s * stride)
-                        for s in _STENCILS[grid.order][0])
-        passes = [(out.reshape(-1), values.reshape(-1), ((flat, shifted),)),
-                  (out, values, edges)]
     if grid.order == 2:
-        for dest, src, todo in passes:
-            for run, (p1, m1) in todo:
-                np.subtract(src[p1], src[m1], out=dest[run])
+        for run, (p1, m1) in runs:
+            np.subtract(values[p1], values[m1], out=out[run])
         out /= divisor
         return out
     eight = 8.0 * values
-    for dest, src, todo in passes:
-        eights = eight.reshape(src.shape)
-        for run, (p2, p1, m1, m2) in todo:
-            o = dest[run]
-            # -1 * v is -v, bit for bit; np.negative reads and writes
-            # wrong nodes at a 64-byte stride on both sides (numpy 2.4.6)
-            np.multiply(src[p2], -1.0, out=o)
-            o += eights[p1]
-            o -= eights[m1]
-            o += src[m2]
+    for run, (p2, p1, m1, m2) in runs:
+        o = out[run]
+        # -1 * v is -v, bit for bit; np.negative reads and writes wrong
+        # nodes at a 64-byte stride on both sides (numpy 2.4.6)
+        np.multiply(values[p2], -1.0, out=o)
+        o += eight[p1]
+        o -= eight[m1]
+        o += values[m2]
     out /= divisor
     return out
 

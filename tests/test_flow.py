@@ -1,6 +1,7 @@
 """Coupled and decoupled evolution: integrators, guards, conservation,
 and the dissipation bookkeeping."""
 
+import dataclasses
 import math
 import warnings
 
@@ -353,6 +354,21 @@ def test_snapshots_carry_only_floats_beyond_their_fields():
     assert {s.report.lam for s in traj[:-1]} == {0.5}
 
 
+def test_a_replaced_state_drops_its_report_and_none_can_be_given():
+    # the report was read off the snapshot's own g and f: a state built
+    # from other fields must not carry it
+    state = plane_state()
+    snap = run_coupled(state.g, state.f,
+                       FlowConfig(dt=1e-4, t_end=2e-4, lam=0.5,
+                                  integrator="euler"))[0]
+    assert snap.report is not None
+    assert dataclasses.replace(snap, f=ScalarField(
+        snap.f.grid, snap.f.values + 0.1)).report is None
+    with pytest.raises(TypeError):
+        FlowState(t=0.0, g=snap.g, f=snap.f, rho0=snap.rho0,
+                  report=snap.report)
+
+
 def test_coupled_rk4_step_inverts_the_metric_four_times(monkeypatch):
     # one inversion per stage: its oracle pass also raises the trace of
     # dg, and the first stage's serves the stability estimate
@@ -438,8 +454,9 @@ def test_one_transform_filters_each_field_as_filter_array_does(points,
 def test_stability_warning_on_oversized_step():
     state = initial_state(16, amplitude=0.05)
     cfg = FlowConfig(dt=0.1, t_end=0.1, integrator="euler")
-    with pytest.warns(StabilityWarning):
+    with pytest.warns(StabilityWarning) as caught:
         step(state, cfg)
+    assert caught[0].filename == __file__     # names the caller's line
 
 
 def test_unresolved_run_diverges_and_filter_rescues_it():
