@@ -244,25 +244,28 @@ def _band_limited(gv: np.ndarray, fv: np.ndarray, grid,
             np.ascontiguousarray(out[..., 0]))
 
 
-def step(state: FlowState, config: FlowConfig) -> FlowState:
+def step(state: FlowState, config: FlowConfig, *,
+         _terms: StateTerms | None = None) -> FlowState:
     """One time step of the coupled system, with optional low-pass
     filtering of f and the metric components afterwards.  Halts with a
     diagnostic if the metric leaves the positive cone or the run blows
-    up; never repairs silently."""
-    return _step(state, config, StateTerms.at(state.g, state.f))
+    up; never repairs silently.
 
-
-def _step(state: FlowState, config: FlowConfig,
-          terms: StateTerms) -> FlowState:
-    """``step`` from the record ``terms`` of (state.g, state.f), which
-    ``run_coupled`` already holds; the stability warning names the line
-    that called ``step`` or ``run_coupled``."""
+    ``_terms`` is not for callers: it is the record of (state.g,
+    state.f) that ``run_coupled`` built for the state's report, handed
+    on for the first stage, and a record of other fields is refused."""
+    if _terms is None:
+        terms = StateTerms.at(state.g, state.f)
+    elif _terms.g is state.g and _terms.f is state.f:
+        terms = _terms
+    else:
+        raise ValueError("the record is not of this state's fields")
     bound = _stability_bound(state.g, terms.bundle.inverse)
     if config.dt > bound:
         warnings.warn(
             "dt exceeds the explicit-step stability estimate for the "
             "parabolic part; expect drift or divergence",
-            StabilityWarning, stacklevel=3)
+            StabilityWarning, stacklevel=2)
     t_next = state.t + config.dt
     try:
         gv, fv = _advance(terms, config.dt, config.lam, config.integrator)
@@ -310,7 +313,7 @@ def run_coupled(g: SymTensorField, f: ScalarField,
         terms = StateTerms.at(state.g, state.f)
         if config.is_snapshot(k):
             snapshots.append(state.reported(terms, config.lam))
-        state = _step(state, config, terms)
+        state = step(state, config, _terms=terms)
         del terms      # not alive beside the next state's record
     snapshots.append(state)
     return snapshots

@@ -459,6 +459,20 @@ def test_stability_warning_on_oversized_step():
     assert caught[0].filename == __file__     # names the caller's line
 
 
+def test_step_refuses_the_record_of_other_fields():
+    # run_coupled hands step the record it built of the state's own g
+    # and f; a record of equal but other fields is refused
+    state = initial_state(16, amplitude=0.05)
+    cfg = FlowConfig(dt=1e-4, t_end=1e-4, integrator="euler")
+    own = StateTerms.at(state.g, state.f)
+    assert np.array_equal(step(state, cfg, _terms=own).g.values,
+                          step(state, cfg).g.values)
+    other = StateTerms.at(state.g, ScalarField(state.f.grid,
+                                               state.f.values.copy()))
+    with pytest.raises(ValueError, match="record"):
+        step(state, cfg, _terms=other)
+
+
 def test_unresolved_run_diverges_and_filter_rescues_it():
     # seed f with modes above half the spectrum; the f equation is
     # antidiffusive, so unfiltered Euler must blow up well before
