@@ -179,7 +179,7 @@ def inverse_metric(g: SymTensorField) -> np.ndarray:
     return inv
 
 
-def _node_blocks(grid: GridSpec) -> tuple[slice, ...]:
+def _node_blocks(grid: GridSpec) -> list[slice]:
     """The node blocks of the Christoffel cube, the one sweep of every
     kernel that reads it."""
     d = grid.dim

@@ -450,21 +450,18 @@ class Christoffel3Field:
 _BLOCK_BYTES = 256 * 1024
 
 
-def node_blocks(nodes: int, node_bytes: int) -> tuple[slice, ...]:
+def node_blocks(nodes: int, node_bytes: int) -> list[slice]:
     """The flattened nodes 0..nodes-1 in blocks of ``_BLOCK_BYTES`` of an
     operand with ``node_bytes`` bytes per node, one node at least: the
     sweep of every blocked kernel, so that each block is worked on while
     it sits in cache and every temporary of a sweep is block-sized.
-    Memoised per size and block size, since every pass asks again."""
-    return _block_plan(nodes, node_bytes, _BLOCK_BYTES)
-
-
-@lru_cache(maxsize=64)
-def _block_plan(nodes: int, node_bytes: int,
-                block_bytes: int) -> tuple[slice, ...]:
-    # block_bytes keys the memo
-    block = max(1, block_bytes // node_bytes)
-    return tuple(slice(s, s + block) for s in range(0, nodes, block))
+    Every pass asks again.  The flows' grids fit one block and take the
+    short path; the plan is not memoised, since a memo would hold the
+    hundreds of slices of every large grid it has cut."""
+    block = max(1, _BLOCK_BYTES // node_bytes)
+    if nodes <= block:
+        return [slice(0, block)]
+    return [slice(s, s + block) for s in range(0, nodes, block)]
 
 
 def stencil_sweep(grid: GridSpec) -> tuple[tuple[int, tuple], ...]:
