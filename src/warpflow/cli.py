@@ -29,19 +29,24 @@ silently change an experiment.  The conditional keys:
   [flow] filter_cutoff        only in coupled mode
 
 verify-variation runs at one resolution, so its m_points and n_points
-take one level; a ladder's m_points must increase level by level; and
-a flow's t_end must be a whole number of steps of dt.  A value outside its domain (a NaN gate bound, a non-finite
-coupling or a negative --seed included), a config file that is not
-UTF-8, a recipe field that comes out non-finite, or an --out that is
-not a file in an existing directory (checked before the run) is invalid
-input.  A field the run computes that comes out
+take one level; a ladder's m_points must increase level by level; a
+flow's t_end must be a whole number of steps of dt; and a coupled
+flow's filter_cutoff must keep wavenumber 1 on every axis, i.e.
+filter_cutoff * (n // 2) >= 1 for an axis of n points (the flow refuses
+it before the first step).  A value outside its domain (a NaN gate
+bound, a non-finite coupling or a negative --seed included), a config
+file that is not UTF-8, a recipe field that comes out non-finite, or an
+--out that is not a file in an existing directory (checked before the
+run) is invalid input.  A field the run computes that comes out
 non-finite (a warp factor e^{-Af} or a product density out of float
 range: ``NonFiniteFieldError``) is a failed run, as a degenerate metric
-is; the mapping is by exception type.  Exit codes: 0 all checks passed,
-1 a tolerance or stability check failed or a computed field left the
-float range, 2 invalid input.  Each distinct
-warning a run raises is printed once on stderr as a ``warning:
-<message>`` line, ahead of any ``error:`` or ``failure:`` line.
+is, and so is a run that needs more memory than the machine gives it
+(``MemoryError``); the mapping is by exception type.  Exit codes: 0 all
+checks passed, 1 a tolerance or stability check failed, a computed
+field left the float range or memory ran out, 2 invalid input.  Each
+distinct warning a run raises is printed once on stderr as a
+``warning: <message>`` line, ahead of any ``error:`` or ``failure:``
+line.
 
 Output tables are CSV with '#'-prefixed comment lines echoing the
 configuration and the tolerances in force; floats are written with
@@ -581,7 +586,7 @@ def _run_flow(flow_cfg, mode, g, f, constraint_tol):
         min_eig = float(np.linalg.eigvalsh(state.g.values)[..., 0].min())
         rows.append([r.t, r.f_lam, r.df_dt, r.dissipation, r.ratio, r.sign,
                      r.drift, min_eig])
-    # flow.conserved_measure_check's drift: the rows' maximum deviation
+    # the run's constraint drift: the largest of the snapshots' drifts
     drift = max(row[6] for row in rows) if mode == "coupled" else math.nan
 
     ok = True
@@ -702,6 +707,10 @@ def main(argv=None) -> int:
         except (FlowDivergenceError, MetricDegeneracyError,
                 NonFiniteFieldError) as exc:
             code, failure = 1, [f"failure: {exc}"]
+        except MemoryError as exc:
+            # numpy's names the allocation it refused; a bare one is empty
+            code, failure = 1, ["failure: out of memory"
+                                + (f": {exc}" if str(exc) else "")]
     # each distinct warning once, as a CLI line, ahead of the failure
     for line in [*dict.fromkeys(f"warning: {w.message}" for w in caught),
                  *failure]:

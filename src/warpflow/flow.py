@@ -51,13 +51,10 @@ __all__ = [
     "FlowState",
     "FlowConfig",
     "MonotonicityRow",
-    "RateCheck",
     "step",
     "run_coupled",
     "run_decoupled",
-    "conserved_measure_check",
     "monotonicity_report",
-    "instantaneous_rate",
 ]
 
 F_CAP = 25.0  # |f| beyond this means e^{+-f} has left the trusted regime
@@ -293,7 +290,10 @@ def run_coupled(g: SymTensorField, f: ScalarField,
     states.  A filtered run lives in the resolved band, so with
     ``filter_cutoff < 1`` it projects (g, f) into the band before rho0
     is frozen; otherwise the first step's truncation would show up as a
-    spurious O(1) transient in the conserved density.
+    spurious O(1) transient in the conserved density.  A cutoff that
+    keeps no nonzero wavenumber on some axis, cutoff * (n // 2) < 1 for
+    its n points, is a ConfigError: such a filter flattens the data
+    along that axis, and a run that must diverge would pass.
 
     The record of each state serves the first stage of the step from it
     and, at a snapshot, the floats of its report at config.lam
@@ -304,6 +304,12 @@ def run_coupled(g: SymTensorField, f: ScalarField,
         raise ValueError("state fields live on different grids")
     cutoff = config.filter_cutoff
     if cutoff < 1.0:
+        # the filter masks keep wavenumber 1 when 1 <= cutoff * (n // 2)
+        n = min(g.grid.points)
+        if cutoff * (n // 2) < 1:
+            raise ConfigError(
+                f"filter_cutoff = {cutoff!r} keeps no nonzero wavenumber "
+                f"on an axis of {n} points: cutoff * (n // 2) must be >= 1")
         gv, fv = _band_limited(g.values, f.values, g.grid, cutoff)
         g = SymTensorField(g.grid, gv, is_metric=True)
         f = ScalarField(f.grid, fv)
@@ -429,12 +435,6 @@ def run_decoupled(g: SymTensorField, f: ScalarField,
         for k in sorted(kept)[1:]]
 
 
-def conserved_measure_check(trajectory: list[FlowState]) -> float:
-    """Max relative node-wise drift of e^{-f} sqrt(det g) from rho0
-    across all snapshots."""
-    return max([0.0] + [state.measure_drift() for state in trajectory])
-
-
 @dataclass
 class MonotonicityRow:
     """One snapshot's entry in the monotonicity table: the functional
@@ -483,32 +483,3 @@ def monotonicity_report(trajectory: list[FlowState],
                                     drift=reports[i].drift))
     return rows
 
-
-@dataclass
-class RateCheck:
-    """Instantaneous dF_lam/dt at one state (symmetric one-step probe)
-    against the dissipation integral."""
-
-    numeric_rate: float
-    dissipation: float
-    ratio: float
-
-
-def instantaneous_rate(state: FlowState, lam: float, dt: float,
-                       integrator: str = "rk4") -> RateCheck:
-    """Probe dF_lam/dt at a state by stepping the coupled system once
-    forward and once backward (a single reversed step of the ODE system
-    in time is legitimate regardless of parabolicity) and differencing.
-    """
-    grid = state.g.grid
-    terms = StateTerms.at(state.g, state.f)
-    rates = []
-    for signed_dt in (dt, -dt):
-        gv, fv = _advance(terms, signed_dt, lam, integrator)
-        probe = StateTerms.at(SymTensorField(grid, gv, is_metric=True),
-                              ScalarField(grid, fv))
-        rates.append(F_lambda(probe, lam))
-    numeric = (rates[0] - rates[1]) / (2.0 * dt)
-    diss = dissipation_integral(terms, lam)
-    ratio = numeric / diss if diss > 0 else math.nan
-    return RateCheck(numeric_rate=numeric, dissipation=diss, ratio=ratio)

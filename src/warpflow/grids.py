@@ -163,12 +163,6 @@ class ScalarField:
     def constant(cls, grid: GridSpec, value: float) -> "ScalarField":
         return cls(grid, np.full(grid.shape, float(value)))
 
-    @classmethod
-    def from_function(cls, grid: GridSpec, fn) -> "ScalarField":
-        """Sample ``fn(*coordinate_meshes)`` on the grid."""
-        vals = np.broadcast_to(fn(*grid.meshes()), grid.shape).astype(float)
-        return cls(grid, vals.copy())
-
 
 @dataclass(eq=False)
 class SymTensorField:

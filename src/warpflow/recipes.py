@@ -20,7 +20,6 @@ from .grids import GridSpec, ScalarField, SymTensorField
 
 __all__ = [
     "flat_metric",
-    "conformal_factor",
     "conformal_metric",
     "sine_scalar",
     "mixed_sine_scalar",
@@ -38,8 +37,8 @@ def flat_metric(grid: GridSpec) -> SymTensorField:
     return SymTensorField(grid, vals, is_metric=True)
 
 
-def conformal_factor(grid: GridSpec, amplitude: float, mode: int = 1,
-                     axis: int | None = None) -> ScalarField:
+def _conformal_exponent(grid: GridSpec, amplitude: float, mode: int = 1,
+                        axis: int | None = None) -> ScalarField:
     """The exponent u of a conformal bump e^{2u} delta.
 
     By default u = amplitude * sum_i sin(2 pi mode x_i / L_i + phi_i)
@@ -61,8 +60,9 @@ def conformal_factor(grid: GridSpec, amplitude: float, mode: int = 1,
 
 def conformal_metric(grid: GridSpec, amplitude: float, mode: int = 1,
                      axis: int | None = None) -> SymTensorField:
-    """Conformally flat metric e^{2u} delta with u from conformal_factor."""
-    u = conformal_factor(grid, amplitude, mode, axis)
+    """Conformally flat metric e^{2u} delta with u from
+    ``_conformal_exponent``."""
+    u = _conformal_exponent(grid, amplitude, mode, axis)
     vals = np.exp(2.0 * u.values)[..., None, None] * np.eye(grid.dim)
     return SymTensorField(grid, vals, is_metric=True)
 

@@ -24,7 +24,6 @@ import numpy as np
 
 from . import geometry, recipes
 from .errors import ConfigError, NonFiniteFieldError
-from .flow import FlowConfig, conserved_measure_check, run_coupled
 from .functionals import first_variation_check, theorem_identity_residual
 from .grids import (GridSpec, ScalarField, SymTensorField, integrate,
                     node_blocks, pair_table)
@@ -37,13 +36,11 @@ __all__ = [
     "StudySpec",
     "ConvergenceRow",
     "measured_order",
-    "loglog_slope",
     "build_metric",
     "build_product_geometry",
     "curvature_study",
     "identity_study",
     "variation_study",
-    "drift_study",
 ]
 
 
@@ -54,13 +51,6 @@ def measured_order(h_coarse: float, e_coarse: float,
     if e_fine <= 1e-14 * max(1.0, e_coarse) or e_coarse <= 0.0:
         return math.nan
     return math.log(e_coarse / e_fine) / math.log(h_coarse / h_fine)
-
-
-def loglog_slope(xs: list[float], ys: list[float]) -> float:
-    """Least-squares slope of log y against log x."""
-    lx = np.log(np.asarray(xs, dtype=float))
-    ly = np.log(np.asarray(ys, dtype=float))
-    return float(np.polyfit(lx, ly, 1)[0])
 
 
 @dataclass(frozen=True)
@@ -354,27 +344,3 @@ def variation_study(couplings: list[WarpedConstants], spec: StudySpec,
                 richardson_gap=res.richardson_gap))
     return rows
 
-
-@dataclass
-class DriftRow:
-    """Constraint drift of one coupled run at one time step."""
-
-    dt: float
-    n_steps: int
-    max_drift: float
-
-
-def drift_study(g: SymTensorField, f: ScalarField, lam: float,
-                integrator: str, t_end: float,
-                dts: list[float]) -> tuple[list[DriftRow], float]:
-    """Run the coupled system from (g, f) to the same t_end at several
-    time steps and fit the drift-vs-dt slope (the integrator's order)."""
-    rows = []
-    for dt in dts:
-        cfg = FlowConfig(dt=dt, t_end=t_end, lam=lam, integrator=integrator,
-                         snapshot_stride=10 ** 9)
-        traj = run_coupled(g, f, cfg)
-        rows.append(DriftRow(dt=dt, n_steps=cfg.n_steps,
-                             max_drift=conserved_measure_check(traj)))
-    slope = loglog_slope([r.dt for r in rows], [r.max_drift for r in rows])
-    return rows, slope

@@ -37,8 +37,8 @@ import pytest
 from warpflow import geometry
 from warpflow.cli import main
 from warpflow.errors import ConstantsError, StabilityWarning
-from warpflow.flow import (FlowConfig, FlowState, instantaneous_rate,
-                           monotonicity_report, run_decoupled)
+from warpflow.flow import (FlowConfig, FlowState, monotonicity_report,
+                           run_coupled, run_decoupled)
 from warpflow.functionals import first_variation_check, gradient_tensor
 from warpflow.geometry import StateTerms
 from warpflow.grids import (GridSpec, ScalarField, SymTensorField,
@@ -51,6 +51,8 @@ from warpflow.verify import (FieldSpec, StudySpec, build_product_geometry,
                              variation_study)
 from warpflow.warped import (c1_residual, c2_residual, lambda_to_constants,
                              solve_perelman_constants, solve_theta, z_value)
+
+from flow_probe import instantaneous_rate
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 TWO_PI = 2.0 * math.pi
@@ -392,9 +394,23 @@ def _filtered_state(g: SymTensorField, f: ScalarField,
         ScalarField(grid, filter_array(f.values, grid, cutoff)))
 
 
-def test_criterion_5_flow_bookkeeping():
-    from warpflow.verify import drift_study
+def drift_study(g: SymTensorField, f: ScalarField, lam: float,
+                integrator: str, t_end: float,
+                dts: list[float]) -> tuple[list[float], float]:
+    """Run the coupled system from (g, f) to the same t_end at several
+    time steps; return each run's largest constraint drift and the
+    least-squares slope of log drift against log dt (the integrator's
+    order)."""
+    drifts = []
+    for dt in dts:
+        traj = run_coupled(g, f, FlowConfig(
+            dt=dt, t_end=t_end, lam=lam, integrator=integrator,
+            snapshot_stride=10 ** 9))
+        drifts.append(max(s.measure_drift() for s in traj))
+    return drifts, float(np.polyfit(np.log(dts), np.log(drifts), 1)[0])
 
+
+def test_criterion_5_flow_bookkeeping():
     ok = True
     details = []
 

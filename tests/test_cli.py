@@ -208,6 +208,9 @@ MALFORMED = [
     ("flow", "[fields]\nf_high_amplitude = 0.4\n"),
     ("flow", "[flow]\nmode = decoupled\nconstraint_tol = 1e-10\n"),
     ("flow", "[flow]\nmode = decoupled\nfilter_cutoff = 0.5\n"),
+    # a filter that keeps no nonzero wavenumber: cutoff * (n // 2) < 1
+    ("flow", "[flow]\nfilter_cutoff = 1e-320\n"),
+    ("flow", "[grid]\npoints = 32\n[flow]\nfilter_cutoff = 0.05\n"),
     # values outside their domain, caught before anything runs
     ("flow", "[flow]\nmode = mixed\n"),
     ("verify-variation", _DIMS + "[variation]\neps = 0\n"),
@@ -415,6 +418,31 @@ def test_warp_out_of_float_range_is_a_failure(tmp_path, capfd, command,
     assert all(l.startswith("warning: ") for l in lines[:-1])
     assert "non-finite" in lines[-1]
     assert quantity in lines[-1]
+
+
+@pytest.mark.parametrize("message,line", [
+    ("Unable to allocate 196. GiB for an array",
+     "failure: out of memory: Unable to allocate 196. GiB for an array"),
+    ("", "failure: out of memory"),
+])
+def test_memory_error_is_a_failure_line(tmp_path, capfd, monkeypatch,
+                                        message, line):
+    # a study too large for the machine: one failure line and exit 1, not
+    # a traceback.  The study is patched to raise; nothing is allocated.
+    from warpflow import verify
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(verify, "identity_study", refuse)
+    out = tmp_path / "out.csv"
+    rc = main(["verify-identity",
+               "--config", str(CONFIGS / "identity-torus.ini"),
+               "--out", str(out)])
+    captured = capfd.readouterr()
+    assert rc == 1
+    assert captured.err == line + "\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seed", ["7", "1"])

@@ -12,13 +12,14 @@ from warpflow import recipes
 from warpflow.errors import (ConfigError, FlowDivergenceError,
                              MetricDegeneracyError, StabilityWarning)
 from warpflow.flow import (FlowConfig, FlowState, _band_limited,
-                           _explicit_step, conserved_measure_check,
-                           instantaneous_rate, monotonicity_report,
-                           run_coupled, run_decoupled, step)
+                           _explicit_step, monotonicity_report, run_coupled,
+                           run_decoupled, step)
 from warpflow.functionals import (F_lambda, dissipation_integral,
                                   gradient_tensor)
 from warpflow.geometry import StateTerms
 from warpflow.grids import GridSpec, ScalarField, filter_array
+
+from flow_probe import instantaneous_rate
 
 TAU = 2.0 * math.pi
 
@@ -48,6 +49,22 @@ def test_state_requires_metric_flag_and_shared_grid():
     with pytest.raises(ValueError, match="state fields live on different"):
         run_coupled(g, recipes.sine_scalar(circle(32), 0.1),
                     FlowConfig(dt=1e-4, t_end=1e-4, filter_cutoff=0.5))
+
+
+def test_run_coupled_refuses_a_cutoff_that_keeps_no_mode_on_an_axis():
+    # wavenumber 1 survives on n points only if cutoff * (n // 2) >= 1:
+    # 0.2 keeps it on 32 points (3.2) but not on 8 (0.8)
+    grid = GridSpec((32, 8), (TAU, TAU))
+    g, f = recipes.flat_metric(grid), recipes.sine_scalar(grid, 0.1)
+    for cutoff in (0.2, 1e-320):
+        with pytest.raises(ConfigError, match="keeps no nonzero wavenumber"):
+            run_coupled(g, f, FlowConfig(dt=1e-4, t_end=1e-4,
+                                         filter_cutoff=cutoff))
+    wide = GridSpec((32, 10), (TAU, TAU))
+    traj = run_coupled(recipes.flat_metric(wide),
+                       recipes.sine_scalar(wide, 0.1),
+                       FlowConfig(dt=1e-4, t_end=1e-4, filter_cutoff=0.2))
+    assert len(traj) == 2
 
 
 def test_config_validation():
@@ -169,7 +186,7 @@ def test_euler_step_against_taylor_oracle():
     gaps = {}
     for n in (32, 64):
         grid = circle(n)
-        f = ScalarField.from_function(grid, lambda x: a * np.sin(x))
+        f = ScalarField(grid, a * np.sin(grid.meshes()[0]))
         state = FlowState.initial(recipes.flat_metric(grid), f)
         nxt = step(state, FlowConfig(dt=dt, t_end=dt, integrator="euler"))
         x = np.arange(n) * (TAU / n)
@@ -204,7 +221,7 @@ def test_single_step_measure_drift_is_second_order():
     for dt in (1e-3, 5e-4):
         state = initial_state(64)
         nxt = step(state, FlowConfig(dt=dt, t_end=dt, integrator="euler"))
-        drifts.append(conserved_measure_check([state, nxt]))
+        drifts.append(max(s.measure_drift() for s in (state, nxt)))
     assert drifts[0] < 1e-7
     assert drifts[0] / drifts[1] == pytest.approx(4.0, abs=0.3)
 
@@ -215,7 +232,7 @@ def test_trajectory_measure_drift():
         traj = run_coupled(state.g, state.f, FlowConfig(dt=1e-4, t_end=2e-3,
                                                         integrator=integ,
                                                         snapshot_stride=5))
-        assert conserved_measure_check(traj) < bound
+        assert max(s.measure_drift() for s in traj) < bound
 
 
 @pytest.mark.parametrize("integrator, passes", [("euler", 6), ("rk4", 26)])
@@ -506,8 +523,8 @@ def test_decoupled_positivity_guard():
     # threshold flips u negative on the first backward step; that must
     # surface as a divergence report, not a log-domain crash
     grid = circle(32)
-    f_term = ScalarField.from_function(
-        grid, lambda x: -np.log(1.0 + 0.9 * np.cos(8.0 * x)))
+    (x,) = grid.meshes()
+    f_term = ScalarField(grid, -np.log(1.0 + 0.9 * np.cos(8.0 * x)))
     with pytest.raises(FlowDivergenceError):
         run_decoupled(recipes.flat_metric(grid), f_term,
                       FlowConfig(dt=0.15, t_end=0.3, integrator="euler"))

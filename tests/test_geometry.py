@@ -122,7 +122,7 @@ def test_operations_require_metric_flag():
 
 def conformal_setup(n, amplitude=0.25):
     grid = torus(n)
-    u = recipes.conformal_factor(grid, amplitude)
+    u = recipes._conformal_exponent(grid, amplitude)
     g = recipes.conformal_metric(grid, amplitude)
     return grid, u, g
 

@@ -63,7 +63,8 @@ def test_scalar_field_validation():
     bad[3] = np.nan
     with pytest.raises(ValueError):
         ScalarField(grid, bad)
-    f = ScalarField.from_function(grid, np.sin)
+    (x,) = grid.meshes()
+    f = ScalarField(grid, np.sin(x))
     assert np.array_equal(f.values, np.sin(grid.coordinates(0)))
 
 

@@ -16,7 +16,10 @@ two share no code beyond the grid primitives.  So:
   order of its own;
 * a flow run's filter policy lives in ``flow``: no other module calls
   ``grids.filter_array``, so the projected start and the filtered steps
-  are decided in one place.
+  are decided in one place;
+* nothing is public only because a test imports it: every public
+  top-level function and class, and every public method, is read
+  somewhere in the package outside its own definition.
 """
 
 import ast
@@ -103,3 +106,39 @@ def test_no_function_outside_grids_takes_an_order(module):
             params = {a.arg for a in (*args.posonlyargs, *args.args,
                                       *args.kwonlyargs)}
             assert "order" not in params, (module, node.name)
+
+
+# name -> why it stays public though nothing in the package reads it
+UNREAD_ALLOWED = {
+    "SymTensorField.matrix": "bench/tracer.py wraps it by name",
+}
+
+
+def test_every_public_name_is_read_in_the_package():
+    # a read is a loaded ast.Name or ast.Attribute of the name outside
+    # its own definition; an import or an __all__ string is not one
+    trees = [ast.parse((PACKAGE / f"{m}.py").read_text()) for m in MODULES]
+    public = []        # (name, node): top-level functions, classes, methods
+    for tree in trees:
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("_"):
+                continue
+            public.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                public.extend((f"{node.name}.{sub.name}", sub)
+                              for sub in node.body
+                              if isinstance(sub, ast.FunctionDef)
+                              and not sub.name.startswith("_"))
+    loads = [node for tree in trees for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))
+             and isinstance(node.ctx, ast.Load)]
+    unread = []
+    for name, definition in public:
+        own = {id(node) for node in ast.walk(definition)}
+        short = name.rsplit(".", 1)[-1]
+        if not any(id(node) not in own
+                   and getattr(node, "id", getattr(node, "attr", None)) == short
+                   for node in loads):
+            unread.append(name)
+    assert sorted(unread) == sorted(UNREAD_ALLOWED), unread

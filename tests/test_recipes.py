@@ -20,7 +20,7 @@ def test_flat_metric_is_identity():
 
 def test_conformal_metric_structure():
     grid = GridSpec((16, 16), (TAU, TAU))
-    u = recipes.conformal_factor(grid, 0.3)
+    u = recipes._conformal_exponent(grid, 0.3)
     g = recipes.conformal_metric(grid, 0.3)
     mat = g.values
     assert np.allclose(mat[..., 0, 0], np.exp(2.0 * u.values), rtol=1e-15)
@@ -30,7 +30,7 @@ def test_conformal_metric_structure():
 
 def test_conformal_factor_single_axis_has_no_phase():
     grid = GridSpec((16, 16), (TAU, TAU))
-    u = recipes.conformal_factor(grid, 0.2, mode=1, axis=1)
+    u = recipes._conformal_exponent(grid, 0.2, mode=1, axis=1)
     y = grid.coordinates(1)
     assert np.allclose(u.values, 0.2 * np.sin(y)[None, :], atol=1e-15)
 

@@ -7,13 +7,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from warpflow import geometry, grids, recipes, verify, warped
+from warpflow import geometry, grids, verify, warped
 from warpflow.errors import ConfigError
 from warpflow.grids import GridSpec, ScalarField, integrate
 from warpflow.verify import (FieldSpec, StudySpec, build_metric,
                              build_product_geometry, curvature_study,
-                             drift_study, identity_study, loglog_slope,
-                             measured_order, variation_study)
+                             identity_study, measured_order, variation_study)
 from warpflow.warped import lambda_to_constants, solve_perelman_constants
 
 TAU = 2.0 * math.pi
@@ -38,12 +37,6 @@ def test_measured_order_exact_powers():
 def test_measured_order_roundoff_floor_is_nan():
     assert math.isnan(measured_order(1.0, 1e-3, 0.5, 1e-18))
     assert math.isnan(measured_order(1.0, 0.0, 0.5, 0.0))
-
-
-def test_loglog_slope_recovers_power_law():
-    xs = [0.4, 0.2, 0.1, 0.05]
-    ys = [3.0 * x ** 2 for x in xs]
-    assert loglog_slope(xs, ys) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_build_metric_recipes():
@@ -186,16 +179,6 @@ def test_variation_study_smoke():
         assert abs(r.richardson_gap) < 1e-6
     # distinct directions, not one sample repeated
     assert len({r.numeric for r in rows}) == 3
-
-
-def test_drift_study_recovers_euler_order():
-    grid = GridSpec((24, 24), (TAU, TAU))
-    rows, slope = drift_study(recipes.conformal_metric(grid, 0.3, 1),
-                              recipes.mixed_sine_scalar(grid, 0.6, (1, 2)),
-                              0.0, "euler", 8e-3, [2e-3, 1e-3, 5e-4])
-    assert [r.n_steps for r in rows] == [4, 8, 16]
-    assert all(r.max_drift > 0 for r in rows)
-    assert slope == pytest.approx(1.0, abs=0.15)
 
 
 _PASS_CONFIGS = {
